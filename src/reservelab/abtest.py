@@ -18,11 +18,12 @@ from typing import Iterable, Optional
 import numpy as np
 from scipy import integrate
 
-from .distributions import ContinuousDist, VirtualValueFn, myerson_reserve, virtual_value
+from .distributions import ContinuousDist, VirtualValueFn, myerson_reserve
 from .errors import DomainError
+from .generators import numbered_ids
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
-from .vectorized import eager_payments, lazy_payments, payments
+from .vectorized import payments
 
 
 class SplitMode(enum.Enum):
@@ -86,8 +87,7 @@ def _mean_stderr(total: float, total_sq: float, count: int) -> tuple[float, floa
 
 def _treated_reserve_row(dist: ContinuousDist, n: int, plan: TreatmentPlan) -> np.ndarray:
     if plan.reserves is not None:
-        width = max(2, len(str(n - 1)))
-        return np.array([plan.reserves.get(f"b{i:0{width}d}") for i in range(n)])
+        return np.array([plan.reserves.get(b) for b in numbered_ids(n)])
     if not VirtualValueFn(dist).is_monotone_on_grid():
         raise DomainError(f"{dist.name}: not regular, refusing a Myerson reserve source")
     return np.full(n, myerson_reserve(dist))
@@ -99,7 +99,6 @@ def _bidder_split_chunks(dist: ContinuousDist, n: int, mechanism: Mechanism,
                          chunk: int = 100_000):
     """Yield (c, len(ks)) payment matrices; same draws serve every k (common random numbers)."""
     ks = list(ks)
-    kernel = lazy_payments if mechanism is Mechanism.LAZY else eager_payments
     rng = np.random.default_rng(seed)
     cols = np.arange(n)
     remaining = trials
@@ -116,7 +115,7 @@ def _bidder_split_chunks(dist: ContinuousDist, n: int, mechanism: Mechanism,
         out = np.empty((c, len(ks)))
         for j, k in enumerate(ks):
             reserves = np.where(ranks < k, r_full[None, :], 0.0)
-            out[:, j] = kernel(values, reserves)
+            out[:, j] = payments(values, reserves, mechanism)
         yield out
 
 
@@ -142,7 +141,6 @@ def simulate_treatment(dist: ContinuousDist, n: int, plan: TreatmentPlan,
     p = plan.treated_fraction
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"treated_fraction {p} out of range [0, 1]")
-    kernel = lazy_payments if mechanism is Mechanism.LAZY else eager_payments
     rng = np.random.default_rng(seed)
     total = total_sq = 0.0
     done = 0
@@ -158,7 +156,7 @@ def simulate_treatment(dist: ContinuousDist, n: int, plan: TreatmentPlan,
             idx = np.arange(done, done + c)
             treated = idx < n_treated_target
         reserves = np.where(treated[:, None], r_full[None, :], 0.0)
-        pay = kernel(values, reserves)
+        pay = payments(values, reserves, mechanism)
         total += float(np.sum(pay))
         total_sq += float(np.sum(pay * pay))
         done += c
@@ -186,42 +184,35 @@ def rev_l_k_closed(n: int, k: int, rev0: float, revn: float) -> float:
     return (k / n) * revn + (1.0 - k / n) * rev0
 
 
-def _phi_derivative(dist: ContinuousDist, x: float, step: float) -> float:
-    lo, hi = dist.lo, dist.hi
-    h = step
-    if x - h <= lo or (hi != math.inf and x + h >= hi):
-        h = min(step, (x - lo) / 2.0, ((hi - x) / 2.0) if hi != math.inf else step)
-    if h <= 0:
-        h = step * 1e-3
-    return (virtual_value(dist, x + h) - virtual_value(dist, x - h)) / (2.0 * h)
-
-
 def rev_e_k_quadrature(dist: ContinuousDist, n: int, k: int) -> float:
-    """Eager revenue with k of n treated at the Myerson reserve, by quadrature:
+    """Eager revenue with k of n treated at the Myerson reserve r, by quadrature:
 
-        Int_r^hi phi(x) n F^(n-1) f dx  -  1{k<n} F(r)^n Int_lo^r (F(x)/F(r))^(n-k) phi'(x) dx
+        Int_r^hi n F^(n-1) g dx  +  1{k<n} (n-k) F(r)^k Int_lo^r F^(n-k-1) g dx
 
-    phi' by central finite differences with step 1e-6 times the support width.
+    with g(x) = x f(x) - (1 - F(x)) = phi(x) f(x). The second term is the
+    integration by parts of -F(r)^k Int_lo^r F^(n-k) phi'(x) dx (phi(r) = 0,
+    F(lo) = 0); neither term divides by the density, so tails where f
+    underflows are fine.
     """
     if not 0 <= k <= n:
         raise ValueError(f"k {k} out of range [0, {n}]")
     r = myerson_reserve(dist)
-    width = (dist.hi - dist.lo) if dist.hi != math.inf else dist.scale
-    step = 1e-6 * width
+
+    def g(x):
+        return x * dist.pdf(x) - (1.0 - dist.cdf(x))
 
     def upper_integrand(x):
-        return virtual_value(dist, x) * n * dist.cdf(x) ** (n - 1) * dist.pdf(x)
+        return n * dist.cdf(x) ** (n - 1) * g(x)
 
     term1, _ = integrate.quad(upper_integrand, r, dist.hi, epsabs=1e-10, epsrel=1e-10, limit=200)
     if k == n:
         return term1
-    F_r = dist.cdf(r)
 
     def lower_integrand(x):
-        return (dist.cdf(x) / F_r) ** (n - k) * _phi_derivative(dist, x, step)
+        return dist.cdf(x) ** (n - k - 1) * g(x)
 
     term2, _ = integrate.quad(lower_integrand, dist.lo, r, epsabs=1e-10, epsrel=1e-10, limit=200)
-    return term1 - F_r ** n * term2
+    return term1 + (n - k) * dist.cdf(r) ** k * term2
 
 
 def expected_second_highest(dist: ContinuousDist, n: int) -> float:

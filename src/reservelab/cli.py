@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -29,9 +28,8 @@ from .logio import (compute_lift_report, lift_revenue_tsv, lift_welfare_tsv,
                     parse_log, quantize_log, read_reserves, write_log, write_reserves)
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
-from .optimize import (eager_coordinate_ascent, empirical_revenue, monopoly_reserves,
-                       optimal_eager_exact, optimal_lazy)
-from .vectorized import payments
+from .optimize import (eager_coordinate_ascent, empirical_revenue, empirical_totals,
+                       monopoly_reserves, optimal_eager_exact, optimal_lazy)
 
 TASKS = ("lazy", "monopoly", "eager-exact", "eager-local")
 DEFAULT_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -145,24 +143,34 @@ def materialize_log(cfg: RunConfig) -> BidLog:
     return quantize_log(sample_log(gen, cfg.count, cfg.seed))
 
 
+def _input_paths(cfg: RunConfig) -> list[str]:
+    """The --input paths, each checked to exist."""
+    paths = cfg.input if isinstance(cfg.input, list) else [cfg.input]
+    for path in paths:
+        if not isinstance(path, str):
+            raise ConfigError(f"bad input {cfg.input!r}")
+        if not os.path.exists(path):
+            raise ConfigError(f"input file not found: {path}")
+    return paths
+
+
+def _single_input_path(cfg: RunConfig) -> str:
+    """The one --input path of a command that reads a single log."""
+    paths = _input_paths(cfg)
+    if len(paths) != 1:
+        raise ConfigError(f"want exactly one --input path, got {len(paths)}")
+    return paths[0]
+
+
 def _input_log(cfg: RunConfig) -> tuple[BidLog, str]:
     """Resolve the single input source to a log and a slot name."""
     has_input = cfg.input is not None
     if has_input == (cfg.generator is not None):
         raise ConfigError("exactly one input source required: --input or --generator")
     if has_input:
-        path = cfg.input[0] if isinstance(cfg.input, list) else cfg.input
-        if not isinstance(path, str):
-            raise ConfigError(f"bad input {cfg.input!r}")
-        if not os.path.exists(path):
-            raise ConfigError(f"input file not found: {path}")
+        path = _single_input_path(cfg)
         return parse_log(path, cfg.format), os.path.basename(path)
     return materialize_log(cfg), f"{cfg.generator}(seed={cfg.seed})"
-
-
-def _total_revenue(log: BidLog, reserves: ReserveVector, mechanism: Mechanism) -> float:
-    pay = payments(log.to_matrix(), [reserves.get(b) for b in log.bidder_ids], mechanism)
-    return math.fsum(pay.tolist())
 
 
 def _write_summary(cfg: RunConfig, command: str, outputs: list[str],
@@ -223,7 +231,7 @@ def cmd_optimize(cfg: RunConfig):
         "bidders": len(log.bidder_ids),
         "revenue_zero_reserve": empirical_revenue(log, ReserveVector.zero(), mech),
         "expected_revenue": result.expected_revenue,
-        "total_revenue": _total_revenue(log, result.reserves, mech),
+        "total_revenue": empirical_totals(log, result.reserves, mech)[0],
     }
     summary = _write_summary(cfg, "optimize", [reserve_path], extra, started)
     return result, reserve_path, summary
@@ -235,13 +243,8 @@ def cmd_lift_tables(cfg: RunConfig):
     if cfg.input is not None and cfg.generator is not None:
         raise ConfigError("exactly one input source required: --input or --generator")
     if cfg.input is not None:
-        paths = cfg.input if isinstance(cfg.input, list) else [cfg.input]
-        reports = []
-        for path in paths:
-            if not os.path.exists(path):
-                raise ConfigError(f"input file not found: {path}")
-            reports.append(compute_lift_report(parse_log(path, cfg.format),
-                                               os.path.basename(path)))
+        reports = [compute_lift_report(parse_log(path, cfg.format), os.path.basename(path))
+                   for path in _input_paths(cfg)]
     elif cfg.generator is not None:
         log, slot = materialize_log(cfg), f"{cfg.generator}(seed={cfg.seed})"
         reports = [compute_lift_report(log, slot)]
@@ -279,15 +282,15 @@ def cmd_sweep(cfg: RunConfig):
     if cfg.mode == "theoretical":
         if cfg.dist is None or cfg.n is None:
             raise ConfigError("theoretical sweep needs --dist and --n")
+        if not isinstance(cfg.n, int) or cfg.n < 1:
+            raise ConfigError(f"n must be an integer >= 1, got {cfg.n!r}")
         dist = make_dist(cfg.dist, cfg.params)
         results = [sweep_theoretical(dist, cfg.n, mech, cfg.trials, cfg.seed)
                    for mech in mechanisms]
     elif cfg.mode == "empirical":
         if not isinstance(cfg.input, (str, list)) or cfg.reserves is None:
             raise ConfigError("empirical sweep needs --input and --reserves")
-        path = cfg.input[0] if isinstance(cfg.input, list) else cfg.input
-        if not os.path.exists(path):
-            raise ConfigError(f"input file not found: {path}")
+        path = _single_input_path(cfg)
         if not os.path.exists(cfg.reserves):
             raise ConfigError(f"reserve file not found: {cfg.reserves}")
         log = parse_log(path, cfg.format)

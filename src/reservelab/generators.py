@@ -42,9 +42,10 @@ class JointGenerator:
     draw: Callable[[np.random.Generator, int], np.ndarray]
 
 
-def _ids(prefix: str, n: int) -> tuple[str, ...]:
+def numbered_ids(n: int) -> tuple[str, ...]:
+    """b00, b01, ...: the bidder ids of the generated logs, zero-padded to sort numerically."""
     width = max(2, len(str(n - 1)))
-    return tuple(f"{prefix}{i:0{width}d}" for i in range(n))
+    return tuple(f"b{i:0{width}d}" for i in range(n))
 
 
 def sample_log(gen: JointGenerator, count: int, seed: int) -> BidLog:
@@ -68,7 +69,7 @@ def gen_high_low(n: int, epsilon: float = 1e-9) -> JointGenerator:
         level = np.where(rng.random((count, n)) < q, float(n), 1.0)
         return level + epsilon * rng.random((count, n))
 
-    return JointGenerator(f"high_low(n={n},epsilon={epsilon:g})", _ids("b", n), draw)
+    return JointGenerator(f"high_low(n={n},epsilon={epsilon:g})", numbered_ids(n), draw)
 
 
 def gen_correlated_equal_revenue(M: float, epsilon: float) -> JointGenerator:
@@ -91,7 +92,7 @@ def gen_correlated_equal_revenue(M: float, epsilon: float) -> JointGenerator:
         return out
 
     return JointGenerator(f"correlated_equal_revenue(M={M:g},epsilon={epsilon:g})",
-                          _ids("b", 2), draw)
+                          numbered_ids(2), draw)
 
 
 def gen_symmetric_one_high(n: int, H: float, L: float) -> JointGenerator:
@@ -106,7 +107,7 @@ def gen_symmetric_one_high(n: int, H: float, L: float) -> JointGenerator:
         out[np.arange(count), rng.integers(n, size=count)] = float(H)
         return out
 
-    return JointGenerator(f"symmetric_one_high(n={n},H={H:g},L={L:g})", _ids("b", n), draw)
+    return JointGenerator(f"symmetric_one_high(n={n},H={H:g},L={L:g})", numbered_ids(n), draw)
 
 
 def geometric_pair_atoms(K: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +131,7 @@ def gen_geometric_pair(K: int, epsilon: float) -> JointGenerator:
         v = rng.choice(values, size=count, p=probs)
         return np.column_stack([v, v])
 
-    return JointGenerator(f"geometric_pair(K={K},epsilon={epsilon:g})", _ids("b", 2), draw)
+    return JointGenerator(f"geometric_pair(K={K},epsilon={epsilon:g})", numbered_ids(2), draw)
 
 
 def gen_iid(dist: ContinuousDist, n: int) -> JointGenerator:
@@ -141,7 +142,7 @@ def gen_iid(dist: ContinuousDist, n: int) -> JointGenerator:
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
         return dist.sample(rng, (count, n))
 
-    return JointGenerator(f"iid({dist.name},n={n})", _ids("b", n), draw)
+    return JointGenerator(f"iid({dist.name},n={n})", numbered_ids(n), draw)
 
 
 def gen_hardness_instance(vertices: Sequence, edges: Sequence[tuple], L: float, H: float) -> BidLog:

@@ -18,8 +18,7 @@ from typing import Iterable, Optional
 from .errors import LogParseError
 from .logs import BidLog
 from .mechanics import BidProfile, Mechanism, ReserveVector
-from .optimize import monopoly_reserves, optimal_lazy
-from .vectorized import payments
+from .optimize import empirical_totals, monopoly_reserves, optimal_lazy
 
 _BID_RE = re.compile(r"^(\d+)(?:\.(\d{1,6}))?$")
 MAX_MICROS = 10 ** 15  # 1e9 units; beyond this float round trips stop being exact
@@ -208,11 +207,8 @@ def write_reserves(reserves: ReserveVector, path: str, quantize: bool = False) -
 
 
 def _rev_welfare(log: BidLog, reserves: ReserveVector, mechanism: Mechanism) -> tuple[float, float]:
-    bids = log.to_matrix()
-    row = [reserves.get(b) for b in log.bidder_ids]
-    pay, wel = payments(bids, row, mechanism, return_welfare=True)
-    T = len(log)
-    return math.fsum(pay.tolist()) / T, math.fsum(wel.tolist()) / T
+    revenue, welfare = empirical_totals(log, reserves, mechanism)
+    return revenue / len(log), welfare / len(log)
 
 
 RESERVE_SOURCES = ("rstar_l", "monopoly")

@@ -30,7 +30,10 @@ import numpy as np
 from .errors import SearchSpaceTooLarge
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
-from .vectorized import ABSENT, lazy_payments, payments
+from .vectorized import eager_payments, lazy_order, payments
+
+# bid x reserve-row elements per eager kernel call in the searches: about 0.5 MB of float64
+_SEARCH_BATCH = 1 << 16
 
 
 class CandidateSource(enum.Enum):
@@ -58,25 +61,23 @@ def _reserve_row(log: BidLog, reserves: ReserveVector) -> np.ndarray:
     return np.array([reserves.get(b) for b in log.bidder_ids])
 
 
+def empirical_totals(log: BidLog, reserves: ReserveVector,
+                     mechanism: Mechanism) -> tuple[float, float]:
+    """Total payment and total welfare over the log's auctions, each an exact fsum."""
+    pay, wel = payments(log.to_matrix(), _reserve_row(log, reserves), mechanism,
+                        return_welfare=True)
+    return math.fsum(pay.tolist()), math.fsum(wel.tolist())
+
+
 def empirical_revenue(log: BidLog, reserves: ReserveVector, mechanism: Mechanism) -> float:
     """Mean payment per auction over the log. The one evaluator everything reports through."""
     if len(log) == 0:
         raise ValueError("empty log")
-    pay = payments(log.to_matrix(), _reserve_row(log, reserves), mechanism)
-    return math.fsum(pay.tolist()) / len(log)
+    return empirical_totals(log, reserves, mechanism)[0] / len(log)
 
 
-def _first_second(log: BidLog):
-    """Per auction: winner column at zero reserves, top bid, second-highest bid."""
-    bids = log.to_matrix()
-    rows = np.arange(bids.shape[0])
-    winner = np.argmax(bids, axis=1)
-    top = bids[rows, winner]
-    rest = bids.copy()
-    rest[rows, winner] = ABSENT
-    second = rest.max(axis=1)
-    second = np.where(np.isfinite(second), second, 0.0)
-    return winner, top, second
+def _log_tops(log: BidLog) -> set[float]:
+    return set(lazy_order(log.to_matrix())[1].tolist())
 
 
 def _classify(value: float, top_values) -> CandidateSource:
@@ -98,7 +99,7 @@ def optimal_lazy(log: BidLog) -> OptimizationResult:
     a second at v enters it and leaves the sum). Ties break toward the
     smallest reserve. Bidders who never win at zero reserves keep reserve 0.
     """
-    winner, top, second = _first_second(log)
+    winner, top, second = lazy_order(log.to_matrix())
     chosen: dict[str, float] = {}
     diags: dict[str, BidderDiagnostic] = {}
     for j, bidder in enumerate(log.bidder_ids):
@@ -149,7 +150,7 @@ def optimal_lazy_bruteforce(log: BidLog, chunk: int = 256) -> OptimizationResult
     by a factor of the candidate count; kept as an independent route to the
     same argmax and revenue.
     """
-    winner, top, second = _first_second(log)
+    winner, top, second = lazy_order(log.to_matrix())
     chosen: dict[str, float] = {}
     diags: dict[str, BidderDiagnostic] = {}
     for j, bidder in enumerate(log.bidder_ids):
@@ -161,7 +162,7 @@ def optimal_lazy_bruteforce(log: BidLog, chunk: int = 256) -> OptimizationResult
         tops = top[mask]
         seconds = second[mask]
         cands = np.unique(np.concatenate([[0.0], tops, seconds]))  # ascending
-        best_r, best_rev = 0.0, -np.inf
+        best_r, best_rev = 0.0, -math.inf
         for lo in range(0, len(cands), chunk):
             c = cands[lo:lo + chunk, None]
             rev = np.where(tops[None, :] >= c, np.maximum(c, seconds[None, :]), 0.0).sum(axis=1)
@@ -183,8 +184,7 @@ def monopoly_reserves(log: BidLog, mechanism: Mechanism = Mechanism.EAGER) -> Op
     the monopoly objective itself is not auction revenue.
     """
     bids = log.to_matrix()
-    _, top, _ = _first_second(log)
-    log_tops = set(top.tolist())
+    log_tops = _log_tops(log)
     chosen: dict[str, float] = {}
     diags: dict[str, BidderDiagnostic] = {}
     for j, bidder in enumerate(log.bidder_ids):
@@ -207,22 +207,44 @@ def _global_candidates(log: BidLog) -> np.ndarray:
 
 
 def _eager_totals_for_rows(bids: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Summed eager revenue over all auctions for each reserve row in R (B, n)."""
-    B = R.shape[0]
-    rows = np.arange(B)
-    totals = np.zeros(B)
-    for t in range(bids.shape[0]):
-        b = bids[t]
-        masked = np.where(b[None, :] >= R, b[None, :], ABSENT)
-        win = np.argmax(masked, axis=1)
-        topv = masked[rows, win]
-        sold = np.isfinite(topv)
-        r_w = R[rows, win]
-        masked[rows, win] = ABSENT
-        comp = masked.max(axis=1)
-        comp = np.where(np.isfinite(comp), comp, 0.0)
-        totals += np.where(sold, np.maximum(r_w, comp), 0.0)
+    """Summed eager revenue over all auctions for each reserve row in R (B, n).
+
+    Sums run left to right in auction order, so a row's total does not depend
+    on how the rows are batched.
+    """
+    step = max(1, _SEARCH_BATCH // max(bids.size, 1))
+    totals = np.empty(len(R))
+    for i in range(0, len(R), step):
+        pay = eager_payments(bids, R[i:i + step, None, :])
+        totals[i:i + step] = np.add.accumulate(pay, axis=1)[:, -1]
     return totals
+
+
+def argmax_over_grid(cands, n: int, score, chunk: int) -> np.ndarray:
+    """The vector of itertools.product(cands, repeat=n) with the highest score.
+
+    `score` maps a (B, n) block of vectors to (B,) scores; blocks of `chunk`
+    vectors arrive in product order and only a strictly better score replaces
+    the incumbent, so ties break toward the lexicographically smallest vector.
+    """
+    best_score, best_vec = -math.inf, None
+    vectors = itertools.product(cands, repeat=n)
+    while block := list(itertools.islice(vectors, chunk)):
+        R = np.array(block)
+        scores = score(R)
+        i = int(np.argmax(scores))
+        if scores[i] > best_score:
+            best_score, best_vec = float(scores[i]), R[i].copy()
+    return best_vec
+
+
+def _eager_result(log: BidLog, cands: np.ndarray, row: np.ndarray) -> OptimizationResult:
+    log_tops = _log_tops(log)
+    chosen = dict(zip(log.bidder_ids, (float(x) for x in row)))
+    diags = {b: BidderDiagnostic(len(cands), _classify(chosen[b], log_tops))
+             for b in log.bidder_ids}
+    reserves = ReserveVector(chosen)
+    return OptimizationResult(reserves, empirical_revenue(log, reserves, Mechanism.EAGER), diags)
 
 
 def optimal_eager_exact(log: BidLog, max_product_size: int = 1_000_000) -> OptimizationResult:
@@ -239,37 +261,9 @@ def optimal_eager_exact(log: BidLog, max_product_size: int = 1_000_000) -> Optim
         raise SearchSpaceTooLarge(
             f"{len(cands)}^{n} = {size} candidate vectors exceed max_product_size={max_product_size}")
     bids = log.to_matrix()
-    _, top, _ = _first_second(log)
-    log_tops = set(top.tolist())
-
-    best_total = -np.inf
-    best_vec = None
-    buf: list[tuple] = []
-    chunk = 1 << 14
-
-    def flush():
-        nonlocal best_total, best_vec
-        if not buf:
-            return
-        R = np.array(buf)
-        totals = _eager_totals_for_rows(bids, R)
-        i = int(np.argmax(totals))
-        if totals[i] > best_total:  # strict: earlier (lex smaller) vectors win ties
-            best_total = float(totals[i])
-            best_vec = R[i].copy()
-        buf.clear()
-
-    for combo in itertools.product(cands.tolist(), repeat=n):
-        buf.append(combo)
-        if len(buf) >= chunk:
-            flush()
-    flush()
-
-    chosen = dict(zip(log.bidder_ids, (float(x) for x in best_vec)))
-    diags = {b: BidderDiagnostic(len(cands), _classify(chosen[b], log_tops))
-             for b in log.bidder_ids}
-    reserves = ReserveVector(chosen)
-    return OptimizationResult(reserves, empirical_revenue(log, reserves, Mechanism.EAGER), diags)
+    best = argmax_over_grid(cands.tolist(), n, lambda R: _eager_totals_for_rows(bids, R),
+                            1 << 14)
+    return _eager_result(log, cands, best)
 
 
 def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
@@ -287,8 +281,6 @@ def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
         init = ReserveVector.zero()
     cands = _global_candidates(log)
     bids = log.to_matrix()
-    _, top, _ = _first_second(log)
-    log_tops = set(top.tolist())
     n = len(log.bidder_ids)
     current = np.array([init.get(b) for b in log.bidder_ids])
     current_total = float(_eager_totals_for_rows(bids, current[None, :])[0])
@@ -307,8 +299,4 @@ def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
         if gain <= 1e-12 * max(1.0, abs(round_start)):
             break
 
-    chosen = dict(zip(log.bidder_ids, (float(x) for x in current)))
-    diags = {b: BidderDiagnostic(len(cands), _classify(chosen[b], log_tops))
-             for b in log.bidder_ids}
-    reserves = ReserveVector(chosen)
-    return OptimizationResult(reserves, empirical_revenue(log, reserves, Mechanism.EAGER), diags)
+    return _eager_result(log, cands, current)

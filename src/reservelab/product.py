@@ -26,6 +26,8 @@ import numpy as np
 
 from .errors import SearchSpaceTooLarge
 from .mechanics import BidProfile, Mechanism, ReserveVector, run_auction, run_lazy
+from .optimize import argmax_over_grid
+from .vectorized import payments
 
 
 @dataclass(frozen=True)
@@ -150,52 +152,9 @@ def optimal_reserves_product(dist: ProductDist, mechanism: Mechanism,
     cands = sorted({0.0} | {v for d in dist.bidders.values() for v in d.values()})
     _check_size(len(cands) ** n, max_product_size)
 
-    best_rev = -math.inf
-    best_vec = None
-    buf: list[tuple] = []
-    S = len(probs)
-    s_idx = np.arange(S)
-    # lazy winner/top/second are reserve-independent; precompute once
-    win0 = np.argmax(values, axis=1)
-    top0 = values[s_idx, win0]
-    rest = values.copy()
-    rest[s_idx, win0] = -np.inf
-    second0 = rest.max(axis=1)
-    second0 = np.where(np.isfinite(second0), second0, 0.0)
-
-    def flush():
-        nonlocal best_rev, best_vec
-        if not buf:
-            return
-        R = np.array(buf)  # (B, n)
-        if mechanism is Mechanism.LAZY:
-            r_w = R[:, win0]  # (B, S)
-            pay = np.where(top0[None, :] >= r_w, np.maximum(r_w, second0[None, :]), 0.0)
-        else:
-            masked = np.where(values[None, :, :] >= R[:, None, :], values[None, :, :], -np.inf)
-            win = np.argmax(masked, axis=2)
-            b_idx = np.arange(R.shape[0])[:, None]
-            top = masked[b_idx, s_idx[None, :], win]
-            sold = np.isfinite(top)
-            r_w = R[b_idx, win]
-            masked[b_idx, s_idx[None, :], win] = -np.inf
-            comp = masked.max(axis=2)
-            comp = np.where(np.isfinite(comp), comp, 0.0)
-            pay = np.where(sold, np.maximum(r_w, comp), 0.0)
-        rev = pay @ probs
-        i = int(np.argmax(rev))
-        if rev[i] > best_rev:  # strict: lex-smaller vectors win ties
-            best_rev = float(rev[i])
-            best_vec = R[i].copy()
-        buf.clear()
-
-    chunk = max(1, 200_000 // max(S, 1))
-    for combo in itertools.product(cands, repeat=n):
-        buf.append(combo)
-        if len(buf) >= chunk:
-            flush()
-    flush()
-
+    best_vec = argmax_over_grid(
+        cands, n, lambda R: payments(values, R[:, None, :], mechanism) @ probs,
+        max(1, 200_000 // len(probs)))
     reserves = ReserveVector(dict(zip(ids, (float(x) for x in best_vec))))
     return reserves, expected_revenue_product(dist, reserves, mechanism)
 

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from reservelab.abtest import (AssignmentMode, SplitMode, SweepResult, SweepRow,
-                               TreatmentPlan, empirical_treatment_sweep,
+                               TreatmentPlan, _treated_reserve_row, empirical_treatment_sweep,
                                expected_second_highest, paired_treatment_deltas,
                                rev_e_k_closed_uniform, rev_e_k_quadrature, rev_l_k_closed,
                                simulate_treatment, sweep_theoretical)
 from reservelab.distributions import (ContinuousDist, equal_revenue_dist, exponential_dist,
                                       uniform_dist)
 from reservelab.errors import DomainError
+from reservelab.generators import gen_iid
 from reservelab.logs import BidLog
 from reservelab.mechanics import Mechanism, ReserveVector
 from reservelab.optimize import empirical_revenue
@@ -58,6 +59,15 @@ def test_quadrature_matches_closed_form():
             q = rev_e_k_quadrature(UNIFORM, n, k)
             c = rev_e_k_closed_uniform(n, k)
             assert abs(q - c) <= 1e-6
+
+
+def test_exponential_quadrature_matches_monte_carlo():
+    # the exponential density underflows far in the tail; the quadrature must not divide by it
+    expo = exponential_dist(1.0)
+    for mech in Mechanism:
+        res = sweep_theoretical(expo, 4, mech, trials=200_000, seed=8)
+        for r in res.rows:
+            assert abs(r.mean - r.reference) < 4.0 * r.stderr
 
 
 def test_expected_second_highest():
@@ -116,6 +126,13 @@ def test_explicit_reserves_plan():
     row = simulate_treatment(UNIFORM, 2, plan, Mechanism.EAGER, 200_000, seed=5)
     exact = 0.01 * (0.9 + 0.1 / 3.0) + 0.18 * 0.9
     assert abs(row.mean - exact) < 4.0 * row.stderr
+
+
+@pytest.mark.parametrize("n", [2, 11, 101])
+def test_explicit_reserves_use_generator_bidder_ids(n):
+    ids = gen_iid(UNIFORM, n).bidder_ids
+    plan = TreatmentPlan(reserves=ReserveVector({b: float(i + 1) for i, b in enumerate(ids)}))
+    assert _treated_reserve_row(UNIFORM, n, plan).tolist() == [float(i + 1) for i in range(n)]
 
 
 def piecewise_density_dist():

@@ -216,3 +216,41 @@ def test_optimize_needs_one_source(tmp_path):
                  "--out", str(tmp_path / "y")]) == 2
     assert main(["optimize", "--input", str(log_path),
                  "--out", str(tmp_path / "z")]) == 2  # missing task
+
+
+@pytest.mark.parametrize("dist, params, code", [
+    ("uniform", '{"lo": 0.0, "hi": 2.0}', 0),
+    ("exponential", '{"rate": 2.0}', 0),
+    ("equal_revenue", '{"M": 50.0}', 3),  # no Myerson reserve: a clean domain error
+])
+def test_sweep_theoretical_each_dist(tmp_path, capsys, dist, params, code):
+    out = tmp_path / dist
+    assert main(["sweep", "--mode", "theoretical", "--dist", dist, "--params", params,
+                 "--n", "3", "--trials", "3000", "--seed", "4", "--out", str(out)]) == code
+    if code == 0:
+        rows = (out / "sweep.tsv").read_text().strip().split("\n")[3:]
+        assert len(rows) == 8 and all(r.split("\t")[5] != "" for r in rows)
+    else:
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_sweep_rejects_nonpositive_n(tmp_path, capsys):
+    for n in ("0", "-2"):
+        assert main(["sweep", "--mode", "theoretical", "--dist", "uniform", "--n", n,
+                     "--trials", "10", "--out", str(tmp_path)]) == 2
+        assert "n must be" in capsys.readouterr().err
+
+
+def test_single_log_commands_refuse_repeated_input(tmp_path, capsys):
+    log_path = run_gen(tmp_path)
+    opt = tmp_path / "opt"
+    assert main(["optimize", "--task", "lazy", "--input", str(log_path),
+                 "--out", str(opt)]) == 0
+    for second in (str(log_path), str(tmp_path / "missing.csv")):
+        assert main(["optimize", "--task", "lazy", "--input", str(log_path),
+                     "--input", second, "--out", str(tmp_path / "o2")]) == 2
+        assert main(["sweep", "--mode", "empirical", "--input", str(log_path),
+                     "--input", second, "--reserves", str(opt / "reserves.csv"),
+                     "--out", str(tmp_path / "s2")]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o2").exists() and not (tmp_path / "s2").exists()

@@ -8,8 +8,9 @@ import pytest
 from reservelab.errors import SearchSpaceTooLarge
 from reservelab.generators import gen_hardness_instance, independent_set_number
 from reservelab.logs import BidLog
-from reservelab.mechanics import BidProfile, Mechanism, ReserveVector
-from reservelab.optimize import (CandidateSource, eager_coordinate_ascent, empirical_revenue,
+from reservelab.mechanics import BidProfile, Mechanism, ReserveVector, run_eager
+from reservelab.optimize import (CandidateSource, _eager_totals_for_rows,
+                                 eager_coordinate_ascent, empirical_revenue,
                                  monopoly_reserves, optimal_eager_exact, optimal_lazy,
                                  optimal_lazy_bruteforce)
 from reservelab.vectorized import payments
@@ -202,6 +203,22 @@ def test_ascent_bounded_by_exact():
         exact = optimal_eager_exact(log)
         asc = eager_coordinate_ascent(log)
         assert asc.expected_revenue <= exact.expected_revenue + 1e-12
+
+
+def test_eager_totals_sum_scalar_payments_in_auction_order():
+    rng = np.random.default_rng(49)
+    for _ in range(4):
+        log = random_log(rng, max_bidders=4, max_auctions=60)
+        n = len(log.bidder_ids)
+        # enough rows that the search splits them over several kernel calls
+        R = rng.choice([0.0, 1.0, 2.5, 4.0, 6.0, math.inf], size=(1500, n))
+        got = _eager_totals_for_rows(log.to_matrix(), R)
+        for row, total in zip(R[::37], got[::37]):
+            rv = ReserveVector(dict(zip(log.bidder_ids, row.tolist())))
+            want = 0.0
+            for p in log.profiles:
+                want += run_eager(p, rv).payment
+            assert total == want
 
 
 def test_hardness_identity_small_graphs():

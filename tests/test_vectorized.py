@@ -6,7 +6,7 @@ import numpy as np
 
 from reservelab.logs import BidLog
 from reservelab.mechanics import BidProfile, Mechanism, ReserveVector, run_auction
-from reservelab.vectorized import ABSENT, eager_payments, lazy_payments, payments
+from reservelab.vectorized import ABSENT, eager_payments, lazy_order, lazy_payments, payments
 
 
 def random_log(rng, n_bidders=None, n_auctions=None, absent_prob=0.3):
@@ -43,6 +43,8 @@ def test_kernels_match_scalar_reference():
         T, n = bids.shape
         shared = rng.choice([0.0, 0.5, 1.0, 2.0, 3.5], size=n)
         per_auction = rng.choice([0.0, 0.5, 1.0, 2.0, 3.5], size=(T, n))
+        # a batch of reserve rows, some excluding bidders with +inf
+        batch = rng.choice([0.0, 1.0, 2.0, 3.0, math.inf], size=(4, n))
         for mech in Mechanism:
             got = payments(bids, shared, mech)
             want = scalar_payments(log, np.tile(shared, (T, 1)), mech)
@@ -50,6 +52,14 @@ def test_kernels_match_scalar_reference():
             got2 = payments(bids, per_auction, mech)
             want2 = scalar_payments(log, per_auction, mech)
             assert np.array_equal(got2, want2)
+            got3 = payments(bids, batch[:, None, :], mech)
+            got4 = payments(bids, np.repeat(batch[:, None, :], T, axis=1), mech)
+            assert got3.shape == got4.shape == (len(batch), T)
+            for b, row in enumerate(batch):
+                want3 = scalar_payments(log, np.tile(row, (T, 1)), mech)
+                assert np.array_equal(got3[b], payments(bids, row, mech))
+                assert np.array_equal(got3[b], want3)
+                assert np.array_equal(got4[b], want3)
 
 
 def test_welfare_matches_scalar():
@@ -88,3 +98,12 @@ def test_infinite_reserve_column():
     res = np.array([math.inf, 1.0, 2.0])
     assert lazy_payments(bids, res).tolist() == [0.0]
     assert eager_payments(bids, res).tolist() == [3.0]
+
+
+def test_lazy_order():
+    bids = np.array([[3.0, 5.0, 5.0], [2.0, ABSENT, ABSENT], [ABSENT, 1.0, 4.0]])
+    winner, top, second = lazy_order(bids)
+    assert winner.tolist() == [1, 0, 2]  # ties to the smallest column
+    assert top.tolist() == [5.0, 2.0, 4.0]
+    assert second.tolist() == [5.0, 0.0, 1.0]  # a single participant's second is 0
+    assert bids[0, 1] == 5.0  # the input is left alone
