@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields as dataclass_fields
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .abtest import SweepResult, SweepRow, empirical_treatment_sweep, sweep_theoretical
 from .distributions import ContinuousDist, equal_revenue_dist, exponential_dist, uniform_dist
@@ -37,7 +37,7 @@ DEFAULT_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 @dataclass
 class RunConfig:
-    input: object = None          # path, or list of paths for lift-tables
+    input: Optional[str | list] = None  # path, or list of paths for lift-tables
     generator: Optional[str] = None
     params: dict = field(default_factory=dict)
     count: Optional[int] = None
@@ -53,11 +53,14 @@ class RunConfig:
     dist: Optional[str] = None
     n: Optional[int] = None
     reserves: Optional[str] = None
-    grid: Optional[list] = None
+    grid: Optional[str | list] = None
     assignments: int = 200
 
 
 _CONFIG_KEYS = {f.name for f in dataclass_fields(RunConfig)}
+_FIELD_TYPES = get_type_hints(RunConfig)  # checked on load; no field takes a bool
+_MIN_INT = {"seed": 0, **dict.fromkeys(("count", "max_product_size", "max_rounds", "trials",
+                                        "n", "assignments"), 1)}
 
 
 def load_config(config_path: Optional[str], overrides: dict) -> RunConfig:
@@ -78,8 +81,12 @@ def load_config(config_path: Optional[str], overrides: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = RunConfig(**data)
-    if not isinstance(cfg.seed, int) or cfg.seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed!r}")
+    for name, want in _FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ConfigError(f"{name} has the wrong JSON type: {value!r}")
+        if name in _MIN_INT and value is not None and value < _MIN_INT[name]:
+            raise ConfigError(f"{name} must be an integer >= {_MIN_INT[name]}, got {value!r}")
     if cfg.mechanism not in ("lazy", "eager", "both"):
         raise ConfigError(f"mechanism must be lazy, eager or both, got {cfg.mechanism!r}")
     return cfg
@@ -127,8 +134,9 @@ def materialize_log(cfg: RunConfig) -> BidLog:
     if name == "iid":
         dist_name = params.pop("dist", None)
         n = params.pop("n", None)
-        if dist_name is None or n is None:
-            raise ConfigError("iid generator needs params {dist, n, ...}")
+        if dist_name is None or isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ConfigError(f"iid generator needs params {{dist, n, ...}} with n an integer "
+                              f">= 1, got dist={dist_name!r}, n={n!r}")
         gen = gen_iid(make_dist(dist_name, params), n)
     elif name in _GENERATORS:
         try:
@@ -138,7 +146,7 @@ def materialize_log(cfg: RunConfig) -> BidLog:
     else:
         raise ConfigError(f"unknown generator {name!r}; want one of "
                           f"{sorted(_GENERATORS) + ['iid', 'hardness']}")
-    if cfg.count is None or cfg.count < 1:
+    if cfg.count is None:
         raise ConfigError("generator input needs a positive count")
     return quantize_log(sample_log(gen, cfg.count, cfg.seed))
 
@@ -196,7 +204,7 @@ def cmd_gen(cfg: RunConfig) -> str:
     fmt = cfg.format or "csv"
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"log.{fmt}")
-    write_log(log, path, fmt, quantize=True)
+    write_log(log, path, fmt)
     _write_summary(cfg, "gen", [path],
                    {"auctions": len(log), "bidders": len(log.bidder_ids)}, started)
     return path
@@ -240,16 +248,11 @@ def cmd_optimize(cfg: RunConfig):
 def cmd_lift_tables(cfg: RunConfig):
     """Revenue-lift and welfare-loss tables, one slot per input log."""
     started = time.monotonic()
-    if cfg.input is not None and cfg.generator is not None:
-        raise ConfigError("exactly one input source required: --input or --generator")
-    if cfg.input is not None:
+    if cfg.input is not None and cfg.generator is None:
         reports = [compute_lift_report(parse_log(path, cfg.format), os.path.basename(path))
                    for path in _input_paths(cfg)]
-    elif cfg.generator is not None:
-        log, slot = materialize_log(cfg), f"{cfg.generator}(seed={cfg.seed})"
-        reports = [compute_lift_report(log, slot)]
-    else:
-        raise ConfigError("exactly one input source required: --input or --generator")
+    else:  # a generator, or the error for both or neither source
+        reports = [compute_lift_report(*_input_log(cfg))]
     os.makedirs(cfg.out, exist_ok=True)
     rev_path = os.path.join(cfg.out, "lift_revenue.tsv")
     wel_path = os.path.join(cfg.out, "lift_welfare.tsv")
@@ -266,13 +269,14 @@ def _parse_grid(grid) -> list[float]:
     if grid is None:
         return list(DEFAULT_GRID)
     if isinstance(grid, str):
-        try:
-            grid = [float(tok) for tok in grid.split(",") if tok.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"bad grid {grid!r}") from None
-    if not isinstance(grid, list) or not grid:
+        grid = [tok for tok in grid.split(",") if tok.strip() != ""]
+    try:
+        values = [float(x) for x in grid]
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad grid {grid!r}") from None
+    if not values:
         raise ConfigError(f"bad grid {grid!r}")
-    return [float(x) for x in grid]
+    return values
 
 
 def cmd_sweep(cfg: RunConfig):
@@ -282,13 +286,11 @@ def cmd_sweep(cfg: RunConfig):
     if cfg.mode == "theoretical":
         if cfg.dist is None or cfg.n is None:
             raise ConfigError("theoretical sweep needs --dist and --n")
-        if not isinstance(cfg.n, int) or cfg.n < 1:
-            raise ConfigError(f"n must be an integer >= 1, got {cfg.n!r}")
         dist = make_dist(cfg.dist, cfg.params)
         results = [sweep_theoretical(dist, cfg.n, mech, cfg.trials, cfg.seed)
                    for mech in mechanisms]
     elif cfg.mode == "empirical":
-        if not isinstance(cfg.input, (str, list)) or cfg.reserves is None:
+        if cfg.input is None or cfg.reserves is None:
             raise ConfigError("empirical sweep needs --input and --reserves")
         path = _single_input_path(cfg)
         if not os.path.exists(cfg.reserves):

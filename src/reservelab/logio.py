@@ -4,6 +4,8 @@ Bids travel as decimal strings with at most 6 fractional digits (micros).
 Parsing is strict: anything that is not a plain non-negative micro decimal is
 rejected with its 1-based line number. Values are capped at 1e9 (1e15 micros)
 so that micros -> float -> micros round trips are exact in both directions.
+Parsing fills a BidLog's bid matrix straight from the records; writing and
+quantizing work on that matrix.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .errors import LogParseError
 from .logs import BidLog
-from .mechanics import BidProfile, Mechanism, ReserveVector
+from .mechanics import Mechanism, ReserveVector
 from .optimize import empirical_totals, monopoly_reserves, optimal_lazy
+from .vectorized import ABSENT
 
 _BID_RE = re.compile(r"^(\d+)(?:\.(\d{1,6}))?$")
 MAX_MICROS = 10 ** 15  # 1e9 units; beyond this float round trips stop being exact
@@ -68,8 +73,11 @@ def format_micro(x: float) -> str:
 
 def quantize_log(log: BidLog) -> BidLog:
     """Copy of the log with every bid rounded to micro precision."""
-    return BidLog([BidProfile(p.auction_id, {b: quantize_value(v) for b, v in p.bids.items()})
-                   for p in log.profiles])
+    bids = log.to_matrix()
+    micros = np.rint(bids * 10 ** 6)  # half to even, as round(); -inf stays -inf
+    if (micros > MAX_MICROS).any():
+        raise ValueError(f"{float(bids[micros > MAX_MICROS][0])!r} exceeds the 1e9 cap")
+    return BidLog.from_matrix(micros / 10 ** 6, log.bidder_ids, log.auction_ids)
 
 
 def _infer_format(path: str, format: Optional[str]) -> str:
@@ -92,20 +100,26 @@ def _read_lines(path: str) -> list[str]:
     return text.splitlines()
 
 
-def _one_csv_row(line: str, line_number: int, n_fields: int) -> list[str]:
-    rows = list(csv.reader([line]))
-    if len(rows) != 1 or len(rows[0]) != n_fields:
-        raise LogParseError(f"malformed row (want {n_fields} fields): {line!r}", line_number)
-    return rows[0]
+def _csv_rows(lines: list[str], header: str, kind: str):
+    """(line number, fields) of each data row under the exact header. A record must
+    end on its own line: a quote cannot carry a field onto the next one."""
+    if not lines:
+        raise LogParseError(f"empty {kind} file")
+    if lines[0] != header:
+        raise LogParseError(f"bad header {lines[0]!r}: want {header!r}", 1)
+    n_fields = header.count(",") + 1
+    reader = csv.reader(lines[1:])
+    try:
+        for i, row in enumerate(reader, start=2):
+            if reader.line_num != i - 1 or len(row) != n_fields:
+                raise LogParseError(f"malformed row (want {n_fields} fields): {lines[i - 1]!r}", i)
+            yield i, row
+    except csv.Error as e:  # e.g. a field over csv.field_size_limit()
+        raise LogParseError(f"malformed row: {e}", reader.line_num + 1) from None
 
 
 def _records_from_csv(lines: list[str]):
-    if not lines:
-        raise LogParseError("empty log file")
-    if lines[0] != LOG_HEADER:
-        raise LogParseError(f"bad header {lines[0]!r}: want {LOG_HEADER!r}", 1)
-    for i, line in enumerate(lines[1:], start=2):
-        aid, bidder, token = _one_csv_row(line, i, 3)
+    for i, (aid, bidder, token) in _csv_rows(lines, LOG_HEADER, "log"):
         yield i, aid, bidder, parse_bid_token(token, i)
 
 
@@ -137,57 +151,46 @@ def parse_log(path: str, format: Optional[str] = None) -> BidLog:
     fmt = _infer_format(path, format)
     lines = _read_lines(path)
     records = _records_from_csv(lines) if fmt == "csv" else _records_from_jsonl(lines)
-    groups: dict[str, dict[str, float]] = {}
-    seen: set[tuple[str, str]] = set()
+    rows, cols = {}, {}  # auction / bidder id -> matrix row / column, in first-seen order
+    cells: dict[int, float] = {}  # row << 32 | column -> bid
     for i, aid, bidder, value in records:
         if not isinstance(aid, str) or not aid:
             raise LogParseError(f"bad auction_id {aid!r}", i)
         if not isinstance(bidder, str) or not bidder:
             raise LogParseError(f"bad bidder_id {bidder!r}", i)
-        if (aid, bidder) in seen:
+        key = rows.setdefault(aid, len(rows)) << 32 | cols.setdefault(bidder, len(cols))
+        if key in cells:
             raise LogParseError(f"duplicate (auction_id, bidder_id) = ({aid!r}, {bidder!r})", i)
-        seen.add((aid, bidder))
-        groups.setdefault(aid, {})[bidder] = value
-    if not groups:
+        cells[key] = value
+    if not cells:
         raise LogParseError("log has a header but no data rows")
-    return BidLog([BidProfile(aid, bids) for aid, bids in groups.items()])
+    keys = np.fromiter(cells, dtype=np.int64, count=len(cells))
+    bids = np.full((len(rows), len(cols)), ABSENT)
+    bids[keys >> 32, keys & 0xFFFFFFFF] = list(cells.values())
+    return BidLog.from_matrix(bids, list(cols), list(rows))
 
 
-def _bid_str(value: float, quantize: bool) -> str:
-    if quantize and not is_micro(value):
-        value = quantize_value(value)
-    return format_micro(value)
-
-
-def write_log(log: BidLog, path: str, format: Optional[str] = None,
-              quantize: bool = False) -> None:
-    """Write a bid log; raises on bids that are not micro decimals unless quantize=True."""
+def write_log(log: BidLog, path: str, format: Optional[str] = None) -> None:
+    """Write a bid log, one row per present bid in auction then bidder order;
+    raises on bids that are not micro decimals."""
     fmt = _infer_format(path, format)
-    lines = []
+    bids = log.to_matrix()
+    rows, cols = np.nonzero(bids != ABSENT)
+    aids, ids = log.auction_ids, log.bidder_ids
+    cells = zip(rows.tolist(), cols.tolist(), map(format_micro, bids[rows, cols].tolist()))
     if fmt == "csv":
-        lines.append(LOG_HEADER)
-        for p in log.profiles:
-            for bidder in sorted(p.bids):
-                lines.append(f"{p.auction_id},{bidder},{_bid_str(p.bids[bidder], quantize)}")
+        lines = [LOG_HEADER] + [f"{aids[r]},{ids[c]},{bid}" for r, c, bid in cells]
     else:
-        for p in log.profiles:
-            for bidder in sorted(p.bids):
-                lines.append(json.dumps({"auction_id": p.auction_id, "bidder_id": bidder,
-                                         "bid": _bid_str(p.bids[bidder], quantize)}))
+        lines = [json.dumps({"auction_id": aids[r], "bidder_id": ids[c], "bid": bid})
+                 for r, c, bid in cells]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_reserves(path: str) -> ReserveVector:
     """Read a `bidder_id,reserve` CSV. The token `inf` excludes a bidder."""
-    lines = _read_lines(path)
-    if not lines:
-        raise LogParseError("empty reserve file")
-    if lines[0] != RESERVE_HEADER:
-        raise LogParseError(f"bad header {lines[0]!r}: want {RESERVE_HEADER!r}", 1)
     reserves: dict[str, float] = {}
-    for i, line in enumerate(lines[1:], start=2):
-        bidder, token = _one_csv_row(line, i, 2)
+    for i, (bidder, token) in _csv_rows(_read_lines(path), RESERVE_HEADER, "reserve"):
         if not bidder:
             raise LogParseError("empty bidder_id", i)
         if bidder in reserves:
@@ -196,11 +199,11 @@ def read_reserves(path: str) -> ReserveVector:
     return ReserveVector(reserves)
 
 
-def write_reserves(reserves: ReserveVector, path: str, quantize: bool = False) -> None:
+def write_reserves(reserves: ReserveVector, path: str) -> None:
     lines = [RESERVE_HEADER]
     for bidder in sorted(reserves.reserves):
         r = reserves.reserves[bidder]
-        token = "inf" if math.isinf(r) else _bid_str(r, quantize)
+        token = "inf" if math.isinf(r) else format_micro(r)
         lines.append(f"{bidder},{token}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

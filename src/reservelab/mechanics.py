@@ -45,9 +45,6 @@ class BidProfile:
             if math.isnan(bid) or math.isinf(bid) or bid < 0:
                 raise ValueError(f"auction {self.auction_id!r}: bid {bid!r} for {bidder!r} must be finite and >= 0")
 
-    def participants(self) -> list[str]:
-        return sorted(self.bids)
-
 
 @dataclass(frozen=True)
 class ReserveVector:

@@ -254,3 +254,21 @@ def test_single_log_commands_refuse_repeated_input(tmp_path, capsys):
                      "--out", str(tmp_path / "s2")]) == 2
         assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "o2").exists() and not (tmp_path / "s2").exists()
+
+
+@pytest.mark.parametrize("argv, config, field", [
+    (["gen", "--generator", "iid", "--params", IID_PARAMS], {"count": "10"}, "count"),
+    (["gen", "--generator", "iid", "--count", "5",
+      "--params", '{"dist": "uniform", "n": "2"}'], None, "n"),
+    (["gen", "--generator", "iid", "--count", "5", "--params", "[1, 2]"], None, "params"),
+    (["optimize", "--task", "eager-local", "--max-rounds", "0"], None, "max_rounds"),
+    (["optimize", "--task", "eager-local", "--max-rounds", "-1"], None, "max_rounds"),
+])
+def test_bad_config_values_exit_2_naming_the_field(tmp_path, capsys, argv, config, field):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err.split() and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -2,9 +2,12 @@
 
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reservelab.errors import LogParseError
 from reservelab.logio import (format_micro, is_micro, parse_bid_token, parse_log,
@@ -85,7 +88,7 @@ def test_write_rejects_non_micro_unless_quantized(tmp_path):
     path = str(tmp_path / "log.csv")
     with pytest.raises(ValueError):
         write_log(log, path)
-    write_log(log, path, quantize=True)
+    write_log(quantize_log(log), path)
     assert parse_log(path).profiles[0].bids["A"] == 0.333333
 
 
@@ -194,3 +197,70 @@ def test_reserve_file_validation(tmp_path):
     path.write_text("bidder_id,reserve\nA,-1\n")
     with pytest.raises(LogParseError):
         read_reserves(str(path))
+
+
+def test_log_is_immutable():
+    log = small_log()
+    with pytest.raises(ValueError):
+        log.to_matrix()[0, 0] = 99.0
+    with pytest.raises(AttributeError):
+        log.profiles.append(BidProfile("a4", {"A": 1.0}))
+    with pytest.raises(AttributeError):
+        log.bidder_ids = ("A",)
+    assert log == small_log()
+
+
+@pytest.mark.parametrize("rows", ['a,"b\nx",1',  # one reader: a quote must not reach line 3
+                                  "a," + "b" * 200_000 + ",1"])  # over csv.field_size_limit()
+def test_malformed_csv_record_rejected_at_its_line(tmp_path, rows):
+    path = tmp_path / "log.csv"
+    path.write_text(f"auction_id,bidder_id,bid\n{rows}\n")
+    with pytest.raises(LogParseError) as e:
+        parse_log(str(path))
+    assert e.value.line_number == 2
+
+
+def test_from_matrix_validates_and_normalizes():
+    m = np.array([[2.0, ABSENT, 1.0], [ABSENT, ABSENT, 3.0]])
+    log = BidLog.from_matrix(m, ("z", "y", "x"), ("q", "p"))
+    assert log.bidder_ids == ("x", "z") and log.auction_ids == ("q", "p")
+    assert log.to_matrix().tolist() == [[1.0, 2.0], [3.0, ABSENT]]
+    for bad in (np.array([[ABSENT, ABSENT]]), np.array([[-1.0, 1.0]]),
+                np.array([[math.nan, 1.0]]), np.array([[math.inf, 1.0]])):
+        with pytest.raises(ValueError):
+            BidLog.from_matrix(bad, ("A", "B"))
+    with pytest.raises(ValueError):
+        BidLog.from_matrix(m, ("A", "A", "B"))
+    with pytest.raises(ValueError):
+        BidLog.from_matrix(m, ("A", "B", "C"), ("q", "q"))
+
+
+_IDS = st.text("abcxyz_019", min_size=1, max_size=4)
+
+
+@st.composite
+def micro_logs(draw):
+    """Micro-quantized logs with absent bidders, unsorted auction and bidder ids,
+    and an all-absent column that from_matrix drops."""
+    bidder_ids = draw(st.lists(_IDS, min_size=1, max_size=5, unique=True))
+    auction_ids = draw(st.lists(_IDS, min_size=1, max_size=12, unique=True))
+    cell = st.one_of(st.just(None), st.integers(0, 10 ** 15), st.sampled_from([0, 10 ** 6]))
+    rows = []
+    for _ in auction_ids:
+        row = draw(st.lists(cell, min_size=len(bidder_ids), max_size=len(bidder_ids)))
+        row[draw(st.integers(0, len(bidder_ids) - 1))] = draw(st.integers(0, 10 ** 9))
+        rows.append([ABSENT if c is None else c / 10 ** 6 for c in row] + [ABSENT])
+    return BidLog.from_matrix(np.array(rows), bidder_ids + ["~gone"], auction_ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(micro_logs())
+def test_log_round_trips(log):
+    assert BidLog(log.profiles) == log
+    assert BidLog.from_matrix(log.to_matrix(), log.bidder_ids, log.auction_ids) == log
+    assert quantize_log(log) == log
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("csv", "jsonl"):
+            path = f"{tmp}/log.{fmt}"
+            write_log(log, path)
+            assert parse_log(path) == log

@@ -3,6 +3,8 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reservelab.logs import BidLog
 from reservelab.mechanics import BidProfile, Mechanism, ReserveVector, run_auction
@@ -107,3 +109,33 @@ def test_lazy_order():
     assert top.tolist() == [5.0, 2.0, 4.0]
     assert second.tolist() == [5.0, 0.0, 1.0]  # a single participant's second is 0
     assert bids[0, 1] == 5.0  # the input is left alone
+
+
+_LEVELS = [0.0, 0.5, 1.0, 2.0, 3.0]  # few levels, so bids tie with each other and with reserves
+
+
+@st.composite
+def kernel_cases(draw):
+    """A small log with ties and absent bidders, and per-auction reserves with +inf."""
+    n = draw(st.integers(1, 5))
+    T = draw(st.integers(1, 12))
+    bids = np.array(draw(st.lists(st.lists(st.sampled_from(_LEVELS + [ABSENT]),
+                                           min_size=n, max_size=n), min_size=T, max_size=T)))
+    bids[np.arange(T), draw(st.lists(st.integers(0, n - 1), min_size=T, max_size=T))] = 1.0
+    reserves = np.array(draw(st.lists(st.sampled_from(_LEVELS + [math.inf]),
+                                      min_size=T * n, max_size=T * n))).reshape(T, n)
+    log = BidLog.from_matrix(bids, [f"b{j}" for j in range(n)])
+    keep = [int(b[1:]) for b in log.bidder_ids]  # from_matrix drops all-absent columns
+    return log, reserves[:, keep]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_kernels_match_scalar_reference_property(case):
+    log, reserves = case
+    for mech in Mechanism:
+        pay, wel = payments(log.to_matrix(), reserves, mech, return_welfare=True)
+        for t, p in enumerate(log.profiles):
+            rv = ReserveVector({b: float(reserves[t, j]) for j, b in enumerate(log.bidder_ids)})
+            want = run_auction(p, rv, mech)
+            assert (pay[t], wel[t]) == (want.payment, want.welfare)
