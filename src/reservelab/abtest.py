@@ -77,12 +77,26 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
 
-def _mean_stderr(total: float, total_sq: float, count: int) -> tuple[float, float]:
-    mean = total / count
+def _merge_moments(stats: tuple, block: np.ndarray) -> tuple:
+    """Fold the samples of `block` (axis 0) into running per-column (count, mean, M2).
+
+    M2 is the sum of squared deviations from the mean. Blocks merge with the
+    Chan-Golub-LeVeque update, so the variance never comes from subtracting two
+    large sums of squares and stays exact when the mean is large against the spread.
+    """
+    count, mean, m2 = stats
+    c = block.shape[0]
+    b_mean = block.mean(axis=0)
+    total = count + c
+    delta = b_mean - mean
+    return (total, mean + delta * (c / total),
+            m2 + ((block - b_mean) ** 2).sum(axis=0) + delta * delta * (count * c / total))
+
+
+def _mean_stderr(count: int, mean: float, m2: float) -> tuple[float, float]:
     if count < 2:
-        return mean, 0.0
-    var = max(0.0, (total_sq - count * mean * mean) / (count - 1))
-    return mean, math.sqrt(var / count)
+        return float(mean), 0.0
+    return float(mean), math.sqrt(float(m2) / (count - 1) / count)
 
 
 def _treated_reserve_row(dist: ContinuousDist, n: int, plan: TreatmentPlan) -> np.ndarray:
@@ -129,20 +143,18 @@ def simulate_treatment(dist: ContinuousDist, n: int, plan: TreatmentPlan,
         k = plan.treated_count
         if not 0 <= k <= n:
             raise ValueError(f"treated_count {k} out of range [0, {n}]")
-        total = total_sq = 0.0
+        stats = (0, 0.0, 0.0)
         for block in _bidder_split_chunks(dist, n, mechanism, trials, seed, [k],
                                           plan.assignment, r_full):
-            pay = block[:, 0]
-            total += float(np.sum(pay))
-            total_sq += float(np.sum(pay * pay))
-        mean, se = _mean_stderr(total, total_sq, trials)
+            stats = _merge_moments(stats, block[:, 0])
+        mean, se = _mean_stderr(*stats)
         return SweepRow(float(k), mechanism, mean, se, trials)
 
     p = plan.treated_fraction
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"treated_fraction {p} out of range [0, 1]")
     rng = np.random.default_rng(seed)
-    total = total_sq = 0.0
+    stats = (0, 0.0, 0.0)
     done = 0
     n_treated_target = round(p * trials)
     chunk = 100_000
@@ -156,11 +168,9 @@ def simulate_treatment(dist: ContinuousDist, n: int, plan: TreatmentPlan,
             idx = np.arange(done, done + c)
             treated = idx < n_treated_target
         reserves = np.where(treated[:, None], r_full[None, :], 0.0)
-        pay = payments(values, reserves, mechanism)
-        total += float(np.sum(pay))
-        total_sq += float(np.sum(pay * pay))
+        stats = _merge_moments(stats, payments(values, reserves, mechanism))
         done += c
-    mean, se = _mean_stderr(total, total_sq, trials)
+    mean, se = _mean_stderr(*stats)
     return SweepRow(p, mechanism, mean, se, trials)
 
 
@@ -253,17 +263,16 @@ def sweep_theoretical(dist: ContinuousDist, n: int, mechanism: Mechanism,
         raise ValueError("trials must be >= 1")
     r_full = _treated_reserve_row(dist, n, TreatmentPlan())
     ks = list(range(n + 1))
-    totals = np.zeros(n + 1)
-    totals_sq = np.zeros(n + 1)
+    stats = (0, 0.0, 0.0)
     for block in _bidder_split_chunks(dist, n, mechanism, trials, seed, ks, assignment, r_full):
-        totals += block.sum(axis=0)
-        totals_sq += (block * block).sum(axis=0)
+        stats = _merge_moments(stats, block)
+    count, means, m2s = stats
     lazy_endpoints = None
     if mechanism is Mechanism.LAZY:
         lazy_endpoints = (expected_second_highest(dist, n), rev_e_k_quadrature(dist, n, n))
     rows = []
     for k in ks:
-        mean, se = _mean_stderr(float(totals[k]), float(totals_sq[k]), trials)
+        mean, se = _mean_stderr(count, means[k], m2s[k])
         rows.append(SweepRow(float(k), mechanism, mean, se, trials,
                              _reference(dist, n, k, mechanism, lazy_endpoints)))
     return SweepResult(tuple(rows), seed, f"theoretical({dist.name},n={n})")
@@ -285,18 +294,18 @@ def paired_treatment_deltas(dist: ContinuousDist, n: int, mechanism: Mechanism,
     of each difference by orders of magnitude versus differencing independent
     estimates, which is what makes the small monotone-decrease gaps testable.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     r_full = _treated_reserve_row(dist, n, TreatmentPlan())
     ks = list(range(n + 1))
-    d_tot = np.zeros(n)
-    d_tot_sq = np.zeros(n)
+    stats = (0, 0.0, 0.0)
     for block in _bidder_split_chunks(dist, n, mechanism, trials, seed, ks,
                                       AssignmentMode.RANDOM_PER_AUCTION, r_full):
-        d = np.diff(block, axis=1)
-        d_tot += d.sum(axis=0)
-        d_tot_sq += (d * d).sum(axis=0)
+        stats = _merge_moments(stats, np.diff(block, axis=1))
+    count, means, m2s = stats
     out = []
     for k in range(n):
-        mean, se = _mean_stderr(float(d_tot[k]), float(d_tot_sq[k]), trials)
+        mean, se = _mean_stderr(count, means[k], m2s[k])
         out.append(PairedDelta(k, k + 1, mean, se))
     return tuple(out)
 
@@ -309,7 +318,9 @@ def empirical_treatment_sweep(log: BidLog, reserves: ReserveVector, fractions,
     For each fraction, round(f * n) bidders are drawn uniformly without
     replacement, keep their reserves from `reserves` (others get 0), and the
     whole log is re-run; means and standard errors are over
-    `assignments_per_point` independent subsets.
+    `assignments_per_point` independent subsets. Each distinct subset's log
+    revenue is computed once per call and reused by every draw of it; a point
+    whose draws are all one subset reports that revenue with stderr 0.
     """
     if len(log) == 0:
         raise ValueError("empty log")
@@ -322,19 +333,25 @@ def empirical_treatment_sweep(log: BidLog, reserves: ReserveVector, fractions,
     n = len(log.bidder_ids)
     r_full = np.array([reserves.get(b) for b in log.bidder_ids])
     rng = np.random.default_rng(seed)
+    revenue: dict[tuple[int, ...], float] = {}  # sorted treated subset -> mean log revenue
     rows = []
     for f in fractions:
         if not 0.0 <= f <= 1.0:
             raise ValueError(f"fraction {f} out of range [0, 1]")
         size = round(f * n)
-        revs = np.empty(assignments_per_point)
-        for a in range(assignments_per_point):
-            subset = rng.choice(n, size=size, replace=False)
-            row = np.zeros(n)
-            row[subset] = r_full[subset]
-            revs[a] = float(np.mean(payments(bids, row, mechanism)))
-        mean = float(np.mean(revs))
-        se = float(np.std(revs, ddof=1) / math.sqrt(assignments_per_point)) \
-            if assignments_per_point > 1 else 0.0
+        subsets = [tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+                   for _ in range(assignments_per_point)]
+        for subset in subsets:
+            if subset not in revenue:
+                treated = list(subset)
+                row = np.zeros(n)
+                row[treated] = r_full[treated]
+                revenue[subset] = float(np.mean(payments(bids, row, mechanism)))
+        if len(set(subsets)) == 1:
+            mean, se = revenue[subsets[0]], 0.0
+        else:
+            revs = np.array([revenue[s] for s in subsets])
+            mean = float(np.mean(revs))
+            se = float(np.std(revs, ddof=1) / math.sqrt(assignments_per_point))
         rows.append(SweepRow(float(f), mechanism, mean, se, assignments_per_point))
     return SweepResult(tuple(rows), seed, f"empirical(n={n},auctions={len(log)})")

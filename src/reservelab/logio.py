@@ -26,6 +26,7 @@ from .optimize import empirical_totals, monopoly_reserves, optimal_lazy
 from .vectorized import ABSENT
 
 _BID_RE = re.compile(r"^(\d+)(?:\.(\d{1,6}))?$")
+_LINE_BREAK_RE = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")  # where str.splitlines splits
 MAX_MICROS = 10 ** 15  # 1e9 units; beyond this float round trips stop being exact
 LOG_HEADER = "auction_id,bidder_id,bid"
 RESERVE_HEADER = "bidder_id,reserve"
@@ -170,18 +171,32 @@ def parse_log(path: str, format: Optional[str] = None) -> BidLog:
     return BidLog.from_matrix(bids, list(cols), list(rows))
 
 
+def _id_tokens(ids: Iterable[str], fmt: str) -> list[str]:
+    """Each id as written in a record, encoded once: a JSON string for JSONL; for CSV
+    the id itself, quoted when it holds a comma or a quote. A CSV record must fit on
+    one line, so a CSV id with a line break is refused."""
+    if fmt == "jsonl":
+        return [json.dumps(i) for i in ids]
+    tokens = []
+    for i in ids:
+        if _LINE_BREAK_RE.search(i):
+            raise ValueError(f"id {i!r} has a line break: a CSV record must fit on one line")
+        tokens.append('"' + i.replace('"', '""') + '"' if "," in i or '"' in i else i)
+    return tokens
+
+
 def write_log(log: BidLog, path: str, format: Optional[str] = None) -> None:
     """Write a bid log, one row per present bid in auction then bidder order;
     raises on bids that are not micro decimals."""
     fmt = _infer_format(path, format)
     bids = log.to_matrix()
     rows, cols = np.nonzero(bids != ABSENT)
-    aids, ids = log.auction_ids, log.bidder_ids
+    aids, ids = _id_tokens(log.auction_ids, fmt), _id_tokens(log.bidder_ids, fmt)
     cells = zip(rows.tolist(), cols.tolist(), map(format_micro, bids[rows, cols].tolist()))
     if fmt == "csv":
         lines = [LOG_HEADER] + [f"{aids[r]},{ids[c]},{bid}" for r, c, bid in cells]
-    else:
-        lines = [json.dumps({"auction_id": aids[r], "bidder_id": ids[c], "bid": bid})
+    else:  # the bytes json.dumps gives for the record's dict
+        lines = [f'{{"auction_id": {aids[r]}, "bidder_id": {ids[c]}, "bid": "{bid}"}}'
                  for r, c, bid in cells]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -200,11 +215,11 @@ def read_reserves(path: str) -> ReserveVector:
 
 
 def write_reserves(reserves: ReserveVector, path: str) -> None:
+    bidders = sorted(reserves.reserves)
     lines = [RESERVE_HEADER]
-    for bidder in sorted(reserves.reserves):
+    for bidder, token in zip(bidders, _id_tokens(bidders, "csv")):
         r = reserves.reserves[bidder]
-        token = "inf" if math.isinf(r) else format_micro(r)
-        lines.append(f"{bidder},{token}")
+        lines.append(f"{token},{'inf' if math.isinf(r) else format_micro(r)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from reservelab import abtest
 from reservelab.abtest import (AssignmentMode, SplitMode, SweepResult, SweepRow,
                                TreatmentPlan, _treated_reserve_row, empirical_treatment_sweep,
                                expected_second_highest, paired_treatment_deltas,
@@ -17,6 +18,7 @@ from reservelab.generators import gen_iid
 from reservelab.logs import BidLog
 from reservelab.mechanics import Mechanism, ReserveVector
 from reservelab.optimize import empirical_revenue
+from reservelab.vectorized import ABSENT, payments
 
 UNIFORM = uniform_dist()
 
@@ -101,6 +103,20 @@ def test_simulate_treatment_deterministic():
     assert a.x == 3.0 and a.trials == 20_000 and a.stderr > 0
 
 
+def test_stderr_exact_at_large_means():
+    # 1e6 payments near 1e9 with spread ~0.24: a sum of squares minus count * mean^2
+    # cancels to noise; merged per-chunk deviations keep the stderr of the unshifted draws
+    plain = uniform_dist()
+    shifted = uniform_dist(1e9, 1e9 + 1.0)
+    for mode in SplitMode:
+        plan = TreatmentPlan(mode=mode, reserves=ReserveVector({}))
+        small = simulate_treatment(plain, 2, plan, Mechanism.LAZY, 1_000_000, seed=3)
+        big = simulate_treatment(shifted, 2, plan, Mechanism.LAZY, 1_000_000, seed=3)
+        assert abs(small.stderr - math.sqrt(1.0 / 18.0) / 1000.0) < 0.01 * small.stderr
+        assert abs(big.stderr - small.stderr) < 1e-3 * small.stderr
+        assert abs(big.mean - 1e9 - small.mean) < 1e-6
+
+
 def test_sweep_matches_references():
     for mech in Mechanism:
         res = sweep_theoretical(UNIFORM, 5, mech, trials=200_000, seed=31)
@@ -116,6 +132,11 @@ def test_paired_deltas_detect_dip_and_jump():
     for d in deltas[:4]:  # each treated addition strictly hurts until the last
         assert d.mean + 3.0 * d.stderr < 0.0
     assert deltas[4].mean - 3.0 * deltas[4].stderr > 0.0
+
+
+def test_paired_deltas_validation():
+    with pytest.raises(ValueError):
+        paired_treatment_deltas(UNIFORM, 5, Mechanism.EAGER, trials=0, seed=1)
 
 
 def test_explicit_reserves_plan():
@@ -199,6 +220,85 @@ def test_empirical_sweep_endpoints():
     assert abs(hi.mean - empirical_revenue(log, reserves, Mechanism.EAGER)) < 1e-12
     assert hi.stderr < 1e-12
     assert mid.stderr >= 0.0
+
+
+def test_empirical_sweep_single_subset_points_have_zero_stderr():
+    rng = np.random.default_rng(7)
+    log = BidLog.from_matrix(rng.uniform(0.0, 10.0, size=(1000, 5)),
+                             ("b0", "b1", "b2", "b3", "b4"))
+    reserves = ReserveVector({b: 4.0 + i for i, b in enumerate(log.bidder_ids)})
+    for mech in Mechanism:
+        res = empirical_treatment_sweep(log, reserves, [0.0, 0.5, 1.0], mech,
+                                        assignments_per_point=120, seed=2)
+        lo, mid, hi = res.rows
+        assert lo.stderr == 0.0 and hi.stderr == 0.0 and mid.stderr > 0.0
+        assert abs(lo.mean - empirical_revenue(log, ReserveVector({}), mech)) < 1e-12
+        assert abs(hi.mean - empirical_revenue(log, reserves, mech)) < 1e-12
+
+
+def _per_draw_sweep(log, reserves, fractions, mechanism, assignments, seed):
+    """The empirical sweep as its definition: one full-log kernel call per draw.
+    Returns the (mean, stderr) rows and the distinct treated subsets drawn."""
+    bids = log.to_matrix()
+    n = len(log.bidder_ids)
+    r_full = np.array([reserves.get(b) for b in log.bidder_ids])
+    rng = np.random.default_rng(seed)
+    rows, distinct = [], set()
+    for f in fractions:
+        revs, subsets = np.empty(assignments), set()
+        for a in range(assignments):
+            subset = rng.choice(n, size=round(f * n), replace=False)
+            subsets.add(tuple(sorted(subset.tolist())))
+            row = np.zeros(n)
+            row[subset] = r_full[subset]
+            revs[a] = float(np.mean(payments(bids, row, mechanism)))
+        if len(subsets) == 1:
+            rows.append((float(revs[0]), 0.0))
+        else:
+            rows.append((float(np.mean(revs)),
+                         float(np.std(revs, ddof=1) / math.sqrt(assignments))))
+        distinct |= subsets
+    return rows, distinct
+
+
+_FRACTIONS = [0.0, 0.1, 0.35, 0.5, 0.9, 1.0]
+
+
+def _sweep_case(n):
+    """A T x n log with absent bids (one bidder in every auction) and one +inf reserve."""
+    rng = np.random.default_rng(n)
+    bids = rng.uniform(0.0, 10.0, size=(300, n))
+    bids[rng.random((300, n)) < 0.3] = ABSENT
+    bids[:, 0] = rng.uniform(0.0, 10.0, size=300)
+    ids = tuple(f"b{i:02d}" for i in range(n))
+    reserves = {b: float(rng.uniform(2.0, 8.0)) for b in ids}
+    reserves[ids[1]] = math.inf
+    return BidLog.from_matrix(bids, ids), ReserveVector(reserves)
+
+
+@pytest.mark.parametrize("n", [3, 12])
+@pytest.mark.parametrize("mech", list(Mechanism))
+def test_empirical_sweep_equals_per_draw_reference(n, mech):
+    log, reserves = _sweep_case(n)
+    res = empirical_treatment_sweep(log, reserves, _FRACTIONS, mech, 40, seed=5)
+    want, _ = _per_draw_sweep(log, reserves, _FRACTIONS, mech, 40, seed=5)
+    assert [(r.mean, r.stderr) for r in res.rows] == want
+    assert [(r.x, r.trials) for r in res.rows] == [(f, 40) for f in _FRACTIONS]
+
+
+@pytest.mark.parametrize("n", [3, 12])
+def test_empirical_sweep_evaluates_each_distinct_subset_once(n, monkeypatch):
+    log, reserves = _sweep_case(n)
+    _, distinct = _per_draw_sweep(log, reserves, _FRACTIONS, Mechanism.EAGER, 40, seed=5)
+    rows = []
+
+    def counting(bids, row, mechanism):
+        rows.append(tuple(row.tolist()))
+        return payments(bids, row, mechanism)
+
+    monkeypatch.setattr(abtest, "payments", counting)
+    empirical_treatment_sweep(log, reserves, _FRACTIONS, Mechanism.EAGER, 40, seed=5)
+    assert len(rows) == len(set(rows)) == len(distinct)
 
 
 def test_empirical_sweep_validation():

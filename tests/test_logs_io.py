@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 
 import numpy as np
@@ -184,6 +185,41 @@ def test_reserves_round_trip(tmp_path):
     assert back.get("unlisted") == 0.0
 
 
+def test_ids_with_commas_and_quotes_round_trip(tmp_path):
+    log = BidLog([BidProfile("a,1", {'x,y': 1.5, 'q"': 2.0, "plain": 0.5}),
+                  BidProfile('"a2"', {'x,y': 3.0})])
+    src = tmp_path / "log.jsonl"
+    write_log(log, str(src))
+    path = tmp_path / "log.csv"
+    write_log(parse_log(str(src)), str(path))
+    assert path.read_text().splitlines()[1:4] == ['"a,1",plain,0.5', '"a,1","q""",2',
+                                                   '"a,1","x,y",1.5']
+    assert parse_log(str(path)) == log
+    rv = ReserveVector({'x,y': 1.0, 'q"': math.inf, "plain": 2.0})
+    write_reserves(rv, str(tmp_path / "reserves.csv"))
+    assert read_reserves(str(tmp_path / "reserves.csv")) == rv
+
+
+@pytest.mark.parametrize("bad", ["a\nb", "a\rb", "a\x85b", "a\u2028b"])
+def test_csv_refuses_ids_with_line_breaks(tmp_path, bad):
+    log = BidLog([BidProfile("a1", {bad: 1.0})])
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        write_log(log, str(tmp_path / "log.csv"))
+    with pytest.raises(ValueError):
+        write_reserves(ReserveVector({bad: 1.0}), str(tmp_path / "reserves.csv"))
+    write_log(log, str(tmp_path / "log.jsonl"))  # JSON escapes the break: one record per line
+    assert parse_log(str(tmp_path / "log.jsonl")) == log
+
+
+def test_jsonl_written_as_json_dumps_would(tmp_path):
+    log = BidLog([BidProfile('a"1', {"\u00e9,x": 1.25, "b\\": 7.0})])
+    path = tmp_path / "log.jsonl"
+    write_log(log, str(path))
+    want = [json.dumps({"auction_id": 'a"1', "bidder_id": b, "bid": bid})
+            for b, bid in (("b\\", "7"), ("\u00e9,x", "1.25"))]
+    assert path.read_text().splitlines() == want
+
+
 def test_reserve_file_validation(tmp_path):
     path = tmp_path / "reserves.csv"
     path.write_text("bidder,reserve\nA,1\n")
@@ -235,7 +271,7 @@ def test_from_matrix_validates_and_normalizes():
         BidLog.from_matrix(m, ("A", "B", "C"), ("q", "q"))
 
 
-_IDS = st.text("abcxyz_019", min_size=1, max_size=4)
+_IDS = st.text('abcxyz_019,"', min_size=1, max_size=4)
 
 
 @st.composite
