@@ -243,7 +243,7 @@ def expected_second_highest(dist: ContinuousDist, n: int) -> float:
 def _reference(dist: ContinuousDist, n: int, k: int, mechanism: Mechanism,
                lazy_endpoints: Optional[tuple[float, float]]) -> float:
     if mechanism is Mechanism.EAGER:
-        if dist.name == "uniform(0,1)":
+        if dist.name.startswith("uniform(") and (dist.lo, dist.hi) == (0.0, 1.0):
             return rev_e_k_closed_uniform(n, k)
         return rev_e_k_quadrature(dist, n, k)
     rev0, revn = lazy_endpoints

@@ -241,6 +241,8 @@ def cmd_optimize(cfg: RunConfig):
         "expected_revenue": result.expected_revenue,
         "total_revenue": empirical_totals(log, result.reserves, mech)[0],
     }
+    if cfg.task == "eager-local":
+        extra.update(rounds=result.rounds, converged=result.converged)
     summary = _write_summary(cfg, "optimize", [reserve_path], extra, started)
     return result, reserve_path, summary
 

@@ -52,12 +52,17 @@ class ContinuousDist:
         return 1.0 - self.cdf(v)
 
 
+def _exact(x: float) -> str:
+    """x in %g style with the fewest digits (6 at least) that read back as float(x)."""
+    return next(s for p in range(6, 18) if float(s := f"{x:.{p}g}") == float(x))
+
+
 def uniform_dist(lo: float = 0.0, hi: float = 1.0) -> ContinuousDist:
     if not lo < hi:
         raise ValueError("need lo < hi")
     width = hi - lo
     return ContinuousDist(
-        name=f"uniform({lo:g},{hi:g})",
+        name=f"uniform({_exact(lo)},{_exact(hi)})",
         lo=lo, hi=hi,
         cdf=lambda v: min(1.0, max(0.0, (v - lo) / width)),
         pdf=lambda v: 1.0 / width if lo <= v <= hi else 0.0,
@@ -70,7 +75,7 @@ def exponential_dist(rate: float = 1.0) -> ContinuousDist:
     if rate <= 0:
         raise ValueError("rate must be > 0")
     return ContinuousDist(
-        name=f"exponential({rate:g})",
+        name=f"exponential({_exact(rate)})",
         lo=0.0, hi=math.inf,
         cdf=lambda v: 1.0 - math.exp(-rate * v) if v > 0 else 0.0,
         pdf=lambda v: rate * math.exp(-rate * v) if v >= 0 else 0.0,
@@ -94,7 +99,7 @@ def equal_revenue_dist(M: float) -> ContinuousDist:
         return np.where(out >= M, M, out)
 
     return ContinuousDist(
-        name=f"equal_revenue({M:g})",
+        name=f"equal_revenue({_exact(M)})",
         lo=1.0, hi=M,
         cdf=lambda v: 0.0 if v < 1 else (1.0 - 1.0 / v if v < M else 1.0),
         pdf=lambda v: 1.0 / v ** 2 if 1 <= v < M else 0.0,
@@ -131,8 +136,11 @@ class VirtualValueFn:
         hi = self.dist.hi
         if hi == math.inf:
             hi = float(self.dist.ppf(np.array(0.9999)))
-        eps = (hi - self.dist.lo) * 1e-9
-        grid = np.linspace(self.dist.lo + eps, hi - eps, points)
+        lo = self.dist.lo
+        eps = (hi - lo) * 1e-9
+        # at least one ulp inside, where eps rounds away against a large offset
+        grid = np.linspace(max(lo + eps, np.nextafter(lo, math.inf)),
+                           min(hi - eps, np.nextafter(hi, -math.inf)), points)
         vals = [virtual_value(self.dist, float(v)) for v in grid]
         return all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 

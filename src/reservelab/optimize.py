@@ -13,6 +13,14 @@ no such decoupling (it is as hard as maximum independent set), so the exact
 optimizer is an exhaustive product search behind a size bound, with a
 coordinate-ascent local search as the scalable alternative.
 
+Each ascent step is a line search over one bidder's reserve with the others
+fixed. Along that line every auction's eager payment is piecewise linear in
+the reserve, so one sort of the bidder's bids plus prefix sums gives the
+total at every candidate in O((T + |candidates|) log T). The few candidates
+whose fast total lies within a proven rounding bound of the best are then
+re-scored by the batched kernel's ordered sums, which make the choice, so
+the ascent takes the same path as a full re-simulation of every candidate.
+
 All optimizers report expected_revenue through the same exact evaluator
 (empirical_revenue), so two routes that agree on the reserves agree on the
 revenue bit for bit.
@@ -23,14 +31,14 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import SearchSpaceTooLarge
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
-from .vectorized import eager_payments, lazy_order, payments
+from .vectorized import ABSENT, _top_two, eager_payments, lazy_order, payments
 
 # bid x reserve-row elements per eager kernel call in the searches: about 0.5 MB of float64
 _SEARCH_BATCH = 1 << 16
@@ -55,6 +63,9 @@ class OptimizationResult:
     reserves: ReserveVector
     expected_revenue: float
     per_bidder_diagnostics: dict[str, BidderDiagnostic]
+    # eager_coordinate_ascent only: rounds run, and False when it stopped at max_rounds
+    rounds: int | None = None
+    converged: bool | None = None
 
 
 def _reserve_row(log: BidLog, reserves: ReserveVector) -> np.ndarray:
@@ -266,16 +277,75 @@ def optimal_eager_exact(log: BidLog, max_product_size: int = 1_000_000) -> Optim
     return _eager_result(log, cands, best)
 
 
+def _eager_line_totals(bids: np.ndarray, current: np.ndarray, j: int, cands: np.ndarray):
+    """Eager totals along bidder j's reserve line, by one sort and prefix sums.
+
+    Returns (totals, tol, repeats) over the ascending candidates: totals[k] is
+    the log's eager revenue with reserve j at cands[k] and the others at
+    `current`, within tol / 2 of what _eager_totals_for_rows returns for that
+    row; repeats[k] marks a candidate whose every auction pays exactly what it
+    pays at cands[k - 1], so both rows' ordered totals are bit-identical.
+
+    With the other reserves fixed, an auction's payment depends on r = r_j in
+    three ways: C0 when j drops out (b_j < r, or j is absent), C1 when j
+    survives and loses, and max(r, a) when j survives and wins, where a <= b_j
+    is the top surviving rival's bid (0 with no rival). Sorting b_j and the a
+    of j's wins makes every total a handful of prefix sums read at
+    np.searchsorted positions, O((T + |cands|) log T) in all:
+
+        sum_{b_j<r} C0 + sum_{b_j>=r, loses} C1
+        + r * (#{wins: a<r} - #{wins: b_j<r}) + sum_{wins: a>=r} a
+    """
+    surviving = [np.where(b >= r, b, ABSENT) for b, r in zip(bids.T, current)]
+    surviving[j] = np.full(len(bids), ABSENT)  # rivals only; column numbers keep the tie rule
+    winner, top, second = _top_two(surviving)
+    rival = np.isfinite(top)
+    r_w = current[winner]
+    b = bids[:, j]
+    present = np.isfinite(b)
+    wins = present & ((b > top) | ((b == top) & (j < winner)))
+    c0 = np.where(rival, np.maximum(r_w, second), 0.0)
+    c1 = np.where(present & ~wins, np.maximum(r_w, np.maximum(second, b)), 0.0)
+    a = np.sort(np.where(rival, top, 0.0)[wins])
+
+    order = np.argsort(b, kind="stable")
+    b_below = np.searchsorted(b[order], cands, side="left")
+    a_below = np.searchsorted(a, cands, side="left")
+    c0_cum, c1_cum, a_cum = (np.concatenate([[0.0], np.cumsum(x)])
+                             for x in (c0[order], c1[order], a))
+    wins_cum, moves_cum = (np.concatenate([[0], np.cumsum(x[order])])
+                           for x in (wins, wins | (c1 != c0)))
+    paying_r = a_below - wins_cum[b_below]  # surviving wins that pay the reserve itself
+    totals = (c0_cum[b_below] + (c1_cum[-1] - c1_cum[b_below])
+              + cands * paying_r + (a_cum[-1] - a_cum[a_below]))
+
+    # Every candidate's T payments are >= 0 and sum to at most `scale`. Summed in
+    # auction order they lie within (T - 1) u * scale of the exact total, and the
+    # prefix sums above within about (2T + 4) u * scale (u = eps / 2), so the two
+    # totals of one candidate differ by less than tol / 2.
+    scale = c0_cum[-1] + c1_cum[-1] + a_cum[-1] + cands[-1] * wins_cum[-1]
+    tol = 4 * (len(b) + 4) * np.finfo(float).eps * scale
+    # no win pays r, and every auction j leaves between the two candidates pays C1 == C0
+    moved = moves_cum[b_below]
+    repeats = np.concatenate([[False], (moved[1:] == moved[:-1]) & (paying_r[1:] == 0)])
+    return totals, tol, repeats
+
+
 def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
                             max_rounds: int = 50) -> OptimizationResult:
     """Local search for eager reserves: cycle bidders, re-optimize one reserve at a time.
 
-    Bidders are cycled in ascending bidder_id order; each step scans the full
-    candidate set ({0} plus all distinct log bids) for that bidder and moves
-    only on strict improvement, preferring the smallest improving candidate.
-    Stops after a full round improves total revenue by a relative factor
-    below 1e-12, or after max_rounds rounds. Revenue never decreases, so the
-    result is at least as good as the starting point.
+    Bidders are cycled in ascending bidder_id order; each step searches the
+    full candidate set ({0} plus all distinct log bids) for that bidder and
+    moves only on strict improvement, preferring the smallest improving
+    candidate. Each step is the sorted line search of _eager_line_totals,
+    O((T + |candidates|) log T); the candidates whose fast total is within its
+    rounding bound of the best are re-scored by _eager_totals_for_rows, whose
+    auction-order sums decide the move exactly as a re-simulation of every
+    candidate would. Stops after a full round improves total revenue by a
+    relative factor below 1e-12 (converged), or after max_rounds rounds; the
+    result reports the rounds run and whether it converged. Revenue never
+    decreases, so the result is at least as good as the starting point.
     """
     if init is None:
         init = ReserveVector.zero()
@@ -285,18 +355,22 @@ def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
     current = np.array([init.get(b) for b in log.bidder_ids])
     current_total = float(_eager_totals_for_rows(bids, current[None, :])[0])
 
-    for _ in range(max_rounds):
+    rounds, converged = 0, False
+    while rounds < max_rounds and not converged:
+        rounds += 1
         round_start = current_total
         for j in range(n):
-            R = np.tile(current, (len(cands), 1))
-            R[:, j] = cands
+            # the auction-order argmax is within tol of the fast maximum, and a
+            # repeat ties the candidate below it, so it is never the first argmax
+            fast, tol, repeats = _eager_line_totals(bids, current, j, cands)
+            shortlist = cands[(fast >= fast.max() - tol) & ~repeats]
+            R = np.tile(current, (len(shortlist), 1))
+            R[:, j] = shortlist
             totals = _eager_totals_for_rows(bids, R)
             i = int(np.argmax(totals))  # first max = smallest candidate
             if totals[i] > current_total:
                 current = R[i].copy()
                 current_total = float(totals[i])
-        gain = current_total - round_start
-        if gain <= 1e-12 * max(1.0, abs(round_start)):
-            break
+        converged = current_total - round_start <= 1e-12 * max(1.0, abs(round_start))
 
-    return _eager_result(log, cands, current)
+    return replace(_eager_result(log, cands, current), rounds=rounds, converged=converged)

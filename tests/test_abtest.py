@@ -11,8 +11,8 @@ from reservelab.abtest import (AssignmentMode, SplitMode, SweepResult, SweepRow,
                                expected_second_highest, paired_treatment_deltas,
                                rev_e_k_closed_uniform, rev_e_k_quadrature, rev_l_k_closed,
                                simulate_treatment, sweep_theoretical)
-from reservelab.distributions import (ContinuousDist, equal_revenue_dist, exponential_dist,
-                                      uniform_dist)
+from reservelab.distributions import (ContinuousDist, VirtualValueFn, equal_revenue_dist,
+                                      exponential_dist, uniform_dist)
 from reservelab.errors import DomainError
 from reservelab.generators import gen_iid
 from reservelab.logs import BidLog
@@ -123,6 +123,31 @@ def test_sweep_matches_references():
         assert [r.x for r in res.rows] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         for row in res.rows:
             assert abs(row.mean - row.reference) <= 3.0 * row.stderr
+
+
+def test_closed_form_reference_only_for_the_unit_uniform():
+    # uniform(0, 1.000004) printed as uniform(0,1) and took the unit closed form
+    near = uniform_dist(0.0, 1.000004)
+    assert near.name == "uniform(0,1.000004)" and UNIFORM.name == "uniform(0,1)"
+    res = sweep_theoretical(near, 5, Mechanism.EAGER, trials=1000, seed=1)
+    assert res.descriptor == "theoretical(uniform(0,1.000004),n=5)"
+    assert res.rows[2].reference == rev_e_k_quadrature(near, 5, 2)
+    assert abs(res.rows[2].reference - rev_e_k_closed_uniform(5, 2)) > 2e-6
+    unit = sweep_theoretical(UNIFORM, 5, Mechanism.EAGER, trials=1000, seed=1)
+    assert [r.reference for r in unit.rows] == [rev_e_k_closed_uniform(5, k) for k in range(6)]
+
+
+def test_narrow_support_far_from_zero_is_judged_regular():
+    # 1e-9 of the width rounds away against lo = 1e9: the regularity grid started at lo
+    # itself and virtual_value refused it. phi(v) = 2v - hi > 0 on the whole support, so
+    # the sweeps now refuse because no Myerson reserve lies inside it
+    shifted = uniform_dist(1e9, 1e9 + 1.0)
+    assert shifted.name == "uniform(1e+09,1000000001)"
+    assert VirtualValueFn(shifted).is_monotone_on_grid()
+    with pytest.raises(DomainError, match="no sign change"):
+        simulate_treatment(shifted, 2, TreatmentPlan(), Mechanism.EAGER, 100, seed=1)
+    with pytest.raises(DomainError, match="no sign change"):
+        sweep_theoretical(shifted, 2, Mechanism.EAGER, 100, seed=1)
 
 
 def test_paired_deltas_detect_dip_and_jump():

@@ -1,12 +1,13 @@
 """End-to-end runs of the command-line pipeline, in process."""
 
 import json
+import math
 
 import pytest
 
 from reservelab.cli import main
 from reservelab.logio import compute_lift_report, parse_log, read_reserves
-from reservelab.mechanics import Mechanism
+from reservelab.mechanics import Mechanism, run_eager
 from reservelab.optimize import empirical_revenue, optimal_lazy
 
 IID_PARAMS = '{"dist": "uniform", "n": 3, "lo": 0.0, "hi": 10.0}'
@@ -39,6 +40,26 @@ def test_gen_then_optimize_lazy(tmp_path):
     rt = {b: got.get(b) for b in log.bidder_ids}
     rl = {b: want.reserves.get(b) for b in log.bidder_ids}
     assert all(abs(rt[b] - rl[b]) <= 5e-7 for b in rt)
+
+
+def test_gen_then_optimize_eager_local(tmp_path):
+    log_path = run_gen(tmp_path)
+    log = parse_log(str(log_path))
+    summaries, reserve_files = [], []
+    for max_rounds in ("2", "3"):
+        out = tmp_path / f"local{max_rounds}"
+        assert main(["optimize", "--task", "eager-local", "--max-rounds", max_rounds,
+                     "--input", str(log_path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        reserves = read_reserves(str(out / "reserves.csv"))
+        scalar = math.fsum(run_eager(p, reserves).payment for p in log.profiles) / len(log)
+        assert summary["expected_revenue"] == scalar
+        assert summary["expected_revenue"] > summary["revenue_zero_reserve"]
+        summaries.append(summary)
+        reserve_files.append((out / "reserves.csv").read_bytes())
+    # round 3 improves nothing on this log: two rounds stop short, three converge
+    assert [(s["rounds"], s["converged"]) for s in summaries] == [(2, False), (3, True)]
+    assert reserve_files[0] == reserve_files[1]
 
 
 def test_hardness_instances_exact_totals(tmp_path):

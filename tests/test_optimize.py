@@ -1,19 +1,23 @@
 """Reserve optimizers: fixtures, oracle equivalence, hardness identities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reservelab.errors import SearchSpaceTooLarge
 from reservelab.generators import gen_hardness_instance, independent_set_number
 from reservelab.logs import BidLog
 from reservelab.mechanics import BidProfile, Mechanism, ReserveVector, run_eager
-from reservelab.optimize import (CandidateSource, _eager_totals_for_rows,
+from reservelab.optimize import (CandidateSource, _eager_line_totals, _eager_result,
+                                 _eager_totals_for_rows, _global_candidates,
                                  eager_coordinate_ascent, empirical_revenue,
                                  monopoly_reserves, optimal_eager_exact, optimal_lazy,
                                  optimal_lazy_bruteforce)
-from reservelab.vectorized import payments
+from reservelab.vectorized import ABSENT, payments
 
 
 def log_of(rows):
@@ -219,6 +223,118 @@ def test_eager_totals_sum_scalar_payments_in_auction_order():
             for p in log.profiles:
                 want += run_eager(p, rv).payment
             assert total == want
+
+
+def reference_ascent(log, init=None, max_rounds=50):
+    """Coordinate ascent that re-simulates every candidate row of every step."""
+    cands = _global_candidates(log)
+    bids = log.to_matrix()
+    current = np.array([(init or ReserveVector.zero()).get(b) for b in log.bidder_ids])
+    current_total = float(_eager_totals_for_rows(bids, current[None, :])[0])
+    rounds, converged = 0, False
+    for _ in range(max_rounds):
+        rounds += 1
+        round_start = current_total
+        for j in range(len(log.bidder_ids)):
+            R = np.tile(current, (len(cands), 1))
+            R[:, j] = cands
+            totals = _eager_totals_for_rows(bids, R)
+            i = int(np.argmax(totals))
+            if totals[i] > current_total:
+                current = R[i].copy()
+                current_total = float(totals[i])
+        if current_total - round_start <= 1e-12 * max(1.0, abs(round_start)):
+            converged = True
+            break
+    return replace(_eager_result(log, cands, current), rounds=rounds, converged=converged)
+
+
+def check_line_search(log, current):
+    """Every candidate's fast total against the ordered sums, and the shortlist's argmax."""
+    bids, cands = log.to_matrix(), _global_candidates(log)
+    for j in range(len(log.bidder_ids)):
+        fast, tol, repeats = _eager_line_totals(bids, current, j, cands)
+        R = np.tile(current, (len(cands), 1))
+        R[:, j] = cands
+        exact = _eager_totals_for_rows(bids, R)
+        assert np.all(np.abs(fast - exact) <= tol / 2)
+        k = np.flatnonzero(repeats)
+        assert np.array_equal(exact[k], exact[k - 1])  # a repeat ties the row below, bit for bit
+        shortlist = np.flatnonzero((fast >= fast.max() - tol) & ~repeats)
+        assert shortlist[np.argmax(exact[shortlist])] == np.argmax(exact)
+
+
+def test_line_search_matches_ordered_totals():
+    rng = np.random.default_rng(50)
+    pools = (None, np.array([0.0, 1.0, 2.0, 4.0]), np.array([0.5, 3.0]))
+    seen_n = set()
+    for it in range(120):
+        log = random_log(rng, max_bidders=(1, 2, 3, 6)[it % 4], max_auctions=80,
+                         value_pool=pools[it % 3])
+        n = len(log.bidder_ids)
+        seen_n.add(n)
+        levels = np.concatenate([_global_candidates(log), [math.inf]])
+        check_line_search(log, np.zeros(n))
+        check_line_search(log, rng.choice(levels, size=n))
+    assert {1, 2} <= seen_n
+
+
+_LEVELS = [0.0, 0.5, 1.0, 2.0, 3.0]  # few levels, so bids tie with each other and with reserves
+
+
+@st.composite
+def line_cases(draw):
+    """A small log with ties and absent bidders, and a current reserve row with +inf."""
+    n = draw(st.integers(1, 4))
+    T = draw(st.integers(1, 12))
+    bids = np.array(draw(st.lists(st.lists(st.sampled_from(_LEVELS + [ABSENT]),
+                                           min_size=n, max_size=n), min_size=T, max_size=T)))
+    bids[np.arange(T), draw(st.lists(st.integers(0, n - 1), min_size=T, max_size=T))] = 1.0
+    log = BidLog.from_matrix(bids, [f"b{j}" for j in range(n)])
+    current = draw(st.lists(st.sampled_from(_LEVELS + [math.inf]),
+                            min_size=len(log.bidder_ids), max_size=len(log.bidder_ids)))
+    return log, np.array(current)
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_cases())
+def test_line_search_matches_ordered_totals_property(case):
+    check_line_search(*case)
+
+
+def test_ascent_matches_reference_loop():
+    rng = np.random.default_rng(51)
+    pools = (None, np.array([0.0, 1.0, 2.0, 4.0]), np.array([0.5, 3.0]))
+    for it in range(40):
+        log = random_log(rng, max_bidders=5, max_auctions=60, value_pool=pools[it % 3])
+        levels = [0.0, 1.0, 2.5, math.inf]
+        inits = [None, ReserveVector({b: float(rng.choice(levels)) for b in log.bidder_ids})]
+        for init in inits:
+            for max_rounds in (1, 50):
+                got = eager_coordinate_ascent(log, init, max_rounds)
+                want = reference_ascent(log, init, max_rounds)
+                assert got.reserves == want.reserves
+                assert got.expected_revenue == want.expected_revenue
+                assert (got.rounds, got.converged) == (want.rounds, want.converged)
+
+
+def test_line_search_near_tie_keeps_ordered_argmax():
+    # b0's totals at r = 0.6 (0.6 + 1.1 + 0.6 + 0.6) and r = 0.9 (0.9 + 1.1 + 0 + 0.9) differ
+    # by 1.1e-16 in exact arithmetic, below the rounding error: the auction-order sums rank
+    # 0.6 first and the prefix sums 0.9, so only the re-scored shortlist keeps 0.6
+    log = BidLog.from_matrix(np.array([[1.1, 0.2], [1.1, 1.1], [0.6, 1.1], [0.9, 0.1]]),
+                             ["b0", "b1"])
+    bids, cands = log.to_matrix(), _global_candidates(log)
+    fast = _eager_line_totals(bids, np.zeros(2), 0, cands)[0]
+    R = np.zeros((len(cands), 2))
+    R[:, 0] = cands
+    exact = _eager_totals_for_rows(bids, R)
+    assert cands[np.argmax(exact)] == 0.6 and cands[np.argmax(fast)] == 0.9
+    check_line_search(log, np.zeros(2))
+    got = eager_coordinate_ascent(log, max_rounds=1)
+    assert got.reserves.get("b0") == 0.6
+    assert got.reserves == reference_ascent(log, max_rounds=1).reserves
+    assert eager_coordinate_ascent(log) == reference_ascent(log)
 
 
 def test_hardness_identity_small_graphs():
