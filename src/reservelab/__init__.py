@@ -24,9 +24,9 @@ from .logio import (LiftReport, compute_lift_report, format_micro, lift_revenue_
 from .logs import BidLog
 from .mechanics import (AuctionOutcome, BidProfile, Mechanism, ReserveVector,
                         critical_bid, run_auction, run_eager, run_lazy)
-from .optimize import (BidderDiagnostic, CandidateSource, OptimizationResult,
-                       eager_coordinate_ascent, empirical_revenue, monopoly_reserves,
-                       optimal_eager_exact, optimal_lazy, optimal_lazy_bruteforce)
+from .optimize import (OptimizationResult, eager_coordinate_ascent, empirical_revenue,
+                       monopoly_reserves, optimal_eager_exact, optimal_lazy,
+                       optimal_lazy_bruteforce)
 from .product import (FiniteDist, ProductDist, expected_revenue_product,
                       optimal_reserves_product, trim_lift)
 from .vectorized import ABSENT, eager_payments, lazy_payments, payments
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABSENT", "AssignmentMode", "AuctionOutcome", "BidLog", "BidProfile",
-    "BidderDiagnostic", "CandidateSource", "ConfigError", "ContinuousDist",
+    "ConfigError", "ContinuousDist",
     "DomainError", "EqualRevenuePairAnalysis", "FiniteDist", "GeometricPairAnalysis",
     "HighLowAnalysis", "JointGenerator", "LiftReport", "LogParseError", "Mechanism",
     "OptimizationResult", "PairedDelta", "ProductDist", "ReserveVector",

@@ -25,6 +25,8 @@ from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
 from .vectorized import payments
 
+_CHUNK = 100_000  # Monte-Carlo auctions drawn and evaluated per block
+
 
 class SplitMode(enum.Enum):
     BIDDER_SPLIT = "bidder_split"
@@ -109,15 +111,14 @@ def _treated_reserve_row(dist: ContinuousDist, n: int, plan: TreatmentPlan) -> n
 
 def _bidder_split_chunks(dist: ContinuousDist, n: int, mechanism: Mechanism,
                          trials: int, seed: int, ks: Iterable[int],
-                         assignment: AssignmentMode, r_full: np.ndarray,
-                         chunk: int = 100_000):
+                         assignment: AssignmentMode, r_full: np.ndarray):
     """Yield (c, len(ks)) payment matrices; same draws serve every k (common random numbers)."""
     ks = list(ks)
     rng = np.random.default_rng(seed)
     cols = np.arange(n)
     remaining = trials
     while remaining > 0:
-        c = min(chunk, remaining)
+        c = min(_CHUNK, remaining)
         remaining -= c
         values = dist.sample(rng, (c, n))
         if assignment is AssignmentMode.RANDOM_PER_AUCTION:
@@ -157,9 +158,8 @@ def simulate_treatment(dist: ContinuousDist, n: int, plan: TreatmentPlan,
     stats = (0, 0.0, 0.0)
     done = 0
     n_treated_target = round(p * trials)
-    chunk = 100_000
     while done < trials:
-        c = min(chunk, trials - done)
+        c = min(_CHUNK, trials - done)
         values = dist.sample(rng, (c, n))
         if plan.assignment is AssignmentMode.RANDOM_PER_AUCTION:
             treated = rng.random(c) < p
@@ -257,7 +257,8 @@ def sweep_theoretical(dist: ContinuousDist, n: int, mechanism: Mechanism,
 
     References: closed form for uniform(0,1) eager, quadrature for other
     eager families, and the linear interpolation between quadrature endpoints
-    for lazy.
+    for lazy. A non-finite mean, stderr or reference, or a negative reference,
+    raises DomainError naming the first such row.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -273,8 +274,11 @@ def sweep_theoretical(dist: ContinuousDist, n: int, mechanism: Mechanism,
     rows = []
     for k in ks:
         mean, se = _mean_stderr(count, means[k], m2s[k])
-        rows.append(SweepRow(float(k), mechanism, mean, se, trials,
-                             _reference(dist, n, k, mechanism, lazy_endpoints)))
+        ref = _reference(dist, n, k, mechanism, lazy_endpoints)
+        if not (math.isfinite(mean) and math.isfinite(se) and 0.0 <= ref < math.inf):
+            raise DomainError(f"{dist.name}, n={n}, {mechanism.value} k={k}: mean {mean}, "
+                              f"stderr {se}, reference {ref}; want finite, reference >= 0")
+        rows.append(SweepRow(float(k), mechanism, mean, se, trials, ref))
     return SweepResult(tuple(rows), seed, f"theoretical({dist.name},n={n})")
 
 

@@ -98,18 +98,19 @@ def _mechanisms(cfg: RunConfig) -> list[Mechanism]:
     return [Mechanism(cfg.mechanism)]
 
 
+_DISTS = {"uniform": uniform_dist, "exponential": exponential_dist,
+          "equal_revenue": equal_revenue_dist}
+
+
 def make_dist(name: str, params: dict) -> ContinuousDist:
+    """The named distribution, built with the params as keyword arguments."""
+    if name not in _DISTS:
+        raise ConfigError(f"unknown distribution {name!r}; "
+                          f"want uniform, exponential or equal_revenue")
     try:
-        if name == "uniform":
-            return uniform_dist(params.get("lo", 0.0), params.get("hi", 1.0))
-        if name == "exponential":
-            return exponential_dist(params.get("rate", 1.0))
-        if name == "equal_revenue":
-            return equal_revenue_dist(params["M"])
-    except (KeyError, TypeError, ValueError) as e:
+        return _DISTS[name](**params)
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad parameters for distribution {name!r}: {e}") from None
-    raise ConfigError(f"unknown distribution {name!r}; "
-                      f"want uniform, exponential or equal_revenue")
 
 
 _GENERATORS = {
@@ -121,14 +122,12 @@ _GENERATORS = {
 
 
 def materialize_log(cfg: RunConfig) -> BidLog:
-    """Build a BidLog from the generator descriptor; bids quantized to micros."""
+    """Build a BidLog from the generator and its params; bids quantized to micros."""
     name, params = cfg.generator, dict(cfg.params)
     if name == "hardness":
         try:
-            log = gen_hardness_instance(params["vertices"],
-                                        [tuple(e) for e in params["edges"]],
-                                        params["L"], params["H"])
-        except (KeyError, TypeError, ValueError) as e:
+            log = gen_hardness_instance(**params)
+        except (TypeError, ValueError) as e:
             raise ConfigError(f"bad hardness parameters: {e}") from None
         return quantize_log(log)
     if name == "iid":
@@ -321,26 +320,30 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON config file; flags override its keys")
     shared.add_argument("--input", action="append", help="input log path")
-    shared.add_argument("--generator", help="generator name (gen_* family)")
     shared.add_argument("--params", help="generator/distribution parameters as JSON")
-    shared.add_argument("--count", type=int, help="auctions to generate")
     shared.add_argument("--seed", type=int, help="PRNG seed")
     shared.add_argument("--format", choices=["csv", "jsonl"], help="log file format")
     shared.add_argument("--out", help="output directory")
-    shared.add_argument("--mechanism", choices=["lazy", "eager", "both"])
-    shared.add_argument("--trials", type=int, help="Monte-Carlo trials")
+    generated = argparse.ArgumentParser(add_help=False)
+    generated.add_argument("--generator", help="generator name (gen_* family)")
+    generated.add_argument("--count", type=int, help="auctions to generate")
 
     parser = argparse.ArgumentParser(prog="reservelab",
                                      description="Second-price auction reserve toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("gen", parents=[shared], help="materialize a generator to a log file")
-    p_opt = sub.add_parser("optimize", parents=[shared], help="compute reserve prices")
+    sub.add_parser("gen", parents=[shared, generated],
+                   help="materialize a generator to a log file")
+    p_opt = sub.add_parser("optimize", parents=[shared, generated],
+                           help="compute reserve prices")
     p_opt.add_argument("--task", choices=list(TASKS))
     p_opt.add_argument("--max-product-size", type=int, dest="max_product_size")
     p_opt.add_argument("--max-rounds", type=int, dest="max_rounds")
-    sub.add_parser("lift-tables", parents=[shared],
+    sub.add_parser("lift-tables", parents=[shared, generated],
                    help="revenue-lift and welfare-loss tables")
     p_sweep = sub.add_parser("sweep", parents=[shared], help="treated-share revenue sweep")
+    for p in (p_opt, p_sweep):  # optimize: the monopoly task's scoring rule
+        p.add_argument("--mechanism", choices=["lazy", "eager", "both"])
+    p_sweep.add_argument("--trials", type=int, help="Monte-Carlo trials")
     p_sweep.add_argument("--mode", choices=["theoretical", "empirical"])
     p_sweep.add_argument("--dist", help="distribution name for theoretical mode")
     p_sweep.add_argument("--n", type=int, help="bidders per auction (theoretical)")

@@ -9,7 +9,7 @@ Three families cover everything the rest of the package needs:
                                  so no Myerson reserve exists
 
 Sampling is inverse-transform from a seeded numpy Generator, which keeps
-every downstream artifact reproducible from (descriptor, seed).
+every downstream artifact reproducible from (distribution, seed).
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class VirtualValueFn:
     def __call__(self, v: float) -> float:
         return virtual_value(self.dist, v)
 
-    def is_monotone_on_grid(self, points: int = 10_000) -> bool:
+    def is_monotone_on_grid(self) -> bool:
         hi = self.dist.hi
         if hi == math.inf:
             hi = float(self.dist.ppf(np.array(0.9999)))
@@ -140,13 +140,13 @@ class VirtualValueFn:
         eps = (hi - lo) * 1e-9
         # at least one ulp inside, where eps rounds away against a large offset
         grid = np.linspace(max(lo + eps, np.nextafter(lo, math.inf)),
-                           min(hi - eps, np.nextafter(hi, -math.inf)), points)
+                           min(hi - eps, np.nextafter(hi, -math.inf)), 10_000)
         vals = [virtual_value(self.dist, float(v)) for v in grid]
         return all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def myerson_reserve(dist: ContinuousDist, xtol: float = 1e-10) -> float:
-    """The zero of the virtual value, found by bisection to xtol.
+def myerson_reserve(dist: ContinuousDist) -> float:
+    """The zero of the virtual value, found by bisection to within 1e-10.
 
     Raises DomainError when phi has no sign change on the support (for
     example the equal-revenue family, where phi == 0).
@@ -166,4 +166,4 @@ def myerson_reserve(dist: ContinuousDist, xtol: float = 1e-10) -> float:
     phi_a, phi_b = _phi_unchecked(dist, a), _phi_unchecked(dist, b)
     if not (phi_a < 0.0 < phi_b):
         raise DomainError(f"{dist.name}: virtual value has no sign change on the support")
-    return float(sp_optimize.bisect(lambda v: _phi_unchecked(dist, v), a, b, xtol=xtol))
+    return float(sp_optimize.bisect(lambda v: _phi_unchecked(dist, v), a, b, xtol=1e-10))

@@ -37,7 +37,6 @@ from .mechanics import BidProfile, Mechanism, ReserveVector, run_auction
 class JointGenerator:
     """Draws (count, n) bid matrices over a fixed bidder set, deterministically per seed."""
 
-    descriptor: str
     bidder_ids: tuple[str, ...]
     draw: Callable[[np.random.Generator, int], np.ndarray]
 
@@ -69,7 +68,7 @@ def gen_high_low(n: int, epsilon: float = 1e-9) -> JointGenerator:
         level = np.where(rng.random((count, n)) < q, float(n), 1.0)
         return level + epsilon * rng.random((count, n))
 
-    return JointGenerator(f"high_low(n={n},epsilon={epsilon:g})", numbered_ids(n), draw)
+    return JointGenerator(numbered_ids(n), draw)
 
 
 def gen_correlated_equal_revenue(M: float, epsilon: float) -> JointGenerator:
@@ -91,8 +90,7 @@ def gen_correlated_equal_revenue(M: float, epsilon: float) -> JointGenerator:
         out[zero_branch, 1] = M
         return out
 
-    return JointGenerator(f"correlated_equal_revenue(M={M:g},epsilon={epsilon:g})",
-                          numbered_ids(2), draw)
+    return JointGenerator(numbered_ids(2), draw)
 
 
 def gen_symmetric_one_high(n: int, H: float, L: float) -> JointGenerator:
@@ -107,7 +105,7 @@ def gen_symmetric_one_high(n: int, H: float, L: float) -> JointGenerator:
         out[np.arange(count), rng.integers(n, size=count)] = float(H)
         return out
 
-    return JointGenerator(f"symmetric_one_high(n={n},H={H:g},L={L:g})", numbered_ids(n), draw)
+    return JointGenerator(numbered_ids(n), draw)
 
 
 def geometric_pair_atoms(K: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +129,7 @@ def gen_geometric_pair(K: int, epsilon: float) -> JointGenerator:
         v = rng.choice(values, size=count, p=probs)
         return np.column_stack([v, v])
 
-    return JointGenerator(f"geometric_pair(K={K},epsilon={epsilon:g})", numbered_ids(2), draw)
+    return JointGenerator(numbered_ids(2), draw)
 
 
 def gen_iid(dist: ContinuousDist, n: int) -> JointGenerator:
@@ -142,7 +140,7 @@ def gen_iid(dist: ContinuousDist, n: int) -> JointGenerator:
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
         return dist.sample(rng, (count, n))
 
-    return JointGenerator(f"iid({dist.name},n={n})", numbered_ids(n), draw)
+    return JointGenerator(numbered_ids(n), draw)
 
 
 def gen_hardness_instance(vertices: Sequence, edges: Sequence[tuple], L: float, H: float) -> BidLog:
@@ -284,16 +282,15 @@ def _equal_revenue_pair_expectations(M: float, epsilon: float):
     return lazy_rev, eager_rev
 
 
-def equal_revenue_pair_analysis(M: float, epsilon: float,
-                                grid_size: int = 160) -> EqualRevenuePairAnalysis:
+def equal_revenue_pair_analysis(M: float, epsilon: float) -> EqualRevenuePairAnalysis:
     """Lazy-at-(0, M) revenue versus the best eager revenue over a reserve grid.
 
-    The eager search runs r2 over a log grid on [1, M] (plus 0, plus M
-    exactly; the maximum sits at an endpoint) and r1 over a sparser log grid.
+    The eager search runs r2 over a 160-point log grid on [1, M] (plus 0, plus
+    M exactly; the maximum sits at an endpoint) and r1 over a 25-point one.
     """
     lazy_rev, eager_rev = _equal_revenue_pair_expectations(M, epsilon)
     lazy = lazy_rev(0.0, M)
-    r2_grid = np.concatenate([[0.0], np.logspace(0.0, math.log10(M), grid_size), [M]])
+    r2_grid = np.concatenate([[0.0], np.logspace(0.0, math.log10(M), 160), [M]])
     r1_grid = np.concatenate([[0.0], np.logspace(0.0, math.log10(M), 25)])
     best = (-math.inf, (0.0, 0.0))
     for r1 in r1_grid:

@@ -224,22 +224,14 @@ def write_reserves(reserves: ReserveVector, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _rev_welfare(log: BidLog, reserves: ReserveVector, mechanism: Mechanism) -> tuple[float, float]:
-    revenue, welfare = empirical_totals(log, reserves, mechanism)
-    return revenue / len(log), welfare / len(log)
-
-
-RESERVE_SOURCES = ("rstar_l", "monopoly")
-
-
 @dataclass(frozen=True)
 class LiftReport:
     """Revenue lifts and welfare losses of reserve vectors against the zero-reserve baseline.
 
-    Raw per-auction revenues are stored; deltas and normalizations are
-    derived views. `delta_difference` computes eager-minus-lazy revenue at one
-    reserve source directly (not as a difference of deltas), so it matches a
-    fresh simulation bit for bit.
+    Raw per-auction revenues are stored; deltas are derived views.
+    `delta_difference` computes eager-minus-lazy revenue at one reserve source
+    directly (not as a difference of deltas), so it matches a fresh simulation
+    bit for bit.
     """
 
     slot: str
@@ -258,36 +250,20 @@ class LiftReport:
     def delta_difference(self, source: str) -> float:
         return self.revenue[f"eager:{source}"] - self.revenue[f"lazy:{source}"]
 
-    @property
-    def normalizer(self) -> float:
-        return self.delta(Mechanism.LAZY, "rstar_l")
-
-    @property
-    def welfare_normalizer(self) -> float:
-        return self.welfare_loss(Mechanism.LAZY, "rstar_l")
-
-    @property
-    def normalization_available(self) -> bool:
-        return self.normalizer > 0.0
-
-    @property
-    def welfare_normalization_available(self) -> bool:
-        return self.welfare_normalizer > 0.0
-
 
 def compute_lift_report(log: BidLog, slot: str) -> LiftReport:
     """Lifts of the optimal lazy reserves and the monopoly reserves on one log."""
-    rev0, wel0 = _rev_welfare(log, ReserveVector.zero(), Mechanism.LAZY)
+    rev0, wel0 = empirical_totals(log, ReserveVector.zero(), Mechanism.LAZY)
     vectors = {"rstar_l": optimal_lazy(log).reserves,
                "monopoly": monopoly_reserves(log).reserves}
     revenue: dict[str, float] = {}
     welfare: dict[str, float] = {}
     for source, rv in vectors.items():
         for mech in (Mechanism.LAZY, Mechanism.EAGER):
-            rev, wel = _rev_welfare(log, rv, mech)
-            revenue[f"{mech.value}:{source}"] = rev
-            welfare[f"{mech.value}:{source}"] = wel
-    return LiftReport(slot, rev0, wel0, revenue, welfare, vectors)
+            rev, wel = empirical_totals(log, rv, mech)
+            revenue[f"{mech.value}:{source}"] = rev / len(log)
+            welfare[f"{mech.value}:{source}"] = wel / len(log)
+    return LiftReport(slot, rev0 / len(log), wel0 / len(log), revenue, welfare, vectors)
 
 
 _CELLS = [(Mechanism.LAZY, "rstar_l"), (Mechanism.EAGER, "rstar_l"),
@@ -296,13 +272,14 @@ _LIFT_HEADER = ("slot\tbasis\tdelta_lazy_rstar_l\tdelta_eager_rstar_l\t"
                 "delta_lazy_monopoly\tdelta_eager_monopoly")
 
 
-def _lift_tsv(reports: Iterable[LiftReport], cell, available, normalizer) -> str:
+def _lift_tsv(reports: Iterable[LiftReport], cell) -> str:
+    """Raw cells, then the same divided by the lazy-at-rstar_l cell when it is positive."""
     lines = [_LIFT_HEADER]
     for rep in reports:
         raw = [cell(rep, mech, src) for mech, src in _CELLS]
         lines.append("\t".join([rep.slot, "raw"] + [f"{v:.10g}" for v in raw]))
-        if available(rep):
-            norm = [v / normalizer(rep) for v in raw]
+        if raw[0] > 0.0:
+            norm = [v / raw[0] for v in raw]
             lines.append("\t".join([rep.slot, "normalized"] + [f"{v:.10g}" for v in norm]))
         else:
             lines.append("\t".join([rep.slot, "normalization_unavailable"] + [""] * len(raw)))
@@ -311,11 +288,9 @@ def _lift_tsv(reports: Iterable[LiftReport], cell, available, normalizer) -> str
 
 def lift_revenue_tsv(reports: Iterable[LiftReport]) -> str:
     """Revenue-lift table: raw deltas plus the same normalized so lazy-at-rstar = 1."""
-    return _lift_tsv(reports, LiftReport.delta,
-                     lambda r: r.normalization_available, lambda r: r.normalizer)
+    return _lift_tsv(reports, LiftReport.delta)
 
 
 def lift_welfare_tsv(reports: Iterable[LiftReport]) -> str:
     """Welfare-loss table, normalized so the lazy-at-rstar loss = 1 when positive."""
-    return _lift_tsv(reports, LiftReport.welfare_loss,
-                     lambda r: r.welfare_normalization_available, lambda r: r.welfare_normalizer)
+    return _lift_tsv(reports, LiftReport.welfare_loss)

@@ -28,7 +28,6 @@ revenue bit for bit.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -42,27 +41,14 @@ from .vectorized import ABSENT, _top_two, eager_payments, lazy_order, payments
 
 # bid x reserve-row elements per eager kernel call in the searches: about 0.5 MB of float64
 _SEARCH_BATCH = 1 << 16
-
-
-class CandidateSource(enum.Enum):
-    """Where a chosen reserve value sits in the log's bid order statistics."""
-
-    ZERO = "zero"
-    FIRST_BID = "first_bid"
-    SECOND_BID = "second_bid"
-
-
-@dataclass(frozen=True)
-class BidderDiagnostic:
-    candidate_count: int
-    source: CandidateSource
+# candidates re-simulated together by optimal_lazy_bruteforce
+_BRUTEFORCE_CHUNK = 256
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
     reserves: ReserveVector
     expected_revenue: float
-    per_bidder_diagnostics: dict[str, BidderDiagnostic]
     # eager_coordinate_ascent only: rounds run, and False when it stopped at max_rounds
     rounds: int | None = None
     converged: bool | None = None
@@ -87,17 +73,10 @@ def empirical_revenue(log: BidLog, reserves: ReserveVector, mechanism: Mechanism
     return empirical_totals(log, reserves, mechanism)[0] / len(log)
 
 
-def _log_tops(log: BidLog) -> set[float]:
-    return set(lazy_order(log.to_matrix())[1].tolist())
-
-
-def _classify(value: float, top_values) -> CandidateSource:
-    # a candidate is always 0 or some auction's top/second bid; tops win the label
-    if value == 0.0:
-        return CandidateSource.ZERO
-    if value in top_values:
-        return CandidateSource.FIRST_BID
-    return CandidateSource.SECOND_BID
+def _result(log: BidLog, row: np.ndarray, mechanism: Mechanism) -> OptimizationResult:
+    """Reserves from a row in bidder_ids order, with their empirical revenue under `mechanism`."""
+    reserves = ReserveVector(dict(zip(log.bidder_ids, (float(x) for x in row))))
+    return OptimizationResult(reserves, empirical_revenue(log, reserves, mechanism))
 
 
 def optimal_lazy(log: BidLog) -> OptimizationResult:
@@ -111,13 +90,10 @@ def optimal_lazy(log: BidLog) -> OptimizationResult:
     smallest reserve. Bidders who never win at zero reserves keep reserve 0.
     """
     winner, top, second = lazy_order(log.to_matrix())
-    chosen: dict[str, float] = {}
-    diags: dict[str, BidderDiagnostic] = {}
-    for j, bidder in enumerate(log.bidder_ids):
+    chosen = np.zeros(len(log.bidder_ids))
+    for j in range(len(log.bidder_ids)):
         mask = winner == j
         if not mask.any():
-            chosen[bidder] = 0.0
-            diags[bidder] = BidderDiagnostic(1, CandidateSource.ZERO)
             continue
         tops = top[mask]
         seconds = second[mask]
@@ -145,15 +121,11 @@ def optimal_lazy(log: BidLog) -> OptimizationResult:
                     k += 1
                     s -= v
                 i += 1
-        chosen[bidder] = float(best_r)
-        n_candidates = len(np.unique(values)) + (0.0 not in values)
-        diags[bidder] = BidderDiagnostic(int(n_candidates),
-                                         _classify(chosen[bidder], set(tops.tolist())))
-    reserves = ReserveVector(chosen)
-    return OptimizationResult(reserves, empirical_revenue(log, reserves, Mechanism.LAZY), diags)
+        chosen[j] = best_r
+    return _result(log, chosen, Mechanism.LAZY)
 
 
-def optimal_lazy_bruteforce(log: BidLog, chunk: int = 256) -> OptimizationResult:
+def optimal_lazy_bruteforce(log: BidLog) -> OptimizationResult:
     """Optimal lazy reserves by direct re-simulation of every candidate.
 
     Same per-bidder decoupling, no incremental bookkeeping: for each candidate
@@ -162,28 +134,23 @@ def optimal_lazy_bruteforce(log: BidLog, chunk: int = 256) -> OptimizationResult
     same argmax and revenue.
     """
     winner, top, second = lazy_order(log.to_matrix())
-    chosen: dict[str, float] = {}
-    diags: dict[str, BidderDiagnostic] = {}
-    for j, bidder in enumerate(log.bidder_ids):
+    chosen = np.zeros(len(log.bidder_ids))
+    for j in range(len(log.bidder_ids)):
         mask = winner == j
         if not mask.any():
-            chosen[bidder] = 0.0
-            diags[bidder] = BidderDiagnostic(1, CandidateSource.ZERO)
             continue
         tops = top[mask]
         seconds = second[mask]
         cands = np.unique(np.concatenate([[0.0], tops, seconds]))  # ascending
         best_r, best_rev = 0.0, -math.inf
-        for lo in range(0, len(cands), chunk):
-            c = cands[lo:lo + chunk, None]
+        for lo in range(0, len(cands), _BRUTEFORCE_CHUNK):
+            c = cands[lo:lo + _BRUTEFORCE_CHUNK, None]
             rev = np.where(tops[None, :] >= c, np.maximum(c, seconds[None, :]), 0.0).sum(axis=1)
             i = int(np.argmax(rev))
             if rev[i] > best_rev:  # first strict max across chunks = smallest candidate on ties
                 best_r, best_rev = float(c[i, 0]), float(rev[i])
-        chosen[bidder] = best_r
-        diags[bidder] = BidderDiagnostic(len(cands), _classify(best_r, set(tops.tolist())))
-    reserves = ReserveVector(chosen)
-    return OptimizationResult(reserves, empirical_revenue(log, reserves, Mechanism.LAZY), diags)
+        chosen[j] = best_r
+    return _result(log, chosen, Mechanism.LAZY)
 
 
 def monopoly_reserves(log: BidLog, mechanism: Mechanism = Mechanism.EAGER) -> OptimizationResult:
@@ -195,20 +162,15 @@ def monopoly_reserves(log: BidLog, mechanism: Mechanism = Mechanism.EAGER) -> Op
     the monopoly objective itself is not auction revenue.
     """
     bids = log.to_matrix()
-    log_tops = _log_tops(log)
-    chosen: dict[str, float] = {}
-    diags: dict[str, BidderDiagnostic] = {}
-    for j, bidder in enumerate(log.bidder_ids):
+    chosen = np.empty(len(log.bidder_ids))
+    for j in range(len(log.bidder_ids)):
         vals = bids[:, j]
         vals = np.sort(vals[np.isfinite(vals)])
         cands = np.unique(vals)
         n_at_least = len(vals) - np.searchsorted(vals, cands, side="left")
         rev = cands * n_at_least
-        i = int(np.argmax(rev))  # first max = smallest candidate
-        chosen[bidder] = float(cands[i])
-        diags[bidder] = BidderDiagnostic(len(cands), _classify(chosen[bidder], log_tops))
-    reserves = ReserveVector(chosen)
-    return OptimizationResult(reserves, empirical_revenue(log, reserves, mechanism), diags)
+        chosen[j] = cands[np.argmax(rev)]  # first max = smallest candidate
+    return _result(log, chosen, mechanism)
 
 
 def _global_candidates(log: BidLog) -> np.ndarray:
@@ -249,15 +211,6 @@ def argmax_over_grid(cands, n: int, score, chunk: int) -> np.ndarray:
     return best_vec
 
 
-def _eager_result(log: BidLog, cands: np.ndarray, row: np.ndarray) -> OptimizationResult:
-    log_tops = _log_tops(log)
-    chosen = dict(zip(log.bidder_ids, (float(x) for x in row)))
-    diags = {b: BidderDiagnostic(len(cands), _classify(chosen[b], log_tops))
-             for b in log.bidder_ids}
-    reserves = ReserveVector(chosen)
-    return OptimizationResult(reserves, empirical_revenue(log, reserves, Mechanism.EAGER), diags)
-
-
 def optimal_eager_exact(log: BidLog, max_product_size: int = 1_000_000) -> OptimizationResult:
     """Exhaustive eager optimum over the product of per-bidder candidate sets.
 
@@ -274,7 +227,7 @@ def optimal_eager_exact(log: BidLog, max_product_size: int = 1_000_000) -> Optim
     bids = log.to_matrix()
     best = argmax_over_grid(cands.tolist(), n, lambda R: _eager_totals_for_rows(bids, R),
                             1 << 14)
-    return _eager_result(log, cands, best)
+    return _result(log, best, Mechanism.EAGER)
 
 
 def _eager_line_totals(bids: np.ndarray, current: np.ndarray, j: int, cands: np.ndarray):
@@ -373,4 +326,4 @@ def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
                 current_total = float(totals[i])
         converged = current_total - round_start <= 1e-12 * max(1.0, abs(round_start))
 
-    return replace(_eager_result(log, cands, current), rounds=rounds, converged=converged)
+    return replace(_result(log, current, Mechanism.EAGER), rounds=rounds, converged=converged)

@@ -6,8 +6,10 @@ import math
 import pytest
 
 from reservelab.cli import main
-from reservelab.logio import compute_lift_report, parse_log, read_reserves
-from reservelab.mechanics import Mechanism, run_eager
+from reservelab.logio import (compute_lift_report, lift_revenue_tsv, lift_welfare_tsv,
+                              parse_log, read_reserves)
+from reservelab.logs import BidLog
+from reservelab.mechanics import BidProfile, Mechanism, run_eager
 from reservelab.optimize import empirical_revenue, optimal_lazy
 
 IID_PARAMS = '{"dist": "uniform", "n": 3, "lo": 0.0, "hi": 10.0}'
@@ -218,6 +220,34 @@ def test_lift_tables_zero_normalizer(tmp_path):
     assert "normalization_unavailable" in text
 
 
+def test_lift_tables_golden_text():
+    lifted = BidLog([BidProfile("a1", {"b1": 10.0, "b2": 4.0, "b3": 1.5}),
+                     BidProfile("a2", {"b1": 6.0, "b2": 4.25}),
+                     BidProfile("a3", {"b1": 3.0, "b3": 2.0}),
+                     BidProfile("a4", {"b2": 7.5, "b3": 0.5})])
+    flat = BidLog([BidProfile("a1", {"b1": 5.0, "b2": 5.0}),
+                   BidProfile("a2", {"b1": 5.0, "b2": 5.0})])
+    kept = BidLog([BidProfile("a1", {"b1": 5.0, "b2": 1.0})])  # revenue lift, no welfare loss
+    reports = [compute_lift_report(lifted, "lifted"), compute_lift_report(flat, "flat"),
+               compute_lift_report(kept, "kept")]
+    header = ("slot\tbasis\tdelta_lazy_rstar_l\tdelta_eager_rstar_l\t"
+              "delta_lazy_monopoly\tdelta_eager_monopoly\n")
+    assert lift_revenue_tsv(reports) == header + (
+        "lifted\traw\t2.1875\t2.1875\t1.3125\t1.6875\n"
+        "lifted\tnormalized\t1\t1\t0.6\t0.7714285714\n"
+        "flat\traw\t0\t0\t0\t0\n"
+        "flat\tnormalization_unavailable\t\t\t\t\n"
+        "kept\traw\t4\t4\t4\t4\n"
+        "kept\tnormalized\t1\t1\t1\t1\n")
+    assert lift_welfare_tsv(reports) == header + (
+        "lifted\traw\t0.75\t0.25\t0.75\t0.25\n"
+        "lifted\tnormalized\t1\t0.3333333333\t1\t0.3333333333\n"
+        "flat\traw\t0\t0\t0\t0\n"
+        "flat\tnormalization_unavailable\t\t\t\t\n"
+        "kept\traw\t0\t0\t0\t0\n"
+        "kept\tnormalization_unavailable\t\t\t\t\n")
+
+
 def test_lift_report_delta_difference(tmp_path):
     log = parse_log(str(run_gen(tmp_path)))
     rep = compute_lift_report(log, "x")
@@ -293,3 +323,66 @@ def test_bad_config_values_exit_2_naming_the_field(tmp_path, capsys, argv, confi
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err.split() and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["gen", "--generator", "iid", "--params", IID_PARAMS, "--count", "5", "--trials", "7"], 2),
+    (["gen", "--generator", "iid", "--params", IID_PARAMS, "--count", "5",
+      "--mechanism", "lazy"], 2),
+    (["optimize", "--task", "lazy", "--generator", "iid", "--params", IID_PARAMS,
+      "--count", "5", "--trials", "7"], 2),
+    (["lift-tables", "--generator", "iid", "--params", IID_PARAMS, "--count", "5",
+      "--mechanism", "eager"], 2),
+    (["lift-tables", "--generator", "iid", "--params", IID_PARAMS, "--count", "5",
+      "--trials", "3"], 2),
+    (["sweep", "--dist", "uniform", "--n", "2", "--trials", "10", "--generator", "iid"], 2),
+    (["sweep", "--dist", "uniform", "--n", "2", "--trials", "10", "--count", "5"], 2),
+    (["sweep", "--dist", "uniform", "--n", "2", "--trials", "10"], 0),
+    (["optimize", "--task", "monopoly", "--mechanism", "lazy", "--generator", "iid",
+      "--params", IID_PARAMS, "--count", "5"], 0),
+])
+def test_each_command_takes_only_the_flags_it_reads(tmp_path, capsys, argv, code):
+    out = tmp_path / "out"
+    assert exit_code(argv + ["--out", str(out)]) == code
+    if code == 2:
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+    elif argv[0] == "optimize":
+        assert json.loads((out / "summary.json").read_text())["mechanism"] == "lazy"
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["sweep", "--dist", "uniform", "--n", "2", "--trials", "10",
+      "--params", '{"lo": 0, "hi": 1, "bogus": 3}'], "bogus"),
+    (["gen", "--generator", "iid", "--count", "5",
+      "--params", '{"dist": "uniform", "n": 2, "rate": 2}'], "rate"),
+    (["gen", "--generator", "hardness",
+      "--params", TRIANGLE[:-1] + ', "extra": 1}'], "extra"),
+])
+def test_unknown_params_keys_exit_2(tmp_path, capsys, argv, key):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("dist, params", [
+    ("exponential", '{"rate": 1e-300}'),  # nan stderrs, negative references
+    ("uniform", '{"lo": 0, "hi": 1e308}'),  # inf means
+])
+def test_theoretical_sweep_refuses_non_finite_output(tmp_path, capsys, dist, params):
+    out = tmp_path / "out"
+    assert main(["sweep", "--mode", "theoretical", "--dist", dist, "--params", params,
+                 "--n", "2", "--trials", "1000", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "k=0" in err
+    assert not (out / "sweep.tsv").exists()
