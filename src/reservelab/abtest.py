@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import integrate
@@ -109,68 +109,69 @@ def _treated_reserve_row(dist: ContinuousDist, n: int, plan: TreatmentPlan) -> n
     return np.full(n, myerson_reserve(dist))
 
 
-def _bidder_split_chunks(dist: ContinuousDist, n: int, mechanism: Mechanism,
-                         trials: int, seed: int, ks: Iterable[int],
-                         assignment: AssignmentMode, r_full: np.ndarray):
-    """Yield (c, len(ks)) payment matrices; same draws serve every k (common random numbers)."""
-    ks = list(ks)
+def _moments(dist: ContinuousDist, n: int, trials: int, seed: int, arms) -> tuple:
+    """Running (count, mean, M2) of the payments `arms` returns on `trials` seeded auctions.
+
+    Each block of up to _CHUNK auctions draws its (c, n) values first; then
+    arms(rng, values, first) draws any treatment assignment from the same rng
+    and returns the block's payments, one row per auction (`first` is the
+    block's first auction index). Every arm sees the same values (common
+    random numbers).
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    cols = np.arange(n)
-    remaining = trials
-    while remaining > 0:
-        c = min(_CHUNK, remaining)
-        remaining -= c
-        values = dist.sample(rng, (c, n))
+    stats = (0, 0.0, 0.0)
+    for first in range(0, trials, _CHUNK):
+        values = dist.sample(rng, (min(_CHUNK, trials - first), n))
+        block = arms(rng, values, first)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf/nan moments
+            stats = _merge_moments(stats, block)
+    return stats
+
+
+def _bidder_arms(mechanism: Mechanism, r_full: np.ndarray, ks, assignment: AssignmentMode):
+    """Arms treating k of the n bidders: one payment column per k in ks, treated sets nested."""
+    def arms(rng, values, first):
+        c, n = values.shape
         if assignment is AssignmentMode.RANDOM_PER_AUCTION:
-            # rank of each column in a random per-row permutation; treated = rank < k, nested over k
-            order = np.argsort(rng.random((c, n)), axis=1)
-            ranks = np.argsort(order, axis=1)
+            # rank of each column in a random per-row permutation; treated = rank < k
+            ranks = np.argsort(np.argsort(rng.random((c, n)), axis=1), axis=1)
         else:
-            ranks = np.broadcast_to(cols, (c, n))
+            ranks = np.broadcast_to(np.arange(n), (c, n))
         out = np.empty((c, len(ks)))
         for j, k in enumerate(ks):
-            reserves = np.where(ranks < k, r_full[None, :], 0.0)
-            out[:, j] = payments(values, reserves, mechanism)
-        yield out
+            out[:, j] = payments(values, np.where(ranks < k, r_full, 0.0), mechanism)
+        return out
+    return arms
 
 
 def simulate_treatment(dist: ContinuousDist, n: int, plan: TreatmentPlan,
                        mechanism: Mechanism, trials: int, seed: int) -> SweepRow:
     """Monte-Carlo revenue of one treatment point. Returns a single sweep row."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     r_full = _treated_reserve_row(dist, n, plan)
     if plan.mode is SplitMode.BIDDER_SPLIT:
         k = plan.treated_count
         if not 0 <= k <= n:
             raise ValueError(f"treated_count {k} out of range [0, {n}]")
-        stats = (0, 0.0, 0.0)
-        for block in _bidder_split_chunks(dist, n, mechanism, trials, seed, [k],
-                                          plan.assignment, r_full):
-            stats = _merge_moments(stats, block[:, 0])
-        mean, se = _mean_stderr(*stats)
+        bidder = _bidder_arms(mechanism, r_full, [k], plan.assignment)
+        mean, se = _mean_stderr(*_moments(dist, n, trials, seed,
+                                          lambda rng, v, first: bidder(rng, v, first)[:, 0]))
         return SweepRow(float(k), mechanism, mean, se, trials)
 
     p = plan.treated_fraction
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"treated_fraction {p} out of range [0, 1]")
-    rng = np.random.default_rng(seed)
-    stats = (0, 0.0, 0.0)
-    done = 0
-    n_treated_target = round(p * trials)
-    while done < trials:
-        c = min(_CHUNK, trials - done)
-        values = dist.sample(rng, (c, n))
+
+    def auction_arm(rng, values, first):
+        c = len(values)
         if plan.assignment is AssignmentMode.RANDOM_PER_AUCTION:
             treated = rng.random(c) < p
-        else:
-            # fixed split: the first round(p * trials) auctions are treated
-            idx = np.arange(done, done + c)
-            treated = idx < n_treated_target
-        reserves = np.where(treated[:, None], r_full[None, :], 0.0)
-        stats = _merge_moments(stats, payments(values, reserves, mechanism))
-        done += c
-    mean, se = _mean_stderr(*stats)
+        else:  # fixed split: the first round(p * trials) auctions are treated
+            treated = np.arange(first, first + c) < round(p * trials)
+        return payments(values, np.where(treated[:, None], r_full, 0.0), mechanism)
+
+    mean, se = _mean_stderr(*_moments(dist, n, trials, seed, auction_arm))
     return SweepRow(p, mechanism, mean, se, trials)
 
 
@@ -251,8 +252,7 @@ def _reference(dist: ContinuousDist, n: int, k: int, mechanism: Mechanism,
 
 
 def sweep_theoretical(dist: ContinuousDist, n: int, mechanism: Mechanism,
-                      trials: int, seed: int,
-                      assignment: AssignmentMode = AssignmentMode.RANDOM_PER_AUCTION) -> SweepResult:
+                      trials: int, seed: int) -> SweepResult:
     """Monte-Carlo sweep over k = 0..n with common random numbers, plus reference values.
 
     References: closed form for uniform(0,1) eager, quadrature for other
@@ -260,14 +260,10 @@ def sweep_theoretical(dist: ContinuousDist, n: int, mechanism: Mechanism,
     for lazy. A non-finite mean, stderr or reference, or a negative reference,
     raises DomainError naming the first such row.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    r_full = _treated_reserve_row(dist, n, TreatmentPlan())
     ks = list(range(n + 1))
-    stats = (0, 0.0, 0.0)
-    for block in _bidder_split_chunks(dist, n, mechanism, trials, seed, ks, assignment, r_full):
-        stats = _merge_moments(stats, block)
-    count, means, m2s = stats
+    arms = _bidder_arms(mechanism, _treated_reserve_row(dist, n, TreatmentPlan()), ks,
+                        AssignmentMode.RANDOM_PER_AUCTION)
+    count, means, m2s = _moments(dist, n, trials, seed, arms)
     lazy_endpoints = None
     if mechanism is Mechanism.LAZY:
         lazy_endpoints = (expected_second_highest(dist, n), rev_e_k_quadrature(dist, n, n))
@@ -298,15 +294,10 @@ def paired_treatment_deltas(dist: ContinuousDist, n: int, mechanism: Mechanism,
     of each difference by orders of magnitude versus differencing independent
     estimates, which is what makes the small monotone-decrease gaps testable.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    r_full = _treated_reserve_row(dist, n, TreatmentPlan())
-    ks = list(range(n + 1))
-    stats = (0, 0.0, 0.0)
-    for block in _bidder_split_chunks(dist, n, mechanism, trials, seed, ks,
-                                      AssignmentMode.RANDOM_PER_AUCTION, r_full):
-        stats = _merge_moments(stats, np.diff(block, axis=1))
-    count, means, m2s = stats
+    arms = _bidder_arms(mechanism, _treated_reserve_row(dist, n, TreatmentPlan()),
+                        range(n + 1), AssignmentMode.RANDOM_PER_AUCTION)
+    count, means, m2s = _moments(dist, n, trials, seed,
+                                 lambda rng, v, first: np.diff(arms(rng, v, first), axis=1))
     out = []
     for k in range(n):
         mean, se = _mean_stderr(count, means[k], m2s[k])

@@ -92,6 +92,32 @@ def load_config(config_path: Optional[str], overrides: dict) -> RunConfig:
     return cfg
 
 
+# The flags that only some optimize tasks or sweep modes read, by the key that picks
+# the task or mode. A flag given to a task or mode that does not read it exits 2.
+_MODE_FLAGS = {
+    "optimize": ("task", {"lazy": (), "monopoly": ("mechanism",),
+                          "eager-exact": ("max_product_size",),
+                          "eager-local": ("max_rounds",)}),
+    "sweep": ("mode", {"theoretical": ("params", "dist", "n", "trials"),
+                       "empirical": ("input", "format", "reserves", "grid", "assignments")}),
+}
+
+
+def _refuse_unread_flags(command: str, flags, cfg: RunConfig) -> None:
+    """Raise ConfigError naming the flags the chosen optimize task or sweep mode ignores."""
+    if command not in _MODE_FLAGS:
+        return
+    key, reads = _MODE_FLAGS[command]
+    choice = getattr(cfg, key)
+    if choice not in reads:
+        return  # the command itself refuses an unknown task or mode
+    owned = {f for names in reads.values() for f in names}
+    unread = sorted((owned - set(reads[choice])) & set(flags))
+    if unread:
+        names = ", ".join("--" + f.replace("_", "-") for f in unread)
+        raise ConfigError(f"{command} --{key} {choice} does not read {names}")
+
+
 def _mechanisms(cfg: RunConfig) -> list[Mechanism]:
     if cfg.mechanism == "both":
         return [Mechanism.LAZY, Mechanism.EAGER]
@@ -368,6 +394,7 @@ def main(argv=None) -> int:
             except json.JSONDecodeError as e:
                 raise ConfigError(f"--params is not valid JSON: {e.msg}") from None
         cfg = load_config(ns.config, overrides)
+        _refuse_unread_flags(ns.command, overrides, cfg)
         _COMMANDS[ns.command](cfg)
         return 0
     except LogParseError as e:

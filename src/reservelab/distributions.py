@@ -148,8 +148,10 @@ class VirtualValueFn:
 def myerson_reserve(dist: ContinuousDist) -> float:
     """The zero of the virtual value, found by bisection to within 1e-10.
 
-    Raises DomainError when phi has no sign change on the support (for
-    example the equal-revenue family, where phi == 0).
+    When phi > 0 on the whole support the reserve is its low end: for a
+    regular law, revenue only falls as the reserve rises above lo. Otherwise
+    raises DomainError when phi has no sign change on the support (for
+    example the equal-revenue family, where phi == 0 up to rounding).
     """
     eps = 1e-12 * max(dist.scale, 1.0)
     a = dist.lo + eps
@@ -164,6 +166,10 @@ def myerson_reserve(dist: ContinuousDist) -> float:
     else:
         b = dist.hi - eps
     phi_a, phi_b = _phi_unchecked(dist, a), _phi_unchecked(dist, b)
-    if not (phi_a < 0.0 < phi_b):
+    # phi(a) = a - (1 - F)/f is rounded by a few ulps of a and of 1/f; within that it is 0
+    tol = 8.0 * np.finfo(float).eps * (abs(a) + 1.0 / dist.pdf(a))
+    if phi_a > tol and phi_b > 0.0:
+        return dist.lo
+    if not (phi_a < -tol and phi_b > 0.0):
         raise DomainError(f"{dist.name}: virtual value has no sign change on the support")
     return float(sp_optimize.bisect(lambda v: _phi_unchecked(dist, v), a, b, xtol=1e-10))

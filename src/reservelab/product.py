@@ -2,7 +2,7 @@
 
 A ProductDist assigns each bidder an independent finite-support distribution.
 expected_revenue_product evaluates an auction's expected revenue exactly by
-enumerating the full profile space (guarded by max_profiles), always walking
+enumerating the full profile space (at most _MAX_PROFILES profiles), always walking
 profiles in the same deterministic order so two evaluations that agree
 pointwise agree bit for bit.
 
@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SearchSpaceTooLarge
-from .mechanics import BidProfile, Mechanism, ReserveVector, run_auction, run_lazy
+from .mechanics import BidProfile, Mechanism, ReserveVector, run_auction
 from .optimize import argmax_over_grid
 from .vectorized import payments
 
@@ -87,6 +87,9 @@ class ProductDist:
         return size
 
 
+_MAX_PROFILES = 1_000_000  # largest profile space expected_revenue_product enumerates
+
+
 def _check_size(size: int, max_profiles: int):
     if size > max_profiles:
         raise SearchSpaceTooLarge(
@@ -94,36 +97,19 @@ def _check_size(size: int, max_profiles: int):
 
 
 def expected_revenue_product(dist: ProductDist, reserves: ReserveVector,
-                             mechanism: Mechanism, max_profiles: int = 1_000_000) -> float:
+                             mechanism: Mechanism) -> float:
     """Exact expected revenue by full profile enumeration.
 
     Profiles are enumerated in lexicographic bidder/atom order and payments
     come from the scalar mechanics, so the result is a deterministic sum.
     """
-    _check_size(dist.support_size(), max_profiles)
+    _check_size(dist.support_size(), _MAX_PROFILES)
     ids = dist.bidder_ids()
     terms = []
     for combo in itertools.product(*(dist.bidders[b].atoms for b in ids)):
         prob = math.prod(p for _, p in combo)
         profile = BidProfile("x", {b: v for b, (v, _) in zip(ids, combo)})
         terms.append(prob * run_auction(profile, reserves, mechanism).payment)
-    return math.fsum(terms)
-
-
-def _conditional_lazy_revenue(dist: ProductDist, reserves: ReserveVector,
-                              bidder: str, value: float, max_profiles: int) -> float:
-    """E[lazy revenue | bidder's bid = value] under the current product law."""
-    others = [b for b in dist.bidder_ids() if b != bidder]
-    size = 1
-    for b in others:
-        size *= len(dist.bidders[b].atoms)
-    _check_size(size, max_profiles)
-    terms = []
-    for combo in itertools.product(*(dist.bidders[b].atoms for b in others)):
-        prob = math.prod(p for _, p in combo)
-        bids = {b: v for b, (v, _) in zip(others, combo)}
-        bids[bidder] = value
-        terms.append(prob * run_lazy(BidProfile("x", bids), reserves).payment)
     return math.fsum(terms)
 
 
@@ -159,14 +145,15 @@ def optimal_reserves_product(dist: ProductDist, mechanism: Mechanism,
     return reserves, expected_revenue_product(dist, reserves, mechanism)
 
 
-def trim_lift(dist: ProductDist, lazy_reserves: ReserveVector,
-              max_profiles: int = 1_000_000) -> tuple[ProductDist, ReserveVector]:
+def trim_lift(dist: ProductDist,
+              lazy_reserves: ReserveVector) -> tuple[ProductDist, ReserveVector]:
     """Rewrite (distributions, lazy reserves) so eager equals lazy, revenue preserved or better.
 
     Bidders are processed in order of non-increasing reserve (ties by id).
     For bidder i, the replacement point x is the atom of D_i strictly below
-    r_i that maximizes the exact conditional lazy revenue E[Rev | b_i = x]
-    under the current state (x = 0 if nothing lies below r_i; ties toward the
+    r_i that maximizes the exact conditional lazy revenue E[Rev | b_i = x],
+    the current state's revenue with D_i replaced by a point mass at x
+    (x = 0 if nothing lies below r_i; ties toward the
     smallest atom); D_i is then trimmed at r_i and every unprocessed reserve
     is lifted to at least x.
 
@@ -182,11 +169,11 @@ def trim_lift(dist: ProductDist, lazy_reserves: ReserveVector,
         reserve = r[bidder]
         below = [v for v in dists[bidder].values() if v < reserve]
         if below:
-            state = ProductDist(dists)
             current = ReserveVector(dict(r))
             best_x, best_rev = None, -math.inf
             for v in below:  # ascending; strict > keeps the smallest on ties
-                rev = _conditional_lazy_revenue(state, current, bidder, v, max_profiles)
+                point = ProductDist({**dists, bidder: FiniteDist(((v, 1.0),))})
+                rev = expected_revenue_product(point, current, Mechanism.LAZY)
                 if rev > best_rev:
                     best_x, best_rev = v, rev
             x = best_x

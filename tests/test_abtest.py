@@ -140,14 +140,109 @@ def test_closed_form_reference_only_for_the_unit_uniform():
 def test_narrow_support_far_from_zero_is_judged_regular():
     # 1e-9 of the width rounds away against lo = 1e9: the regularity grid started at lo
     # itself and virtual_value refused it. phi(v) = 2v - hi > 0 on the whole support, so
-    # the sweeps now refuse because no Myerson reserve lies inside it
+    # the Myerson reserve is lo and every bidder clears it
     shifted = uniform_dist(1e9, 1e9 + 1.0)
     assert shifted.name == "uniform(1e+09,1000000001)"
     assert VirtualValueFn(shifted).is_monotone_on_grid()
-    with pytest.raises(DomainError, match="no sign change"):
-        simulate_treatment(shifted, 2, TreatmentPlan(), Mechanism.EAGER, 100, seed=1)
-    with pytest.raises(DomainError, match="no sign change"):
-        sweep_theoretical(shifted, 2, Mechanism.EAGER, 100, seed=1)
+    assert _treated_reserve_row(shifted, 2, TreatmentPlan()).tolist() == [1e9, 1e9]
+    row = simulate_treatment(shifted, 2, TreatmentPlan(), Mechanism.EAGER, 100, seed=1)
+    assert math.isfinite(row.mean) and math.isfinite(row.stderr)
+    res = sweep_theoretical(shifted, 2, Mechanism.EAGER, 100, seed=1)
+    assert all(math.isfinite(r.mean) and math.isfinite(r.stderr) and math.isfinite(r.reference)
+               for r in res.rows)
+
+
+def _reference_bidder_chunks(dist, n, mechanism, trials, seed, ks, assignment, r_full):
+    """The per-k kernel loop as first written: (c, len(ks)) payments per chunk of draws."""
+    ks = list(ks)
+    rng = np.random.default_rng(seed)
+    cols = np.arange(n)
+    remaining = trials
+    while remaining > 0:
+        c = min(abtest._CHUNK, remaining)
+        remaining -= c
+        values = dist.sample(rng, (c, n))
+        if assignment is AssignmentMode.RANDOM_PER_AUCTION:
+            order = np.argsort(rng.random((c, n)), axis=1)
+            ranks = np.argsort(order, axis=1)
+        else:
+            ranks = np.broadcast_to(cols, (c, n))
+        out = np.empty((c, len(ks)))
+        for j, k in enumerate(ks):
+            reserves = np.where(ranks < k, r_full[None, :], 0.0)
+            out[:, j] = payments(values, reserves, mechanism)
+        yield out
+
+
+def _reference_simulate(dist, n, plan, mechanism, trials, seed):
+    """simulate_treatment with its bidder-split and auction-split loops as first written."""
+    r_full = _treated_reserve_row(dist, n, plan)
+    stats = (0, 0.0, 0.0)
+    if plan.mode is SplitMode.BIDDER_SPLIT:
+        k = plan.treated_count
+        for block in _reference_bidder_chunks(dist, n, mechanism, trials, seed, [k],
+                                              plan.assignment, r_full):
+            stats = abtest._merge_moments(stats, block[:, 0])
+        return SweepRow(float(k), mechanism, *abtest._mean_stderr(*stats), trials)
+    p = plan.treated_fraction
+    rng = np.random.default_rng(seed)
+    done = 0
+    n_treated_target = round(p * trials)
+    while done < trials:
+        c = min(abtest._CHUNK, trials - done)
+        values = dist.sample(rng, (c, n))
+        if plan.assignment is AssignmentMode.RANDOM_PER_AUCTION:
+            treated = rng.random(c) < p
+        else:
+            idx = np.arange(done, done + c)
+            treated = idx < n_treated_target
+        reserves = np.where(treated[:, None], r_full[None, :], 0.0)
+        stats = abtest._merge_moments(stats, payments(values, reserves, mechanism))
+        done += c
+    return SweepRow(p, mechanism, *abtest._mean_stderr(*stats), trials)
+
+
+def _reference_all_k(n, mechanism, trials, seed, diff=False):
+    """Per-k (or adjacent-k difference) means and stderrs of the first-written loop."""
+    r_full = _treated_reserve_row(UNIFORM, n, TreatmentPlan())
+    stats = (0, 0.0, 0.0)
+    for block in _reference_bidder_chunks(UNIFORM, n, mechanism, trials, seed, range(n + 1),
+                                          AssignmentMode.RANDOM_PER_AUCTION, r_full):
+        stats = abtest._merge_moments(stats, np.diff(block, axis=1) if diff else block)
+    count, means, m2s = stats
+    return [abtest._mean_stderr(count, mean, m2) for mean, m2 in zip(means, m2s)]
+
+
+_ORACLE_TRIALS = abtest._CHUNK + 1  # two chunks, the second of one auction
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("mech", list(Mechanism))
+def test_sweep_and_paired_deltas_equal_the_per_k_reference(n, mech):
+    res = sweep_theoretical(UNIFORM, n, mech, _ORACLE_TRIALS, seed=21)
+    lazy_ends = (expected_second_highest(UNIFORM, n), rev_e_k_quadrature(UNIFORM, n, n))
+    want = [SweepRow(float(k), mech, mean, se, _ORACLE_TRIALS,
+                     rev_e_k_closed_uniform(n, k) if mech is Mechanism.EAGER
+                     else rev_l_k_closed(n, k, *lazy_ends))
+            for k, (mean, se) in enumerate(_reference_all_k(n, mech, _ORACLE_TRIALS, 21))]
+    assert list(res.rows) == want
+    descriptor = f"theoretical({UNIFORM.name},n={n})"
+    assert res.to_tsv() == SweepResult(tuple(want), 21, descriptor).to_tsv()
+    deltas = paired_treatment_deltas(UNIFORM, n, mech, _ORACLE_TRIALS, seed=22)
+    assert list(deltas) == [abtest.PairedDelta(k, k + 1, mean, se) for k, (mean, se)
+                            in enumerate(_reference_all_k(n, mech, _ORACLE_TRIALS, 22, diff=True))]
+
+
+@pytest.mark.parametrize("mode", list(SplitMode))
+@pytest.mark.parametrize("assignment", list(AssignmentMode))
+@pytest.mark.parametrize("mech", list(Mechanism))
+@pytest.mark.parametrize("reserves", [None, ReserveVector({"b00": math.inf, "b02": 0.3})])
+def test_simulate_treatment_equals_the_reference_loops(mode, assignment, mech, reserves):
+    for n, k, p in ((3, 2, 0.4), (1, 1, 0.7)):
+        plan = TreatmentPlan(mode=mode, treated_count=k, treated_fraction=p,
+                             assignment=assignment, reserves=reserves)
+        got = simulate_treatment(UNIFORM, n, plan, mech, _ORACLE_TRIALS, seed=23)
+        assert got == _reference_simulate(UNIFORM, n, plan, mech, _ORACLE_TRIALS, 23)
 
 
 def test_paired_deltas_detect_dip_and_jump():

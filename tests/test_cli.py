@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -374,15 +375,77 @@ def test_unknown_params_keys_exit_2(tmp_path, capsys, argv, key):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("dist, params", [
     ("exponential", '{"rate": 1e-300}'),  # nan stderrs, negative references
     ("uniform", '{"lo": 0, "hi": 1e308}'),  # inf means
 ])
 def test_theoretical_sweep_refuses_non_finite_output(tmp_path, capsys, dist, params):
     out = tmp_path / "out"
-    assert main(["sweep", "--mode", "theoretical", "--dist", dist, "--params", params,
-                 "--n", "2", "--trials", "1000", "--out", str(out)]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--mode", "theoretical", "--dist", dist, "--params", params,
+                     "--n", "2", "--trials", "1000", "--out", str(out)]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "k=0" in err
+    assert err.startswith("error: ") and "k=0" in err and err.count("\n") == 1
     assert not (out / "sweep.tsv").exists()
+
+
+def test_sweep_of_a_law_with_positive_virtual_value_uses_its_low_end(tmp_path):
+    # phi(v) = 2v - 10 > 0 on [6, 10]: the Myerson reserve is lo, which every bid clears
+    out = tmp_path / "out"
+    assert main(["sweep", "--dist", "uniform", "--params", '{"lo": 6, "hi": 10}', "--n", "2",
+                 "--trials", "1000", "--out", str(out)]) == 0
+    rows = [r.split("\t") for r in (out / "sweep.tsv").read_text().strip().split("\n")[3:]]
+    assert len(rows) == 6 and all(math.isfinite(float(x)) for r in rows for x in r[2:])
+    assert len({(r[2], r[3]) for r in rows}) == 1  # no reserve binds: every k earns alike
+
+
+@pytest.fixture
+def paths(tmp_path):
+    log_path = run_gen(tmp_path)
+    assert main(["optimize", "--task", "lazy", "--input", str(log_path),
+                 "--out", str(tmp_path / "opt")]) == 0
+    return {"log": str(log_path), "reserves": str(tmp_path / "opt" / "reserves.csv")}
+
+
+THEORETICAL = ["sweep", "--dist", "uniform", "--n", "2", "--trials", "10"]
+EMPIRICAL = ["sweep", "--mode", "empirical", "--input", "{log}", "--reserves", "{reserves}"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["optimize", "--task", "lazy", "--mechanism", "eager"], "--mechanism"),
+    (["optimize", "--task", "lazy", "--max-rounds", "3"], "--max-rounds"),
+    (["optimize", "--task", "eager-exact", "--max-rounds", "3"], "--max-rounds"),
+    (["optimize", "--task", "eager-local", "--max-product-size", "5"], "--max-product-size"),
+    (["optimize", "--task", "monopoly", "--max-product-size", "5"], "--max-product-size"),
+    (THEORETICAL + ["--grid", "0,0.5"], "--grid"),
+    (THEORETICAL + ["--assignments", "3"], "--assignments"),
+    (THEORETICAL + ["--reserves", "{reserves}"], "--reserves"),
+    (THEORETICAL + ["--input", "{log}"], "--input"),
+    (THEORETICAL + ["--format", "jsonl"], "--format"),
+    (EMPIRICAL + ["--params", '{{"lo": 0}}'], "--params"),
+    (EMPIRICAL + ["--dist", "uniform"], "--dist"),
+    (EMPIRICAL + ["--n", "7"], "--n"),
+    (EMPIRICAL + ["--trials", "7"], "--trials"),
+])
+def test_flags_the_task_or_mode_does_not_read_exit_2(tmp_path, capsys, paths, argv, flag):
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] == "optimize":
+        argv += ["--input", paths["log"]]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err.split() and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_keys_of_other_tasks_and_modes_are_not_refused(tmp_path, paths):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"mechanism": "eager", "max_rounds": 3, "grid": [0, 1],
+                               "assignments": 3, "trials": 10}))
+    assert main(["optimize", "--task", "lazy", "--config", str(cfg), "--input", paths["log"],
+                 "--out", str(tmp_path / "opt2")]) == 0
+    assert main(["sweep", "--dist", "uniform", "--n", "2", "--config", str(cfg),
+                 "--out", str(tmp_path / "sweep")]) == 0

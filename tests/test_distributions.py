@@ -58,8 +58,18 @@ def test_myerson_exponential():
 
 
 def test_myerson_rejects_equal_revenue():
-    with pytest.raises(DomainError):
-        myerson_reserve(equal_revenue_dist(100.0))
+    # phi == 0 on the continuous part; rounding leaves +-1 ulp at lo and up to
+    # M^2 * 1e-16 near M, which must not read as a sign change or a positive phi
+    for M in np.geomspace(1.5, 1e9, 400):
+        with pytest.raises(DomainError, match="no sign change"):
+            myerson_reserve(equal_revenue_dist(float(M)))
+
+
+def test_myerson_positive_virtual_value_gives_the_low_end():
+    # uniform(lo, hi) with lo > hi / 2: phi(v) = 2v - hi > 0 on the whole support
+    assert myerson_reserve(uniform_dist(6.0, 10.0)) == 6.0
+    assert myerson_reserve(uniform_dist(1e9, 1e9 + 1.0)) == 1e9
+    assert abs(myerson_reserve(uniform_dist(4.0, 10.0)) - 5.0) <= 1e-9
 
 
 def test_equal_revenue_price_invariance():

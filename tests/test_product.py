@@ -72,9 +72,10 @@ def test_expected_revenue_zero_reserves_is_mean_second():
 
 
 def test_expected_revenue_refuses_large_support():
+    eight = FiniteDist(tuple((float(v), 0.125) for v in range(8)))
+    wide = ProductDist({f"b{i}": eight for i in range(7)})  # 8^7 > 10^6 profiles
     with pytest.raises(SearchSpaceTooLarge):
-        expected_revenue_product(PAIR, ReserveVector({}), Mechanism.LAZY,
-                                 max_profiles=1)
+        expected_revenue_product(wide, ReserveVector({}), Mechanism.LAZY)
 
 
 def test_optimal_reserves_single_bidder():
