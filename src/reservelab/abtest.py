@@ -203,11 +203,15 @@ def rev_e_k_quadrature(dist: ContinuousDist, n: int, k: int) -> float:
     with g(x) = x f(x) - (1 - F(x)) = phi(x) f(x). The second term is the
     integration by parts of -F(r)^k Int_lo^r F^(n-k) phi'(x) dx (phi(r) = 0,
     F(lo) = 0); neither term divides by the density, so tails where f
-    underflows are fine.
+    underflows are fine. n = 1, k = 0 is exactly 0, a lone untreated bidder
+    paying the absent second bid: there the formula leaves rounding noise, or
+    reads Int_r^hi g when r = lo has phi(lo) > 0.
     """
     if not 0 <= k <= n:
         raise ValueError(f"k {k} out of range [0, {n}]")
     r = myerson_reserve(dist)
+    if n == 1 and k == 0:
+        return 0.0
 
     def g(x):
         return x * dist.pdf(x) - (1.0 - dist.cdf(x))

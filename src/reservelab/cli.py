@@ -31,7 +31,6 @@ from .mechanics import Mechanism, ReserveVector
 from .optimize import (eager_coordinate_ascent, empirical_revenue, empirical_totals,
                        monopoly_reserves, optimal_eager_exact, optimal_lazy)
 
-TASKS = ("lazy", "monopoly", "eager-exact", "eager-local")
 DEFAULT_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
@@ -87,35 +86,72 @@ def load_config(config_path: Optional[str], overrides: dict) -> RunConfig:
             raise ConfigError(f"{name} has the wrong JSON type: {value!r}")
         if name in _MIN_INT and value is not None and value < _MIN_INT[name]:
             raise ConfigError(f"{name} must be an integer >= {_MIN_INT[name]}, got {value!r}")
-    if cfg.mechanism not in ("lazy", "eager", "both"):
+    if cfg.mechanism not in _CHOICES["mechanism"]:
         raise ConfigError(f"mechanism must be lazy, eager or both, got {cfg.mechanism!r}")
     return cfg
 
 
-# The flags that only some optimize tasks or sweep modes read, by the key that picks
-# the task or mode. A flag given to a task or mode that does not read it exits 2.
-_MODE_FLAGS = {
-    "optimize": ("task", {"lazy": (), "monopoly": ("mechanism",),
-                          "eager-exact": ("max_product_size",),
-                          "eager-local": ("max_rounds",)}),
-    "sweep": ("mode", {"theoretical": ("params", "dist", "n", "trials"),
-                       "empirical": ("input", "format", "reserves", "grid", "assignments")}),
+# What each subcommand reads: its help, the flags every run reads besides --out, and for
+# each choice that picks a variant, the flags each value adds. The input source is
+# --input, a sampled --generator, or hardness. argparse gives a subcommand the union
+# of its flags; a given flag that the run's source, task or mode does not read exits 2.
+# Keys of a --config file are never refused, so one file can serve the whole pipeline.
+_SOURCES = {"input": ("input", "format"), "generator": ("generator", "params", "count", "seed"),
+            "hardness": ("generator", "params")}
+_READS = {
+    "gen": ("materialize a generator to a log file", ("format",),
+            {"source": {k: _SOURCES[k] for k in ("generator", "hardness")}}),
+    "optimize": ("compute reserve prices", ("task",),
+                 {"source": _SOURCES,
+                  "task": {"lazy": (), "monopoly": ("mechanism",),
+                           "eager-exact": ("max_product_size",),
+                           "eager-local": ("max_rounds",)}}),
+    "lift-tables": ("revenue-lift and welfare-loss tables", (), {"source": _SOURCES}),
+    "sweep": ("treated-share revenue sweep", ("mode", "mechanism", "seed"),
+              {"mode": {"theoretical": ("params", "dist", "n", "trials"),
+                        "empirical": ("input", "format", "reserves", "grid", "assignments")}}),
 }
+_HELP = {"input": "input log path", "generator": "generator name (gen_* family)",
+         "params": "generator/distribution parameters as JSON", "count": "auctions to generate",
+         "seed": "PRNG seed", "format": "log file format", "out": "output directory",
+         "task": "reserve-optimization task", "mechanism": "payment rule",
+         "max_product_size": "largest eager-exact search", "max_rounds": "eager-local rounds",
+         "trials": "Monte-Carlo trials", "mode": "sweep mode",
+         "dist": "distribution name for theoretical mode",
+         "n": "bidders per auction (theoretical)", "reserves": "reserve CSV for empirical mode",
+         "grid": "comma-separated treated fractions", "assignments": "subsets per sweep point"}
+_CHOICES = {"format": ("csv", "jsonl"), "mechanism": ("lazy", "eager", "both")}
+
+
+def _union(variants: dict) -> set:
+    return {f for names in variants.values() for f in names}
+
+
+def _variant(cfg: RunConfig, choice: str) -> tuple[Optional[str], str]:
+    """The value a run takes for a choice, and the flags that picked it."""
+    if choice != "source":
+        return getattr(cfg, choice), f"--{choice} {getattr(cfg, choice)}"
+    if (cfg.input is None) == (cfg.generator is None):
+        return None, ""  # neither or both: left to the command
+    if cfg.input is not None:
+        return "input", "--input"
+    return ("hardness" if cfg.generator == "hardness" else "generator",
+            f"--generator {cfg.generator}")
 
 
 def _refuse_unread_flags(command: str, flags, cfg: RunConfig) -> None:
-    """Raise ConfigError naming the flags the chosen optimize task or sweep mode ignores."""
-    if command not in _MODE_FLAGS:
-        return
-    key, reads = _MODE_FLAGS[command]
-    choice = getattr(cfg, key)
-    if choice not in reads:
-        return  # the command itself refuses an unknown task or mode
-    owned = {f for names in reads.values() for f in names}
-    unread = sorted((owned - set(reads[choice])) & set(flags))
-    if unread:
-        names = ", ".join("--" + f.replace("_", "-") for f in unread)
-        raise ConfigError(f"{command} --{key} {choice} does not read {names}")
+    """Raise ConfigError naming the given flags the run's source, task or mode does not read."""
+    _, base, choices = _READS[command]
+    picked = {choice: _variant(cfg, choice) for choice in choices}
+    read = {"out", *base}
+    for choice, variants in choices.items():
+        value = picked[choice][0]  # an unknown value is the command's to refuse
+        read |= set(variants[value]) if value in variants else _union(variants)
+    for choice, variants in choices.items():
+        unread = sorted((_union(variants) - read) & set(flags))
+        if unread:
+            names = ", ".join("--" + f.replace("_", "-") for f in unread)
+            raise ConfigError(f"{command} {picked[choice][1]} does not read {names}")
 
 
 def _mechanisms(cfg: RunConfig) -> list[Mechanism]:
@@ -206,40 +242,23 @@ def _input_log(cfg: RunConfig) -> tuple[BidLog, str]:
     return materialize_log(cfg), f"{cfg.generator}(seed={cfg.seed})"
 
 
-def _write_summary(cfg: RunConfig, command: str, outputs: list[str],
-                   extra: dict, started: float) -> str:
-    path = os.path.join(cfg.out, "summary.json")
-    doc = {"command": command, "config": asdict(cfg), "outputs": sorted(outputs),
-           "runtime_seconds": time.monotonic() - started}
-    doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    return path
-
-
-def cmd_gen(cfg: RunConfig) -> str:
-    """Materialize a generator to a log file. Returns the log path."""
-    started = time.monotonic()
+def cmd_gen(cfg: RunConfig) -> tuple[list[str], dict]:
+    """Materialize a generator to a log file."""
     if cfg.generator is None:
         raise ConfigError("gen needs --generator")
-    if cfg.input is not None:
-        raise ConfigError("gen takes no --input")
     log = materialize_log(cfg)
     fmt = cfg.format or "csv"
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"log.{fmt}")
     write_log(log, path, fmt)
-    _write_summary(cfg, "gen", [path],
-                   {"auctions": len(log), "bidders": len(log.bidder_ids)}, started)
-    return path
+    return [path], {"auctions": len(log), "bidders": len(log.bidder_ids)}
 
 
-def cmd_optimize(cfg: RunConfig):
-    """Run one reserve-optimization task; writes reserves.csv and summary.json."""
-    started = time.monotonic()
-    if cfg.task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {cfg.task!r}")
+def cmd_optimize(cfg: RunConfig) -> tuple[list[str], dict]:
+    """Run one reserve-optimization task; writes reserves.csv."""
+    tasks = tuple(_READS["optimize"][2]["task"])
+    if cfg.task not in tasks:
+        raise ConfigError(f"task must be one of {tasks}, got {cfg.task!r}")
     log, slot = _input_log(cfg)
     if cfg.task == "lazy":
         mech = Mechanism.LAZY
@@ -268,13 +287,11 @@ def cmd_optimize(cfg: RunConfig):
     }
     if cfg.task == "eager-local":
         extra.update(rounds=result.rounds, converged=result.converged)
-    summary = _write_summary(cfg, "optimize", [reserve_path], extra, started)
-    return result, reserve_path, summary
+    return [reserve_path], extra
 
 
-def cmd_lift_tables(cfg: RunConfig):
+def cmd_lift_tables(cfg: RunConfig) -> tuple[list[str], dict]:
     """Revenue-lift and welfare-loss tables, one slot per input log."""
-    started = time.monotonic()
     if cfg.input is not None and cfg.generator is None:
         reports = [compute_lift_report(parse_log(path, cfg.format), os.path.basename(path))
                    for path in _input_paths(cfg)]
@@ -287,9 +304,7 @@ def cmd_lift_tables(cfg: RunConfig):
         fh.write(lift_revenue_tsv(reports))
     with open(wel_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(lift_welfare_tsv(reports))
-    _write_summary(cfg, "lift-tables", [rev_path, wel_path],
-                   {"slots": [r.slot for r in reports]}, started)
-    return reports, rev_path, wel_path
+    return [rev_path, wel_path], {"slots": [r.slot for r in reports]}
 
 
 def _parse_grid(grid) -> list[float]:
@@ -306,9 +321,8 @@ def _parse_grid(grid) -> list[float]:
     return values
 
 
-def cmd_sweep(cfg: RunConfig):
+def cmd_sweep(cfg: RunConfig) -> tuple[list[str], dict]:
     """Treatment-size sweep, theoretical (distribution) or empirical (log + reserves)."""
-    started = time.monotonic()
     mechanisms = _mechanisms(cfg)
     if cfg.mode == "theoretical":
         if cfg.dist is None or cfg.n is None:
@@ -338,44 +352,22 @@ def cmd_sweep(cfg: RunConfig):
     path = os.path.join(cfg.out, "sweep.tsv")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(combined.to_tsv())
-    _write_summary(cfg, "sweep", [path], {"rows": len(rows)}, started)
-    return combined, path
+    return [path], {"rows": len(rows)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON config file; flags override its keys")
-    shared.add_argument("--input", action="append", help="input log path")
-    shared.add_argument("--params", help="generator/distribution parameters as JSON")
-    shared.add_argument("--seed", type=int, help="PRNG seed")
-    shared.add_argument("--format", choices=["csv", "jsonl"], help="log file format")
-    shared.add_argument("--out", help="output directory")
-    generated = argparse.ArgumentParser(add_help=False)
-    generated.add_argument("--generator", help="generator name (gen_* family)")
-    generated.add_argument("--count", type=int, help="auctions to generate")
-
     parser = argparse.ArgumentParser(prog="reservelab",
                                      description="Second-price auction reserve toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("gen", parents=[shared, generated],
-                   help="materialize a generator to a log file")
-    p_opt = sub.add_parser("optimize", parents=[shared, generated],
-                           help="compute reserve prices")
-    p_opt.add_argument("--task", choices=list(TASKS))
-    p_opt.add_argument("--max-product-size", type=int, dest="max_product_size")
-    p_opt.add_argument("--max-rounds", type=int, dest="max_rounds")
-    sub.add_parser("lift-tables", parents=[shared, generated],
-                   help="revenue-lift and welfare-loss tables")
-    p_sweep = sub.add_parser("sweep", parents=[shared], help="treated-share revenue sweep")
-    for p in (p_opt, p_sweep):  # optimize: the monopoly task's scoring rule
-        p.add_argument("--mechanism", choices=["lazy", "eager", "both"])
-    p_sweep.add_argument("--trials", type=int, help="Monte-Carlo trials")
-    p_sweep.add_argument("--mode", choices=["theoretical", "empirical"])
-    p_sweep.add_argument("--dist", help="distribution name for theoretical mode")
-    p_sweep.add_argument("--n", type=int, help="bidders per auction (theoretical)")
-    p_sweep.add_argument("--reserves", help="reserve CSV for empirical mode")
-    p_sweep.add_argument("--grid", help="comma-separated treated fractions")
-    p_sweep.add_argument("--assignments", type=int, help="subsets per sweep point")
+    for command, (about, base, choices) in _READS.items():
+        p = sub.add_parser(command, help=about)
+        p.add_argument("--config", help="JSON config file; flags override its keys")
+        offered = ["out", *base, *(f for v in choices.values() for fs in v.values() for f in fs)]
+        for name in dict.fromkeys(offered):  # a choice's flag offers its variants' names
+            p.add_argument("--" + name.replace("_", "-"), dest=name, help=_HELP[name],
+                           type=int if name in _MIN_INT else None,
+                           choices=choices.get(name, _CHOICES.get(name)),
+                           action="append" if name == "input" else None)
     return parser
 
 
@@ -384,6 +376,7 @@ _COMMANDS = {"gen": cmd_gen, "optimize": cmd_optimize,
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and write summary.json from the outputs and fields it returns."""
     ns = _build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(ns).items()
                  if k in _CONFIG_KEYS and v is not None}
@@ -395,7 +388,13 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--params is not valid JSON: {e.msg}") from None
         cfg = load_config(ns.config, overrides)
         _refuse_unread_flags(ns.command, overrides, cfg)
-        _COMMANDS[ns.command](cfg)
+        started = time.monotonic()
+        outputs, extra = _COMMANDS[ns.command](cfg)
+        summary = {"command": ns.command, "config": asdict(cfg), "outputs": sorted(outputs),
+                   "runtime_seconds": time.monotonic() - started, **extra}
+        with open(os.path.join(cfg.out, "summary.json"), "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True, default=str)
+            fh.write("\n")
         return 0
     except LogParseError as e:
         print(f"error: {e}", file=sys.stderr)

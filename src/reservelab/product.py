@@ -88,12 +88,7 @@ class ProductDist:
 
 
 _MAX_PROFILES = 1_000_000  # largest profile space expected_revenue_product enumerates
-
-
-def _check_size(size: int, max_profiles: int):
-    if size > max_profiles:
-        raise SearchSpaceTooLarge(
-            f"{size} profiles exceed max_profiles={max_profiles}")
+_MAX_PRODUCT_SIZE = 1_000_000  # most candidate vectors optimal_reserves_product searches
 
 
 def expected_revenue_product(dist: ProductDist, reserves: ReserveVector,
@@ -103,7 +98,9 @@ def expected_revenue_product(dist: ProductDist, reserves: ReserveVector,
     Profiles are enumerated in lexicographic bidder/atom order and payments
     come from the scalar mechanics, so the result is a deterministic sum.
     """
-    _check_size(dist.support_size(), _MAX_PROFILES)
+    if dist.support_size() > _MAX_PROFILES:
+        raise SearchSpaceTooLarge(
+            f"{dist.support_size()} profiles exceed max_profiles={_MAX_PROFILES}")
     ids = dist.bidder_ids()
     terms = []
     for combo in itertools.product(*(dist.bidders[b].atoms for b in ids)):
@@ -122,21 +119,26 @@ def _profile_arrays(dist: ProductDist):
     return values, probs
 
 
-def optimal_reserves_product(dist: ProductDist, mechanism: Mechanism,
-                             max_product_size: int = 1_000_000) -> tuple[ReserveVector, float]:
+def optimal_reserves_product(dist: ProductDist,
+                             mechanism: Mechanism) -> tuple[ReserveVector, float]:
     """Exact optimal reserves for a finite-support product distribution.
 
     Searches the product of per-bidder candidate grids ({0} plus the union of
     all atom values; the objective is piecewise linear in each reserve with
     breakpoints only at atoms, so the grid contains an exact optimum). Ties
     break toward the lexicographically smallest vector. The returned revenue
-    comes from expected_revenue_product at the argmax.
+    comes from expected_revenue_product at the argmax. A grid of more than
+    _MAX_PRODUCT_SIZE vectors is refused (SearchSpaceTooLarge) before any
+    profile is enumerated; each bidder's atoms are candidates, so the same
+    bound caps the support size.
     """
     ids = dist.bidder_ids()
     n = len(ids)
-    values, probs = _profile_arrays(dist)
     cands = sorted({0.0} | {v for d in dist.bidders.values() for v in d.values()})
-    _check_size(len(cands) ** n, max_product_size)
+    if len(cands) ** n > _MAX_PRODUCT_SIZE:
+        raise SearchSpaceTooLarge(f"{len(cands)}^{n} = {len(cands) ** n} candidate vectors "
+                                  f"exceed max_product_size={_MAX_PRODUCT_SIZE}")
+    values, probs = _profile_arrays(dist)
 
     best_vec = argmax_over_grid(
         cands, n, lambda R: payments(values, R[:, None, :], mechanism) @ probs,

@@ -3,10 +3,11 @@
 import json
 import math
 import warnings
+from dataclasses import fields
 
 import pytest
 
-from reservelab.cli import main
+from reservelab.cli import _READS, RunConfig, main
 from reservelab.logio import (compute_lift_report, lift_revenue_tsv, lift_welfare_tsv,
                               parse_log, read_reserves)
 from reservelab.logs import BidLog
@@ -441,6 +442,29 @@ def test_flags_the_task_or_mode_does_not_read_exit_2(tmp_path, capsys, paths, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["optimize", "--task", "lazy", "--input", "{log}", "--seed", "5", "--count", "7",
+      "--params", '{{"a": 1}}'], ("--count", "--params", "--seed")),
+    (["optimize", "--task", "lazy", "--generator", "iid",
+      "--params", '{{"dist": "uniform", "n": 3}}', "--count", "50", "--format", "jsonl"],
+     ("--format",)),
+    (["lift-tables", "--input", "{log}", "--seed", "3"], ("--seed",)),
+    (["lift-tables", "--generator", "iid", "--params", "{iid}", "--count", "5",
+      "--format", "csv"], ("--format",)),
+    (["gen", "--generator", "hardness", "--params", "{triangle}", "--count", "9",
+      "--seed", "4"], ("--count", "--seed")),
+])
+def test_flags_the_input_source_does_not_read_exit_2(tmp_path, capsys, paths, argv, flags):
+    argv = [a.format(iid=IID_PARAMS, triangle=TRIANGLE, **paths) for a in argv]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert all(flag in err.replace(",", " ").split() for flag in flags)
+    assert not out.exists()
+
+
 def test_config_keys_of_other_tasks_and_modes_are_not_refused(tmp_path, paths):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"mechanism": "eager", "max_rounds": 3, "grid": [0, 1],
@@ -449,3 +473,33 @@ def test_config_keys_of_other_tasks_and_modes_are_not_refused(tmp_path, paths):
                  "--out", str(tmp_path / "opt2")]) == 0
     assert main(["sweep", "--dist", "uniform", "--n", "2", "--config", str(cfg),
                  "--out", str(tmp_path / "sweep")]) == 0
+    # one pipeline file: gen samples (count, seed) and ignores input; optimize the reverse
+    pipeline = tmp_path / "pipeline.json"
+    pipeline.write_text(json.dumps({"input": paths["log"], "seed": 4, "count": 20}))
+    assert main(["gen", "--generator", "iid", "--params", IID_PARAMS, "--config", str(pipeline),
+                 "--out", str(tmp_path / "gen2")]) == 0
+    assert len(parse_log(str(tmp_path / "gen2" / "log.csv"))) == 20
+    assert main(["optimize", "--task", "lazy", "--input", paths["log"],
+                 "--config", str(pipeline), "--out", str(tmp_path / "opt3")]) == 0
+
+
+def test_every_config_key_is_read_by_some_variant():
+    read = set()
+    for _, base, choices in _READS.values():
+        read.update(base, *(names for variants in choices.values()
+                            for names in variants.values()))
+    assert read == {f.name for f in fields(RunConfig)} - {"out"}
+
+
+@pytest.mark.parametrize("dist, params", [
+    ("exponential", '{"rate": 2}'),  # the quadrature rounds to -8.3e-17
+    ("exponential", '{"rate": 0.5}'),  # -5.6e-16
+    ("uniform", '{"lo": 6, "hi": 10}'),  # phi(r) > 0 at r = lo: the quadrature reads 6
+])
+def test_one_bidder_eager_sweep_references_zero_untreated(tmp_path, dist, params):
+    # k = 0: the lone bidder faces no reserve and pays the absent second bid, exactly 0
+    out = tmp_path / "out"
+    assert main(["sweep", "--dist", dist, "--params", params, "--n", "1",
+                 "--mechanism", "eager", "--trials", "100", "--out", str(out)]) == 0
+    rows = [r.split("\t") for r in (out / "sweep.tsv").read_text().strip().split("\n")[3:]]
+    assert [r[0] for r in rows] == ["0", "1"] and rows[0][2:] == ["0", "0", "100", "0"]

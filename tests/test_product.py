@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from reservelab import product
 from reservelab.errors import SearchSpaceTooLarge
 from reservelab.mechanics import Mechanism, ReserveVector
 from reservelab.product import (FiniteDist, ProductDist, expected_revenue_product,
@@ -95,9 +96,17 @@ def test_optimal_reserves_tie_prefers_lex_smallest():
         assert (reserves.get("a"), reserves.get("b")) == (0.0, 0.0)
 
 
-def test_optimal_reserves_refuses_large_grid():
-    with pytest.raises(SearchSpaceTooLarge):
-        optimal_reserves_product(PAIR, Mechanism.EAGER, max_product_size=3)
+def test_optimal_reserves_refuses_large_grid(monkeypatch):
+    # 13 two-atom bidders: 3^13 candidate vectors exceed the bound, 2^13 profiles do not
+    wide = ProductDist({f"b{i:02d}": D1 for i in range(13)})
+
+    def enumerate_profiles(dist):
+        raise AssertionError("profiles enumerated before the size check")
+
+    monkeypatch.setattr(product, "_profile_arrays", enumerate_profiles)
+    with pytest.raises(SearchSpaceTooLarge, match=r"3\^13 = 1594323 candidate vectors exceed "
+                                                  r"max_product_size=1000000"):
+        optimal_reserves_product(wide, Mechanism.EAGER)
 
 
 def random_product(rng, max_bidders=3, max_atoms=4):
