@@ -411,6 +411,10 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except OSError as e:  # an unreadable input or unwritable --out, like a missing input
+        print(f"error: {e.filename}: {e.strerror}" if e.filename is not None else f"error: {e}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,6 +8,12 @@ give (B, T) payments, one row of per-auction payments per reserve row.
 Semantics match mechanics.run_lazy / run_eager exactly (same weak
 inequalities, same smallest-column tie-break); the scalar functions stay the
 reference and the test suite cross-checks the two.
+
+nested_payments evaluates nested treated sets: the bidders at treatment ranks
+0..k-1 hold their reserves, the rest hold 0, for every k at once. The sets
+grow one bidder per rank, so top-two scans over the rank order (treated
+prefix, untreated suffix) give every k's outcome from selections alone, equal
+to one kernel call per k.
 """
 
 from __future__ import annotations
@@ -54,14 +60,19 @@ def _outcome(sold, top, r_w, second, return_welfare: bool):
     return payment, np.where(sold, top, 0.0)
 
 
-def lazy_payments(bids: np.ndarray, reserves: np.ndarray,
-                  return_welfare: bool = False):
-    """Per-auction payments under lazy reserves. Optionally also welfare."""
-    winner, top, second = lazy_order(bids)
+def lazy_select(order, reserves: np.ndarray, return_welfare: bool = False):
+    """Lazy payments (optionally welfare) from a lazy_order result: selections only."""
+    winner, top, second = order
     reserves = np.asarray(reserves, dtype=float)
     winner = np.broadcast_to(winner, np.broadcast_shapes(reserves.shape[:-1], winner.shape))
     r_w = _at(reserves, winner)
     return _outcome(top >= r_w, top, r_w, second, return_welfare)
+
+
+def lazy_payments(bids: np.ndarray, reserves: np.ndarray,
+                  return_welfare: bool = False):
+    """Per-auction payments under lazy reserves. Optionally also welfare."""
+    return lazy_select(lazy_order(bids), reserves, return_welfare)
 
 
 def eager_payments(bids: np.ndarray, reserves: np.ndarray,
@@ -78,3 +89,58 @@ def payments(bids: np.ndarray, reserves: np.ndarray, mechanism: Mechanism,
              return_welfare: bool = False):
     fn = lazy_payments if mechanism is Mechanism.LAZY else eager_payments
     return fn(bids, reserves, return_welfare)
+
+
+def _running_top_two(bids: np.ndarray, reserves: np.ndarray):
+    """Top two of bids[:t] for t = 0..m, over (m, T) rows in scan order: the (m + 1, T)
+    top bid, the reserve of a bidder holding it and the second-highest bid; an empty
+    prefix has top and second -inf."""
+    top = np.full((len(bids) + 1,) + bids.shape[1:], ABSENT)
+    second = top.copy()
+    r_top = np.zeros(top.shape)
+    for t, (b, r) in enumerate(zip(bids, reserves)):
+        np.copyto(r_top[t + 1], np.where(b > top[t], r, r_top[t]))
+        np.maximum(second[t], np.minimum(top[t], b), out=second[t + 1])
+        np.maximum(top[t], b, out=top[t + 1])
+    return top, r_top, second
+
+
+def nested_payments(bids: np.ndarray, reserves: np.ndarray, perm: np.ndarray, ks,
+                    mechanism: Mechanism) -> np.ndarray:
+    """(T, len(ks)) payments: column j has the bidders perm[:, :ks[j]] at `reserves`
+    (one (n,) row) and the others at 0, exactly as payments() with that reserve array.
+
+    perm is (T, n) or (n,): the bidder column at each treatment rank. Lazy runs
+    lazy_order once and picks, per k, the treated or untreated outcome by the
+    winner's rank. Eager scans the rank order once from each end, prefix top-two
+    of the treated bids that clear their reserve and suffix top-two of the
+    untreated bids >= 0, and merges the two at each k. Which of several tied top
+    bidders wins does not matter there: a tie makes the second bid equal the top,
+    every survivor's reserve is at most its bid, so the payment is the top bid.
+    """
+    bids = np.asarray(bids, dtype=float)
+    reserves = np.asarray(reserves, dtype=float)
+    T, n = bids.shape
+    perm = np.broadcast_to(perm, (T, n))
+    ks = np.asarray(list(ks), dtype=np.intp)
+    if mechanism is Mechanism.LAZY:
+        order = lazy_order(bids)
+        ranks = np.empty((T, n), dtype=np.intp)
+        np.put_along_axis(ranks, perm, np.arange(n), axis=1)
+        rank_w = np.take_along_axis(ranks, order[0][:, None], axis=1)
+        return np.where(rank_w < ks, lazy_select(order, reserves)[:, None],
+                        lazy_select(order, np.zeros(n))[:, None])
+    cols = np.ascontiguousarray(perm.T)  # (n, T): bidder column at each rank
+    ranked = np.take_along_axis(bids.T, cols, axis=0)
+    r_ranked = reserves[cols]
+    untreated = np.where(ranked >= 0.0, ranked, ABSENT)
+    # prefix k: the treated ranks < k; suffix k: the untreated ranks >= k
+    p_top, p_res, p_second = (a[ks] for a in _running_top_two(
+        np.where(ranked >= r_ranked, ranked, ABSENT), r_ranked))
+    s_top, _, s_second = (a[n - ks] for a in _running_top_two(
+        untreated[::-1], np.zeros_like(untreated)))
+    top = np.maximum(p_top, s_top)
+    second = np.maximum(np.maximum(p_second, s_second), np.minimum(p_top, s_top))
+    r_w = np.where(p_top > s_top, p_res, 0.0)
+    return _outcome(np.isfinite(top), top, r_w,
+                    np.where(np.isfinite(second), second, 0.0), False).T

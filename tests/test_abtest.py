@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reservelab import abtest
 from reservelab.abtest import (AssignmentMode, SplitMode, SweepResult, SweepRow,
@@ -215,8 +217,58 @@ def _reference_all_k(n, mechanism, trials, seed, diff=False):
 
 _ORACLE_TRIALS = abtest._CHUNK + 1  # two chunks, the second of one auction
 
+_GRID = [-0.5, 0.0, 0.25, 0.5, 1.0]  # coarse, so bids tie with each other and with reserves
 
-@pytest.mark.parametrize("n", [1, 3])
+
+@st.composite
+def chunk_cases(draw):
+    """A chunk of tied values (one negative level, some absent bids), a reserve row with
+    0, +inf and bid levels, the treated counts and the assignment draw's seed."""
+    n = draw(st.integers(1, 12))
+    c = draw(st.integers(1, 25))
+    values = np.array(draw(st.lists(st.sampled_from(_GRID + [ABSENT]),
+                                    min_size=c * n, max_size=c * n))).reshape(c, n)
+    r_full = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, math.inf]),
+                                    min_size=n, max_size=n)))
+    ks = draw(st.one_of(st.just(list(range(n + 1))), st.integers(0, n).map(lambda k: [k])))
+    return values, r_full, ks, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunk_cases(), st.sampled_from(list(AssignmentMode)))
+def test_bidder_arms_equal_the_per_k_kernels_property(case, assignment):
+    values, r_full, ks, seed = case
+    c, n = values.shape
+    for mech in Mechanism:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(abtest, "_SLICE", 7)  # several all-k passes per chunk
+            got = abtest._bidder_arms(mech, r_full, ks, assignment)(
+                np.random.default_rng(seed), values, 0)
+        if assignment is AssignmentMode.RANDOM_PER_AUCTION:
+            u = np.random.default_rng(seed).random((c, n))
+            ranks = np.argsort(np.argsort(u, axis=1), axis=1)
+        else:
+            ranks = np.arange(n)
+        want = np.stack([payments(values, np.where(ranks < k, r_full, 0.0), mech)
+                         for k in ks], axis=1)
+        assert np.array_equal(got, want)
+
+
+def _no_kernel(*args, **kwargs):
+    raise AssertionError("a payment kernel call")
+
+
+def test_bidder_split_estimates_make_no_kernel_call(monkeypatch):
+    monkeypatch.setattr(abtest, "payments", _no_kernel)
+    for mech in Mechanism:
+        sweep_theoretical(UNIFORM, 4, mech, 1000, seed=1)
+        paired_treatment_deltas(UNIFORM, 4, mech, 1000, seed=1)
+        for assignment in AssignmentMode:
+            simulate_treatment(UNIFORM, 4, TreatmentPlan(treated_count=2, assignment=assignment),
+                               mech, 1000, seed=1)
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
 @pytest.mark.parametrize("mech", list(Mechanism))
 def test_sweep_and_paired_deltas_equal_the_per_k_reference(n, mech):
     res = sweep_theoretical(UNIFORM, n, mech, _ORACLE_TRIALS, seed=21)
@@ -419,6 +471,21 @@ def test_empirical_sweep_evaluates_each_distinct_subset_once(n, monkeypatch):
     monkeypatch.setattr(abtest, "payments", counting)
     empirical_treatment_sweep(log, reserves, _FRACTIONS, Mechanism.EAGER, 40, seed=5)
     assert len(rows) == len(set(rows)) == len(distinct)
+
+
+def test_lazy_empirical_sweep_orders_the_log_once(monkeypatch):
+    log, reserves = _sweep_case(12)
+    want = empirical_treatment_sweep(log, reserves, _FRACTIONS, Mechanism.LAZY, 40, seed=5)
+    orders, original = [], abtest.lazy_order
+
+    def counting(bids):
+        orders.append(bids.shape)
+        return original(bids)
+
+    monkeypatch.setattr(abtest, "lazy_order", counting)
+    monkeypatch.setattr(abtest, "payments", _no_kernel)
+    assert empirical_treatment_sweep(log, reserves, _FRACTIONS, Mechanism.LAZY, 40, seed=5) == want
+    assert orders == [(300, 12)]
 
 
 def test_empirical_sweep_validation():

@@ -104,6 +104,21 @@ def test_exit_code_bad_data(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    out = str(blocker / "x")
+    assert main(["gen", "--generator", "iid", "--params", IID_PARAMS, "--count", "5",
+                 "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {out}: Not a directory\n"
+
+
+def test_unreadable_input_exits_2_naming_the_path(tmp_path, capsys):
+    assert main(["optimize", "--task", "lazy", "--input", str(tmp_path), "--format", "csv",
+                 "--out", str(tmp_path / "opt")]) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+
 def test_exit_code_search_too_large(tmp_path, capsys):
     out = tmp_path / "gen"
     assert main(["gen", "--generator", "iid", "--params",

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from reservelab.logs import BidLog
 from reservelab.mechanics import BidProfile, Mechanism, ReserveVector, run_auction
-from reservelab.vectorized import ABSENT, eager_payments, lazy_order, lazy_payments, payments
+from reservelab.vectorized import (ABSENT, eager_payments, lazy_order, lazy_payments, lazy_select,
+                                   nested_payments, payments)
 
 
 def random_log(rng, n_bidders=None, n_auctions=None, absent_prob=0.3):
@@ -109,6 +110,29 @@ def test_lazy_order():
     assert top.tolist() == [5.0, 2.0, 4.0]
     assert second.tolist() == [5.0, 0.0, 1.0]  # a single participant's second is 0
     assert bids[0, 1] == 5.0  # the input is left alone
+
+
+def test_nested_payments_by_hand():
+    # bids 5, 5, 2, 4; treatment ranks put bidder 3 first, then 1, 0, 2; reserves 4.5, 6, 0, 4
+    bids = np.array([[5.0, 5.0, 2.0, 4.0]])
+    reserves = np.array([4.5, 6.0, 0.0, 4.0])
+    perm = np.array([3, 1, 0, 2])
+    # eager, k = 0 and 1: bidders 0 and 1 tie at 5; k = 2: bidder 1 misses its 6, so 0 wins
+    # at the second bid 4; k = 3 and 4: bidder 0 now holds 4.5 and pays it
+    eager = nested_payments(bids, reserves, perm, range(5), Mechanism.EAGER)
+    lazy = nested_payments(bids, reserves, perm, [0, 2, 3], Mechanism.LAZY)
+    assert eager.tolist() == [[5.0, 5.0, 4.0, 4.5, 4.5]]
+    assert lazy.tolist() == [[5.0, 5.0, 5.0]]  # the tie goes to bidder 0: 5 >= its 4.5
+    for k, pay in zip(range(5), eager[0]):
+        row = np.where(np.isin(np.arange(4), perm[:k]), reserves, 0.0)
+        assert eager_payments(bids, row).tolist() == [pay]
+
+
+def test_lazy_select_reuses_one_order():
+    bids = np.array([[3.0, 5.0, 5.0], [2.0, ABSENT, ABSENT], [ABSENT, 1.0, 4.0]])
+    order = lazy_order(bids)
+    for row in ([0.0, 0.0, 0.0], [1.0, 5.5, 4.0], [math.inf, 2.0, 3.5]):
+        assert lazy_select(order, row).tolist() == lazy_payments(bids, row).tolist()
 
 
 _LEVELS = [0.0, 0.5, 1.0, 2.0, 3.0]  # few levels, so bids tie with each other and with reserves
