@@ -4,8 +4,15 @@ Bids travel as decimal strings with at most 6 fractional digits (micros).
 Parsing is strict: anything that is not a plain non-negative micro decimal is
 rejected with its 1-based line number. Values are capped at 1e9 (1e15 micros)
 so that micros -> float -> micros round trips are exact in both directions.
-Parsing fills a BidLog's bid matrix straight from the records; writing and
-quantizing work on that matrix.
+
+A CSV log is parsed column-wise first: the file is read once as bytes and
+checked in blocks of lines with byte-level numpy tests, then each block is
+decoded and split once, and ids map to matrix rows and columns in first-seen
+order. A file with any record outside that plain form (quotes, non-ASCII, a bad
+bid, a duplicate pair, ...) is parsed again from the top by the per-record
+path, a `csv.reader` over its lines, which alone raises `LogParseError`; JSONL
+logs and reserve files take that path only. write_log checks every bid's
+integer micros in one array pass, then formats and writes blocks of lines.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .mechanics import Mechanism, ReserveVector
 from .optimize import empirical_totals, monopoly_reserves, optimal_lazy
 from .vectorized import ABSENT
 
-_BID_RE = re.compile(r"^(\d+)(?:\.(\d{1,6}))?$")
+_BID_RE = re.compile(r"([0-9]+)(?:\.([0-9]{1,6}))?")  # with fullmatch
 _LINE_BREAK_RE = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")  # where str.splitlines splits
 MAX_MICROS = 10 ** 15  # 1e9 units; beyond this float round trips stop being exact
 LOG_HEADER = "auction_id,bidder_id,bid"
@@ -34,11 +41,13 @@ RESERVE_HEADER = "bidder_id,reserve"
 
 def parse_bid_token(token: str, line_number: int = 0) -> float:
     """Decimal string -> float, micro precision, non-negative, bounded."""
-    m = _BID_RE.match(token)
+    m = _BID_RE.fullmatch(token)
     if m is None:
         raise LogParseError(f"bad bid {token!r}: want a non-negative decimal with "
                             f"at most 6 fractional digits", line_number)
-    micros = int(m.group(1)) * 10 ** 6 + int((m.group(2) or "").ljust(6, "0") or "0")
+    units = m.group(1).lstrip("0")  # leading zeros would count against int()'s digit limit
+    micros = (int(units or "0") * 10 ** 6 + int((m.group(2) or "").ljust(6, "0"))
+              if len(units) <= 10 else MAX_MICROS + 1)
     if micros > MAX_MICROS:
         raise LogParseError(f"bid {token!r} exceeds the 1e9 cap", line_number)
     return micros / 10 ** 6
@@ -95,9 +104,19 @@ def _infer_format(path: str, format: Optional[str]) -> str:
     return fmt
 
 
-def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _lines(data: bytes) -> list[str]:
+    """The file's UTF-8 text split as str.splitlines splits it; a byte that is not
+    UTF-8 is an error on its line (counted in newlines)."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise LogParseError(f"invalid UTF-8 byte {data[e.start]:#04x} ({e.reason})",
+                            data.count(b"\n", 0, e.start) + 1) from None
     return text.splitlines()
 
 
@@ -150,7 +169,14 @@ def _records_from_jsonl(lines: list[str]):
 def parse_log(path: str, format: Optional[str] = None) -> BidLog:
     """Read a CSV or JSONL bid log. Auctions keep first-seen order."""
     fmt = _infer_format(path, format)
-    lines = _read_lines(path)
+    data = _read_bytes(path)
+    log = _columnar_csv(data) if fmt == "csv" else None
+    return log if log is not None else _parse_records(data, fmt)
+
+
+def _parse_records(data: bytes, fmt: str) -> BidLog:
+    """The per-record parse: every check in file order, raising at the first failure."""
+    lines = _lines(data)
     records = _records_from_csv(lines) if fmt == "csv" else _records_from_jsonl(lines)
     rows, cols = {}, {}  # auction / bidder id -> matrix row / column, in first-seen order
     cells: dict[int, float] = {}  # row << 32 | column -> bid
@@ -171,6 +197,78 @@ def parse_log(path: str, format: Optional[str] = None) -> BidLog:
     return BidLog.from_matrix(bids, list(cols), list(rows))
 
 
+_BLOCK_LINES = 1 << 16  # lines per block of the CSV parse and of write_log; bounds temporaries
+# Bytes a plain CSV record may hold: printable ASCII and tab. So no quote, no byte
+# str.splitlines breaks a line at other than the newline, and nothing that is not ASCII.
+_PLAIN_BYTE = np.zeros(256, dtype=bool)
+_PLAIN_BYTE[[ord("\t"), ord("\n"), *range(0x20, 0x7F)]] = True
+_PLAIN_BYTE[ord('"')] = False
+
+
+def _plain_block(block: np.ndarray, ends: np.ndarray) -> bool:
+    """True when every line of `block` (bytes; `ends` holds each line's newline offset)
+    is `id,id,bid` with non-empty ids of plain bytes and a bid matching _BID_RE, and no
+    line, so no field, is longer than csv.field_size_limit()."""
+    if not np.take(_PLAIN_BYTE, block).all():
+        return False
+    marks = np.flatnonzero(block - ord("0") >= 10)  # every byte but a digit (uint8 wraps)
+    marked = block[marks]
+    commas = marks[marked == ord(",")]
+    if len(commas) != 2 * len(ends):
+        return False
+    # Commas are sorted, so when each pair falls inside its own line, every line has two.
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first, second = commas[0::2], commas[1::2]
+    if not ((starts < first) & (first + 1 < second) & (second + 1 < ends)
+            & (ends - starts <= csv.field_size_limit())).all():
+        return False
+    at = np.flatnonzero(marked == ord("\n"))  # each line end's place in marks
+    last = marks[at - 1]  # the second comma when the bid is all digits, else its one dot
+    dotted = ((block[last] == ord(".")) & (marks[at - 2] == second) & (second + 1 < last)
+              & (last + 1 < ends) & (ends <= last + 7))
+    return bool(((last == second) | dotted).all())
+
+
+def _indices(ids: list[str], index: dict[str, int]) -> np.ndarray:
+    """Each id's position in `index`, which takes unseen ids in first-seen order."""
+    fresh = [key for key in dict.fromkeys(ids) if key not in index]
+    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+    return np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
+
+
+def _columnar_csv(data: bytes) -> Optional[BidLog]:
+    """The log of a CSV file whose records are all plain (see _plain_block) with bids
+    up to 1e9 and no repeated (auction, bidder) pair, else None. On such a file the
+    per-record parse returns the same log: float(token) is the correctly rounded
+    double of the decimal token, as is its micros / 10**6."""
+    if not data.startswith(LOG_HEADER.encode() + b"\n"):
+        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    raw = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))  # ends[0] closes the header
+    rows, cols = {}, {}
+    parts = []
+    for i in range(1, len(ends), _BLOCK_LINES):
+        start, block_ends = ends[i - 1] + 1, ends[i:i + _BLOCK_LINES]
+        stop = block_ends[-1] + 1
+        if not _plain_block(raw[start:stop], block_ends - start):
+            return None
+        tokens = data[start:stop].decode("ascii").replace("\n", ",").split(",")
+        values = np.fromiter(map(float, tokens[2::3]), dtype=float, count=len(block_ends))
+        if (values > 1e9).any():
+            return None
+        parts.append((_indices(tokens[0:-1:3], rows), _indices(tokens[1::3], cols), values))
+    if not parts:
+        return None
+    r, c, values = map(np.concatenate, zip(*parts))
+    bids = np.full((len(rows), len(cols)), ABSENT)
+    bids[r, c] = values
+    if np.count_nonzero(bids != ABSENT) != len(values):  # a pair was written twice
+        return None
+    return BidLog.from_matrix(bids, list(cols), list(rows))
+
+
 def _id_tokens(ids: Iterable[str], fmt: str) -> list[str]:
     """Each id as written in a record, encoded once: a JSON string for JSONL; for CSV
     the id itself, quoted when it holds a comma or a quote. A CSV record must fit on
@@ -185,27 +283,46 @@ def _id_tokens(ids: Iterable[str], fmt: str) -> list[str]:
     return tokens
 
 
+def _micros(values: np.ndarray) -> np.ndarray:
+    """Integer micros of each value, is_micro tested on the whole array; raises
+    format_micro's error for the first value that fails it."""
+    micros = np.rint(values * 10 ** 6)  # half to even, as round()
+    ok = np.isfinite(values) & (values >= 0) & (micros <= MAX_MICROS)
+    ok &= micros / 10 ** 6 == values
+    if not ok.all():
+        format_micro(float(values[np.argmin(ok)]))
+    return micros.astype(np.int64)
+
+
 def write_log(log: BidLog, path: str, format: Optional[str] = None) -> None:
     """Write a bid log, one row per present bid in auction then bidder order;
-    raises on bids that are not micro decimals."""
+    raises on bids that are not micro decimals before it opens the file."""
     fmt = _infer_format(path, format)
     bids = log.to_matrix()
     rows, cols = np.nonzero(bids != ABSENT)
     aids, ids = _id_tokens(log.auction_ids, fmt), _id_tokens(log.bidder_ids, fmt)
-    cells = zip(rows.tolist(), cols.tolist(), map(format_micro, bids[rows, cols].tolist()))
-    if fmt == "csv":
-        lines = [LOG_HEADER] + [f"{aids[r]},{ids[c]},{bid}" for r, c, bid in cells]
-    else:  # the bytes json.dumps gives for the record's dict
-        lines = [f'{{"auction_id": {aids[r]}, "bidder_id": {ids[c]}, "bid": "{bid}"}}'
-                 for r, c, bid in cells]
+    units, frac = np.divmod(_micros(bids[rows, cols]), 10 ** 6)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if fmt == "csv":
+            fh.write(LOG_HEADER + "\n")
+        for i in range(0, len(rows), _BLOCK_LINES):
+            block = slice(i, i + _BLOCK_LINES)
+            tokens = [("%d.%06d" % (u, f)).rstrip("0") if f else str(u)  # as format_micro
+                      for u, f in zip(units[block].tolist(), frac[block].tolist())]
+            cells = zip(rows[block].tolist(), cols[block].tolist(), tokens)
+            if fmt == "csv":
+                lines = [f"{aids[r]},{ids[c]},{bid}" for r, c, bid in cells]
+            else:  # the bytes json.dumps gives for the record's dict
+                lines = [f'{{"auction_id": {aids[r]}, "bidder_id": {ids[c]}, "bid": "{bid}"}}'
+                         for r, c, bid in cells]
+            fh.write("\n".join(lines) + "\n")
 
 
 def read_reserves(path: str) -> ReserveVector:
     """Read a `bidder_id,reserve` CSV. The token `inf` excludes a bidder."""
     reserves: dict[str, float] = {}
-    for i, (bidder, token) in _csv_rows(_read_lines(path), RESERVE_HEADER, "reserve"):
+    for i, (bidder, token) in _csv_rows(_lines(_read_bytes(path)), RESERVE_HEADER,
+                                         "reserve"):
         if not bidder:
             raise LogParseError("empty bidder_id", i)
         if bidder in reserves:

@@ -104,6 +104,25 @@ def test_exit_code_bad_data(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text, err", [
+    ("log.csv", b"auction_id,bidder_id,bid\na1,b1,\xff\n", "line 2: invalid UTF-8 byte 0xff"),
+    ("log.jsonl", b'{"auction_id": "a1", "bidder_id": "b1", "bid": "\xe9"}\n',
+     "line 1: invalid UTF-8 byte 0xe9"),
+    ("log.jsonl", b'{"auction_id": "a1", "bidder_id": "b1", "bid": "1\\n"}\n',
+     "line 1: bad bid '1\\n'"),
+    ("reserves.csv", b"bidder_id,reserve\nb1,\xff\n", "line 2: invalid UTF-8 byte 0xff")],
+    ids=["csv", "jsonl", "jsonl-bid", "reserves"])
+def test_undecodable_files_and_bad_bids_exit_3(tmp_path, capsys, name, text, err):
+    (tmp_path / name).write_bytes(text)
+    if name == "reserves.csv":
+        argv = ["sweep", "--mode", "empirical", "--input", str(run_gen(tmp_path)),
+                "--reserves", str(tmp_path / name)]
+    else:
+        argv = ["optimize", "--task", "lazy", "--input", str(tmp_path / name)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {err}")
+
+
 def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory\n")

@@ -1,5 +1,6 @@
 """BidLog structure plus strict CSV/JSONL serialization."""
 
+import csv
 import json
 import math
 import re
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reservelab import logio
 from reservelab.errors import LogParseError
-from reservelab.logio import (format_micro, is_micro, parse_bid_token, parse_log,
+from reservelab.logio import (LOG_HEADER, format_micro, is_micro, parse_bid_token, parse_log,
                               quantize_log, quantize_value, read_reserves,
                               write_log, write_reserves)
 from reservelab.logs import BidLog
@@ -102,13 +104,52 @@ def test_csv_header_must_match_exactly(tmp_path):
 
 
 @pytest.mark.parametrize("token", ["-1", "nan", "NaN", "1e3", "1.2345678", "+5",
-                                   " 5", "5.", ".5", "inf", "0x5", "1000000001"])
+                                   " 5", "5.", ".5", "inf", "0x5", "1000000001",
+                                   "\u0661\u0662", "\u0966.\u096b",
+                                   pytest.param("1" + "0" * 5000, id="1e5000")])
 def test_bad_bid_tokens_rejected_with_line_number(tmp_path, token):
     path = tmp_path / "log.csv"
-    path.write_text(f"auction_id,bidder_id,bid\na,A,1\nb,A,\"{token}\"\n")
+    for field in (f'"{token}"', token):  # the per-record parse, then the columnar one first
+        path.write_text(f"auction_id,bidder_id,bid\na,A,1\nb,A,{field}\n", encoding="utf-8")
+        with pytest.raises(LogParseError) as e:
+            parse_log(str(path))
+        assert e.value.line_number == 3
+
+
+@pytest.mark.parametrize("token", ["\u0661\u0662", "\u0966.\u096b", "1\n", "5\u0663"])
+def test_bid_grammar_is_ascii_digits_only(tmp_path, token):
+    with pytest.raises(LogParseError):
+        parse_bid_token(token)
+    path = tmp_path / "log.jsonl"
+    path.write_text(json.dumps({"auction_id": "a", "bidder_id": "A", "bid": token}) + "\n")
     with pytest.raises(LogParseError) as e:
         parse_log(str(path))
-    assert e.value.line_number == 3
+    assert e.value.line_number == 1
+    if "\n" not in token:  # a CSV line cannot hold one
+        path = tmp_path / "reserves.csv"
+        path.write_text(f"bidder_id,reserve\nA,1\nB,{token}\n", encoding="utf-8")
+        with pytest.raises(LogParseError) as e:
+            read_reserves(str(path))
+        assert e.value.line_number == 3
+
+
+def test_leading_zeros_do_not_count_against_the_cap():
+    assert parse_bid_token("0" * 5000 + "1.5") == 1.5
+    assert parse_bid_token("0" * 5000 + "1000000000") == 1e9
+
+
+@pytest.mark.parametrize("name, text", [
+    ("log.csv", b"auction_id,bidder_id,bid\na,A,1\nb,A,\xff\n"),
+    ("log.jsonl", b'{"auction_id": "a", "bidder_id": "A", "bid": "1"}\n'
+                  b'{"auction_id": "b\xc3", "bidder_id": "A", "bid": "1"}\n'),
+    ("reserves.csv", b"bidder_id,reserve\nA,1\nB,\xe9\n")])
+def test_invalid_utf8_is_a_parse_error_on_its_line(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text)
+    read = read_reserves if name == "reserves.csv" else parse_log
+    with pytest.raises(LogParseError, match="invalid UTF-8 byte 0x") as e:
+        read(str(path))
+    assert e.value.line_number == 3 - name.endswith(".jsonl")
 
 
 def test_duplicate_pair_rejected(tmp_path):
@@ -272,14 +313,15 @@ def test_from_matrix_validates_and_normalizes():
 
 
 _IDS = st.text('abcxyz_019,"', min_size=1, max_size=4)
+_PLAIN_IDS = st.text("ab09._ ", min_size=1, max_size=4)  # no byte a CSV writer quotes
 
 
 @st.composite
-def micro_logs(draw):
+def micro_logs(draw, ids=_IDS):
     """Micro-quantized logs with absent bidders, unsorted auction and bidder ids,
     and an all-absent column that from_matrix drops."""
-    bidder_ids = draw(st.lists(_IDS, min_size=1, max_size=5, unique=True))
-    auction_ids = draw(st.lists(_IDS, min_size=1, max_size=12, unique=True))
+    bidder_ids = draw(st.lists(ids, min_size=1, max_size=5, unique=True))
+    auction_ids = draw(st.lists(ids, min_size=1, max_size=12, unique=True))
     cell = st.one_of(st.just(None), st.integers(0, 10 ** 15), st.sampled_from([0, 10 ** 6]))
     rows = []
     for _ in auction_ids:
@@ -300,3 +342,139 @@ def test_log_round_trips(log):
             path = f"{tmp}/log.{fmt}"
             write_log(log, path)
             assert parse_log(path) == log
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except LogParseError as e:
+        return e.line_number, str(e)
+
+
+# What a mutation inserts or writes over: CSV syntax, bid characters, a letter, a
+# non-ASCII character, a byte that is not UTF-8 and a field over the csv limit.
+_MUTANTS = [b",", b'"', b"\n", b"\r", b".", *(b"%d" % d for d in range(10)), b"a", b"-",
+            "\u00e9".encode(), b"\xff", b"x" * (csv.field_size_limit() + 1)]
+
+
+@st.composite
+def mutated_csv(draw):
+    """A written CSV log, its bytes, and the same bytes after 0-3 edits: an insert, a
+    delete or an overwrite at a random offset, a copy of one line put before another,
+    or one field of a line replaced by a short string of bid and CSV characters."""
+    log = draw(st.one_of(micro_logs(_PLAIN_IDS), micro_logs()))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_log(log, f"{tmp}/log.csv")
+        with open(f"{tmp}/log.csv", "rb") as fh:
+            data = fh.read()
+    edited = data
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "repeat", "field"]))
+        at = draw(st.integers(0, len(edited)))
+        lines = edited.split(b"\n")
+        if kind == "repeat":
+            line = lines[draw(st.integers(1, len(lines) - 1))]
+            lines.insert(draw(st.integers(1, len(lines))), line)
+            edited = b"\n".join(lines)
+        elif kind == "field":
+            i = draw(st.integers(1, len(lines) - 1))
+            fields = lines[i].split(b",")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(
+                st.text("0123456789.,e+- ", max_size=10)).encode()
+            lines[i] = b",".join(fields)
+            edited = b"\n".join(lines)
+        else:
+            new = b"" if kind == "delete" else draw(st.sampled_from(_MUTANTS))
+            edited = edited[:at] + new + edited[at + (kind != "insert"):]
+    return log, data, edited
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_csv(), st.sampled_from([1, 2, 3, 1 << 16]))
+def test_columnar_parse_equals_the_per_record_parse(case, block_lines):
+    """parse_log and the per-record parse both return == logs or both raise the same
+    error at the same line, on logs that span many blocks (ids repeat across blocks and
+    a repeated line lands in another block) and on every mutation of them."""
+    log, data, edited = case
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(logio, "_BLOCK_LINES", block_lines)
+        with open(f"{tmp}/log.csv", "wb") as fh:
+            fh.write(edited)
+        got = _outcome(lambda: parse_log(f"{tmp}/log.csv"))
+        assert got == _outcome(lambda: logio._parse_records(edited, "csv"))
+        if edited == data:
+            assert got == log
+            if b'"' not in data:  # no quoted id: every record is plain
+                assert logio._columnar_csv(data) == log
+
+
+_EDGE_BODIES = [b"a,A,1\nb,A,2\na,B,3.25\n", b"a,A,1\nb,A,2\na,A,3\n", b"a,A,1\na,A,1\n",
+                 b"a,A,1.5.5\n", b"a,A,1.\n", b"a,A,.5\n", b"a,A,1.1234567\n", b"a,A,1e3\n",
+                 b"a,A,1000000000.000001\n", b"a,A,1000000000\n", b"a,A,0001.250000\n",
+                 b"a,A,\n", b"a,,1\n", b",A,1\n", b"a,A\n", b"a,A,1,\n", b"a,A,1\n\n",
+                 b"a,A,1", b"a,A,1\r\n", b"a\r,A,1\n", b"a,A,1\x0b\n", b"a\x1c,A,1\n",
+                 b"a,A, 1\n", b"a,A,+1\n", b"a,A,-1\n", b'a,"A",1\n', b"a.b,A.1,2\n",
+                 b"a\tb,A,1\n", b"a\x00b,A,1\n", "a,A,\u0661\n".encode(), "\u00e9,A,1\n".encode(),
+                 b"a,A,1\n\xff", b"a" * 131_073 + b",A,1\n", b"a,A," + b"0" * 131_073 + b"1\n",
+                 b"a,A," + b"0" * 5000 + b"1\n"]
+
+
+@pytest.mark.parametrize("block_lines", [1, 2])
+@pytest.mark.parametrize("body", _EDGE_BODIES, ids=range(len(_EDGE_BODIES)))
+def test_columnar_parse_equals_the_per_record_parse_on_edge_cases(tmp_path, monkeypatch,
+                                                                 body, block_lines):
+    monkeypatch.setattr(logio, "_BLOCK_LINES", block_lines)
+    for data in (LOG_HEADER.encode() + b"\n" + body, LOG_HEADER.encode() + body, body):
+        (tmp_path / "log.csv").write_bytes(data)
+        assert (_outcome(lambda: parse_log(str(tmp_path / "log.csv")))
+                == _outcome(lambda: logio._parse_records(data, "csv")))
+
+
+def test_plain_csv_takes_the_columnar_path(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    bids = np.where(rng.random((300, 4)) < 0.3, ABSENT, rng.integers(0, 10 ** 9, (300, 4)) / 1e6)
+    bids[:, 0] = 2.5
+    log = BidLog.from_matrix(bids, ["b0", "b1", "b2", "b3"])
+    path = str(tmp_path / "log.csv")
+    write_log(log, path)
+
+    def refuse(data, fmt):
+        raise AssertionError("the per-record parse ran")
+
+    monkeypatch.setattr(logio, "_parse_records", refuse)
+    monkeypatch.setattr(logio, "_BLOCK_LINES", 64)
+    assert parse_log(path) == log
+
+
+_MICROS = st.one_of(st.integers(0, 10 ** 15), st.sampled_from([0, 1, 10 ** 6, 10 ** 15]),
+                    st.integers(0, 10 ** 14 - 1).map(lambda k: 10 * k + 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_MICROS, min_size=1, max_size=40), st.sampled_from([1, 7, 1 << 16]))
+def test_written_bids_are_format_micro_tokens(micros, block_lines):
+    values = [m / 10 ** 6 for m in micros]
+    log = BidLog.from_matrix(np.array(values)[:, None], ["A"])
+    want = [format_micro(v) for v in values]
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(logio, "_BLOCK_LINES", block_lines)
+        write_log(log, f"{tmp}/log.csv")
+        write_log(log, f"{tmp}/log.jsonl")
+        with open(f"{tmp}/log.csv", encoding="utf-8") as fh:
+            assert [line.split(",")[2] for line in fh.read().splitlines()[1:]] == want
+        with open(f"{tmp}/log.jsonl", encoding="utf-8") as fh:
+            assert [json.loads(line)["bid"] for line in fh] == want
+
+
+@pytest.mark.parametrize("row", [[1.5, 1 / 3, 2e9], [1.5, 1e9 + 1e-6, 1 / 3],
+                                 [0.1 + 0.2, 1.0, 1.0]])
+def test_write_log_refuses_the_first_non_micro_bid(tmp_path, row):
+    bad = next(v for v in row if not is_micro(v))
+    with pytest.raises(ValueError) as want:
+        format_micro(bad)
+    log = BidLog.from_matrix(np.array([row, [1.0] * 3]), ["A", "B", "C"])
+    for fmt in ("csv", "jsonl"):
+        with pytest.raises(ValueError) as e:
+            write_log(log, str(tmp_path / f"log.{fmt}"))
+        assert str(e.value) == str(want.value)
+        assert not (tmp_path / f"log.{fmt}").exists()
