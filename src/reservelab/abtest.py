@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import ContinuousDist, VirtualValueFn, myerson_reserve
 from .errors import DomainError
@@ -226,6 +225,7 @@ def rev_e_k_quadrature(dist: ContinuousDist, n: int, k: int) -> float:
     r = myerson_reserve(dist)
     if n == 1 and k == 0:
         return 0.0
+    from scipy import integrate  # 0.5-0.7 s to import, so only where a reference needs it
 
     def g(x):
         return x * dist.pdf(x) - (1.0 - dist.cdf(x))
@@ -250,6 +250,7 @@ def expected_second_highest(dist: ContinuousDist, n: int) -> float:
         raise DomainError(f"{dist.name}: order-statistic quadrature needs an atomless law")
     if n < 2:
         return 0.0
+    from scipy import integrate
 
     def integrand(x):
         F = dist.cdf(x)
@@ -259,10 +260,22 @@ def expected_second_highest(dist: ContinuousDist, n: int) -> float:
     return n * (n - 1) * val
 
 
+def _is_unit_uniform(dist: ContinuousDist) -> bool:
+    """uniform(0,1), the law whose references have closed forms."""
+    return dist.name.startswith("uniform(") and (dist.lo, dist.hi) == (0.0, 1.0)
+
+
+def _lazy_endpoints(dist: ContinuousDist, n: int) -> tuple[float, float]:
+    """Lazy revenue with no bidder treated and with all n treated at the Myerson reserve."""
+    if _is_unit_uniform(dist):
+        return (n - 1.0) / (n + 1.0), rev_e_k_closed_uniform(n, n)
+    return expected_second_highest(dist, n), rev_e_k_quadrature(dist, n, n)
+
+
 def _reference(dist: ContinuousDist, n: int, k: int, mechanism: Mechanism,
                lazy_endpoints: Optional[tuple[float, float]]) -> float:
     if mechanism is Mechanism.EAGER:
-        if dist.name.startswith("uniform(") and (dist.lo, dist.hi) == (0.0, 1.0):
+        if _is_unit_uniform(dist):
             return rev_e_k_closed_uniform(n, k)
         return rev_e_k_quadrature(dist, n, k)
     rev0, revn = lazy_endpoints
@@ -273,18 +286,16 @@ def sweep_theoretical(dist: ContinuousDist, n: int, mechanism: Mechanism,
                       trials: int, seed: int) -> SweepResult:
     """Monte-Carlo sweep over k = 0..n with common random numbers, plus reference values.
 
-    References: closed form for uniform(0,1) eager, quadrature for other
-    eager families, and the linear interpolation between quadrature endpoints
-    for lazy. A non-finite mean, stderr or reference, or a negative reference,
+    References: closed forms for uniform(0,1), quadrature for other
+    families; lazy interpolates linearly between its k = 0 and k = n
+    endpoints. A non-finite mean, stderr or reference, or a negative reference,
     raises DomainError naming the first such row.
     """
     ks = list(range(n + 1))
     arms = _bidder_arms(mechanism, _treated_reserve_row(dist, n, TreatmentPlan()), ks,
                         AssignmentMode.RANDOM_PER_AUCTION)
     count, means, m2s = _moments(dist, n, trials, seed, arms)
-    lazy_endpoints = None
-    if mechanism is Mechanism.LAZY:
-        lazy_endpoints = (expected_second_highest(dist, n), rev_e_k_quadrature(dist, n, n))
+    lazy_endpoints = _lazy_endpoints(dist, n) if mechanism is Mechanism.LAZY else None
     rows = []
     for k in ks:
         mean, se = _mean_stderr(count, means[k], m2s[k])

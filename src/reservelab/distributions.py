@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from .errors import DomainError
 
@@ -172,4 +171,23 @@ def myerson_reserve(dist: ContinuousDist) -> float:
         return dist.lo
     if not (phi_a < -tol and phi_b > 0.0):
         raise DomainError(f"{dist.name}: virtual value has no sign change on the support")
-    return float(sp_optimize.bisect(lambda v: _phi_unchecked(dist, v), a, b, xtol=1e-10))
+    return _bisect(lambda v: _phi_unchecked(dist, v), a, b, phi_a, xtol=1e-10)
+
+
+def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: float) -> float:
+    """The root of f in [a, b] given f(a) < 0 < f(b), by scipy.optimize.bisect's loop.
+
+    Same halving, same stopping rule (|dm| < xtol + 4 eps |xm|, at most 100
+    steps), so it returns the float scipy returns without importing scipy.
+    """
+    rtol = 4.0 * np.finfo(float).eps
+    dm = b - a
+    for _ in range(100):
+        dm *= 0.5
+        xm = a + dm
+        fm = f(xm)
+        if fm * fa >= 0.0:
+            a = xm
+        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+            return float(xm)
+    raise DomainError(f"bisection on [{a}, {b}] did not converge in 100 steps")

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy import stats
 
 from .distributions import ContinuousDist, equal_revenue_dist
 from .logs import BidLog
@@ -57,7 +55,13 @@ def sample_log(gen: JointGenerator, count: int, seed: int) -> BidLog:
 
 
 def gen_high_low(n: int, epsilon: float = 1e-9) -> JointGenerator:
-    """n iid bidders; each bids n w.p. 1/n^2, else 1, plus uniform [0, epsilon] noise."""
+    """n iid bidders; each bids n w.p. 1/n^2, else 1, plus uniform [0, epsilon] noise.
+
+    The default noise is below micro precision, so a log the CLI writes (bids
+    rounded to micros) has only the bids 1 and n, tied within each level. The
+    optima differ: at n = 5, 20k auctions, seed 1, the empirical lazy optimum
+    is 1.0578 on the sampled log and 1.6090 on the quantized one.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
     if epsilon <= 0:
@@ -212,6 +216,8 @@ def high_low_exact(n: int) -> HighLowAnalysis:
     over h = number of high competitors ~ Binomial(n-1, 1/n^2), splitting
     ties uniformly among equal bids.
     """
+    from scipy import stats  # 1.2 s to import; no CLI command calls this
+
     q = 1.0 / n ** 2
     h = np.arange(n)
     pmf = stats.binom.pmf(h, n - 1, q)
@@ -242,6 +248,8 @@ class EqualRevenuePairAnalysis:
 
 def _equal_revenue_pair_expectations(M: float, epsilon: float):
     """Expected revenue functions (lazy, eager) for the correlated pair, by quadrature."""
+    from scipy import integrate  # no CLI command calls this
+
     p_zero = math.log(M) / M
     atom = 1.0 / M
 

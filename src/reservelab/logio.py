@@ -53,13 +53,19 @@ def parse_bid_token(token: str, line_number: int = 0) -> float:
     return micros / 10 ** 6
 
 
+def _round_micros(x: float) -> int:
+    """round(x * 10**6), or MAX_MICROS + 1 where that product overflows to inf."""
+    scaled = x * 10 ** 6
+    return round(scaled) if scaled != math.inf else MAX_MICROS + 1
+
+
 def is_micro(x: float) -> bool:
     """True when x is exactly representable as a bounded micro decimal."""
     if not (isinstance(x, float) or isinstance(x, int)) or isinstance(x, bool):
         return False
     if math.isnan(x) or math.isinf(x) or x < 0:
         return False
-    micros = round(x * 10 ** 6)
+    micros = _round_micros(x)
     return micros <= MAX_MICROS and micros / 10 ** 6 == x
 
 
@@ -67,7 +73,7 @@ def quantize_value(x: float) -> float:
     """Round x to the nearest micro. Raises on NaN/inf/negative/out-of-range."""
     if math.isnan(x) or math.isinf(x) or x < 0:
         raise ValueError(f"cannot quantize {x!r}")
-    micros = round(x * 10 ** 6)
+    micros = _round_micros(x)
     if micros > MAX_MICROS:
         raise ValueError(f"{x!r} exceeds the 1e9 cap")
     return micros / 10 ** 6
@@ -84,7 +90,8 @@ def format_micro(x: float) -> str:
 def quantize_log(log: BidLog) -> BidLog:
     """Copy of the log with every bid rounded to micro precision."""
     bids = log.to_matrix()
-    micros = np.rint(bids * 10 ** 6)  # half to even, as round(); -inf stays -inf
+    with np.errstate(over="ignore"):  # a product that overflows is inf, over the cap
+        micros = np.rint(bids * 10 ** 6)  # half to even, as round(); -inf stays -inf
     if (micros > MAX_MICROS).any():
         raise ValueError(f"{float(bids[micros > MAX_MICROS][0])!r} exceeds the 1e9 cap")
     return BidLog.from_matrix(micros / 10 ** 6, log.bidder_ids, log.auction_ids)
@@ -286,7 +293,8 @@ def _id_tokens(ids: Iterable[str], fmt: str) -> list[str]:
 def _micros(values: np.ndarray) -> np.ndarray:
     """Integer micros of each value, is_micro tested on the whole array; raises
     format_micro's error for the first value that fails it."""
-    micros = np.rint(values * 10 ** 6)  # half to even, as round()
+    with np.errstate(over="ignore"):  # a product that overflows is inf, over the cap
+        micros = np.rint(values * 10 ** 6)  # half to even, as round()
     ok = np.isfinite(values) & (values >= 0) & (micros <= MAX_MICROS)
     ok &= micros / 10 ** 6 == values
     if not ok.all():

@@ -272,7 +272,7 @@ def test_bidder_split_estimates_make_no_kernel_call(monkeypatch):
 @pytest.mark.parametrize("mech", list(Mechanism))
 def test_sweep_and_paired_deltas_equal_the_per_k_reference(n, mech):
     res = sweep_theoretical(UNIFORM, n, mech, _ORACLE_TRIALS, seed=21)
-    lazy_ends = (expected_second_highest(UNIFORM, n), rev_e_k_quadrature(UNIFORM, n, n))
+    lazy_ends = ((n - 1) / (n + 1), rev_e_k_closed_uniform(n, n))
     want = [SweepRow(float(k), mech, mean, se, _ORACLE_TRIALS,
                      rev_e_k_closed_uniform(n, k) if mech is Mechanism.EAGER
                      else rev_l_k_closed(n, k, *lazy_ends))
@@ -283,6 +283,20 @@ def test_sweep_and_paired_deltas_equal_the_per_k_reference(n, mech):
     deltas = paired_treatment_deltas(UNIFORM, n, mech, _ORACLE_TRIALS, seed=22)
     assert list(deltas) == [abtest.PairedDelta(k, k + 1, mean, se) for k, (mean, se)
                             in enumerate(_reference_all_k(n, mech, _ORACLE_TRIALS, 22, diff=True))]
+
+
+def test_uniform_lazy_endpoints_closed_form_matches_quadrature():
+    """The closed uniform(0,1) lazy endpoints are within 1e-15 of quadrature and print alike."""
+    for n in range(1, 41):
+        closed = abtest._lazy_endpoints(UNIFORM, n)
+        quad = (expected_second_highest(UNIFORM, n), rev_e_k_quadrature(UNIFORM, n, n))
+        for c, q in zip(closed, quad):
+            assert abs(c - q) <= 1e-15 * abs(q)
+        tsvs = [SweepResult(tuple(SweepRow(float(k), Mechanism.LAZY, 0.5, 0.01, 10,
+                                           rev_l_k_closed(n, k, *ends))
+                                  for k in range(n + 1)), 1, "t").to_tsv()
+                for ends in (closed, quad)]
+        assert tsvs[0] == tsvs[1]
 
 
 @pytest.mark.parametrize("mode", list(SplitMode))

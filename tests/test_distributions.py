@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from reservelab import distributions
 from reservelab.distributions import (ContinuousDist, VirtualValueFn, equal_revenue_dist,
                                       exponential_dist, myerson_reserve, uniform_dist,
                                       virtual_value)
@@ -70,6 +71,42 @@ def test_myerson_positive_virtual_value_gives_the_low_end():
     assert myerson_reserve(uniform_dist(6.0, 10.0)) == 6.0
     assert myerson_reserve(uniform_dist(1e9, 1e9 + 1.0)) == 1e9
     assert abs(myerson_reserve(uniform_dist(4.0, 10.0)) - 5.0) <= 1e-9
+
+
+_BISECTED = ([uniform_dist(lo, hi) for lo in (0.0, -1.0, -1e6, 1e-3, 0.25, 3.0, 1e9)
+              for hi in (1e-9, 1e-3, 1.0, 10.0, 1e6, 1e9 + 1.0, 1e15, 1e100, 1e300)
+              # uniform(-1e6, 1e-9) brackets below 0: its bracket steps 1e-6 in from each end
+              if hi / 2 > lo and (lo, hi) != (-1e6, 1e-9)]
+             + [exponential_dist(rate) for rate in
+                (1e-12, 1e-6, 1e-3, 0.37, 1.0, 4.0, 1e3, 1e6, 1e9)])
+
+
+def test_myerson_bisection_equals_scipy_bisect(monkeypatch):
+    """The private bisection returns scipy.optimize.bisect's float on the same bracket.
+
+    Every exponential bracket comes from the doubling search past lo + 1/rate.
+    """
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    calls = []
+
+    def scipy_bisect(f, a, b, fa, xtol):
+        calls.append(dist.name)
+        return float(scipy_optimize.bisect(f, a, b, xtol=xtol))
+
+    for dist in _BISECTED:
+        got = myerson_reserve(dist)
+        with monkeypatch.context() as m:
+            m.setattr(distributions, "_bisect", scipy_bisect)
+            want = myerson_reserve(dist)
+        assert calls == [dist.name]  # the law bisects: it does not return lo
+        assert got == want, dist.name
+        calls.clear()
+
+
+def test_bisection_that_does_not_converge_is_a_domain_error():
+    # 100 halvings of a 2e30-wide bracket leave a step of about 1.6, far above 1e-10
+    with pytest.raises(DomainError, match="did not converge"):
+        distributions._bisect(lambda v: v - 1e-5, -1e30, 1e30, -1e30, xtol=1e-10)
 
 
 def test_equal_revenue_price_invariance():

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+import sys
 import tempfile
 
 import numpy as np
@@ -74,6 +75,21 @@ def test_quantize():
         quantize_value(math.inf)
     q = quantize_log(BidLog([BidProfile("a", {"A": 1 / 3})]))
     assert q.profiles[0].bids["A"] == 0.333333
+
+
+@pytest.mark.parametrize("x", [1e305, sys.float_info.max])
+def test_values_whose_micros_overflow_are_refused(tmp_path, x):
+    """x * 10**6 overflows to inf: a ValueError, not round()'s OverflowError."""
+    assert not is_micro(x)
+    with pytest.raises(ValueError, match="not representable"):
+        format_micro(x)
+    with pytest.raises(ValueError, match="exceeds the 1e9 cap"):
+        quantize_value(x)
+    log = BidLog.from_matrix(np.array([[1.0, x]]), ("A", "B"))
+    with pytest.raises(ValueError, match="not representable"):
+        write_log(log, str(tmp_path / "log.csv"))
+    with pytest.raises(ValueError, match="exceeds the 1e9 cap"):
+        quantize_log(log)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
