@@ -145,14 +145,15 @@ class VirtualValueFn:
 
 
 def myerson_reserve(dist: ContinuousDist) -> float:
-    """The zero of the virtual value, found by bisection to within 1e-10.
+    """The zero of the virtual value, found by bisection to within 1e-10 * min(scale, 1).
 
     When phi > 0 on the whole support the reserve is its low end: for a
     regular law, revenue only falls as the reserve rises above lo. Otherwise
     raises DomainError when phi has no sign change on the support (for
     example the equal-revenue family, where phi == 0 up to rounding).
     """
-    eps = 1e-12 * max(dist.scale, 1.0)
+    # relative to the scale below 1, so a law of scale 1e-13 still has a bracket
+    eps = 1e-12 * max(dist.scale, 1.0) * min(dist.scale, 1.0)
     a = dist.lo + eps
     if dist.hi == math.inf:
         b = dist.lo + dist.scale
@@ -171,7 +172,8 @@ def myerson_reserve(dist: ContinuousDist) -> float:
         return dist.lo
     if not (phi_a < -tol and phi_b > 0.0):
         raise DomainError(f"{dist.name}: virtual value has no sign change on the support")
-    return _bisect(lambda v: _phi_unchecked(dist, v), a, b, phi_a, xtol=1e-10)
+    return _bisect(lambda v: _phi_unchecked(dist, v), a, b, phi_a,
+                   xtol=1e-10 * min(dist.scale, 1.0))
 
 
 def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: float) -> float:

@@ -2,9 +2,10 @@
 
 A ProductDist assigns each bidder an independent finite-support distribution.
 expected_revenue_product evaluates an auction's expected revenue exactly by
-enumerating the full profile space (at most _MAX_PROFILES profiles), always walking
-profiles in the same deterministic order so two evaluations that agree
-pointwise agree bit for bit.
+enumerating the full profile space (at most _MAX_PROFILES profiles) and
+summing with math.fsum, so two evaluations that agree pointwise agree bit for
+bit. optimal_reserves_product treats the law as a log of its profiles
+weighted by probability and runs the eager search of reservelab.optimize.
 
 trim_lift turns a lazy-reserve setup into an eager-equivalent one: processing
 bidders from the highest reserve down, the mass of D_i below r_i is collapsed
@@ -25,9 +26,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import SearchSpaceTooLarge
-from .mechanics import BidProfile, Mechanism, ReserveVector, run_auction
-from .optimize import argmax_over_grid
-from .vectorized import payments
+from .mechanics import Mechanism, ReserveVector
+from .optimize import _eager_line_totals, _eager_totals_for_rows, exact_eager_search
+from .vectorized import ABSENT, lazy_order, payments
 
 
 @dataclass(frozen=True)
@@ -95,19 +96,16 @@ def expected_revenue_product(dist: ProductDist, reserves: ReserveVector,
                              mechanism: Mechanism) -> float:
     """Exact expected revenue by full profile enumeration.
 
-    Profiles are enumerated in lexicographic bidder/atom order and payments
-    come from the scalar mechanics, so the result is a deterministic sum.
+    Each profile's probability times its payment, summed by math.fsum: the
+    kernels pay what the scalar mechanics pay and fsum is correctly rounded,
+    so the result does not depend on the order of the profiles.
     """
     if dist.support_size() > _MAX_PROFILES:
         raise SearchSpaceTooLarge(
             f"{dist.support_size()} profiles exceed max_profiles={_MAX_PROFILES}")
-    ids = dist.bidder_ids()
-    terms = []
-    for combo in itertools.product(*(dist.bidders[b].atoms for b in ids)):
-        prob = math.prod(p for _, p in combo)
-        profile = BidProfile("x", {b: v for b, (v, _) in zip(ids, combo)})
-        terms.append(prob * run_auction(profile, reserves, mechanism).payment)
-    return math.fsum(terms)
+    values, probs = _profile_arrays(dist)
+    row = np.array([reserves.get(b) for b in dist.bidder_ids()])
+    return math.fsum((probs * payments(values, row, mechanism)).tolist())
 
 
 def _profile_arrays(dist: ProductDist):
@@ -119,31 +117,60 @@ def _profile_arrays(dist: ProductDist):
     return values, probs
 
 
+def _lazy_search(values: np.ndarray, cands: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The first vector of itertools.product(cands, repeat=n) with the highest ordered
+    lazy total over the profiles, each payment times its probability.
+
+    A lazy auction pays what an eager one pays when only its zero-reserve
+    winner and a rival at reserve 0 bidding the second price take part. In
+    that log bidder i's reserve moves only the profiles i wins, so each
+    bidder's line search holds the others' terms fixed. A vector that ties
+    the ordered optimum has, in every coordinate, a line total within twice
+    the summed line tols of that line's maximum. So only the product of those
+    shortlists, without repeats (each ties a smaller candidate), is re-scored
+    by ordered sums.
+    """
+    (T, n), (winner, top, second) = values.shape, lazy_order(values)
+    bids = np.full((T, n + 1), ABSENT)
+    bids[np.arange(T), winner] = top
+    bids[:, n] = second
+    lines = [_eager_line_totals(bids, np.zeros((1, n + 1)), i, cands, probs) for i in range(n)]
+    tol = 2 * sum(line_tol[0] for _, line_tol, _ in lines)
+    R = np.array([x + (0.0,) for x in itertools.product(
+        *(cands[(fast[0] >= fast.max() - tol) & ~repeats[0]] for fast, _, repeats in lines))])
+    return R[int(np.argmax(_eager_totals_for_rows(bids, R, probs))), :n]  # first max
+
+
 def optimal_reserves_product(dist: ProductDist,
                              mechanism: Mechanism) -> tuple[ReserveVector, float]:
     """Exact optimal reserves for a finite-support product distribution.
 
-    Searches the product of per-bidder candidate grids ({0} plus the union of
-    all atom values; the objective is piecewise linear in each reserve with
-    breakpoints only at atoms, so the grid contains an exact optimum). Ties
-    break toward the lexicographically smallest vector. The returned revenue
-    comes from expected_revenue_product at the argmax. A grid of more than
+    The law is searched as a log of its support profiles weighted by
+    probability, over the product of per-bidder candidate grids ({0} plus the
+    union of all atom values; the objective is piecewise linear in each
+    reserve with breakpoints only at atoms, so the grid contains an exact
+    optimum). The result is the grid's first vector, in product order, with
+    the highest weighted payment sum in profile order, so ties break toward
+    the lexicographically smallest vector. Eager enumerates n - 1 reserves
+    and line-searches the last (optimize.exact_eager_search); lazy decouples
+    per bidder into n line searches. The returned revenue comes from
+    expected_revenue_product at the argmax. A grid of more than
     _MAX_PRODUCT_SIZE vectors is refused (SearchSpaceTooLarge) before any
     profile is enumerated; each bidder's atoms are candidates, so the same
     bound caps the support size.
     """
     ids = dist.bidder_ids()
     n = len(ids)
-    cands = sorted({0.0} | {v for d in dist.bidders.values() for v in d.values()})
+    cands = np.array(sorted({0.0} | {v for d in dist.bidders.values() for v in d.values()}))
     if len(cands) ** n > _MAX_PRODUCT_SIZE:
         raise SearchSpaceTooLarge(f"{len(cands)}^{n} = {len(cands) ** n} candidate vectors "
                                   f"exceed max_product_size={_MAX_PRODUCT_SIZE}")
     values, probs = _profile_arrays(dist)
-
-    best_vec = argmax_over_grid(
-        cands, n, lambda R: payments(values, R[:, None, :], mechanism) @ probs,
-        max(1, 200_000 // len(probs)))
-    reserves = ReserveVector(dict(zip(ids, (float(x) for x in best_vec))))
+    if mechanism is Mechanism.EAGER:
+        best = exact_eager_search(values, cands, probs)
+    else:
+        best = _lazy_search(values, cands, probs)
+    reserves = ReserveVector(dict(zip(ids, (float(x) for x in best))))
     return reserves, expected_revenue_product(dist, reserves, mechanism)
 
 

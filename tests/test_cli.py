@@ -307,6 +307,7 @@ def test_optimize_needs_one_source(tmp_path):
 
 @pytest.mark.parametrize("dist, params, code", [
     ("uniform", '{"lo": 0.0, "hi": 2.0}', 0),
+    ("uniform", '{"lo": 0.0, "hi": 1e-13}', 0),  # the Myerson bracket scales with the law
     ("exponential", '{"rate": 2.0}', 0),
     ("equal_revenue", '{"M": 50.0}', 3),  # no Myerson reserve: a clean domain error
 ])

@@ -77,20 +77,24 @@ _BISECTED = ([uniform_dist(lo, hi) for lo in (0.0, -1.0, -1e6, 1e-3, 0.25, 3.0, 
               for hi in (1e-9, 1e-3, 1.0, 10.0, 1e6, 1e9 + 1.0, 1e15, 1e100, 1e300)
               # uniform(-1e6, 1e-9) brackets below 0: its bracket steps 1e-6 in from each end
               if hi / 2 > lo and (lo, hi) != (-1e6, 1e-9)]
+             + [uniform_dist(0.0, 1e-13)]
              + [exponential_dist(rate) for rate in
-                (1e-12, 1e-6, 1e-3, 0.37, 1.0, 4.0, 1e3, 1e6, 1e9)])
+                (1e-12, 1e-6, 1e-3, 0.37, 1.0, 4.0, 1e3, 1e6, 1e9, 1e12)])
 
 
 def test_myerson_bisection_equals_scipy_bisect(monkeypatch):
     """The private bisection returns scipy.optimize.bisect's float on the same bracket.
 
-    Every exponential bracket comes from the doubling search past lo + 1/rate.
+    Every exponential bracket comes from the doubling search past lo + 1/rate. A
+    law of scale >= 1 keeps the bracket inset 1e-12 * scale and xtol 1e-10.
     """
     scipy_optimize = pytest.importorskip("scipy.optimize")
     calls = []
 
     def scipy_bisect(f, a, b, fa, xtol):
         calls.append(dist.name)
+        if dist.scale >= 1.0:
+            assert (a, xtol) == (dist.lo + 1e-12 * dist.scale, 1e-10)
         return float(scipy_optimize.bisect(f, a, b, xtol=xtol))
 
     for dist in _BISECTED:
@@ -101,6 +105,15 @@ def test_myerson_bisection_equals_scipy_bisect(monkeypatch):
         assert calls == [dist.name]  # the law bisects: it does not return lo
         assert got == want, dist.name
         calls.clear()
+
+
+def test_myerson_small_scale_laws_match_closed_forms():
+    # the bracket inset and xtol scale with the law below scale 1
+    for rate in (1e3, 1e9, 1e12, 1e15):
+        got = myerson_reserve(exponential_dist(rate))
+        assert abs(got - 1.0 / rate) <= 1e-9 / rate
+    for hi in (1e-3, 1e-9, 1e-13, 1e-16):
+        assert abs(myerson_reserve(uniform_dist(0.0, hi)) - hi / 2) <= 1e-9 * hi / 2
 
 
 def test_bisection_that_does_not_converge_is_a_domain_error():

@@ -3,7 +3,8 @@
 Importing scipy costs a reservelab process about a second before it does
 any work. Each case runs one command in a fresh interpreter and lists the
 scipy modules loaded when it returns, so a top-level scipy import anywhere
-the CLI reaches fails here.
+the CLI reaches fails here. The optimize commands also load no numpy.ma,
+which np.unique imports on its first call (11-17 ms per process).
 """
 
 import json
@@ -18,24 +19,26 @@ from reservelab.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(reservelab.__file__)))
 IID_PARAMS = '{"dist": "uniform", "n": 3, "lo": 0.0, "hi": 10.0}'
-# run argv (a JSON list, or nothing for a bare import), then print [exit code, scipy modules]
+# run argv (a JSON list, or nothing for a bare import), then print
+# [exit code, scipy modules, whether numpy.ma is loaded]
 SCRIPT = """
 import json, sys
 from reservelab.cli import main
 code = main(json.loads(sys.argv[1])) if len(sys.argv) > 1 else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "numpy.ma" in sys.modules]))
 """
 
 
-def loaded_scipy(argv):
-    """Exit code and the scipy modules loaded after running argv in a fresh process."""
+def loaded_modules(argv):
+    """Exit code, the scipy modules loaded and whether numpy.ma is loaded, after running
+    argv in a fresh process."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     args = [sys.executable, "-c", SCRIPT] + ([] if argv is None else [json.dumps(argv)])
     proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, modules = json.loads(proc.stdout.strip().splitlines()[-1])
-    return code, modules
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
@@ -76,14 +79,21 @@ def command(name, inputs):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_command_loads_no_scipy(inputs, name):
-    code, modules = loaded_scipy(command(name, inputs))
+    code, modules, _ = loaded_modules(command(name, inputs))
     assert code == 0
     assert modules == []
+
+
+@pytest.mark.parametrize("name", [name for name in CASES if name.startswith("optimize-")])
+def test_optimize_loads_no_numpy_ma(inputs, name):
+    code, _, numpy_ma = loaded_modules(command(name, inputs))
+    assert code == 0
+    assert not numpy_ma
 
 
 def test_exponential_theoretical_sweep_loads_scipy_integrate(inputs):
     """The guard can fail: a quadrature reference does import scipy."""
     argv = THEORETICAL + ["--dist", "exponential", "--out", inputs["out"] + "-exponential"]
-    code, modules = loaded_scipy(argv)
+    code, modules, _ = loaded_modules(argv)
     assert code == 0
     assert "scipy.integrate" in modules

@@ -12,12 +12,15 @@ from reservelab.errors import SearchSpaceTooLarge
 from reservelab.generators import gen_hardness_instance, independent_set_number
 from reservelab.logs import BidLog
 from reservelab.mechanics import BidProfile, Mechanism, ReserveVector, run_eager
-from reservelab.optimize import (_eager_line_totals, _eager_totals_for_rows,
+from reservelab import optimize
+from reservelab.optimize import (_best_on_lines, _eager_line_totals, _eager_totals_for_rows,
                                  _global_candidates, _result,
                                  eager_coordinate_ascent, empirical_revenue,
                                  monopoly_reserves, optimal_eager_exact, optimal_lazy,
                                  optimal_lazy_bruteforce)
 from reservelab.vectorized import ABSENT, payments
+
+from oracles import argmax_over_grid
 
 
 def log_of(rows):
@@ -181,6 +184,39 @@ def test_eager_exact_lex_smallest_tie():
     assert (res.reserves.get("A"), res.reserves.get("B")) == (0.0, 0.0)
 
 
+def grid_search(bids, cands, weights=None):
+    """The exhaustive search the line search replaced: every grid vector's ordered total."""
+    return argmax_over_grid(cands.tolist(), bids.shape[1],
+                            lambda R: _eager_totals_for_rows(bids, R, weights), 1 << 14)
+
+
+@st.composite
+def exact_cases(draw):
+    """A log of integer bids (ties) with absent cells, whose grid is under 1e4 vectors,
+    and a search block size: the default, or small enough to split the prefixes."""
+    n = draw(st.integers(1, 4))
+    top = int(10 ** (4 / n) + 1e-9) - 1  # {0..top}^n holds at most 1e4 vectors
+    T = draw(st.integers(1, 15))
+    values = st.integers(0, draw(st.integers(1, min(top, 30)))).map(float)
+    bids = np.array(draw(st.lists(st.lists(values | st.just(ABSENT), min_size=n, max_size=n),
+                                  min_size=T, max_size=T)))
+    bids[np.arange(T), draw(st.lists(st.integers(0, n - 1), min_size=T, max_size=T))] = 1.0
+    batch = draw(st.sampled_from([optimize._SEARCH_BATCH, 40, 1]))
+    return BidLog.from_matrix(bids, [f"b{j}" for j in range(n)]), batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_cases())
+def test_eager_exact_returns_the_grid_vector(case):
+    log, batch = case
+    want = grid_search(log.to_matrix(), _global_candidates(log))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(optimize, "_SEARCH_BATCH", batch)
+        got = optimal_eager_exact(log, max_product_size=10 ** 4)
+    assert [got.reserves.get(b) for b in log.bidder_ids] == want.tolist()
+    assert got.expected_revenue == empirical_revenue(log, got.reserves, Mechanism.EAGER)
+
+
 def test_ascent_triangle_from_all_low():
     log = gen_hardness_instance([0, 1, 2], [(0, 1), (1, 2), (0, 2)], 2.0, 3.0)
     init = ReserveVector({b: 2.0 for b in log.bidder_ids})
@@ -215,13 +251,30 @@ def test_eager_totals_sum_scalar_payments_in_auction_order():
         n = len(log.bidder_ids)
         # enough rows that the search splits them over several kernel calls
         R = rng.choice([0.0, 1.0, 2.5, 4.0, 6.0, math.inf], size=(1500, n))
+        weights = rng.random(len(log))
         got = _eager_totals_for_rows(log.to_matrix(), R)
-        for row, total in zip(R[::37], got[::37]):
+        got_w = _eager_totals_for_rows(log.to_matrix(), R, weights)
+        for row, total, total_w in zip(R[::37], got[::37], got_w[::37]):
             rv = ReserveVector(dict(zip(log.bidder_ids, row.tolist())))
-            want = 0.0
-            for p in log.profiles:
+            want = want_w = 0.0
+            for p, w in zip(log.profiles, weights):
                 want += run_eager(p, rv).payment
-            assert total == want
+                want_w += run_eager(p, rv).payment * w
+            assert total == want and total_w == want_w
+
+
+def test_row_totals_do_not_depend_on_the_block(monkeypatch):
+    rng = np.random.default_rng(52)
+    log = random_log(rng, max_bidders=4, max_auctions=60)
+    bids, n = log.to_matrix(), len(log.bidder_ids)
+    R = rng.choice([0.0, 1.0, 2.5, 4.0, 6.0, math.inf], size=(300, n))
+    for weights in (None, rng.random(len(log))):
+        whole = _eager_totals_for_rows(bids, R, weights)
+        for lo, hi in ((0, 1), (7, 8), (5, 123), (100, 300)):
+            assert np.array_equal(_eager_totals_for_rows(bids, R[lo:hi], weights), whole[lo:hi])
+        with monkeypatch.context() as m:
+            m.setattr(optimize, "_SEARCH_BATCH", 1)  # one row per kernel call
+            assert np.array_equal(_eager_totals_for_rows(bids, R, weights), whole)
 
 
 def reference_ascent(log, init=None, max_rounds=50):
@@ -248,19 +301,23 @@ def reference_ascent(log, init=None, max_rounds=50):
     return replace(_result(log, current, Mechanism.EAGER), rounds=rounds, converged=converged)
 
 
-def check_line_search(log, current):
-    """Every candidate's fast total against the ordered sums, and the shortlist's argmax."""
+def check_line_search(log, current, weights=None):
+    """Every candidate's fast total against the ordered sums, for one reserve row or a
+    (B, n) block of them, and the block's first ordered argmax from the shortlist."""
     bids, cands = log.to_matrix(), _global_candidates(log)
+    rows = np.atleast_2d(current)
     for j in range(len(log.bidder_ids)):
-        fast, tol, repeats = _eager_line_totals(bids, current, j, cands)
-        R = np.tile(current, (len(cands), 1))
-        R[:, j] = cands
-        exact = _eager_totals_for_rows(bids, R)
-        assert np.all(np.abs(fast - exact) <= tol / 2)
-        k = np.flatnonzero(repeats)
-        assert np.array_equal(exact[k], exact[k - 1])  # a repeat ties the row below, bit for bit
-        shortlist = np.flatnonzero((fast >= fast.max() - tol) & ~repeats)
-        assert shortlist[np.argmax(exact[shortlist])] == np.argmax(exact)
+        fast, tol, repeats = _eager_line_totals(bids, rows, j, cands, weights)
+        R = np.repeat(rows, len(cands), axis=0)  # (row, candidate) order
+        R[:, j] = np.tile(cands, len(rows))
+        exact = _eager_totals_for_rows(bids, R, weights).reshape(fast.shape)
+        assert np.all(np.abs(fast - exact) <= tol[:, None] / 2)
+        p, k = np.nonzero(repeats)
+        # a repeat ties the row below, bit for bit
+        assert np.array_equal(exact[p, k], exact[p, k - 1])
+        row, total = _best_on_lines(bids, rows, j, cands, weights)
+        i = int(np.argmax(exact))
+        assert total == exact.flat[i] and np.array_equal(row, R[i])
 
 
 def test_line_search_matches_ordered_totals():
@@ -275,6 +332,8 @@ def test_line_search_matches_ordered_totals():
         levels = np.concatenate([_global_candidates(log), [math.inf]])
         check_line_search(log, np.zeros(n))
         check_line_search(log, rng.choice(levels, size=n))
+        check_line_search(log, rng.choice(levels, size=(5, n)))
+        check_line_search(log, rng.choice(levels, size=(3, n)), rng.random(len(log)))
     assert {1, 2} <= seen_n
 
 
@@ -283,16 +342,20 @@ _LEVELS = [0.0, 0.5, 1.0, 2.0, 3.0]  # few levels, so bids tie with each other a
 
 @st.composite
 def line_cases(draw):
-    """A small log with ties and absent bidders, and a current reserve row with +inf."""
+    """A small log with ties and absent bidders, a block of one to three reserve rows
+    with +inf, and auction weights or None."""
     n = draw(st.integers(1, 4))
     T = draw(st.integers(1, 12))
     bids = np.array(draw(st.lists(st.lists(st.sampled_from(_LEVELS + [ABSENT]),
                                            min_size=n, max_size=n), min_size=T, max_size=T)))
     bids[np.arange(T), draw(st.lists(st.integers(0, n - 1), min_size=T, max_size=T))] = 1.0
     log = BidLog.from_matrix(bids, [f"b{j}" for j in range(n)])
-    current = draw(st.lists(st.sampled_from(_LEVELS + [math.inf]),
-                            min_size=len(log.bidder_ids), max_size=len(log.bidder_ids)))
-    return log, np.array(current)
+    n = len(log.bidder_ids)
+    rows = draw(st.lists(st.lists(st.sampled_from(_LEVELS + [math.inf]), min_size=n, max_size=n),
+                         min_size=1, max_size=3))
+    weights = draw(st.none() | st.lists(st.sampled_from([0.1, 0.25, 1 / 3, 1.0, 2.5]),
+                                        min_size=T, max_size=T))
+    return log, np.array(rows), None if weights is None else np.array(weights)
 
 
 @settings(max_examples=150, deadline=None)
@@ -324,7 +387,7 @@ def test_line_search_near_tie_keeps_ordered_argmax():
     log = BidLog.from_matrix(np.array([[1.1, 0.2], [1.1, 1.1], [0.6, 1.1], [0.9, 0.1]]),
                              ["b0", "b1"])
     bids, cands = log.to_matrix(), _global_candidates(log)
-    fast = _eager_line_totals(bids, np.zeros(2), 0, cands)[0]
+    fast = _eager_line_totals(bids, np.zeros((1, 2)), 0, cands)[0][0]
     R = np.zeros((len(cands), 2))
     R[:, 0] = cands
     exact = _eager_totals_for_rows(bids, R)

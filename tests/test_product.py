@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from oracles import argmax_over_grid
 from reservelab import product
 from reservelab.errors import SearchSpaceTooLarge
 from reservelab.mechanics import Mechanism, ReserveVector
 from reservelab.product import (FiniteDist, ProductDist, expected_revenue_product,
                                 optimal_reserves_product, trim_lift)
+from reservelab.vectorized import payments
 
 D1 = FiniteDist(((1.0, 0.5), (3.0, 0.5)))
 D2 = FiniteDist(((2.0, 1.0),))
@@ -193,3 +198,49 @@ def test_trim_lift_chain_random():
         assert leq(rev_l_before, rev_l_after)
         assert rev_l_after == rev_e_after
         assert leq(rev_e_after, rev_e_lifted)
+
+
+def test_expected_revenue_equals_scalar_enumeration():
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        dist = random_product(rng, max_bidders=4)
+        top = max(v for d in dist.bidders.values() for v in d.values())
+        vectors = [random_reserves(rng, dist),
+                   ReserveVector({b: float(rng.uniform(0.0, 8.0)) for b in dist.bidder_ids()}),
+                   ReserveVector({b: top + 0.5 for b in dist.bidder_ids()})]
+        for reserves in vectors:
+            for mech in Mechanism:
+                assert (expected_revenue_product(dist, reserves, mech)
+                        == oracles.expected_revenue_product(dist, reserves, mech))
+
+
+_POOL = [0.0, 1.0, 2.0, 3.0, 5.0]  # few values, so atoms are shared between bidders
+
+
+@st.composite
+def product_laws(draw):
+    """One to four bidders on shared atoms, sometimes plus a bidder "z" who never wins:
+    its only atom is 0 and it sorts last, so it loses every tie."""
+    bidders = {}
+    for i in range(draw(st.integers(1, 4))):
+        values = draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(values), max_size=len(values)))
+        bidders[f"b{i}"] = FiniteDist(tuple((v, w / sum(weights))
+                                            for v, w in zip(values, weights)))
+    if draw(st.booleans()):
+        bidders["z"] = FiniteDist(((0.0, 1.0),))
+    return ProductDist(bidders)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_laws())
+def test_search_returns_the_grid_vector(dist):
+    ids = dist.bidder_ids()
+    values, probs = product._profile_arrays(dist)
+    cands = sorted({0.0} | {v for d in dist.bidders.values() for v in d.values()})
+    for mech in Mechanism:
+        want = argmax_over_grid(cands, len(ids), lambda R: np.add.accumulate(
+            payments(values, R[:, None, :], mech) * probs, axis=1)[:, -1], 1 << 12)
+        reserves, rev = optimal_reserves_product(dist, mech)
+        assert [reserves.get(b) for b in ids] == want.tolist()
+        assert rev == expected_revenue_product(dist, reserves, mech)
