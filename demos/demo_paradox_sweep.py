@@ -25,7 +25,7 @@ print()
 
 # --- Monte Carlo sweep reproduces it within statistical error ---
 
-res = sweep_theoretical(uniform, 5, Mechanism.EAGER, trials=TRIALS, seed=2)
+res = sweep_theoretical(uniform, 5, [Mechanism.EAGER], trials=TRIALS, seed=2)
 print(f"monte carlo, {TRIALS} trials, common random numbers across k:")
 print("  k   mean        stderr     closed      pull")
 for row in res.rows:
@@ -47,7 +47,7 @@ print()
 
 # --- Lazy reserves have no such trap: revenue is linear in k ---
 
-res = sweep_theoretical(uniform, 5, Mechanism.LAZY, trials=TRIALS, seed=4)
+res = sweep_theoretical(uniform, 5, [Mechanism.LAZY], trials=TRIALS, seed=4)
 print("same sweep under the lazy rule (reference = linear interpolation):")
 for row in res.rows:
     print(f"  k={row.x:.0f}: mean={row.mean:.6f}  linear={row.reference:.6f}")

@@ -9,8 +9,10 @@ across k make the effect measurable at stated standard errors.
 
 The treated sets of one auction are nested (the bidders of rank < k), so every
 bidder-split estimate, whether one k or all of them, takes its payments from
-one vectorized.nested_payments pass per block of draws: O(n) column
-operations per auction instead of a payment kernel per k.
+one vectorized.nested_payments pass per block of draws and mechanism: O(n)
+column operations per auction instead of a payment kernel per k. A sweep of
+both payment rules draws, ranks and scores each block once, so its lazy and
+eager rows share their draws as well as its rows for different k do.
 """
 
 from __future__ import annotations
@@ -137,13 +139,15 @@ def _moments(dist: ContinuousDist, n: int, trials: int, seed: int, arms) -> tupl
     return stats
 
 
-def _bidder_arms(mechanism: Mechanism, r_full: np.ndarray, ks, assignment: AssignmentMode):
-    """Arms treating k of the n bidders: one payment column per k in ks, treated sets nested.
+def _bidder_arms(mechanisms, r_full: np.ndarray, assignment: AssignmentMode):
+    """Arms treating k of the n bidders, treated sets nested: (c, len(mechanisms) * (n + 1))
+    payments, column j * (n + 1) + k for mechanisms[j] with k bidders treated.
 
     Random assignment ranks each auction's bidders by one argsort of a uniform
     (c, n) draw; a fixed subset treats the first k columns. The treated set of
     k is the bidders of rank < k, so nested_payments evaluates every k in one
-    pass per slice of _SLICE auctions (slicing bounds the pass's memory only).
+    pass per mechanism and slice of _SLICE auctions; the mechanisms take turns
+    on a slice while it is in cache (slicing bounds the pass's memory only).
     """
     def arms(rng, values, first):
         c, n = values.shape
@@ -151,11 +155,12 @@ def _bidder_arms(mechanism: Mechanism, r_full: np.ndarray, ks, assignment: Assig
             perm = np.argsort(rng.random((c, n)), axis=1)  # bidder column at each rank
         else:
             perm = np.broadcast_to(np.arange(n), (c, n))
-        out = np.empty((c, len(ks)))
+        out = np.empty((c, len(mechanisms), n + 1))
         for s in range(0, c, _SLICE):
-            out[s:s + _SLICE] = nested_payments(values[s:s + _SLICE], r_full,
-                                                perm[s:s + _SLICE], ks, mechanism)
-        return out
+            for j, mechanism in enumerate(mechanisms):
+                out[s:s + _SLICE, j] = nested_payments(values[s:s + _SLICE], r_full,
+                                                       perm[s:s + _SLICE], mechanism)
+        return out.reshape(c, -1)
     return arms
 
 
@@ -167,9 +172,9 @@ def simulate_treatment(dist: ContinuousDist, n: int, plan: TreatmentPlan,
         k = plan.treated_count
         if not 0 <= k <= n:
             raise ValueError(f"treated_count {k} out of range [0, {n}]")
-        bidder = _bidder_arms(mechanism, r_full, [k], plan.assignment)
+        bidder = _bidder_arms([mechanism], r_full, plan.assignment)
         mean, se = _mean_stderr(*_moments(dist, n, trials, seed,
-                                          lambda rng, v, first: bidder(rng, v, first)[:, 0]))
+                                          lambda rng, v, first: bidder(rng, v, first)[:, k]))
         return SweepRow(float(k), mechanism, mean, se, trials)
 
     p = plan.treated_fraction
@@ -225,7 +230,6 @@ def rev_e_k_quadrature(dist: ContinuousDist, n: int, k: int) -> float:
     r = myerson_reserve(dist)
     if n == 1 and k == 0:
         return 0.0
-    from scipy import integrate  # 0.5-0.7 s to import, so only where a reference needs it
 
     def g(x):
         return x * dist.pdf(x) - (1.0 - dist.cdf(x))
@@ -233,15 +237,30 @@ def rev_e_k_quadrature(dist: ContinuousDist, n: int, k: int) -> float:
     def upper_integrand(x):
         return n * dist.cdf(x) ** (n - 1) * g(x)
 
-    term1, _ = integrate.quad(upper_integrand, r, dist.hi, epsabs=1e-10, epsrel=1e-10, limit=200)
+    term1 = _quad(dist, upper_integrand, r, dist.hi)
     if k == n:
         return term1
 
     def lower_integrand(x):
         return dist.cdf(x) ** (n - k - 1) * g(x)
 
-    term2, _ = integrate.quad(lower_integrand, dist.lo, r, epsabs=1e-10, epsrel=1e-10, limit=200)
+    term2 = _quad(dist, lower_integrand, dist.lo, r)
     return term1 + (n - k) * dist.cdf(r) ** k * term2
+
+
+def _quad(dist: ContinuousDist, integrand, lo: float, hi: float) -> float:
+    """Int_lo^hi integrand(x) dx, integrated in the law's unit: x = scale * u.
+
+    quad's infinite-range transform and absolute tolerance both assume mass
+    near 1; a law of scale 1e-6 or 1e6 read in raw x returns zero, a negative
+    revenue or a biased one. In u the integrand of a revenue is of order 1.
+    A law of scale 1 integrates exactly as in x.
+    """
+    from scipy import integrate  # 0.5-0.7 s to import, so only where a reference needs it
+    s = dist.scale
+    val, _ = integrate.quad(lambda u: integrand(s * u), lo / s, hi / s,
+                            epsabs=1e-10, epsrel=1e-10, limit=200)
+    return s * val
 
 
 def expected_second_highest(dist: ContinuousDist, n: int) -> float:
@@ -250,14 +269,12 @@ def expected_second_highest(dist: ContinuousDist, n: int) -> float:
         raise DomainError(f"{dist.name}: order-statistic quadrature needs an atomless law")
     if n < 2:
         return 0.0
-    from scipy import integrate
 
     def integrand(x):
         F = dist.cdf(x)
         return x * F ** (n - 2) * (1.0 - F) * dist.pdf(x)
 
-    val, _ = integrate.quad(integrand, dist.lo, dist.hi, epsabs=1e-10, epsrel=1e-10, limit=200)
-    return n * (n - 1) * val
+    return n * (n - 1) * _quad(dist, integrand, dist.lo, dist.hi)
 
 
 def _is_unit_uniform(dist: ContinuousDist) -> bool:
@@ -282,28 +299,33 @@ def _reference(dist: ContinuousDist, n: int, k: int, mechanism: Mechanism,
     return rev_l_k_closed(n, k, rev0, revn)
 
 
-def sweep_theoretical(dist: ContinuousDist, n: int, mechanism: Mechanism,
-                      trials: int, seed: int) -> SweepResult:
+def sweep_theoretical(dist: ContinuousDist, n: int, mechanisms, trials: int,
+                      seed: int) -> SweepResult:
     """Monte-Carlo sweep over k = 0..n with common random numbers, plus reference values.
 
+    One row per k for each of `mechanisms`, mechanism-major in the order
+    given. One Monte-Carlo pass scores every mechanism, so all rows, across
+    k and across mechanisms, share their draws and treatment ranks.
     References: closed forms for uniform(0,1), quadrature for other
     families; lazy interpolates linearly between its k = 0 and k = n
     endpoints. A non-finite mean, stderr or reference, or a negative reference,
     raises DomainError naming the first such row.
     """
-    ks = list(range(n + 1))
-    arms = _bidder_arms(mechanism, _treated_reserve_row(dist, n, TreatmentPlan()), ks,
+    mechanisms = list(mechanisms)
+    arms = _bidder_arms(mechanisms, _treated_reserve_row(dist, n, TreatmentPlan()),
                         AssignmentMode.RANDOM_PER_AUCTION)
     count, means, m2s = _moments(dist, n, trials, seed, arms)
-    lazy_endpoints = _lazy_endpoints(dist, n) if mechanism is Mechanism.LAZY else None
+    means, m2s = means.reshape(-1, n + 1), m2s.reshape(-1, n + 1)  # [mechanism, k]
+    lazy_endpoints = _lazy_endpoints(dist, n) if Mechanism.LAZY in mechanisms else None
     rows = []
-    for k in ks:
-        mean, se = _mean_stderr(count, means[k], m2s[k])
-        ref = _reference(dist, n, k, mechanism, lazy_endpoints)
-        if not (math.isfinite(mean) and math.isfinite(se) and 0.0 <= ref < math.inf):
-            raise DomainError(f"{dist.name}, n={n}, {mechanism.value} k={k}: mean {mean}, "
-                              f"stderr {se}, reference {ref}; want finite, reference >= 0")
-        rows.append(SweepRow(float(k), mechanism, mean, se, trials, ref))
+    for j, mechanism in enumerate(mechanisms):
+        for k in range(n + 1):
+            mean, se = _mean_stderr(count, means[j, k], m2s[j, k])
+            ref = _reference(dist, n, k, mechanism, lazy_endpoints)
+            if not (math.isfinite(mean) and math.isfinite(se) and 0.0 <= ref < math.inf):
+                raise DomainError(f"{dist.name}, n={n}, {mechanism.value} k={k}: mean {mean}, "
+                                  f"stderr {se}, reference {ref}; want finite, reference >= 0")
+            rows.append(SweepRow(float(k), mechanism, mean, se, trials, ref))
     return SweepResult(tuple(rows), seed, f"theoretical({dist.name},n={n})")
 
 
@@ -323,8 +345,8 @@ def paired_treatment_deltas(dist: ContinuousDist, n: int, mechanism: Mechanism,
     of each difference by orders of magnitude versus differencing independent
     estimates, which is what makes the small monotone-decrease gaps testable.
     """
-    arms = _bidder_arms(mechanism, _treated_reserve_row(dist, n, TreatmentPlan()),
-                        range(n + 1), AssignmentMode.RANDOM_PER_AUCTION)
+    arms = _bidder_arms([mechanism], _treated_reserve_row(dist, n, TreatmentPlan()),
+                        AssignmentMode.RANDOM_PER_AUCTION)
     count, means, m2s = _moments(dist, n, trials, seed,
                                  lambda rng, v, first: np.diff(arms(rng, v, first), axis=1))
     out = []

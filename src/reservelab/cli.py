@@ -328,8 +328,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list[str], dict]:
         if cfg.dist is None or cfg.n is None:
             raise ConfigError("theoretical sweep needs --dist and --n")
         dist = make_dist(cfg.dist, cfg.params)
-        results = [sweep_theoretical(dist, cfg.n, mech, cfg.trials, cfg.seed)
-                   for mech in mechanisms]
+        results = [sweep_theoretical(dist, cfg.n, mechanisms, cfg.trials, cfg.seed)]
     elif cfg.mode == "empirical":
         if cfg.input is None or cfg.reserves is None:
             raise ConfigError("empirical sweep needs --input and --reserves")

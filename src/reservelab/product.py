@@ -18,6 +18,7 @@ drops at any intermediate step.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -109,11 +110,15 @@ def expected_revenue_product(dist: ProductDist, reserves: ReserveVector,
 
 
 def _profile_arrays(dist: ProductDist):
-    """All support profiles as a (S, n) matrix plus their probabilities."""
-    ids = dist.bidder_ids()
-    combos = list(itertools.product(*(dist.bidders[b].atoms for b in ids)))
-    values = np.array([[v for v, _ in combo] for combo in combos])
-    probs = np.array([math.prod(p for _, p in combo) for combo in combos])
+    """All support profiles as a (S, n) matrix plus their probabilities.
+
+    Profiles come in itertools.product order over the bidders' atoms; each
+    probability multiplies its atoms' probabilities left to right, as math.prod does.
+    """
+    atoms = [np.array(dist.bidders[b].atoms) for b in dist.bidder_ids()]  # (m_i, 2) each
+    values = np.stack([g.ravel() for g in np.meshgrid(*(a[:, 0] for a in atoms),
+                                                      indexing="ij")], axis=1)
+    probs = functools.reduce(np.multiply.outer, (a[:, 1] for a in atoms)).ravel()
     return values, probs
 
 

@@ -10,10 +10,10 @@ inequalities, same smallest-column tie-break); the scalar functions stay the
 reference and the test suite cross-checks the two.
 
 nested_payments evaluates nested treated sets: the bidders at treatment ranks
-0..k-1 hold their reserves, the rest hold 0, for every k at once. The sets
-grow one bidder per rank, so top-two scans over the rank order (treated
+0..k-1 hold their reserves, the rest hold 0, for every k = 0..n at once. The
+sets grow one bidder per rank, so top-two scans over the rank order (treated
 prefix, untreated suffix) give every k's outcome from selections alone, equal
-to one kernel call per k.
+to one kernel call per k; the suffix scan read backwards is already in k order.
 """
 
 from __future__ import annotations
@@ -105,10 +105,10 @@ def _running_top_two(bids: np.ndarray, reserves: np.ndarray):
     return top, r_top, second
 
 
-def nested_payments(bids: np.ndarray, reserves: np.ndarray, perm: np.ndarray, ks,
+def nested_payments(bids: np.ndarray, reserves: np.ndarray, perm: np.ndarray,
                     mechanism: Mechanism) -> np.ndarray:
-    """(T, len(ks)) payments: column j has the bidders perm[:, :ks[j]] at `reserves`
-    (one (n,) row) and the others at 0, exactly as payments() with that reserve array.
+    """(T, n + 1) payments: column k has the bidders perm[:, :k] at `reserves` (one
+    (n,) row) and the others at 0, exactly as payments() with that reserve array.
 
     perm is (T, n) or (n,): the bidder column at each treatment rank. Lazy runs
     lazy_order once and picks, per k, the treated or untreated outcome by the
@@ -122,22 +122,22 @@ def nested_payments(bids: np.ndarray, reserves: np.ndarray, perm: np.ndarray, ks
     reserves = np.asarray(reserves, dtype=float)
     T, n = bids.shape
     perm = np.broadcast_to(perm, (T, n))
-    ks = np.asarray(list(ks), dtype=np.intp)
     if mechanism is Mechanism.LAZY:
         order = lazy_order(bids)
         ranks = np.empty((T, n), dtype=np.intp)
         np.put_along_axis(ranks, perm, np.arange(n), axis=1)
         rank_w = np.take_along_axis(ranks, order[0][:, None], axis=1)
-        return np.where(rank_w < ks, lazy_select(order, reserves)[:, None],
+        return np.where(rank_w < np.arange(n + 1), lazy_select(order, reserves)[:, None],
                         lazy_select(order, np.zeros(n))[:, None])
     cols = np.ascontiguousarray(perm.T)  # (n, T): bidder column at each rank
     ranked = np.take_along_axis(bids.T, cols, axis=0)
     r_ranked = reserves[cols]
     untreated = np.where(ranked >= 0.0, ranked, ABSENT)
-    # prefix k: the treated ranks < k; suffix k: the untreated ranks >= k
-    p_top, p_res, p_second = (a[ks] for a in _running_top_two(
-        np.where(ranked >= r_ranked, ranked, ABSENT), r_ranked))
-    s_top, _, s_second = (a[n - ks] for a in _running_top_two(
+    # row k of the prefix scan: the treated ranks < k; row n - k of the suffix scan
+    # (row k of its reversed view): the untreated ranks >= k
+    p_top, p_res, p_second = _running_top_two(
+        np.where(ranked >= r_ranked, ranked, ABSENT), r_ranked)
+    s_top, _, s_second = (a[::-1] for a in _running_top_two(
         untreated[::-1], np.zeros_like(untreated)))
     top = np.maximum(p_top, s_top)
     second = np.maximum(np.maximum(p_second, s_second), np.minimum(p_top, s_top))

@@ -36,3 +36,13 @@ def expected_revenue_product(dist, reserves, mechanism) -> float:
         profile = BidProfile("x", {b: v for b, (v, _) in zip(ids, combo)})
         terms.append(prob * run_auction(profile, reserves, mechanism).payment)
     return math.fsum(terms)
+
+
+def profile_arrays(dist):
+    """A product law's support profiles as a (S, n) matrix in itertools.product order,
+    one profile at a time, and each profile's probability by math.prod."""
+    ids = dist.bidder_ids()
+    combos = list(itertools.product(*(dist.bidders[b].atoms for b in ids)))
+    values = np.array([[v for v, _ in combo] for combo in combos])
+    probs = np.array([math.prod(p for _, p in combo) for combo in combos])
+    return values, probs

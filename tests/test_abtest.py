@@ -69,7 +69,7 @@ def test_exponential_quadrature_matches_monte_carlo():
     # the exponential density underflows far in the tail; the quadrature must not divide by it
     expo = exponential_dist(1.0)
     for mech in Mechanism:
-        res = sweep_theoretical(expo, 4, mech, trials=200_000, seed=8)
+        res = sweep_theoretical(expo, 4, [mech], trials=200_000, seed=8)
         for r in res.rows:
             assert abs(r.mean - r.reference) < 4.0 * r.stderr
 
@@ -121,7 +121,7 @@ def test_stderr_exact_at_large_means():
 
 def test_sweep_matches_references():
     for mech in Mechanism:
-        res = sweep_theoretical(UNIFORM, 5, mech, trials=200_000, seed=31)
+        res = sweep_theoretical(UNIFORM, 5, [mech], trials=200_000, seed=31)
         assert [r.x for r in res.rows] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
         for row in res.rows:
             assert abs(row.mean - row.reference) <= 3.0 * row.stderr
@@ -131,11 +131,11 @@ def test_closed_form_reference_only_for_the_unit_uniform():
     # uniform(0, 1.000004) printed as uniform(0,1) and took the unit closed form
     near = uniform_dist(0.0, 1.000004)
     assert near.name == "uniform(0,1.000004)" and UNIFORM.name == "uniform(0,1)"
-    res = sweep_theoretical(near, 5, Mechanism.EAGER, trials=1000, seed=1)
+    res = sweep_theoretical(near, 5, [Mechanism.EAGER], trials=1000, seed=1)
     assert res.descriptor == "theoretical(uniform(0,1.000004),n=5)"
     assert res.rows[2].reference == rev_e_k_quadrature(near, 5, 2)
     assert abs(res.rows[2].reference - rev_e_k_closed_uniform(5, 2)) > 2e-6
-    unit = sweep_theoretical(UNIFORM, 5, Mechanism.EAGER, trials=1000, seed=1)
+    unit = sweep_theoretical(UNIFORM, 5, [Mechanism.EAGER], trials=1000, seed=1)
     assert [r.reference for r in unit.rows] == [rev_e_k_closed_uniform(5, k) for k in range(6)]
 
 
@@ -149,7 +149,7 @@ def test_narrow_support_far_from_zero_is_judged_regular():
     assert _treated_reserve_row(shifted, 2, TreatmentPlan()).tolist() == [1e9, 1e9]
     row = simulate_treatment(shifted, 2, TreatmentPlan(), Mechanism.EAGER, 100, seed=1)
     assert math.isfinite(row.mean) and math.isfinite(row.stderr)
-    res = sweep_theoretical(shifted, 2, Mechanism.EAGER, 100, seed=1)
+    res = sweep_theoretical(shifted, 2, [Mechanism.EAGER], 100, seed=1)
     assert all(math.isfinite(r.mean) and math.isfinite(r.stderr) and math.isfinite(r.reference)
                for r in res.rows)
 
@@ -223,35 +223,34 @@ _GRID = [-0.5, 0.0, 0.25, 0.5, 1.0]  # coarse, so bids tie with each other and w
 @st.composite
 def chunk_cases(draw):
     """A chunk of tied values (one negative level, some absent bids), a reserve row with
-    0, +inf and bid levels, the treated counts and the assignment draw's seed."""
+    0, +inf and bid levels, the mechanisms in some order and the assignment draw's seed."""
     n = draw(st.integers(1, 12))
     c = draw(st.integers(1, 25))
     values = np.array(draw(st.lists(st.sampled_from(_GRID + [ABSENT]),
                                     min_size=c * n, max_size=c * n))).reshape(c, n)
     r_full = np.array(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, math.inf]),
                                     min_size=n, max_size=n)))
-    ks = draw(st.one_of(st.just(list(range(n + 1))), st.integers(0, n).map(lambda k: [k])))
-    return values, r_full, ks, draw(st.integers(0, 2 ** 32 - 1))
+    mechanisms = draw(st.permutations(list(Mechanism)))
+    return values, r_full, mechanisms, draw(st.integers(0, 2 ** 32 - 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(chunk_cases(), st.sampled_from(list(AssignmentMode)))
 def test_bidder_arms_equal_the_per_k_kernels_property(case, assignment):
-    values, r_full, ks, seed = case
+    values, r_full, mechanisms, seed = case
     c, n = values.shape
-    for mech in Mechanism:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(abtest, "_SLICE", 7)  # several all-k passes per chunk
-            got = abtest._bidder_arms(mech, r_full, ks, assignment)(
-                np.random.default_rng(seed), values, 0)
-        if assignment is AssignmentMode.RANDOM_PER_AUCTION:
-            u = np.random.default_rng(seed).random((c, n))
-            ranks = np.argsort(np.argsort(u, axis=1), axis=1)
-        else:
-            ranks = np.arange(n)
-        want = np.stack([payments(values, np.where(ranks < k, r_full, 0.0), mech)
-                         for k in ks], axis=1)
-        assert np.array_equal(got, want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abtest, "_SLICE", 7)  # several all-k passes per chunk
+        got = abtest._bidder_arms(mechanisms, r_full, assignment)(
+            np.random.default_rng(seed), values, 0)
+    if assignment is AssignmentMode.RANDOM_PER_AUCTION:
+        u = np.random.default_rng(seed).random((c, n))
+        ranks = np.argsort(np.argsort(u, axis=1), axis=1)
+    else:
+        ranks = np.arange(n)
+    want = np.stack([payments(values, np.where(ranks < k, r_full, 0.0), mech)
+                     for mech in mechanisms for k in range(n + 1)], axis=1)
+    assert np.array_equal(got, want)
 
 
 def _no_kernel(*args, **kwargs):
@@ -261,7 +260,7 @@ def _no_kernel(*args, **kwargs):
 def test_bidder_split_estimates_make_no_kernel_call(monkeypatch):
     monkeypatch.setattr(abtest, "payments", _no_kernel)
     for mech in Mechanism:
-        sweep_theoretical(UNIFORM, 4, mech, 1000, seed=1)
+        sweep_theoretical(UNIFORM, 4, [mech], 1000, seed=1)
         paired_treatment_deltas(UNIFORM, 4, mech, 1000, seed=1)
         for assignment in AssignmentMode:
             simulate_treatment(UNIFORM, 4, TreatmentPlan(treated_count=2, assignment=assignment),
@@ -271,7 +270,7 @@ def test_bidder_split_estimates_make_no_kernel_call(monkeypatch):
 @pytest.mark.parametrize("n", [1, 3, 10])
 @pytest.mark.parametrize("mech", list(Mechanism))
 def test_sweep_and_paired_deltas_equal_the_per_k_reference(n, mech):
-    res = sweep_theoretical(UNIFORM, n, mech, _ORACLE_TRIALS, seed=21)
+    res = sweep_theoretical(UNIFORM, n, [mech], _ORACLE_TRIALS, seed=21)
     lazy_ends = ((n - 1) / (n + 1), rev_e_k_closed_uniform(n, n))
     want = [SweepRow(float(k), mech, mean, se, _ORACLE_TRIALS,
                      rev_e_k_closed_uniform(n, k) if mech is Mechanism.EAGER
@@ -372,7 +371,7 @@ def test_non_regular_dist_refused():
         simulate_treatment(piecewise_density_dist(), 3, plan, Mechanism.EAGER,
                            100, seed=1)
     with pytest.raises(DomainError):
-        sweep_theoretical(piecewise_density_dist(), 3, Mechanism.EAGER,
+        sweep_theoretical(piecewise_density_dist(), 3, [Mechanism.EAGER],
                           trials=100, seed=1)
 
 

@@ -185,7 +185,7 @@ def test_criterion_06_uniform_five_bidder_paradox(capsys):
         if abs(got - want) > 5e-8:
             failures.append(f"closed form k={k}: {got} vs {want}")
     uniform = uniform_dist()
-    eager = sweep_theoretical(uniform, 5, Mechanism.EAGER, trials=1_000_000, seed=606)
+    eager = sweep_theoretical(uniform, 5, [Mechanism.EAGER], trials=1_000_000, seed=606)
     for row in eager.rows:
         if abs(row.mean - row.reference) > 3.0 * row.stderr:
             failures.append(f"eager MC k={row.x}: {row.mean} vs {row.reference} "
@@ -197,7 +197,7 @@ def test_criterion_06_uniform_five_bidder_paradox(capsys):
             failures.append(f"decrease {d.k_from}->{d.k_to} not detected")
     if not deltas[4].mean - 3.0 * deltas[4].stderr > 0.0:
         failures.append("jump at k=5 not detected")
-    lazy = sweep_theoretical(uniform, 5, Mechanism.LAZY, trials=1_000_000, seed=608)
+    lazy = sweep_theoretical(uniform, 5, [Mechanism.LAZY], trials=1_000_000, seed=608)
     for row in lazy.rows:
         if abs(row.mean - row.reference) > 3.0 * row.stderr:
             failures.append(f"lazy MC k={row.x}: {row.mean} vs {row.reference}")

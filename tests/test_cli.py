@@ -7,7 +7,9 @@ from dataclasses import fields
 
 import pytest
 
+from reservelab import abtest
 from reservelab.cli import _READS, RunConfig, main
+from reservelab.distributions import ContinuousDist
 from reservelab.logio import (compute_lift_report, lift_revenue_tsv, lift_welfare_tsv,
                               parse_log, read_reserves)
 from reservelab.logs import BidLog
@@ -320,6 +322,52 @@ def test_sweep_theoretical_each_dist(tmp_path, capsys, dist, params, code):
         assert len(rows) == 8 and all(r.split("\t")[5] != "" for r in rows)
     else:
         assert capsys.readouterr().err.startswith("error:")
+
+
+def _sweep_rows(out):
+    return (out / "sweep.tsv").read_text().split("\n")[3:-1]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("dist", ["uniform", "exponential"])
+def test_sweep_both_is_lazy_then_eager(tmp_path, n, dist):
+    # one Monte-Carlo pass scores both rules on the draws each would have made alone
+    rows = {}
+    for mech in ("both", "lazy", "eager"):
+        assert main(["sweep", "--mode", "theoretical", "--dist", dist, "--n", str(n),
+                     "--trials", "3000", "--seed", "4", "--mechanism", mech,
+                     "--out", str(tmp_path / mech)]) == 0
+        rows[mech] = _sweep_rows(tmp_path / mech)
+    assert len(rows["both"]) == 2 * (n + 1)
+    assert rows["both"] == rows["lazy"] + rows["eager"]
+
+
+def test_sweep_both_draws_each_block_once(tmp_path, monkeypatch):
+    calls = []
+    sample = ContinuousDist.sample
+
+    def counted(self, rng, size):
+        calls.append(size)
+        return sample(self, rng, size)
+
+    monkeypatch.setattr(ContinuousDist, "sample", counted)
+    monkeypatch.setattr(abtest, "_CHUNK", 1000)
+    assert main(["sweep", "--mode", "theoretical", "--dist", "uniform", "--n", "3",
+                 "--trials", "2500", "--mechanism", "both", "--out", str(tmp_path)]) == 0
+    assert calls == [(1000, 3), (1000, 3), (500, 3)]
+
+
+@pytest.mark.parametrize("rate", ["1e-6", "1e6", "1e12"])
+def test_sweep_exponential_references_at_any_scale(tmp_path, rate):
+    # quadrature in raw x gave a negative or biased reference far from scale 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # scipy's IntegrationWarning included
+        assert main(["sweep", "--mode", "theoretical", "--dist", "exponential",
+                     "--params", f'{{"rate": {rate}}}', "--n", "3", "--trials", "20000",
+                     "--seed", "4", "--out", str(tmp_path)]) == 0
+    for row in _sweep_rows(tmp_path):
+        _, _, mean, se, _, ref = row.split("\t")
+        assert abs(float(mean) - float(ref)) <= 5.0 * float(se)
 
 
 def test_sweep_rejects_nonpositive_n(tmp_path, capsys):

@@ -127,6 +127,14 @@ def random_product(rng, max_bidders=3, max_atoms=4):
     return ProductDist(bidders)
 
 
+def test_profile_arrays_equal_the_enumeration():
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        dist = random_product(rng, max_bidders=5, max_atoms=5)
+        for got, want in zip(product._profile_arrays(dist), oracles.profile_arrays(dist)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def random_reserves(rng, dist):
     r = {}
     for b, d in dist.bidders.items():

@@ -119,13 +119,15 @@ def test_nested_payments_by_hand():
     perm = np.array([3, 1, 0, 2])
     # eager, k = 0 and 1: bidders 0 and 1 tie at 5; k = 2: bidder 1 misses its 6, so 0 wins
     # at the second bid 4; k = 3 and 4: bidder 0 now holds 4.5 and pays it
-    eager = nested_payments(bids, reserves, perm, range(5), Mechanism.EAGER)
-    lazy = nested_payments(bids, reserves, perm, [0, 2, 3], Mechanism.LAZY)
+    eager = nested_payments(bids, reserves, perm, Mechanism.EAGER)
+    lazy = nested_payments(bids, reserves, perm, Mechanism.LAZY)
     assert eager.tolist() == [[5.0, 5.0, 4.0, 4.5, 4.5]]
-    assert lazy.tolist() == [[5.0, 5.0, 5.0]]  # the tie goes to bidder 0: 5 >= its 4.5
-    for k, pay in zip(range(5), eager[0]):
+    # the tie goes to bidder 0, who clears its 4.5 once treated (k = 3 and 4)
+    assert lazy.tolist() == [[5.0, 5.0, 5.0, 5.0, 5.0]]
+    for k in range(5):
         row = np.where(np.isin(np.arange(4), perm[:k]), reserves, 0.0)
-        assert eager_payments(bids, row).tolist() == [pay]
+        assert eager_payments(bids, row).tolist() == [eager[0, k]]
+        assert lazy_payments(bids, row).tolist() == [lazy[0, k]]
 
 
 def test_lazy_select_reuses_one_order():
