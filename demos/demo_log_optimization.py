@@ -3,7 +3,7 @@ Reserve optimization on a bid log
 =================================
 
 Builds a synthetic log, then runs the whole optimizer family on it: the
-per-bidder lazy scan against its bruteforce oracle, monopoly reserves,
+per-bidder lazy search against its bruteforce oracle, monopoly reserves,
 the exact eager search, and coordinate ascent. Ends with the factor-2
 relationship between the two optima.
 """
@@ -19,14 +19,14 @@ zero_rev = empirical_revenue(log, ReserveVector.zero(), Mechanism.LAZY)
 print(f"log: {len(log)} auctions, bidders {log.bidder_ids}")
 print(f"revenue with no reserves at all: {zero_rev:.4f} per auction\n")
 
-# --- The lazy scan and its oracle agree to the last bit ---
+# --- The lazy search and its oracle agree to the last bit ---
 
 fast = optimal_lazy(log)
 slow = optimal_lazy_bruteforce(log)
-print("optimal lazy reserves (nearly linear scan):")
+print("optimal lazy reserves (one line search per bidder):")
 for b in log.bidder_ids:
     print(f"  {b}: {fast.reserves.get(b):.4f}")
-print(f"scan revenue      : {fast.expected_revenue!r}")
+print(f"search revenue    : {fast.expected_revenue!r}")
 print(f"bruteforce revenue: {slow.expected_revenue!r}")
 print(f"bit-identical: {fast.expected_revenue == slow.expected_revenue}\n")
 

@@ -215,6 +215,8 @@ def materialize_log(cfg: RunConfig) -> BidLog:
 def _input_paths(cfg: RunConfig) -> list[str]:
     """The --input paths, each checked to exist."""
     paths = cfg.input if isinstance(cfg.input, list) else [cfg.input]
+    if not paths:
+        raise ConfigError("want at least one --input path")
     for path in paths:
         if not isinstance(path, str):
             raise ConfigError(f"bad input {cfg.input!r}")
@@ -337,6 +339,9 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list[str], dict]:
             raise ConfigError(f"reserve file not found: {cfg.reserves}")
         log = parse_log(path, cfg.format)
         reserves = read_reserves(cfg.reserves)
+        unknown = sorted(set(reserves.reserves) - set(log.bidder_ids))
+        if unknown:
+            raise DomainError(f"{cfg.reserves}: bidders not in the log: {', '.join(unknown)}")
         grid = _parse_grid(cfg.grid)
         results = [empirical_treatment_sweep(log, reserves, grid, mech,
                                              cfg.assignments, cfg.seed)

@@ -6,9 +6,10 @@ auctions she would win at zero reserves, and there her lazy revenue is
     R_i(r) = r * k_i(r) + s_i(r)
 
 with k_i(r) = #{auctions in Q_i : top >= r > second} and s_i(r) = sum of
-seconds >= r. optimal_lazy maximizes R_i by a single ascending scan over the
-distinct top/second values; optimal_lazy_bruteforce re-simulates every
-candidate directly and exists as an independent check.
+seconds >= r: the eager revenue of the log [top, second] over Q_i with the
+rival at reserve 0. exact_lazy_search runs the eager line search below on it
+once per bidder; optimal_lazy_bruteforce re-simulates every candidate
+directly and exists as an independent check.
 
 The eager problem has no such decoupling (it is as hard as maximum
 independent set), but one reserve at a time it is easy. With the others
@@ -86,49 +87,9 @@ def _result(log: BidLog, row: np.ndarray, mechanism: Mechanism) -> OptimizationR
 
 
 def optimal_lazy(log: BidLog) -> OptimizationResult:
-    """Exact optimal lazy reserves by the per-bidder ascending scan.
-
-    For each bidder the candidates are {0} plus the distinct top/second values
-    over the auctions she wins at zero reserves; the scan keeps (k, s) so that
-    arriving at a value v it holds k = k_i(v), s = s_i(v), evaluates R_i(v),
-    and only then applies v's own entry updates (a top at v leaves the count,
-    a second at v enters it and leaves the sum). Ties break toward the
-    smallest reserve. Bidders who never win at zero reserves keep reserve 0.
-    """
-    winner, top, second = lazy_order(log.to_matrix())
-    chosen = np.zeros(len(log.bidder_ids))
-    for j in range(len(log.bidder_ids)):
-        mask = winner == j
-        if not mask.any():
-            continue
-        tops = top[mask]
-        seconds = second[mask]
-        # entry stream: +1/-1 flags keyed by value; is_top True drops k, a second raises k and leaves s
-        values = np.concatenate([tops, seconds])
-        is_top = np.concatenate([np.ones(len(tops), bool), np.zeros(len(seconds), bool)])
-        order = np.argsort(values, kind="stable")
-        values, is_top = values[order], is_top[order]
-
-        k = 0
-        s = math.fsum(seconds.tolist())
-        best_r, best_rev = 0.0, s  # candidate r = 0
-        i = 0
-        m = len(values)
-        while i < m:
-            v = values[i]
-            if v > 0.0:
-                rev = v * k + s
-                if rev > best_rev:
-                    best_r, best_rev = v, rev
-            while i < m and values[i] == v:
-                if is_top[i]:
-                    k -= 1
-                else:
-                    k += 1
-                    s -= v
-                i += 1
-        chosen[j] = best_r
-    return _result(log, chosen, Mechanism.LAZY)
+    """Exact optimal lazy reserves by exact_lazy_search: per bidder, the smallest
+    candidate with the highest auction-order lazy total over the auctions she wins."""
+    return _result(log, exact_lazy_search(log.to_matrix()), Mechanism.LAZY)
 
 
 def optimal_lazy_bruteforce(log: BidLog) -> OptimizationResult:
@@ -293,6 +254,25 @@ def _best_on_lines(bids: np.ndarray, rows: np.ndarray, j: int, cands: np.ndarray
     totals = _eager_totals_for_rows(bids, R, weights)
     i = int(np.argmax(totals))  # first max
     return R[i], float(totals[i])
+
+
+def exact_lazy_search(bids: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Per bidder of `bids` (T, n), the smallest of {0} and the top/second values of
+    the auctions Q she wins at zero reserves with the highest ordered lazy total
+    over Q, each payment times its weight if `weights` (T,) is given; 0 if Q is
+    empty. On Q the log [top, second] with the rival at reserve 0 pays lazily (she
+    wins ties; once she drops out the rival is alone and pays 0), so one eager line
+    search per bidder is exact."""
+    winner, top, second = lazy_order(bids)
+    w = np.ones(len(top)) if weights is None else weights
+    best = np.zeros(bids.shape[1])
+    for i in range(len(best)):
+        mine = winner == i
+        if mine.any():
+            pair = np.stack([top[mine], second[mine]], axis=1)
+            cands = _distinct(np.concatenate([[0.0], pair.ravel()]))
+            best[i] = _best_on_lines(pair, np.zeros((1, 2)), 0, cands, w[mine])[0][0]
+    return best
 
 
 def exact_eager_search(bids: np.ndarray, cands: np.ndarray,

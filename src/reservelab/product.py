@@ -5,7 +5,7 @@ expected_revenue_product evaluates an auction's expected revenue exactly by
 enumerating the full profile space (at most _MAX_PROFILES profiles) and
 summing with math.fsum, so two evaluations that agree pointwise agree bit for
 bit. optimal_reserves_product treats the law as a log of its profiles
-weighted by probability and runs the eager search of reservelab.optimize.
+weighted by probability and runs the searches of reservelab.optimize.
 
 trim_lift turns a lazy-reserve setup into an eager-equivalent one: processing
 bidders from the highest reserve down, the mass of D_i below r_i is collapsed
@@ -19,7 +19,6 @@ drops at any intermediate step.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -28,8 +27,8 @@ import numpy as np
 
 from .errors import SearchSpaceTooLarge
 from .mechanics import Mechanism, ReserveVector
-from .optimize import _eager_line_totals, _eager_totals_for_rows, exact_eager_search
-from .vectorized import ABSENT, lazy_order, payments
+from .optimize import exact_eager_search, exact_lazy_search
+from .vectorized import payments
 
 
 @dataclass(frozen=True)
@@ -122,47 +121,20 @@ def _profile_arrays(dist: ProductDist):
     return values, probs
 
 
-def _lazy_search(values: np.ndarray, cands: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """The first vector of itertools.product(cands, repeat=n) with the highest ordered
-    lazy total over the profiles, each payment times its probability.
-
-    A lazy auction pays what an eager one pays when only its zero-reserve
-    winner and a rival at reserve 0 bidding the second price take part. In
-    that log bidder i's reserve moves only the profiles i wins, so each
-    bidder's line search holds the others' terms fixed. A vector that ties
-    the ordered optimum has, in every coordinate, a line total within twice
-    the summed line tols of that line's maximum. So only the product of those
-    shortlists, without repeats (each ties a smaller candidate), is re-scored
-    by ordered sums.
-    """
-    (T, n), (winner, top, second) = values.shape, lazy_order(values)
-    bids = np.full((T, n + 1), ABSENT)
-    bids[np.arange(T), winner] = top
-    bids[:, n] = second
-    lines = [_eager_line_totals(bids, np.zeros((1, n + 1)), i, cands, probs) for i in range(n)]
-    tol = 2 * sum(line_tol[0] for _, line_tol, _ in lines)
-    R = np.array([x + (0.0,) for x in itertools.product(
-        *(cands[(fast[0] >= fast.max() - tol) & ~repeats[0]] for fast, _, repeats in lines))])
-    return R[int(np.argmax(_eager_totals_for_rows(bids, R, probs))), :n]  # first max
-
-
 def optimal_reserves_product(dist: ProductDist,
                              mechanism: Mechanism) -> tuple[ReserveVector, float]:
     """Exact optimal reserves for a finite-support product distribution.
 
     The law is searched as a log of its support profiles weighted by
-    probability, over the product of per-bidder candidate grids ({0} plus the
-    union of all atom values; the objective is piecewise linear in each
-    reserve with breakpoints only at atoms, so the grid contains an exact
-    optimum). The result is the grid's first vector, in product order, with
-    the highest weighted payment sum in profile order, so ties break toward
-    the lexicographically smallest vector. Eager enumerates n - 1 reserves
-    and line-searches the last (optimize.exact_eager_search); lazy decouples
-    per bidder into n line searches. The returned revenue comes from
-    expected_revenue_product at the argmax. A grid of more than
-    _MAX_PRODUCT_SIZE vectors is refused (SearchSpaceTooLarge) before any
-    profile is enumerated; each bidder's atoms are candidates, so the same
-    bound caps the support size.
+    probability, each payment sum in profile order. Candidates are {0} plus
+    the union of all atom values (the objective is piecewise linear in each
+    reserve with breakpoints only at atoms). Eager returns the grid's first
+    vector, in product order, with the highest sum (optimize.exact_eager_search);
+    lazy, per bidder, the smallest candidate with the highest sum over the
+    profiles she wins at zero reserves (optimize.exact_lazy_search). The
+    revenue comes from expected_revenue_product. A grid of more than
+    _MAX_PRODUCT_SIZE vectors is refused (SearchSpaceTooLarge) for both rules
+    before any profile is enumerated; it also caps the support size.
     """
     ids = dist.bidder_ids()
     n = len(ids)
@@ -174,7 +146,7 @@ def optimal_reserves_product(dist: ProductDist,
     if mechanism is Mechanism.EAGER:
         best = exact_eager_search(values, cands, probs)
     else:
-        best = _lazy_search(values, cands, probs)
+        best = exact_lazy_search(values, probs)
     reserves = ReserveVector(dict(zip(ids, (float(x) for x in best))))
     return reserves, expected_revenue_product(dist, reserves, mechanism)
 

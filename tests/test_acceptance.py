@@ -84,8 +84,8 @@ def test_criterion_02_lazy_scan_oracle_equivalence(capsys):
         fast = optimal_lazy(log).expected_revenue
         slow = optimal_lazy_bruteforce(log).expected_revenue
         if fast != slow:
-            failures.append(f"log {i}: scan {fast!r} != bruteforce {slow!r}")
-    report(capsys, 2, "lazy scan equals bruteforce on 500 random logs", failures)
+            failures.append(f"log {i}: search {fast!r} != bruteforce {slow!r}")
+    report(capsys, 2, "lazy search equals bruteforce on 500 random logs", failures)
 
 
 def random_small_pool_log(rng) -> BidLog:

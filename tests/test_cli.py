@@ -234,6 +234,18 @@ def test_sweep_empirical(tmp_path):
     assert all(r[1] == "eager" for r in rows)
 
 
+@pytest.mark.parametrize("rows", ["zz,0.5\n", "b00,0.5\nzz,0.5\n"])
+def test_sweep_empirical_refuses_reserves_of_unknown_bidders(tmp_path, capsys, rows):
+    log_path = run_gen(tmp_path)
+    reserves = tmp_path / "reserves.csv"
+    reserves.write_text("bidder_id,reserve\n" + rows)
+    out = tmp_path / "es"
+    assert main(["sweep", "--mode", "empirical", "--input", str(log_path),
+                 "--reserves", str(reserves), "--out", str(out)]) == 3
+    assert "bidders not in the log: zz" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lift_tables(tmp_path):
     a = run_gen(tmp_path, "ga", seed="1")
     b = run_gen(tmp_path, "gb", seed="2")
@@ -246,6 +258,15 @@ def test_lift_tables(tmp_path):
         assert lines[0].startswith("slot\tbasis\t")
         assert len(lines) == 5  # two slots, raw + normalized each
         assert lines[1].split("\t")[1] == "raw"
+
+
+def test_lift_tables_refuses_an_empty_input_list(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"input": []}')
+    out = tmp_path / "lift"
+    assert main(["lift-tables", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "want at least one --input path" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_lift_tables_zero_normalizer(tmp_path):

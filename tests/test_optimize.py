@@ -78,7 +78,7 @@ def test_lazy_never_winning_bidder_keeps_zero():
 
 
 def test_lazy_ties_prefer_smallest_reserve():
-    # r=0 and r=4 both give revenue 4; the scan must keep 0
+    # r=0 and r=4 both give revenue 4; the search must keep 0
     log = log_of([{"A": 4.0, "B": 4.0}])
     res = optimal_lazy(log)
     assert res.reserves.get("A") == 0.0
@@ -215,6 +215,24 @@ def test_eager_exact_returns_the_grid_vector(case):
         got = optimal_eager_exact(log, max_product_size=10 ** 4)
     assert [got.reserves.get(b) for b in log.bidder_ids] == want.tolist()
     assert got.expected_revenue == empirical_revenue(log, got.reserves, Mechanism.EAGER)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_cases())
+def test_lazy_returns_the_grid_vector(case):
+    # integer bids make every sum exact, so the per-bidder search must find the
+    # full grid's first vector with the highest lazy total
+    log, batch = case
+    bids = log.to_matrix()
+    want = argmax_over_grid(
+        _global_candidates(log).tolist(), bids.shape[1],
+        lambda R: np.add.accumulate(payments(bids, R[:, None, :], Mechanism.LAZY),
+                                    axis=1)[:, -1], 1 << 14)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(optimize, "_SEARCH_BATCH", batch)
+        got = optimal_lazy(log)
+    assert [got.reserves.get(b) for b in log.bidder_ids] == want.tolist()
+    assert got.expected_revenue == empirical_revenue(log, got.reserves, Mechanism.LAZY)
 
 
 def test_ascent_triangle_from_all_low():

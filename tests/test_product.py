@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -240,15 +240,39 @@ def product_laws(draw):
     return ProductDist(bidders)
 
 
+def _ordered_totals(values, probs, mech):
+    """Each reserve row's payments times probabilities, summed in profile order."""
+    return lambda R: np.add.accumulate(payments(values, R[:, None, :], mech) * probs,
+                                       axis=1)[:, -1]
+
+
 @settings(max_examples=150, deadline=None)
+@example(ProductDist({"b0": FiniteDist(((0.0, 1 / 3), (1.0, 1 / 3), (2.0, 1 / 3))),
+                      "b1": FiniteDist(((0.0, 2 / 3), (1.0, 1 / 3)))}))
 @given(product_laws())
 def test_search_returns_the_grid_vector(dist):
+    """Eager: the first grid vector with the highest ordered total over all profiles.
+    Lazy: per bidder, the first grid value with the highest ordered total over the
+    profiles she wins at zero reserves (the example: (1, 1) and (2, 1) both earn 7/9,
+    and the whole-law sum ranks (2, 1) one ulp higher)."""
     ids = dist.bidder_ids()
     values, probs = product._profile_arrays(dist)
     cands = sorted({0.0} | {v for d in dist.bidders.values() for v in d.values()})
+    winner = np.argmax(values, axis=1)  # first max: ties go to the smaller column
+    lazy = []
+    for i in range(len(ids)):
+        mine = winner == i
+        totals = _ordered_totals(values[mine], probs[mine], Mechanism.LAZY)
+
+        def score(r, i=i, totals=totals):  # bidder i at r, everyone else at 0
+            R = np.zeros((len(r), len(ids)))
+            R[:, i] = r[:, 0]
+            return totals(R)
+        lazy.append(argmax_over_grid(cands, 1, score, 1 << 12)[0] if mine.any() else 0.0)
+    want = {Mechanism.LAZY: lazy,
+            Mechanism.EAGER: argmax_over_grid(cands, len(ids), _ordered_totals(
+                values, probs, Mechanism.EAGER), 1 << 12).tolist()}
     for mech in Mechanism:
-        want = argmax_over_grid(cands, len(ids), lambda R: np.add.accumulate(
-            payments(values, R[:, None, :], mech) * probs, axis=1)[:, -1], 1 << 12)
         reserves, rev = optimal_reserves_product(dist, mech)
-        assert [reserves.get(b) for b in ids] == want.tolist()
+        assert [reserves.get(b) for b in ids] == want[mech]
         assert rev == expected_revenue_product(dist, reserves, mech)
