@@ -125,10 +125,13 @@ def _moments(dist: ContinuousDist, n: int, trials: int, seed: int, arms) -> tupl
     arms(rng, values, first) draws any treatment assignment from the same rng
     and returns the block's payments, one row per auction (`first` is the
     block's first auction index). Every arm sees the same values (common
-    random numbers).
+    random numbers). A law with values below 0 is a DomainError: the payment
+    kernels never sell to a negative bid, but the references integrate over it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if dist.lo < 0:
+        raise DomainError(f"{dist.name}: support reaches below 0; values must be >= 0")
     rng = np.random.default_rng(seed)
     stats = (0, 0.0, 0.0)
     for first in range(0, trials, _CHUNK):

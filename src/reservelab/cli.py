@@ -65,8 +65,6 @@ _MIN_INT = {"seed": 0, **dict.fromkeys(("count", "max_product_size", "max_rounds
 def load_config(config_path: Optional[str], overrides: dict) -> RunConfig:
     data: dict = {}
     if config_path is not None:
-        if not os.path.exists(config_path):
-            raise ConfigError(f"config file not found: {config_path}")
         with open(config_path, "r", encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
@@ -94,7 +92,8 @@ def load_config(config_path: Optional[str], overrides: dict) -> RunConfig:
 # What each subcommand reads: its help, the flags every run reads besides --out, and for
 # each choice that picks a variant, the flags each value adds. The input source is
 # --input, a sampled --generator, or hardness. argparse gives a subcommand the union
-# of its flags; a given flag that the run's source, task or mode does not read exits 2.
+# of its flags; a given flag that the run's source, task or mode does not read exits 2,
+# and so does a run that picks no variant of a choice (or two input sources).
 # Keys of a --config file are never refused, so one file can serve the whole pipeline.
 _SOURCES = {"input": ("input", "format"), "generator": ("generator", "params", "count", "seed"),
             "hardness": ("generator", "params")}
@@ -123,32 +122,36 @@ _HELP = {"input": "input log path", "generator": "generator name (gen_* family)"
 _CHOICES = {"format": ("csv", "jsonl"), "mechanism": ("lazy", "eager", "both")}
 
 
-def _union(variants: dict) -> set:
-    return {f for names in variants.values() for f in names}
-
-
-def _variant(cfg: RunConfig, choice: str) -> tuple[Optional[str], str]:
-    """The value a run takes for a choice, and the flags that picked it."""
+def _variant(command: str, cfg: RunConfig, choice: str, variants: dict) -> tuple[str, str]:
+    """The variant a run picks for a choice, and the flags that picked it; ConfigError if
+    it picks none of `variants` (for the source: neither or both of --input and --generator)."""
     if choice != "source":
-        return getattr(cfg, choice), f"--{choice} {getattr(cfg, choice)}"
-    if (cfg.input is None) == (cfg.generator is None):
-        return None, ""  # neither or both: left to the command
-    if cfg.input is not None:
-        return "input", "--input"
-    return ("hardness" if cfg.generator == "hardness" else "generator",
-            f"--generator {cfg.generator}")
+        value = getattr(cfg, choice)
+        if value not in variants:
+            raise ConfigError(f"{choice} must be one of {tuple(variants)}, got {value!r}")
+        return value, f"--{choice} {value}"
+    given = [v for v, on in (("input", cfg.input is not None),
+                             ("hardness", cfg.generator == "hardness"),
+                             ("generator", cfg.generator not in (None, "hardness")))
+             if on and v in variants]
+    if len(given) != 1:
+        raise ConfigError("exactly one input source required: --input or --generator"
+                          if "input" in variants else f"{command} needs --generator")
+    return given[0], "--input" if given == ["input"] else f"--generator {cfg.generator}"
 
 
 def _refuse_unread_flags(command: str, flags, cfg: RunConfig) -> None:
-    """Raise ConfigError naming the given flags the run's source, task or mode does not read."""
+    """Raise ConfigError for a source, task or mode the command does not take, or
+    naming the given flags the run's source, task or mode does not read."""
     _, base, choices = _READS[command]
-    picked = {choice: _variant(cfg, choice) for choice in choices}
+    picked = {choice: _variant(command, cfg, choice, variants)
+              for choice, variants in choices.items()}
     read = {"out", *base}
+    for choice, (value, _) in picked.items():
+        read |= set(choices[choice][value])
     for choice, variants in choices.items():
-        value = picked[choice][0]  # an unknown value is the command's to refuse
-        read |= set(variants[value]) if value in variants else _union(variants)
-    for choice, variants in choices.items():
-        unread = sorted((_union(variants) - read) & set(flags))
+        offered = {f for names in variants.values() for f in names}
+        unread = sorted((offered - read) & set(flags))
         if unread:
             names = ", ".join("--" + f.replace("_", "-") for f in unread)
             raise ConfigError(f"{command} {picked[choice][1]} does not read {names}")
@@ -166,7 +169,7 @@ _DISTS = {"uniform": uniform_dist, "exponential": exponential_dist,
 
 def make_dist(name: str, params: dict) -> ContinuousDist:
     """The named distribution, built with the params as keyword arguments."""
-    if name not in _DISTS:
+    if not isinstance(name, str) or name not in _DISTS:
         raise ConfigError(f"unknown distribution {name!r}; "
                           f"want uniform, exponential or equal_revenue")
     try:
@@ -180,18 +183,13 @@ _GENERATORS = {
     "correlated_equal_revenue": gen_correlated_equal_revenue,
     "symmetric_one_high": gen_symmetric_one_high,
     "geometric_pair": gen_geometric_pair,
+    "hardness": gen_hardness_instance,  # a fixed log, not a sampler
 }
 
 
 def materialize_log(cfg: RunConfig) -> BidLog:
     """Build a BidLog from the generator and its params; bids quantized to micros."""
     name, params = cfg.generator, dict(cfg.params)
-    if name == "hardness":
-        try:
-            log = gen_hardness_instance(**params)
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad hardness parameters: {e}") from None
-        return quantize_log(log)
     if name == "iid":
         dist_name = params.pop("dist", None)
         n = params.pop("n", None)
@@ -206,48 +204,31 @@ def materialize_log(cfg: RunConfig) -> BidLog:
             raise ConfigError(f"bad parameters for generator {name!r}: {e}") from None
     else:
         raise ConfigError(f"unknown generator {name!r}; want one of "
-                          f"{sorted(_GENERATORS) + ['iid', 'hardness']}")
+                          f"{sorted(_GENERATORS) + ['iid']}")
+    if isinstance(gen, BidLog):
+        return quantize_log(gen)
     if cfg.count is None:
         raise ConfigError("generator input needs a positive count")
     return quantize_log(sample_log(gen, cfg.count, cfg.seed))
 
 
-def _input_paths(cfg: RunConfig) -> list[str]:
-    """The --input paths, each checked to exist."""
+def _input_logs(cfg: RunConfig, single: bool):
+    """Yield each input log with its slot name: the --input logs in order, else the generated
+    one. With `single`, a second --input is refused before any log is parsed."""
+    if cfg.input is None:
+        yield materialize_log(cfg), f"{cfg.generator}(seed={cfg.seed})"
+        return
     paths = cfg.input if isinstance(cfg.input, list) else [cfg.input]
-    if not paths:
-        raise ConfigError("want at least one --input path")
-    for path in paths:
-        if not isinstance(path, str):
-            raise ConfigError(f"bad input {cfg.input!r}")
-        if not os.path.exists(path):
-            raise ConfigError(f"input file not found: {path}")
-    return paths
-
-
-def _single_input_path(cfg: RunConfig) -> str:
-    """The one --input path of a command that reads a single log."""
-    paths = _input_paths(cfg)
-    if len(paths) != 1:
+    if not paths or not all(isinstance(path, str) for path in paths):
+        raise ConfigError(f"want at least one --input path, got {cfg.input!r}")
+    if single and len(paths) != 1:
         raise ConfigError(f"want exactly one --input path, got {len(paths)}")
-    return paths[0]
-
-
-def _input_log(cfg: RunConfig) -> tuple[BidLog, str]:
-    """Resolve the single input source to a log and a slot name."""
-    has_input = cfg.input is not None
-    if has_input == (cfg.generator is not None):
-        raise ConfigError("exactly one input source required: --input or --generator")
-    if has_input:
-        path = _single_input_path(cfg)
-        return parse_log(path, cfg.format), os.path.basename(path)
-    return materialize_log(cfg), f"{cfg.generator}(seed={cfg.seed})"
+    for path in paths:
+        yield parse_log(path, cfg.format), os.path.basename(path)
 
 
 def cmd_gen(cfg: RunConfig) -> tuple[list[str], dict]:
     """Materialize a generator to a log file."""
-    if cfg.generator is None:
-        raise ConfigError("gen needs --generator")
     log = materialize_log(cfg)
     fmt = cfg.format or "csv"
     os.makedirs(cfg.out, exist_ok=True)
@@ -258,10 +239,7 @@ def cmd_gen(cfg: RunConfig) -> tuple[list[str], dict]:
 
 def cmd_optimize(cfg: RunConfig) -> tuple[list[str], dict]:
     """Run one reserve-optimization task; writes reserves.csv."""
-    tasks = tuple(_READS["optimize"][2]["task"])
-    if cfg.task not in tasks:
-        raise ConfigError(f"task must be one of {tasks}, got {cfg.task!r}")
-    log, slot = _input_log(cfg)
+    [(log, slot)] = _input_logs(cfg, single=True)
     if cfg.task == "lazy":
         mech = Mechanism.LAZY
         result = optimal_lazy(log)
@@ -294,11 +272,7 @@ def cmd_optimize(cfg: RunConfig) -> tuple[list[str], dict]:
 
 def cmd_lift_tables(cfg: RunConfig) -> tuple[list[str], dict]:
     """Revenue-lift and welfare-loss tables, one slot per input log."""
-    if cfg.input is not None and cfg.generator is None:
-        reports = [compute_lift_report(parse_log(path, cfg.format), os.path.basename(path))
-                   for path in _input_paths(cfg)]
-    else:  # a generator, or the error for both or neither source
-        reports = [compute_lift_report(*_input_log(cfg))]
+    reports = [compute_lift_report(log, slot) for log, slot in _input_logs(cfg, single=False)]
     os.makedirs(cfg.out, exist_ok=True)
     rev_path = os.path.join(cfg.out, "lift_revenue.tsv")
     wel_path = os.path.join(cfg.out, "lift_welfare.tsv")
@@ -331,13 +305,10 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list[str], dict]:
             raise ConfigError("theoretical sweep needs --dist and --n")
         dist = make_dist(cfg.dist, cfg.params)
         results = [sweep_theoretical(dist, cfg.n, mechanisms, cfg.trials, cfg.seed)]
-    elif cfg.mode == "empirical":
+    else:
         if cfg.input is None or cfg.reserves is None:
             raise ConfigError("empirical sweep needs --input and --reserves")
-        path = _single_input_path(cfg)
-        if not os.path.exists(cfg.reserves):
-            raise ConfigError(f"reserve file not found: {cfg.reserves}")
-        log = parse_log(path, cfg.format)
+        [(log, _)] = _input_logs(cfg, single=True)
         reserves = read_reserves(cfg.reserves)
         unknown = sorted(set(reserves.reserves) - set(log.bidder_ids))
         if unknown:
@@ -346,8 +317,6 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list[str], dict]:
         results = [empirical_treatment_sweep(log, reserves, grid, mech,
                                              cfg.assignments, cfg.seed)
                    for mech in mechanisms]
-    else:
-        raise ConfigError(f"mode must be theoretical or empirical, got {cfg.mode!r}")
     rows: list[SweepRow] = []
     for res in results:
         rows.extend(res.rows)
@@ -400,24 +369,15 @@ def main(argv=None) -> int:
             json.dump(summary, fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")
         return 0
-    except LogParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except SearchSpaceTooLarge as e:
         print(f"refusing: {e}", file=sys.stderr)
         return 4
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DomainError as e:
+    except (LogParseError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:  # an unreadable input or unwritable --out, like a missing input
-        print(f"error: {e.filename}: {e.strerror}" if e.filename is not None else f"error: {e}",
-              file=sys.stderr)
+    except (ValueError, OSError) as e:  # a bad configuration, or a path that cannot be read or written
+        named = isinstance(e, OSError) and e.filename is not None
+        print(f"error: {e.filename}: {e.strerror}" if named else f"error: {e}", file=sys.stderr)
         return 2
 
 

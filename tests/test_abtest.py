@@ -375,6 +375,18 @@ def test_non_regular_dist_refused():
                           trials=100, seed=1)
 
 
+def test_law_with_values_below_zero_refused():
+    # the kernels never sell to a negative value, but the references integrate over it
+    below = uniform_dist(-2.0, 10.0)
+    for estimate in (
+            lambda: simulate_treatment(below, 2, TreatmentPlan(treated_count=1),
+                                       Mechanism.EAGER, 100, seed=1),
+            lambda: sweep_theoretical(below, 2, [Mechanism.LAZY], trials=100, seed=1),
+            lambda: paired_treatment_deltas(below, 2, Mechanism.EAGER, 100, seed=1)):
+        with pytest.raises(DomainError, match="below 0"):
+            estimate()
+
+
 def test_auction_split_linear_in_fraction():
     def at(p, assignment=AssignmentMode.RANDOM_PER_AUCTION):
         plan = TreatmentPlan(mode=SplitMode.AUCTION_SPLIT, treated_fraction=p,

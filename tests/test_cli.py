@@ -569,6 +569,53 @@ def test_flags_the_input_source_does_not_read_exit_2(tmp_path, capsys, paths, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--config", "--input", "--reserves"])
+def test_missing_file_exits_2_naming_the_path(tmp_path, capsys, paths, flag):
+    missing = str(tmp_path / "missing.csv")
+    argv = {"--config": ["gen", "--config", missing],
+            "--input": ["optimize", "--task", "lazy", "--input", missing],
+            "--reserves": [a.format(log=paths["log"], reserves=missing) for a in EMPIRICAL]}
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(argv[flag] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, key, want", [
+    (["optimize", "--input", "{log}"], "task",
+     "task must be one of ('lazy', 'monopoly', 'eager-exact', 'eager-local'), got 'bogus'"),
+    (["sweep"], "mode", "mode must be one of ('theoretical', 'empirical'), got 'bogus'"),
+])
+def test_unknown_task_or_mode_in_a_config_exits_2(tmp_path, capsys, paths, argv, key, want):
+    (tmp_path / "cfg.json").write_text(json.dumps({key: "bogus"}))
+    capsys.readouterr()
+    argv = [a.format(**paths) for a in argv] + ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
+
+
+def test_sweep_refuses_a_law_with_values_below_zero(tmp_path, capsys):
+    # the kernels never sell to a negative value, but the references integrate over it
+    out = tmp_path / "out"
+    assert main(["sweep", "--mode", "theoretical", "--dist", "uniform",
+                 "--params", '{"lo": -2, "hi": 10}', "--n", "2", "--trials", "1000000",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: uniform(-2,10): support reaches below 0; " \
+                                      "values must be >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dist", ["[1]", '{"a": 1}'])
+def test_iid_dist_that_is_not_a_name_exits_2(tmp_path, capsys, dist):
+    out = tmp_path / "out"
+    assert main(["gen", "--generator", "iid", "--params", f'{{"dist": {dist}, "n": 2}}',
+                 "--count", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown distribution ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_keys_of_other_tasks_and_modes_are_not_refused(tmp_path, paths):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"mechanism": "eager", "max_rounds": 3, "grid": [0, 1],
