@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields
 from typing import Optional, get_type_hints
 
 from .abtest import SweepResult, SweepRow, empirical_treatment_sweep, sweep_theoretical
@@ -24,7 +24,7 @@ from .errors import ConfigError, DomainError, LogParseError, SearchSpaceTooLarge
 from .generators import (gen_correlated_equal_revenue, gen_geometric_pair,
                          gen_hardness_instance, gen_high_low, gen_iid,
                          gen_symmetric_one_high, sample_log)
-from .logio import (compute_lift_report, lift_revenue_tsv, lift_welfare_tsv,
+from .logio import (LOG_FORMATS, compute_lift_report, lift_revenue_tsv, lift_welfare_tsv,
                     parse_log, quantize_log, read_reserves, write_log, write_reserves)
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
@@ -34,32 +34,37 @@ from .optimize import (eager_coordinate_ascent, empirical_revenue, empirical_tot
 DEFAULT_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
+def _flag(default, help: str, **check):
+    """A RunConfig field with its --help text and checks: `least` (an integer's least value),
+    `choices`, and `needed` (a run that reads the flag cannot do without it)."""
+    factory = {"default_factory": dict} if default is dict else {"default": default}
+    return field(metadata={"help": help, **check}, **factory)
+
+
 @dataclass
 class RunConfig:
-    input: Optional[str | list] = None  # path, or list of paths for lift-tables
-    generator: Optional[str] = None
-    params: dict = field(default_factory=dict)
-    count: Optional[int] = None
-    seed: int = 0
-    format: Optional[str] = None
-    out: str = "."
-    mechanism: str = "both"
-    task: Optional[str] = None
-    max_product_size: int = 1_000_000
-    max_rounds: int = 50
-    trials: int = 100_000
-    mode: str = "theoretical"
-    dist: Optional[str] = None
-    n: Optional[int] = None
-    reserves: Optional[str] = None
-    grid: Optional[str | list] = None
-    assignments: int = 200
+    input: Optional[str | list] = _flag(None, "input log path", needed=True)  # lift-tables: a list
+    generator: Optional[str] = _flag(None, "generator name (gen_* family)")
+    params: dict = _flag(dict, "generator/distribution parameters as JSON")
+    count: Optional[int] = _flag(None, "auctions to generate", least=1, needed=True)
+    seed: int = _flag(0, "PRNG seed", least=0)
+    format: Optional[str] = _flag(None, "log file format", choices=LOG_FORMATS)
+    out: str = _flag(".", "output directory")
+    mechanism: str = _flag("both", "payment rule", choices=("lazy", "eager", "both"))
+    task: Optional[str] = _flag(None, "reserve-optimization task")
+    max_product_size: int = _flag(1_000_000, "largest eager-exact search", least=1)
+    max_rounds: int = _flag(50, "eager-local rounds", least=1)
+    trials: int = _flag(100_000, "Monte-Carlo trials", least=1)
+    mode: str = _flag("theoretical", "sweep mode")
+    dist: Optional[str] = _flag(None, "distribution name for theoretical mode", needed=True)
+    n: Optional[int] = _flag(None, "bidders per auction (theoretical)", least=1, needed=True)
+    reserves: Optional[str] = _flag(None, "reserve CSV for empirical mode", needed=True)
+    grid: Optional[str | list] = _flag(None, "comma-separated treated fractions")
+    assignments: int = _flag(200, "subsets per sweep point", least=1)
 
 
-_CONFIG_KEYS = {f.name for f in dataclass_fields(RunConfig)}
+_FLAGS = {f.name: f.metadata for f in dataclass_fields(RunConfig)}
 _FIELD_TYPES = get_type_hints(RunConfig)  # checked on load; no field takes a bool
-_MIN_INT = {"seed": 0, **dict.fromkeys(("count", "max_product_size", "max_rounds", "trials",
-                                        "n", "assignments"), 1)}
 
 
 def load_config(config_path: Optional[str], overrides: dict) -> RunConfig:
@@ -74,26 +79,26 @@ def load_config(config_path: Optional[str], overrides: dict) -> RunConfig:
             raise ConfigError("config must be a JSON object")
         data.update(loaded)
     data.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_FLAGS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = RunConfig(**data)
     for name, want in _FIELD_TYPES.items():
-        value = getattr(cfg, name)
+        value, check = getattr(cfg, name), _FLAGS[name]
         if isinstance(value, bool) or not isinstance(value, want):
             raise ConfigError(f"{name} has the wrong JSON type: {value!r}")
-        if name in _MIN_INT and value is not None and value < _MIN_INT[name]:
-            raise ConfigError(f"{name} must be an integer >= {_MIN_INT[name]}, got {value!r}")
-    if cfg.mechanism not in _CHOICES["mechanism"]:
-        raise ConfigError(f"mechanism must be lazy, eager or both, got {cfg.mechanism!r}")
+        if "least" in check and value is not None and value < check["least"]:
+            raise ConfigError(f"{name} must be an integer >= {check['least']}, got {value!r}")
+        if "choices" in check and value not in (None, *check["choices"]):
+            raise ConfigError(f"{name} must be one of {check['choices']}, got {value!r}")
     return cfg
 
 
-# What each subcommand reads: its help, the flags every run reads besides --out, and for
-# each choice that picks a variant, the flags each value adds. The input source is
-# --input, a sampled --generator, or hardness. argparse gives a subcommand the union
-# of its flags; a given flag that the run's source, task or mode does not read exits 2,
-# and so does a run that picks no variant of a choice (or two input sources).
+# What each subcommand reads: its help, the flags every run reads besides --out, and for each
+# choice that picks a variant, the flags each value adds. The input source is --input, a
+# sampled --generator, or hardness. argparse gives a subcommand the union of its flags; a
+# given flag the run's source, task or mode does not read exits 2, as does a run that picks no
+# variant of a choice (or two input sources) or leaves unset a `needed` flag its variant adds.
 # Keys of a --config file are never refused, so one file can serve the whole pipeline.
 _SOURCES = {"input": ("input", "format"), "generator": ("generator", "params", "count", "seed"),
             "hardness": ("generator", "params")}
@@ -110,16 +115,6 @@ _READS = {
               {"mode": {"theoretical": ("params", "dist", "n", "trials"),
                         "empirical": ("input", "format", "reserves", "grid", "assignments")}}),
 }
-_HELP = {"input": "input log path", "generator": "generator name (gen_* family)",
-         "params": "generator/distribution parameters as JSON", "count": "auctions to generate",
-         "seed": "PRNG seed", "format": "log file format", "out": "output directory",
-         "task": "reserve-optimization task", "mechanism": "payment rule",
-         "max_product_size": "largest eager-exact search", "max_rounds": "eager-local rounds",
-         "trials": "Monte-Carlo trials", "mode": "sweep mode",
-         "dist": "distribution name for theoretical mode",
-         "n": "bidders per auction (theoretical)", "reserves": "reserve CSV for empirical mode",
-         "grid": "comma-separated treated fractions", "assignments": "subsets per sweep point"}
-_CHOICES = {"format": ("csv", "jsonl"), "mechanism": ("lazy", "eager", "both")}
 
 
 def _variant(command: str, cfg: RunConfig, choice: str, variants: dict) -> tuple[str, str]:
@@ -140,9 +135,10 @@ def _variant(command: str, cfg: RunConfig, choice: str, variants: dict) -> tuple
     return given[0], "--input" if given == ["input"] else f"--generator {cfg.generator}"
 
 
-def _refuse_unread_flags(command: str, flags, cfg: RunConfig) -> None:
-    """Raise ConfigError for a source, task or mode the command does not take, or
-    naming the given flags the run's source, task or mode does not read."""
+def _refuse_unread_flags(command: str, flags, cfg: RunConfig) -> set[str]:
+    """The flags the run reads. Raise ConfigError for a source, task or mode the command
+    does not take, naming the given flags the run's source, task or mode does not read,
+    or naming the `needed` flags its variants add that are unset."""
     _, base, choices = _READS[command]
     picked = {choice: _variant(command, cfg, choice, variants)
               for choice, variants in choices.items()}
@@ -150,11 +146,15 @@ def _refuse_unread_flags(command: str, flags, cfg: RunConfig) -> None:
     for choice, (value, _) in picked.items():
         read |= set(choices[choice][value])
     for choice, variants in choices.items():
+        value, named = picked[choice]
         offered = {f for names in variants.values() for f in names}
         unread = sorted((offered - read) & set(flags))
-        if unread:
-            names = ", ".join("--" + f.replace("_", "-") for f in unread)
-            raise ConfigError(f"{command} {picked[choice][1]} does not read {names}")
+        unset = [f for f in variants[value] if _FLAGS[f].get("needed") and getattr(cfg, f) is None]
+        for verb, names in (("does not read", unread), ("needs", unset)):
+            if names:
+                names = ", ".join("--" + f.replace("_", "-") for f in names)
+                raise ConfigError(f"{command} {named} {verb} {names}")
+    return read
 
 
 def _mechanisms(cfg: RunConfig) -> list[Mechanism]:
@@ -205,11 +205,7 @@ def materialize_log(cfg: RunConfig) -> BidLog:
     else:
         raise ConfigError(f"unknown generator {name!r}; want one of "
                           f"{sorted(_GENERATORS) + ['iid']}")
-    if isinstance(gen, BidLog):
-        return quantize_log(gen)
-    if cfg.count is None:
-        raise ConfigError("generator input needs a positive count")
-    return quantize_log(sample_log(gen, cfg.count, cfg.seed))
+    return quantize_log(gen if isinstance(gen, BidLog) else sample_log(gen, cfg.count, cfg.seed))
 
 
 def _input_logs(cfg: RunConfig, single: bool):
@@ -288,6 +284,8 @@ def _parse_grid(grid) -> list[float]:
         return list(DEFAULT_GRID)
     if isinstance(grid, str):
         grid = [tok for tok in grid.split(",") if tok.strip() != ""]
+    elif any(isinstance(x, (bool, str)) for x in grid):  # float() would read true or "0.5"
+        raise ConfigError(f"bad grid {grid!r}")
     try:
         values = [float(x) for x in grid]
     except (TypeError, ValueError):
@@ -301,13 +299,9 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list[str], dict]:
     """Treatment-size sweep, theoretical (distribution) or empirical (log + reserves)."""
     mechanisms = _mechanisms(cfg)
     if cfg.mode == "theoretical":
-        if cfg.dist is None or cfg.n is None:
-            raise ConfigError("theoretical sweep needs --dist and --n")
         dist = make_dist(cfg.dist, cfg.params)
         results = [sweep_theoretical(dist, cfg.n, mechanisms, cfg.trials, cfg.seed)]
     else:
-        if cfg.input is None or cfg.reserves is None:
-            raise ConfigError("empirical sweep needs --input and --reserves")
         [(log, _)] = _input_logs(cfg, single=True)
         reserves = read_reserves(cfg.reserves)
         unknown = sorted(set(reserves.reserves) - set(log.bidder_ids))
@@ -337,9 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override its keys")
         offered = ["out", *base, *(f for v in choices.values() for fs in v.values() for f in fs)]
         for name in dict.fromkeys(offered):  # a choice's flag offers its variants' names
-            p.add_argument("--" + name.replace("_", "-"), dest=name, help=_HELP[name],
-                           type=int if name in _MIN_INT else None,
-                           choices=choices.get(name, _CHOICES.get(name)),
+            check = _FLAGS[name]
+            p.add_argument("--" + name.replace("_", "-"), dest=name, help=check["help"],
+                           type=int if "least" in check else None,
+                           choices=choices.get(name, check.get("choices")),
                            action="append" if name == "input" else None)
     return parser
 
@@ -352,7 +347,7 @@ def main(argv=None) -> int:
     """Run one subcommand and write summary.json from the outputs and fields it returns."""
     ns = _build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(ns).items()
-                 if k in _CONFIG_KEYS and v is not None}
+                 if k in _FLAGS and v is not None}
     try:
         if "params" in overrides and isinstance(overrides["params"], str):
             try:
@@ -360,11 +355,11 @@ def main(argv=None) -> int:
             except json.JSONDecodeError as e:
                 raise ConfigError(f"--params is not valid JSON: {e.msg}") from None
         cfg = load_config(ns.config, overrides)
-        _refuse_unread_flags(ns.command, overrides, cfg)
+        read = _refuse_unread_flags(ns.command, overrides, cfg)
         started = time.monotonic()
         outputs, extra = _COMMANDS[ns.command](cfg)
-        summary = {"command": ns.command, "config": asdict(cfg), "outputs": sorted(outputs),
-                   "runtime_seconds": time.monotonic() - started, **extra}
+        summary = {"command": ns.command, "config": {k: getattr(cfg, k) for k in read}, **extra,
+                   "outputs": sorted(outputs), "runtime_seconds": time.monotonic() - started}
         with open(os.path.join(cfg.out, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True, default=str)
             fh.write("\n")

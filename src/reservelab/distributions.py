@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import DomainError
 
+_FLOAT_MAX = float(np.finfo(float).max)  # a Python float: an int past it compares exactly
+
 
 @dataclass(frozen=True)
 class ContinuousDist:
@@ -57,8 +59,8 @@ def _exact(x: float) -> str:
 
 
 def uniform_dist(lo: float = 0.0, hi: float = 1.0) -> ContinuousDist:
-    if not lo < hi:
-        raise ValueError("need lo < hi")
+    if not -_FLOAT_MAX <= lo < hi <= _FLOAT_MAX:
+        raise ValueError(f"lo and hi must be finite with lo < hi, got {lo!r} and {hi!r}")
     width = hi - lo
     return ContinuousDist(
         name=f"uniform({_exact(lo)},{_exact(hi)})",
@@ -71,8 +73,8 @@ def uniform_dist(lo: float = 0.0, hi: float = 1.0) -> ContinuousDist:
 
 
 def exponential_dist(rate: float = 1.0) -> ContinuousDist:
-    if rate <= 0:
-        raise ValueError("rate must be > 0")
+    if not 0 < rate <= _FLOAT_MAX:
+        raise ValueError(f"rate must be finite and > 0, got {rate!r}")
     return ContinuousDist(
         name=f"exponential({_exact(rate)})",
         lo=0.0, hi=math.inf,
@@ -89,8 +91,8 @@ def equal_revenue_dist(M: float) -> ContinuousDist:
     Every posted price r in [1, M] earns r * P(b >= r) = 1, and the virtual
     value vanishes identically on the continuous part.
     """
-    if M <= 1:
-        raise ValueError("M must be > 1")
+    if not 1 < M <= _FLOAT_MAX:
+        raise ValueError(f"M must be finite and > 1, got {M!r}")
 
     def ppf(u):
         u = np.asarray(u)

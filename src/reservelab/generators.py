@@ -114,6 +114,8 @@ def gen_symmetric_one_high(n: int, H: float, L: float) -> JointGenerator:
 
 def geometric_pair_atoms(K: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Common-bid atoms of the geometric pair: values and probabilities."""
+    if not 2 <= K <= 1024:  # past 1024 the top atom 2^(K-1) overflows a float
+        raise ValueError(f"K must be in [2, 1024], got {K!r}")
     values = np.array([2.0 ** (k - 1) for k in range(1, K)] + [2.0 ** (K - 1) + epsilon])
     probs = np.array([2.0 ** (-k) for k in range(1, K)] + [2.0 ** (1 - K)])
     return values, probs
@@ -125,8 +127,6 @@ def gen_geometric_pair(K: int, epsilon: float) -> JointGenerator:
     The common bid is 2^(k-1) w.p. 2^-k for k = 1..K-1, and 2^(K-1)+epsilon
     w.p. 2^(1-K). Probabilities telescope to 1.
     """
-    if K < 2:
-        raise ValueError("K must be >= 2")
     values, probs = geometric_pair_atoms(K, epsilon)
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:

@@ -37,6 +37,7 @@ _LINE_BREAK_RE = re.compile("[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")  # where str.
 MAX_MICROS = 10 ** 15  # 1e9 units; beyond this float round trips stop being exact
 LOG_HEADER = "auction_id,bidder_id,bid"
 RESERVE_HEADER = "bidder_id,reserve"
+LOG_FORMATS = ("csv", "jsonl")
 
 
 def parse_bid_token(token: str, line_number: int = 0) -> float:
@@ -106,7 +107,7 @@ def _infer_format(path: str, format: Optional[str]) -> str:
         fmt = "jsonl"
     else:
         raise ValueError(f"cannot infer log format from {path!r}; pass format='csv' or 'jsonl'")
-    if fmt not in ("csv", "jsonl"):
+    if fmt not in LOG_FORMATS:
         raise ValueError(f"unknown log format {fmt!r}")
     return fmt
 

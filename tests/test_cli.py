@@ -420,6 +420,22 @@ def test_single_log_commands_refuse_repeated_input(tmp_path, capsys):
     (["gen", "--generator", "iid", "--count", "5", "--params", "[1, 2]"], None, "params"),
     (["optimize", "--task", "eager-local", "--max-rounds", "0"], None, "max_rounds"),
     (["optimize", "--task", "eager-local", "--max-rounds", "-1"], None, "max_rounds"),
+    # a config value reaches logio unless load_config checks it: log.CSV, then exit 2
+    (["gen", "--generator", "iid", "--params", IID_PARAMS, "--count", "5"],
+     {"format": "CSV"}, "format"),
+    (["gen", "--generator", "iid", "--params", IID_PARAMS, "--count", "5"],
+     {"format": "xml"}, "format"),
+    # json reads NaN and Infinity: a traceback, a log without its (0, M) profiles, exit 3
+    (["sweep", "--dist", "equal_revenue", "--params", '{"M": NaN}', "--n", "2",
+      "--trials", "100"], None, "M"),
+    (["gen", "--generator", "correlated_equal_revenue",
+      "--params", '{"M": Infinity, "epsilon": 0.1}', "--count", "5"], None, "M"),
+    (["sweep", "--dist", "exponential", "--params", '{"rate": Infinity}', "--n", "2",
+      "--trials", "100"], None, "rate"),
+    (["sweep", "--dist", "uniform", "--params", '{"lo": 0, "hi": Infinity}', "--n", "2",
+      "--trials", "100"], None, "hi"),
+    (["gen", "--generator", "geometric_pair", "--params", '{"K": 1100, "epsilon": 0.5}',
+      "--count", "5"], None, "K"),  # 2.0 ** (K - 1) overflowed
 ])
 def test_bad_config_values_exit_2_naming_the_field(tmp_path, capsys, argv, config, field):
     if config is not None:
@@ -427,7 +443,7 @@ def test_bad_config_values_exit_2_naming_the_field(tmp_path, capsys, argv, confi
         argv = argv + ["--config", str(tmp_path / "cfg.json")]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and field in err.split() and "Traceback" not in err
+    assert err.startswith("error: ") and field in err.split() and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -593,6 +609,59 @@ def test_unknown_task_or_mode_in_a_config_exits_2(tmp_path, capsys, paths, argv,
     argv = [a.format(**paths) for a in argv] + ["--config", str(tmp_path / "cfg.json")]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["sweep"], "sweep --mode theoretical needs --dist, --n"),
+    (["sweep", "--mode", "empirical", "--grid", "0,1"],
+     "sweep --mode empirical needs --input, --reserves"),
+    (["gen", "--generator", "iid", "--params", IID_PARAMS], "gen --generator iid needs --count"),
+    (["lift-tables", "--generator", "iid", "--params", IID_PARAMS],
+     "lift-tables --generator iid needs --count"),
+])
+def test_a_run_missing_a_flag_it_needs_exits_2_naming_it(tmp_path, capsys, argv, want):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["optimize", "--task", "lazy", "--input", "{log}"], "format input out task"),
+    (["optimize", "--task", "monopoly", "--input", "{log}", "--format", "csv"],
+     "format input mechanism out task"),
+    (["optimize", "--task", "eager-local", "--generator", "iid", "--params", "{iid}",
+      "--count", "20"], "count generator max_rounds out params seed task"),
+    (["optimize", "--task", "eager-exact", "--generator", "hardness", "--params", "{triangle}"],
+     "generator max_product_size out params task"),
+    (["gen", "--generator", "iid", "--params", "{iid}", "--count", "5"],
+     "count format generator out params seed"),
+    (["lift-tables", "--input", "{log}", "--input", "{log}"], "format input out"),
+    (THEORETICAL, "dist mechanism mode n out params seed trials"),
+    (EMPIRICAL, "assignments format grid input mechanism mode out reserves seed"),
+])
+def test_summary_config_lists_the_flags_the_run_read(tmp_path, paths, argv, keys):
+    argv = [a.format(iid=IID_PARAMS, triangle=TRIANGLE, **paths) for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    config = json.loads((out / "summary.json").read_text())["config"]
+    assert sorted(config) == keys.split()
+    assert config["out"] == str(out)
+    unset = [k for k in ("format", "grid") if k in config and f"--{k}" not in argv]
+    assert all(config[k] is None for k in unset)  # read but unset: recorded as null
+
+
+@pytest.mark.parametrize("grid, code", [([True, "0.5"], 2), (["0", "1"], 2), ([0, 0.5], 0)])
+def test_a_config_grid_takes_only_json_numbers(tmp_path, capsys, paths, grid, code):
+    (tmp_path / "cfg.json").write_text(json.dumps({"grid": grid}))
+    argv = [a.format(**paths) for a in EMPIRICAL] + ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    assert main(argv + ["--assignments", "3", "--out", str(out)]) == code
+    if code == 2:
+        assert capsys.readouterr().err == f"error: bad grid {grid!r}\n"
+        assert not out.exists()
+    else:
+        assert [r.split("\t")[0] for r in _sweep_rows(out)] == ["0", "0.5"] * 2
 
 
 def test_sweep_refuses_a_law_with_values_below_zero(tmp_path, capsys):

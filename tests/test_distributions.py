@@ -21,6 +21,17 @@ def test_constructor_validation():
         equal_revenue_dist(1.0)
 
 
+@pytest.mark.parametrize("make", [lambda x: uniform_dist(x, 2.0), lambda x: uniform_dist(0.0, x),
+                                  exponential_dist, equal_revenue_dist],
+                         ids=["lo", "hi", "rate", "M"])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 10 ** 400],
+                         ids=["nan", "inf", "-inf", "1e400-int"])
+def test_constructors_refuse_non_finite_parameters(make, x):
+    # json reads NaN and Infinity: each is refused here, not later in the name or a sweep
+    with pytest.raises(ValueError, match="finite"):
+        make(x)
+
+
 def test_uniform_virtual_value():
     # phi(v) = 2v - hi on uniform(lo, hi)
     u = uniform_dist()

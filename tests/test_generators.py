@@ -90,6 +90,17 @@ def test_geometric_pair_draws():
         gen_geometric_pair(1, 0.01)
 
 
+def test_geometric_pair_refuses_a_top_atom_past_the_float_range():
+    # 2^(K-1) overflows a float at K = 1025
+    for build in (geometric_pair_atoms, gen_geometric_pair):
+        with pytest.raises(ValueError, match=r"K must be in \[2, 1024\]"):
+            build(1025, 0.5)
+    values, probs = geometric_pair_atoms(1024, 0.5)
+    assert values[-1] == 2.0 ** 1023 + 0.5 and probs.sum() == 1.0
+    gen_geometric_pair(1024, 0.5)
+    assert geometric_pair_analysis(1024, 0.5).ratio == 1.0
+
+
 def test_iid_generator():
     gen = gen_iid(uniform_dist(), 3)
     bids = gen.draw(np.random.default_rng(4), 100)
