@@ -5,19 +5,26 @@ Parsing is strict: anything that is not a plain non-negative micro decimal is
 rejected with its 1-based line number. Values are capped at 1e9 (1e15 micros)
 so that micros -> float -> micros round trips are exact in both directions.
 
-A CSV log is parsed column-wise first: the file is read once as bytes and
-checked in blocks of lines with byte-level numpy tests, then each block is
-decoded and split once, and ids map to matrix rows and columns in first-seen
-order. A file with any record outside that plain form (quotes, non-ASCII, a bad
-bid, a duplicate pair, ...) is parsed again from the top by the per-record
-path, a `csv.reader` over its lines, which alone raises `LogParseError`; JSONL
-logs and reserve files take that path only. write_log checks every bid's
-integer micros in one array pass, then formats and writes blocks of lines.
+A CSV log is parsed column-wise first, in whole-array passes over its bytes:
+blocks of lines are checked by byte-level numpy tests, the bids are read in one
+np.loadtxt pass, and each id column maps to matrix rows or columns in first-seen
+order by one stable sort of its byte spans as NUL-padded 8-byte words; only the
+distinct ids are decoded. A file with any record outside that plain form (quotes,
+non-ASCII, a bad bid, a duplicate pair, ...) is parsed again from the top by the
+per-record path, a `csv.reader` over its lines, which alone raises
+`LogParseError`; JSONL logs and reserve files take that path only.
+
+write_log checks every bid's integer micros in one array pass. It then fills each
+block of records into one byte matrix, a row per record: the format's literal
+pieces, the id tokens' bytes from per-id tables, and the bid's digits, with a mask
+of the bytes each record keeps (no leading or trailing zeros, no token padding),
+and writes the kept bytes in one step.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -25,6 +32,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import LogParseError
 from .logs import BidLog
@@ -205,9 +213,10 @@ def _parse_records(data: bytes, fmt: str) -> BidLog:
     return BidLog.from_matrix(bids, list(cols), list(rows))
 
 
-_BLOCK_LINES = 1 << 16  # lines per block of the CSV parse and of write_log; bounds temporaries
+_BLOCK_LINES = 1 << 16  # lines per block of the CSV gate and of write_log's byte matrix
 # Bytes a plain CSV record may hold: printable ASCII and tab. So no quote, no byte
-# str.splitlines breaks a line at other than the newline, and nothing that is not ASCII.
+# str.splitlines breaks a line at other than the newline, nothing that is not ASCII,
+# and no NUL, so two NUL-padded plain spans are equal only when the spans are.
 _PLAIN_BYTE = np.zeros(256, dtype=bool)
 _PLAIN_BYTE[[ord("\t"), ord("\n"), *range(0x20, 0x7F)]] = True
 _PLAIN_BYTE[ord('"')] = False
@@ -237,58 +246,75 @@ def _plain_block(block: np.ndarray, ends: np.ndarray) -> bool:
     return bool(((last == second) | dotted).all())
 
 
-def _indices(ids: list[str], index: dict[str, int]) -> np.ndarray:
-    """Each id's position in `index`, which takes unseen ids in first-seen order."""
-    fresh = [key for key in dict.fromkeys(ids) if key not in index]
-    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
-    return np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
+def _first_seen(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """Each span raw[starts:stops]'s index among the distinct spans in first-seen order,
+    and those distinct spans as str. Spans are sorted one width at a time as NUL-padded
+    8-byte words: exact on plain bytes, which hold no NUL, and no span is padded to a
+    longer one's width."""
+    widths = stops - starts
+    by_width = np.argsort(widths, kind="stable")
+    index = np.empty(len(starts), dtype=np.intp)
+    firsts, names = [], []
+    for at in np.split(by_width, np.flatnonzero(np.diff(widths[by_width])) + 1):
+        width = int(widths[at[0]])
+        keys = np.zeros((len(at), -(-width // 8) * 8), dtype=np.uint8)
+        keys[:, :width] = sliding_window_view(raw, width)[starts[at]]
+        words = keys.view(np.uint64)
+        order = np.lexsort(words.T)  # stable: equal spans keep file order
+        words = words[order]
+        fresh = np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1)))
+        index[at[order]] = sum(map(len, firsts)) + np.cumsum(fresh) - 1
+        firsts.append(at[order[fresh]])
+        names.append(keys[order[fresh]].view(f"S{keys.shape[1]}")[:, 0])
+    by_first = np.argsort(np.concatenate(firsts))
+    rank = np.empty(len(by_first), dtype=np.intp)
+    rank[by_first] = np.arange(len(by_first))
+    return rank[index], np.concatenate(names)[by_first].astype(str).tolist()
 
 
 def _columnar_csv(data: bytes) -> Optional[BidLog]:
     """The log of a CSV file whose records are all plain (see _plain_block) with bids
     up to 1e9 and no repeated (auction, bidder) pair, else None. On such a file the
-    per-record parse returns the same log: float(token) is the correctly rounded
-    double of the decimal token, as is its micros / 10**6."""
+    per-record parse returns the same log: np.loadtxt, like float(token), gives the
+    correctly rounded double of the decimal token, as is its micros / 10**6."""
     if not data.startswith(LOG_HEADER.encode() + b"\n"):
         return None
     if not data.endswith(b"\n"):
         data += b"\n"
     raw = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))  # ends[0] closes the header
-    rows, cols = {}, {}
-    parts = []
+    if len(ends) == 1:
+        return None
     for i in range(1, len(ends), _BLOCK_LINES):
         start, block_ends = ends[i - 1] + 1, ends[i:i + _BLOCK_LINES]
-        stop = block_ends[-1] + 1
-        if not _plain_block(raw[start:stop], block_ends - start):
+        if not _plain_block(raw[start:block_ends[-1] + 1], block_ends - start):
             return None
-        tokens = data[start:stop].decode("ascii").replace("\n", ",").split(",")
-        values = np.fromiter(map(float, tokens[2::3]), dtype=float, count=len(block_ends))
-        if (values > 1e9).any():
-            return None
-        parts.append((_indices(tokens[0:-1:3], rows), _indices(tokens[1::3], cols), values))
-    if not parts:
+    commas = np.flatnonzero(raw == ord(","))[2:]  # two on each line past the header
+    first, second = commas[0::2], commas[1::2]
+    values = np.loadtxt(io.BytesIO(data), delimiter=",", usecols=2, skiprows=1,
+                        comments=None, ndmin=1)
+    if (values > 1e9).any():
         return None
-    r, c, values = map(np.concatenate, zip(*parts))
-    bids = np.full((len(rows), len(cols)), ABSENT)
-    bids[r, c] = values
+    rows, auction_ids = _first_seen(raw, ends[:-1] + 1, first)
+    cols, bidder_ids = _first_seen(raw, first + 1, second)
+    bids = np.full((len(auction_ids), len(bidder_ids)), ABSENT)
+    bids[rows, cols] = values
     if np.count_nonzero(bids != ABSENT) != len(values):  # a pair was written twice
         return None
-    return BidLog.from_matrix(bids, list(cols), list(rows))
+    return BidLog.from_matrix(bids, bidder_ids, auction_ids)
 
 
 def _id_tokens(ids: Iterable[str], fmt: str) -> list[str]:
     """Each id as written in a record, encoded once: a JSON string for JSONL; for CSV
     the id itself, quoted when it holds a comma or a quote. A CSV record must fit on
     one line, so a CSV id with a line break is refused."""
+    ids = list(ids)
     if fmt == "jsonl":
         return [json.dumps(i) for i in ids]
-    tokens = []
-    for i in ids:
-        if _LINE_BREAK_RE.search(i):
-            raise ValueError(f"id {i!r} has a line break: a CSV record must fit on one line")
-        tokens.append('"' + i.replace('"', '""') + '"' if "," in i or '"' in i else i)
-    return tokens
+    if _LINE_BREAK_RE.search("".join(ids)):
+        bad = next(i for i in ids if _LINE_BREAK_RE.search(i))
+        raise ValueError(f"id {bad!r} has a line break: a CSV record must fit on one line")
+    return ['"' + i.replace('"', '""') + '"' if "," in i or '"' in i else i for i in ids]
 
 
 def _micros(values: np.ndarray) -> np.ndarray:
@@ -303,28 +329,93 @@ def _micros(values: np.ndarray) -> np.ndarray:
     return micros.astype(np.int64)
 
 
+# A record is these four literal pieces around its auction token, bidder token and bid.
+_RECORD = {"csv": (b"", b",", b",", b"\n"),
+           "jsonl": (b'{"auction_id": ', b', "bidder_id": ', b', "bid": "', b'"}\n')}
+_BLOCK_BYTES = 1 << 23  # write_log halves a block while rows x widest tokens is larger
+
+
+def _token_table(tokens: list[str]):
+    """The tokens' UTF-8 bytes one after another, then as many zero bytes as the longest
+    takes, and each token's offset and length in them. No token holds a newline: a CSV
+    id with a line break is refused, and JSON escapes one."""
+    data = "\n".join(tokens).encode()
+    raw = np.frombuffer(data, dtype=np.uint8)
+    stops = np.append(np.flatnonzero(raw == ord("\n")), len(raw))
+    starts = np.concatenate(([0], stops[:-1] + 1))
+    lengths = stops - starts
+    padded = data + bytes(max(1, int(lengths.max())))
+    return np.frombuffer(padded, dtype=np.uint8), starts, lengths
+
+
+def _token_column(table, at: np.ndarray):
+    """(bytes, keep) of the tokens `at`, one row each, as wide as the longest. A mask, not
+    NUL padding, marks each token's bytes: a token may hold a NUL."""
+    raw, starts, lengths = table
+    width = max(1, int(lengths[at].max()))
+    return sliding_window_view(raw, width)[starts[at]], np.arange(width) < lengths[at, None]
+
+
+def _bid_column(micros: np.ndarray):
+    """(bytes, keep) of each bid as format_micro writes it: its integer digits from the
+    first that is not a leading zero, then, unless the fraction is 0, the dot and the
+    fraction digits up to the last that is not a trailing zero."""
+    places = max(7, len(str(int(micros.max()))))  # digits of the largest bid in micros
+    digits = np.empty((len(micros), places + 1), dtype=np.uint8)
+    keep = np.ones(digits.shape, dtype=bool)
+    digits[:, places - 6], keep[:, places - 6] = ord("."), micros % 10 ** 6 != 0
+    for j, k in enumerate(range(places - 1, -1, -1)):
+        at = j + (k < 6)  # past the dot
+        digits[:, at] = micros // 10 ** k % 10 + ord("0")
+        if k > 6:  # a leading zero of the integer part
+            keep[:, at] = micros >= 10 ** k
+        elif k < 6:  # a trailing zero of the fraction
+            keep[:, at] = micros % 10 ** (k + 1) != 0
+    return digits, keep
+
+
+def _record_bytes(pieces: tuple[bytes, ...], columns: list) -> bytes:
+    """The records of a block: each a row of a byte matrix, the literal `pieces` set
+    around the (bytes, keep) `columns`, then compacted to the bytes its row keeps."""
+    parts = [(np.frombuffer(pieces[0], dtype=np.uint8), True)]
+    for piece, column in zip(pieces[1:], columns):
+        parts += [column, (np.frombuffer(piece, dtype=np.uint8), True)]
+    matrix = np.empty((len(columns[0][0]), sum(p.shape[-1] for p, _ in parts)), dtype=np.uint8)
+    keep = np.empty(matrix.shape, dtype=bool)
+    at = 0
+    for values, kept in parts:
+        matrix[:, at:at + values.shape[-1]] = values
+        keep[:, at:at + values.shape[-1]] = kept
+        at += values.shape[-1]
+    return matrix[keep].tobytes()
+
+
 def write_log(log: BidLog, path: str, format: Optional[str] = None) -> None:
-    """Write a bid log, one row per present bid in auction then bidder order;
-    raises on bids that are not micro decimals before it opens the file."""
+    """Write a bid log, one row per present bid in auction then bidder order. Raises
+    on a log with no auctions, which parse_log refuses, and on bids that are not micro
+    decimals, before it opens the file."""
     fmt = _infer_format(path, format)
+    if not len(log):
+        raise ValueError("cannot write a log with no auctions: parse_log refuses it")
     bids = log.to_matrix()
     rows, cols = np.nonzero(bids != ABSENT)
-    aids, ids = _id_tokens(log.auction_ids, fmt), _id_tokens(log.bidder_ids, fmt)
-    units, frac = np.divmod(_micros(bids[rows, cols]), 10 ** 6)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    tables = [_token_table(_id_tokens(ids, fmt)) for ids in (log.auction_ids, log.bidder_ids)]
+    micros = _micros(bids[rows, cols])
+    blocks = [(i, min(i + _BLOCK_LINES, len(rows))) for i in range(0, len(rows), _BLOCK_LINES)]
+    blocks.reverse()  # a stack: the next block last
+    with open(path, "wb") as fh:
         if fmt == "csv":
-            fh.write(LOG_HEADER + "\n")
-        for i in range(0, len(rows), _BLOCK_LINES):
-            block = slice(i, i + _BLOCK_LINES)
-            tokens = [("%d.%06d" % (u, f)).rstrip("0") if f else str(u)  # as format_micro
-                      for u, f in zip(units[block].tolist(), frac[block].tolist())]
-            cells = zip(rows[block].tolist(), cols[block].tolist(), tokens)
-            if fmt == "csv":
-                lines = [f"{aids[r]},{ids[c]},{bid}" for r, c, bid in cells]
-            else:  # the bytes json.dumps gives for the record's dict
-                lines = [f'{{"auction_id": {aids[r]}, "bidder_id": {ids[c]}, "bid": "{bid}"}}'
-                         for r, c, bid in cells]
-            fh.write("\n".join(lines) + "\n")
+            fh.write(LOG_HEADER.encode() + b"\n")
+        while blocks:
+            start, stop = blocks.pop()
+            at = rows[start:stop], cols[start:stop]
+            width = sum(int(lengths[i].max()) for (_, _, lengths), i in zip(tables, at))
+            if stop - start > 1 and (stop - start) * width > _BLOCK_BYTES:
+                middle = (start + stop) // 2
+                blocks += [(middle, stop), (start, middle)]
+                continue
+            columns = [_token_column(table, i) for table, i in zip(tables, at)]
+            fh.write(_record_bytes(_RECORD[fmt], columns + [_bid_column(micros[start:stop])]))
 
 
 def read_reserves(path: str) -> ReserveVector:

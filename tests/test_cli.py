@@ -97,6 +97,16 @@ def test_exit_code_bad_config(tmp_path, capsys):
                  "5", "--seed", "-3", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_gen_of_an_empty_graph_exits_2_and_writes_no_log(tmp_path, capsys, fmt):
+    """A graph with no vertices is a log with no auctions, which parse_log would refuse."""
+    params = '{"vertices": [], "edges": [], "L": 2, "H": 3}'
+    assert main(["gen", "--generator", "hardness", "--params", params, "--format", fmt,
+                 "--out", str(tmp_path)]) == 2
+    assert "no auctions" in capsys.readouterr().err
+    assert not (tmp_path / f"log.{fmt}").exists()
+
+
 def test_exit_code_bad_data(tmp_path, capsys):
     log = tmp_path / "log.csv"
     log.write_text("auction_id,bidder_id,bid\na1,b1,nan\n")

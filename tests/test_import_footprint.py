@@ -3,8 +3,8 @@
 Importing scipy costs a reservelab process about a second before it does
 any work. Each case runs one command in a fresh interpreter and lists the
 scipy modules loaded when it returns, so a top-level scipy import anywhere
-the CLI reaches fails here. The optimize commands also load no numpy.ma,
-which np.unique imports on its first call (11-17 ms per process).
+the CLI reaches fails here. No command loads numpy.ma either, which np.unique
+imports on its first call (11-17 ms per process).
 """
 
 import json
@@ -84,8 +84,8 @@ def test_command_loads_no_scipy(inputs, name):
     assert modules == []
 
 
-@pytest.mark.parametrize("name", [name for name in CASES if name.startswith("optimize-")])
-def test_optimize_loads_no_numpy_ma(inputs, name):
+@pytest.mark.parametrize("name", list(CASES))
+def test_command_loads_no_numpy_ma(inputs, name):
     code, _, numpy_ma = loaded_modules(command(name, inputs))
     assert code == 0
     assert not numpy_ma

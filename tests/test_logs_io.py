@@ -330,6 +330,8 @@ def test_from_matrix_validates_and_normalizes():
 
 _IDS = st.text('abcxyz_019,"', min_size=1, max_size=4)
 _PLAIN_IDS = st.text("ab09._ ", min_size=1, max_size=4)  # no byte a CSV writer quotes
+# plain ids that prefix each other, differ only in their last byte, and pass 8 bytes
+_SPAN_IDS = st.text("ab", min_size=1, max_size=11)
 
 
 @st.composite
@@ -377,19 +379,21 @@ _MUTANTS = [b",", b'"', b"\n", b"\r", b".", *(b"%d" % d for d in range(10)), b"a
 def mutated_csv(draw):
     """A written CSV log, its bytes, and the same bytes after 0-3 edits: an insert, a
     delete or an overwrite at a random offset, a copy of one line put before another,
-    or one field of a line replaced by a short string of bid and CSV characters."""
-    log = draw(st.one_of(micro_logs(_PLAIN_IDS), micro_logs()))
+    one line moved before another (so an auction's records may form two runs), or one
+    field of a line replaced by a short string of bid and CSV characters."""
+    log = draw(st.one_of(micro_logs(_PLAIN_IDS), micro_logs(_SPAN_IDS), micro_logs()))
     with tempfile.TemporaryDirectory() as tmp:
         write_log(log, f"{tmp}/log.csv")
         with open(f"{tmp}/log.csv", "rb") as fh:
             data = fh.read()
     edited = data
     for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["insert", "delete", "replace", "repeat", "field"]))
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "repeat", "move", "field"]))
         at = draw(st.integers(0, len(edited)))
         lines = edited.split(b"\n")
-        if kind == "repeat":
-            line = lines[draw(st.integers(1, len(lines) - 1))]
+        if kind in ("repeat", "move"):
+            i = draw(st.integers(1, len(lines) - 1))
+            line = lines[i] if kind == "repeat" else lines.pop(i)
             lines.insert(draw(st.integers(1, len(lines))), line)
             edited = b"\n".join(lines)
         elif kind == "field":
@@ -432,7 +436,17 @@ _EDGE_BODIES = [b"a,A,1\nb,A,2\na,B,3.25\n", b"a,A,1\nb,A,2\na,A,3\n", b"a,A,1\n
                  b"a,A, 1\n", b"a,A,+1\n", b"a,A,-1\n", b'a,"A",1\n', b"a.b,A.1,2\n",
                  b"a\tb,A,1\n", b"a\x00b,A,1\n", "a,A,\u0661\n".encode(), "\u00e9,A,1\n".encode(),
                  b"a,A,1\n\xff", b"a" * 131_073 + b",A,1\n", b"a,A," + b"0" * 131_073 + b"1\n",
-                 b"a,A," + b"0" * 5000 + b"1\n"]
+                 b"a,A," + b"0" * 5000 + b"1\n",
+                 # ids that prefix each other, differ only in their last byte, or pass 8 bytes
+                 b"a,A,1\nab,A,2\nab,AB,3\na,AB,4\n", b"ab,AB,1\na,A,2\nab,A,3\n",
+                 b"x1,Ay,1\nx2,Az,2\nx1,Az,3\nx2,Ay,4\n", b"bb,A,1\na,A,2\nccc,B,3\nbb,B,4\n",
+                 b"auction-01,bidder-00000001,1\nauction-01,bidder-00000002,2\n"
+                 b"auction-02,bidder-00000001,3\n",
+                 b"abcdefghij,ABCDEFGHIJKLMNOPQ,1\nabcdefghij,ABCDEFGHIJKLMNOPR,2\n"
+                 b"abcdefghik,ABCDEFGHIJKLMNOPQ,3\nabcdefghij,ABCDEFGHIJKLMNOPQ,4\n",
+                 # an auction in two separate runs; runs across a block boundary
+                 b"a,A,1\na,B,2\nb,A,3\na,C,4\n", b"a,A,1\na,B,2\na,C,3\nb,A,4\nb,B,5\n",
+                 b"a,A,1\na,B,2\na,A,3\n"]
 
 
 @pytest.mark.parametrize("block_lines", [1, 2])
@@ -494,3 +508,69 @@ def test_write_log_refuses_the_first_non_micro_bid(tmp_path, row):
             write_log(log, str(tmp_path / f"log.{fmt}"))
         assert str(e.value) == str(want.value)
         assert not (tmp_path / f"log.{fmt}").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_write_log_refuses_a_log_with_no_auctions(tmp_path, fmt):
+    """parse_log refuses both a header-only CSV and an empty JSONL file."""
+    path = tmp_path / f"log.{fmt}"
+    with pytest.raises(ValueError, match="no auctions"):
+        write_log(BidLog([]), str(path))
+    assert not path.exists()
+
+
+def _per_record_bytes(log, fmt):
+    """The oracle writer: each record formatted on its own, from format_micro tokens, as
+    CSV lines or as the json.dumps of the record's dict."""
+    def field(i):
+        return '"' + i.replace('"', '""') + '"' if "," in i or '"' in i else i
+
+    lines = [LOG_HEADER] if fmt == "csv" else []
+    for aid, row in zip(log.auction_ids, log.to_matrix().tolist()):
+        for bidder, value in zip(log.bidder_ids, row):
+            if value == ABSENT:
+                continue
+            bid = format_micro(value)
+            lines.append(",".join([field(aid), field(bidder), bid]) if fmt == "csv" else
+                         json.dumps({"auction_id": aid, "bidder_id": bidder, "bid": bid}))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# Ids of unequal widths, from empty to past 8 bytes, with multi-byte UTF-8, NUL, commas,
+# quotes and a backslash.
+_WRITER_IDS = st.text(st.sampled_from(["a", "b", ",", '"', "\\", "\x00", " ", "\t", "\u00e9",
+                                       "\u20ac", "\U0001d11e"]), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(micro_logs(_WRITER_IDS), st.sampled_from([1, 2, 3, 1 << 16]),
+       st.sampled_from([1, 64, logio._BLOCK_BYTES]))
+def test_write_log_writes_the_per_record_bytes(log, block_lines, block_bytes):
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(logio, "_BLOCK_LINES", block_lines)
+        mp.setattr(logio, "_BLOCK_BYTES", block_bytes)
+        for fmt in ("csv", "jsonl"):
+            write_log(log, f"{tmp}/log.{fmt}")
+            with open(f"{tmp}/log.{fmt}", "rb") as fh:
+                assert fh.read() == _per_record_bytes(log, fmt)
+
+
+def test_a_long_id_does_not_widen_every_block(tmp_path, monkeypatch):
+    """A block's byte matrix is as wide as its widest token, so write_log halves a block
+    with a long id until it fits _BLOCK_BYTES: one 4 kB id among 400 records costs
+    4 kB rows in a few small blocks, not a 400-row matrix of 4 kB rows."""
+    import tracemalloc
+
+    monkeypatch.setattr(logio, "_BLOCK_BYTES", 1 << 14)
+    aids = [f"a{i}" for i in range(400)]
+    aids[200] = "x" * 4096
+    log = BidLog.from_matrix(np.full((400, 1), 1.5), ["A"], aids)
+    path = tmp_path / "log.csv"
+    tracemalloc.start()
+    try:
+        write_log(log, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == _per_record_bytes(log, "csv")
+    assert peak < 400 * 4096 // 4
