@@ -7,17 +7,16 @@ linearly in k. Closed forms for the uniform case, order-statistic quadrature
 for any regular family, and seeded Monte Carlo with common random numbers
 across k make the effect measurable at stated standard errors.
 
-The treated sets of one auction are nested (the bidders of rank < k), so every
-bidder-split estimate, whether one k or all of them, takes its payments from
-one vectorized.nested_payments pass per block of draws and mechanism: O(n)
-column operations per auction instead of a payment kernel per k. A sweep of
-both payment rules draws, ranks and scores each block once, so its lazy and
-eager rows share their draws as well as its rows for different k do.
+A bidder split (sweep_theoretical, paired_treatment_deltas) treats the bidders of
+rank < k in a random ranking per auction. The treated sets are nested, so every k
+takes its payments from one vectorized.nested_payments pass per block of draws and
+mechanism, and a sweep of both rules draws, ranks and scores each block once.
+An auction split, simulate_treatment(dist, n, fraction, mechanism, trials, seed),
+treats each auction with probability `fraction`: all its bidders at the Myerson reserve.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -26,7 +25,6 @@ import numpy as np
 
 from .distributions import ContinuousDist, VirtualValueFn, myerson_reserve
 from .errors import DomainError
-from .generators import numbered_ids
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
 from .vectorized import lazy_order, lazy_select, nested_payments, payments
@@ -35,31 +33,6 @@ _CHUNK = 100_000  # Monte-Carlo auctions drawn and evaluated per block
 # auctions per all-k payment pass within a block; on a 2-core Xeon (2 MB L2 per core)
 # eager passes over 20k-row slices ran at half the speed of 10k-row ones
 _SLICE = 10_000
-
-
-class SplitMode(enum.Enum):
-    BIDDER_SPLIT = "bidder_split"
-    AUCTION_SPLIT = "auction_split"
-
-
-class AssignmentMode(enum.Enum):
-    FIXED_SUBSET = "fixed_subset"
-    RANDOM_PER_AUCTION = "random_per_auction"
-
-
-@dataclass(frozen=True)
-class TreatmentPlan:
-    """What gets treated: k of n bidders, or a fraction of auctions.
-
-    reserves = None means "apply the distribution's Myerson reserve to the
-    treated side"; a ReserveVector applies per-bidder values instead.
-    """
-
-    mode: SplitMode = SplitMode.BIDDER_SPLIT
-    treated_count: int = 0
-    treated_fraction: float = 0.0
-    assignment: AssignmentMode = AssignmentMode.RANDOM_PER_AUCTION
-    reserves: Optional[ReserveVector] = None
 
 
 @dataclass(frozen=True)
@@ -104,29 +77,27 @@ def _merge_moments(stats: tuple, block: np.ndarray) -> tuple:
             m2 + ((block - b_mean) ** 2).sum(axis=0) + delta * delta * (count * c / total))
 
 
-def _mean_stderr(count: int, mean: float, m2: float) -> tuple[float, float]:
-    if count < 2:
-        return float(mean), 0.0
-    return float(mean), math.sqrt(float(m2) / (count - 1) / count)
+def _mean_stderr(count: int, mean: float, m2: float, scale: float) -> tuple[float, float]:
+    """Mean and stderr in x of moments merged in the law's unit: both times scale after the
+    sqrt, since scale ** 2 on M2 over- or underflows at a scale of 1e300 or 1e-300."""
+    se = math.sqrt(float(m2) / (count - 1) / count) if count >= 2 else 0.0
+    return float(mean) * scale, se * scale
 
 
-def _treated_reserve_row(dist: ContinuousDist, n: int, plan: TreatmentPlan) -> np.ndarray:
-    if plan.reserves is not None:
-        return np.array([plan.reserves.get(b) for b in numbered_ids(n)])
+def _myerson_row(dist: ContinuousDist, n: int) -> np.ndarray:
     if not VirtualValueFn(dist).is_monotone_on_grid():
         raise DomainError(f"{dist.name}: not regular, refusing a Myerson reserve source")
     return np.full(n, myerson_reserve(dist))
 
 
 def _moments(dist: ContinuousDist, n: int, trials: int, seed: int, arms) -> tuple:
-    """Running (count, mean, M2) of the payments `arms` returns on `trials` seeded auctions.
+    """Running (count, mean, M2) of the payments `arms` returns on `trials` seeded auctions,
+    merged in the law's unit (payment / dist.scale), so no square over- or underflows.
 
-    Each block of up to _CHUNK auctions draws its (c, n) values first; then
-    arms(rng, values, first) draws any treatment assignment from the same rng
-    and returns the block's payments, one row per auction (`first` is the
-    block's first auction index). Every arm sees the same values (common
-    random numbers). A law with values below 0 is a DomainError: the payment
-    kernels never sell to a negative bid, but the references integrate over it.
+    Each block of up to _CHUNK auctions draws its (c, n) values first; then arms(rng,
+    values) draws any treatment from the same rng and returns the block's payments, one
+    row per auction (common random numbers). A law with values below 0 is a DomainError:
+    the payment kernels never sell to a negative bid, but the references integrate over it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -136,28 +107,25 @@ def _moments(dist: ContinuousDist, n: int, trials: int, seed: int, arms) -> tupl
     stats = (0, 0.0, 0.0)
     for first in range(0, trials, _CHUNK):
         values = dist.sample(rng, (min(_CHUNK, trials - first), n))
-        block = arms(rng, values, first)
+        block = arms(rng, values)
+        block /= dist.scale  # in place: a second block would add to peak memory
         with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf/nan moments
             stats = _merge_moments(stats, block)
     return stats
 
 
-def _bidder_arms(mechanisms, r_full: np.ndarray, assignment: AssignmentMode):
+def _bidder_arms(mechanisms, r_full: np.ndarray):
     """Arms treating k of the n bidders, treated sets nested: (c, len(mechanisms) * (n + 1))
     payments, column j * (n + 1) + k for mechanisms[j] with k bidders treated.
 
-    Random assignment ranks each auction's bidders by one argsort of a uniform
-    (c, n) draw; a fixed subset treats the first k columns. The treated set of
-    k is the bidders of rank < k, so nested_payments evaluates every k in one
-    pass per mechanism and slice of _SLICE auctions; the mechanisms take turns
-    on a slice while it is in cache (slicing bounds the pass's memory only).
+    One argsort of a uniform (c, n) draw ranks each auction's bidders; the treated
+    set of k is the bidders of rank < k, so nested_payments evaluates every k in one
+    pass per mechanism and slice of _SLICE auctions, the mechanisms taking turns on
+    a slice while it is in cache (slicing bounds the pass's memory only).
     """
-    def arms(rng, values, first):
+    def arms(rng, values):
         c, n = values.shape
-        if assignment is AssignmentMode.RANDOM_PER_AUCTION:
-            perm = np.argsort(rng.random((c, n)), axis=1)  # bidder column at each rank
-        else:
-            perm = np.broadcast_to(np.arange(n), (c, n))
+        perm = np.argsort(rng.random((c, n)), axis=1)  # bidder column at each rank
         out = np.empty((c, len(mechanisms), n + 1))
         for s in range(0, c, _SLICE):
             for j, mechanism in enumerate(mechanisms):
@@ -167,33 +135,23 @@ def _bidder_arms(mechanisms, r_full: np.ndarray, assignment: AssignmentMode):
     return arms
 
 
-def simulate_treatment(dist: ContinuousDist, n: int, plan: TreatmentPlan,
-                       mechanism: Mechanism, trials: int, seed: int) -> SweepRow:
-    """Monte-Carlo revenue of one treatment point. Returns a single sweep row."""
-    r_full = _treated_reserve_row(dist, n, plan)
-    if plan.mode is SplitMode.BIDDER_SPLIT:
-        k = plan.treated_count
-        if not 0 <= k <= n:
-            raise ValueError(f"treated_count {k} out of range [0, {n}]")
-        bidder = _bidder_arms([mechanism], r_full, plan.assignment)
-        mean, se = _mean_stderr(*_moments(dist, n, trials, seed,
-                                          lambda rng, v, first: bidder(rng, v, first)[:, k]))
-        return SweepRow(float(k), mechanism, mean, se, trials)
+def simulate_treatment(dist: ContinuousDist, n: int, fraction: float, mechanism: Mechanism,
+                       trials: int, seed: int) -> SweepRow:
+    """Monte-Carlo revenue of an auction split, as one sweep row at x = fraction.
 
-    p = plan.treated_fraction
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"treated_fraction {p} out of range [0, 1]")
+    Each of `trials` seeded auctions is treated with probability `fraction`, which holds
+    all n bidders at the Myerson reserve (none otherwise); a non-regular law is a DomainError.
+    """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction {fraction} out of range [0, 1]")
+    r_full = _myerson_row(dist, n)
 
-    def auction_arm(rng, values, first):
-        c = len(values)
-        if plan.assignment is AssignmentMode.RANDOM_PER_AUCTION:
-            treated = rng.random(c) < p
-        else:  # fixed split: the first round(p * trials) auctions are treated
-            treated = np.arange(first, first + c) < round(p * trials)
+    def arm(rng, values):
+        treated = rng.random(len(values)) < fraction
         return payments(values, np.where(treated[:, None], r_full, 0.0), mechanism)
 
-    mean, se = _mean_stderr(*_moments(dist, n, trials, seed, auction_arm))
-    return SweepRow(p, mechanism, mean, se, trials)
+    mean, se = _mean_stderr(*_moments(dist, n, trials, seed, arm), dist.scale)
+    return SweepRow(fraction, mechanism, mean, se, trials)
 
 
 def rev_e_k_closed_uniform(n: int, k: int) -> float:
@@ -315,15 +273,14 @@ def sweep_theoretical(dist: ContinuousDist, n: int, mechanisms, trials: int,
     raises DomainError naming the first such row.
     """
     mechanisms = list(mechanisms)
-    arms = _bidder_arms(mechanisms, _treated_reserve_row(dist, n, TreatmentPlan()),
-                        AssignmentMode.RANDOM_PER_AUCTION)
+    arms = _bidder_arms(mechanisms, _myerson_row(dist, n))
     count, means, m2s = _moments(dist, n, trials, seed, arms)
     means, m2s = means.reshape(-1, n + 1), m2s.reshape(-1, n + 1)  # [mechanism, k]
     lazy_endpoints = _lazy_endpoints(dist, n) if Mechanism.LAZY in mechanisms else None
     rows = []
     for j, mechanism in enumerate(mechanisms):
         for k in range(n + 1):
-            mean, se = _mean_stderr(count, means[j, k], m2s[j, k])
+            mean, se = _mean_stderr(count, means[j, k], m2s[j, k], dist.scale)
             ref = _reference(dist, n, k, mechanism, lazy_endpoints)
             if not (math.isfinite(mean) and math.isfinite(se) and 0.0 <= ref < math.inf):
                 raise DomainError(f"{dist.name}, n={n}, {mechanism.value} k={k}: mean {mean}, "
@@ -348,13 +305,12 @@ def paired_treatment_deltas(dist: ContinuousDist, n: int, mechanism: Mechanism,
     of each difference by orders of magnitude versus differencing independent
     estimates, which is what makes the small monotone-decrease gaps testable.
     """
-    arms = _bidder_arms([mechanism], _treated_reserve_row(dist, n, TreatmentPlan()),
-                        AssignmentMode.RANDOM_PER_AUCTION)
+    arms = _bidder_arms([mechanism], _myerson_row(dist, n))
     count, means, m2s = _moments(dist, n, trials, seed,
-                                 lambda rng, v, first: np.diff(arms(rng, v, first), axis=1))
+                                 lambda rng, v: np.diff(arms(rng, v), axis=1))
     out = []
     for k in range(n):
-        mean, se = _mean_stderr(count, means[k], m2s[k])
+        mean, se = _mean_stderr(count, means[k], m2s[k], dist.scale)
         out.append(PairedDelta(k, k + 1, mean, se))
     return tuple(out)
 

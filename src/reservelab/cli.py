@@ -344,10 +344,15 @@ _COMMANDS = {"gen": cmd_gen, "optimize": cmd_optimize,
 
 
 def main(argv=None) -> int:
-    """Run one subcommand and write summary.json from the outputs and fields it returns."""
+    """Run one subcommand and write summary.json from the outputs and fields it returns.
+
+    A failed run removes the directories of --out it created and left empty (os.rmdir
+    only: a file, or a directory that existed before the run, is never removed).
+    """
     ns = _build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(ns).items()
                  if k in _FLAGS and v is not None}
+    fresh = []  # the directories of --out that do not exist yet, deepest first
     try:
         if "params" in overrides and isinstance(overrides["params"], str):
             try:
@@ -355,6 +360,10 @@ def main(argv=None) -> int:
             except json.JSONDecodeError as e:
                 raise ConfigError(f"--params is not valid JSON: {e.msg}") from None
         cfg = load_config(ns.config, overrides)
+        path = os.path.abspath(cfg.out)
+        while not os.path.exists(path):
+            fresh.append(path)
+            path = os.path.dirname(path)
         read = _refuse_unread_flags(ns.command, overrides, cfg)
         started = time.monotonic()
         outputs, extra = _COMMANDS[ns.command](cfg)
@@ -374,6 +383,12 @@ def main(argv=None) -> int:
         named = isinstance(e, OSError) and e.filename is not None
         print(f"error: {e.filename}: {e.strerror}" if named else f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        for path in fresh:  # a successful run wrote summary.json, so only a failed one empties them
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
 
 
 if __name__ == "__main__":

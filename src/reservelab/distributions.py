@@ -42,16 +42,6 @@ class ContinuousDist:
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return self.ppf(rng.random(size))
 
-    def survival_left(self, v: float) -> float:
-        """P(value >= v): the left-limit survival, counting the atom at hi."""
-        if v <= self.lo:
-            return 1.0
-        if self.hi != math.inf and v > self.hi:
-            return 0.0
-        if v == self.hi:
-            return self.atom_at_hi
-        return 1.0 - self.cdf(v)
-
 
 def _exact(x: float) -> str:
     """x in %g style with the fewest digits (6 at least) that read back as float(x)."""

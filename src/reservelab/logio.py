@@ -62,30 +62,17 @@ def parse_bid_token(token: str, line_number: int = 0) -> float:
     return micros / 10 ** 6
 
 
-def _round_micros(x: float) -> int:
-    """round(x * 10**6), or MAX_MICROS + 1 where that product overflows to inf."""
-    scaled = x * 10 ** 6
-    return round(scaled) if scaled != math.inf else MAX_MICROS + 1
-
-
 def is_micro(x: float) -> bool:
     """True when x is exactly representable as a bounded micro decimal."""
     if not (isinstance(x, float) or isinstance(x, int)) or isinstance(x, bool):
         return False
     if math.isnan(x) or math.isinf(x) or x < 0:
         return False
-    micros = _round_micros(x)
+    scaled = x * 10 ** 6
+    if scaled == math.inf:  # the product overflows: far over the cap
+        return False
+    micros = round(scaled)
     return micros <= MAX_MICROS and micros / 10 ** 6 == x
-
-
-def quantize_value(x: float) -> float:
-    """Round x to the nearest micro. Raises on NaN/inf/negative/out-of-range."""
-    if math.isnan(x) or math.isinf(x) or x < 0:
-        raise ValueError(f"cannot quantize {x!r}")
-    micros = _round_micros(x)
-    if micros > MAX_MICROS:
-        raise ValueError(f"{x!r} exceeds the 1e9 cap")
-    return micros / 10 ** 6
 
 
 def format_micro(x: float) -> str:

@@ -8,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reservelab import abtest
-from reservelab.abtest import (AssignmentMode, SplitMode, SweepResult, SweepRow,
-                               TreatmentPlan, _treated_reserve_row, empirical_treatment_sweep,
+from reservelab.abtest import (SweepResult, SweepRow, _myerson_row, empirical_treatment_sweep,
                                expected_second_highest, paired_treatment_deltas,
                                rev_e_k_closed_uniform, rev_e_k_quadrature, rev_l_k_closed,
                                simulate_treatment, sweep_theoretical)
 from reservelab.distributions import (ContinuousDist, VirtualValueFn, equal_revenue_dist,
                                       exponential_dist, uniform_dist)
 from reservelab.errors import DomainError
-from reservelab.generators import gen_iid
 from reservelab.logs import BidLog
 from reservelab.mechanics import Mechanism, ReserveVector
 from reservelab.optimize import empirical_revenue
@@ -84,39 +82,37 @@ def test_expected_second_highest():
 
 
 def test_simulate_treatment_validation():
-    plan = TreatmentPlan(treated_count=2)
     with pytest.raises(ValueError):
-        simulate_treatment(UNIFORM, 5, plan, Mechanism.EAGER, 0, seed=1)
-    with pytest.raises(ValueError):
-        simulate_treatment(UNIFORM, 5, TreatmentPlan(treated_count=6),
-                           Mechanism.EAGER, 10, seed=1)
-    bad = TreatmentPlan(mode=SplitMode.AUCTION_SPLIT, treated_fraction=1.5)
-    with pytest.raises(ValueError):
-        simulate_treatment(UNIFORM, 5, bad, Mechanism.EAGER, 10, seed=1)
+        simulate_treatment(UNIFORM, 5, 0.5, Mechanism.EAGER, 0, seed=1)
+    for bad in (1.5, -0.1):
+        with pytest.raises(ValueError, match="fraction"):
+            simulate_treatment(UNIFORM, 5, bad, Mechanism.EAGER, 10, seed=1)
 
 
 def test_simulate_treatment_deterministic():
-    plan = TreatmentPlan(treated_count=3)
-    a = simulate_treatment(UNIFORM, 5, plan, Mechanism.EAGER, 20_000, seed=12)
-    b = simulate_treatment(UNIFORM, 5, plan, Mechanism.EAGER, 20_000, seed=12)
-    c = simulate_treatment(UNIFORM, 5, plan, Mechanism.EAGER, 20_000, seed=13)
+    a = simulate_treatment(UNIFORM, 5, 0.6, Mechanism.EAGER, 20_000, seed=12)
+    b = simulate_treatment(UNIFORM, 5, 0.6, Mechanism.EAGER, 20_000, seed=12)
+    c = simulate_treatment(UNIFORM, 5, 0.6, Mechanism.EAGER, 20_000, seed=13)
     assert a == b
     assert a.mean != c.mean
-    assert a.x == 3.0 and a.trials == 20_000 and a.stderr > 0
+    assert a.x == 0.6 and a.trials == 20_000 and a.stderr > 0
 
 
 def test_stderr_exact_at_large_means():
     # 1e6 payments near 1e9 with spread ~0.24: a sum of squares minus count * mean^2
-    # cancels to noise; merged per-chunk deviations keep the stderr of the unshifted draws
+    # cancels to noise; merged per-chunk deviations keep the stderr of the unshifted draws.
+    # No reserves: the bidder split's k = 0 row and an auction split of fraction 0. The
+    # sweep's block mean sums a column of a 2-D block in order, not pairwise: about 1e-5
+    # of rounding at 1e9, so its mean is held to 1e-13 relative, the auction split's to 1e-6
     plain = uniform_dist()
     shifted = uniform_dist(1e9, 1e9 + 1.0)
-    for mode in SplitMode:
-        plan = TreatmentPlan(mode=mode, reserves=ReserveVector({}))
-        small = simulate_treatment(plain, 2, plan, Mechanism.LAZY, 1_000_000, seed=3)
-        big = simulate_treatment(shifted, 2, plan, Mechanism.LAZY, 1_000_000, seed=3)
+    for estimate, mean_tol in (
+            (lambda d: sweep_theoretical(d, 2, [Mechanism.LAZY], 1_000_000, 3).rows[0], 1e-4),
+            (lambda d: simulate_treatment(d, 2, 0.0, Mechanism.LAZY, 1_000_000, 3), 1e-6)):
+        small, big = estimate(plain), estimate(shifted)
         assert abs(small.stderr - math.sqrt(1.0 / 18.0) / 1000.0) < 0.01 * small.stderr
         assert abs(big.stderr - small.stderr) < 1e-3 * small.stderr
-        assert abs(big.mean - 1e9 - small.mean) < 1e-6
+        assert abs(big.mean - 1e9 - small.mean) < mean_tol
 
 
 def test_sweep_matches_references():
@@ -146,29 +142,25 @@ def test_narrow_support_far_from_zero_is_judged_regular():
     shifted = uniform_dist(1e9, 1e9 + 1.0)
     assert shifted.name == "uniform(1e+09,1000000001)"
     assert VirtualValueFn(shifted).is_monotone_on_grid()
-    assert _treated_reserve_row(shifted, 2, TreatmentPlan()).tolist() == [1e9, 1e9]
-    row = simulate_treatment(shifted, 2, TreatmentPlan(), Mechanism.EAGER, 100, seed=1)
+    assert _myerson_row(shifted, 2).tolist() == [1e9, 1e9]
+    row = simulate_treatment(shifted, 2, 1.0, Mechanism.EAGER, 100, seed=1)
     assert math.isfinite(row.mean) and math.isfinite(row.stderr)
     res = sweep_theoretical(shifted, 2, [Mechanism.EAGER], 100, seed=1)
     assert all(math.isfinite(r.mean) and math.isfinite(r.stderr) and math.isfinite(r.reference)
                for r in res.rows)
 
 
-def _reference_bidder_chunks(dist, n, mechanism, trials, seed, ks, assignment, r_full):
+def _reference_bidder_chunks(dist, n, mechanism, trials, seed, ks, r_full):
     """The per-k kernel loop as first written: (c, len(ks)) payments per chunk of draws."""
     ks = list(ks)
     rng = np.random.default_rng(seed)
-    cols = np.arange(n)
     remaining = trials
     while remaining > 0:
         c = min(abtest._CHUNK, remaining)
         remaining -= c
         values = dist.sample(rng, (c, n))
-        if assignment is AssignmentMode.RANDOM_PER_AUCTION:
-            order = np.argsort(rng.random((c, n)), axis=1)
-            ranks = np.argsort(order, axis=1)
-        else:
-            ranks = np.broadcast_to(cols, (c, n))
+        order = np.argsort(rng.random((c, n)), axis=1)
+        ranks = np.argsort(order, axis=1)
         out = np.empty((c, len(ks)))
         for j, k in enumerate(ks):
             reserves = np.where(ranks < k, r_full[None, :], 0.0)
@@ -176,43 +168,30 @@ def _reference_bidder_chunks(dist, n, mechanism, trials, seed, ks, assignment, r
         yield out
 
 
-def _reference_simulate(dist, n, plan, mechanism, trials, seed):
-    """simulate_treatment with its bidder-split and auction-split loops as first written."""
-    r_full = _treated_reserve_row(dist, n, plan)
+def _reference_simulate(dist, n, p, mechanism, trials, seed):
+    """simulate_treatment's auction-split loop as first written, merging raw payments."""
+    r_full = _myerson_row(dist, n)
     stats = (0, 0.0, 0.0)
-    if plan.mode is SplitMode.BIDDER_SPLIT:
-        k = plan.treated_count
-        for block in _reference_bidder_chunks(dist, n, mechanism, trials, seed, [k],
-                                              plan.assignment, r_full):
-            stats = abtest._merge_moments(stats, block[:, 0])
-        return SweepRow(float(k), mechanism, *abtest._mean_stderr(*stats), trials)
-    p = plan.treated_fraction
     rng = np.random.default_rng(seed)
     done = 0
-    n_treated_target = round(p * trials)
     while done < trials:
         c = min(abtest._CHUNK, trials - done)
         values = dist.sample(rng, (c, n))
-        if plan.assignment is AssignmentMode.RANDOM_PER_AUCTION:
-            treated = rng.random(c) < p
-        else:
-            idx = np.arange(done, done + c)
-            treated = idx < n_treated_target
+        treated = rng.random(c) < p
         reserves = np.where(treated[:, None], r_full[None, :], 0.0)
         stats = abtest._merge_moments(stats, payments(values, reserves, mechanism))
         done += c
-    return SweepRow(p, mechanism, *abtest._mean_stderr(*stats), trials)
+    return SweepRow(p, mechanism, *abtest._mean_stderr(*stats, 1.0), trials)
 
 
 def _reference_all_k(n, mechanism, trials, seed, diff=False):
     """Per-k (or adjacent-k difference) means and stderrs of the first-written loop."""
-    r_full = _treated_reserve_row(UNIFORM, n, TreatmentPlan())
     stats = (0, 0.0, 0.0)
     for block in _reference_bidder_chunks(UNIFORM, n, mechanism, trials, seed, range(n + 1),
-                                          AssignmentMode.RANDOM_PER_AUCTION, r_full):
+                                          _myerson_row(UNIFORM, n)):
         stats = abtest._merge_moments(stats, np.diff(block, axis=1) if diff else block)
     count, means, m2s = stats
-    return [abtest._mean_stderr(count, mean, m2) for mean, m2 in zip(means, m2s)]
+    return [abtest._mean_stderr(count, mean, m2, 1.0) for mean, m2 in zip(means, m2s)]
 
 
 _ORACLE_TRIALS = abtest._CHUNK + 1  # two chunks, the second of one auction
@@ -223,7 +202,7 @@ _GRID = [-0.5, 0.0, 0.25, 0.5, 1.0]  # coarse, so bids tie with each other and w
 @st.composite
 def chunk_cases(draw):
     """A chunk of tied values (one negative level, some absent bids), a reserve row with
-    0, +inf and bid levels, the mechanisms in some order and the assignment draw's seed."""
+    0, +inf and bid levels, the mechanisms in some order and the ranking draw's seed."""
     n = draw(st.integers(1, 12))
     c = draw(st.integers(1, 25))
     values = np.array(draw(st.lists(st.sampled_from(_GRID + [ABSENT]),
@@ -235,19 +214,15 @@ def chunk_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(chunk_cases(), st.sampled_from(list(AssignmentMode)))
-def test_bidder_arms_equal_the_per_k_kernels_property(case, assignment):
+@given(chunk_cases())
+def test_bidder_arms_equal_the_per_k_kernels_property(case):
     values, r_full, mechanisms, seed = case
     c, n = values.shape
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(abtest, "_SLICE", 7)  # several all-k passes per chunk
-        got = abtest._bidder_arms(mechanisms, r_full, assignment)(
-            np.random.default_rng(seed), values, 0)
-    if assignment is AssignmentMode.RANDOM_PER_AUCTION:
-        u = np.random.default_rng(seed).random((c, n))
-        ranks = np.argsort(np.argsort(u, axis=1), axis=1)
-    else:
-        ranks = np.arange(n)
+        got = abtest._bidder_arms(mechanisms, r_full)(np.random.default_rng(seed), values)
+    u = np.random.default_rng(seed).random((c, n))
+    ranks = np.argsort(np.argsort(u, axis=1), axis=1)
     want = np.stack([payments(values, np.where(ranks < k, r_full, 0.0), mech)
                      for mech in mechanisms for k in range(n + 1)], axis=1)
     assert np.array_equal(got, want)
@@ -262,9 +237,6 @@ def test_bidder_split_estimates_make_no_kernel_call(monkeypatch):
     for mech in Mechanism:
         sweep_theoretical(UNIFORM, 4, [mech], 1000, seed=1)
         paired_treatment_deltas(UNIFORM, 4, mech, 1000, seed=1)
-        for assignment in AssignmentMode:
-            simulate_treatment(UNIFORM, 4, TreatmentPlan(treated_count=2, assignment=assignment),
-                               mech, 1000, seed=1)
 
 
 @pytest.mark.parametrize("n", [1, 3, 10])
@@ -298,16 +270,19 @@ def test_uniform_lazy_endpoints_closed_form_matches_quadrature():
         assert tsvs[0] == tsvs[1]
 
 
-@pytest.mark.parametrize("mode", list(SplitMode))
-@pytest.mark.parametrize("assignment", list(AssignmentMode))
+@pytest.mark.parametrize("dist", [UNIFORM, exponential_dist(3.0)], ids=["unit", "scale-1/3"])
 @pytest.mark.parametrize("mech", list(Mechanism))
-@pytest.mark.parametrize("reserves", [None, ReserveVector({"b00": math.inf, "b02": 0.3})])
-def test_simulate_treatment_equals_the_reference_loops(mode, assignment, mech, reserves):
-    for n, k, p in ((3, 2, 0.4), (1, 1, 0.7)):
-        plan = TreatmentPlan(mode=mode, treated_count=k, treated_fraction=p,
-                             assignment=assignment, reserves=reserves)
-        got = simulate_treatment(UNIFORM, n, plan, mech, _ORACLE_TRIALS, seed=23)
-        assert got == _reference_simulate(UNIFORM, n, plan, mech, _ORACLE_TRIALS, 23)
+def test_simulate_treatment_equals_the_reference_loops(dist, mech):
+    # moments merged in the law's unit keep the bits of raw ones at scale 1, and agree
+    # with them to rounding elsewhere
+    for n, p in ((3, 0.4), (1, 0.7)):
+        got = simulate_treatment(dist, n, p, mech, _ORACLE_TRIALS, seed=23)
+        want = _reference_simulate(dist, n, p, mech, _ORACLE_TRIALS, 23)
+        if dist.scale == 1.0:
+            assert got == want
+        assert (got.x, got.trials) == (want.x, want.trials)
+        assert got.mean == pytest.approx(want.mean, rel=1e-12)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-9)
 
 
 def test_paired_deltas_detect_dip_and_jump():
@@ -322,23 +297,6 @@ def test_paired_deltas_detect_dip_and_jump():
 def test_paired_deltas_validation():
     with pytest.raises(ValueError):
         paired_treatment_deltas(UNIFORM, 5, Mechanism.EAGER, trials=0, seed=1)
-
-
-def test_explicit_reserves_plan():
-    # two bidders both held to 0.9: sell iff someone clears it
-    r = ReserveVector({"b00": 0.9, "b01": 0.9})
-    plan = TreatmentPlan(treated_count=2, assignment=AssignmentMode.FIXED_SUBSET,
-                         reserves=r)
-    row = simulate_treatment(UNIFORM, 2, plan, Mechanism.EAGER, 200_000, seed=5)
-    exact = 0.01 * (0.9 + 0.1 / 3.0) + 0.18 * 0.9
-    assert abs(row.mean - exact) < 4.0 * row.stderr
-
-
-@pytest.mark.parametrize("n", [2, 11, 101])
-def test_explicit_reserves_use_generator_bidder_ids(n):
-    ids = gen_iid(UNIFORM, n).bidder_ids
-    plan = TreatmentPlan(reserves=ReserveVector({b: float(i + 1) for i, b in enumerate(ids)}))
-    assert _treated_reserve_row(UNIFORM, n, plan).tolist() == [float(i + 1) for i in range(n)]
 
 
 def piecewise_density_dist():
@@ -366,10 +324,8 @@ def piecewise_density_dist():
 
 
 def test_non_regular_dist_refused():
-    plan = TreatmentPlan(treated_count=1)
     with pytest.raises(DomainError):
-        simulate_treatment(piecewise_density_dist(), 3, plan, Mechanism.EAGER,
-                           100, seed=1)
+        simulate_treatment(piecewise_density_dist(), 3, 0.5, Mechanism.EAGER, 100, seed=1)
     with pytest.raises(DomainError):
         sweep_theoretical(piecewise_density_dist(), 3, [Mechanism.EAGER],
                           trials=100, seed=1)
@@ -379,8 +335,7 @@ def test_law_with_values_below_zero_refused():
     # the kernels never sell to a negative value, but the references integrate over it
     below = uniform_dist(-2.0, 10.0)
     for estimate in (
-            lambda: simulate_treatment(below, 2, TreatmentPlan(treated_count=1),
-                                       Mechanism.EAGER, 100, seed=1),
+            lambda: simulate_treatment(below, 2, 0.5, Mechanism.EAGER, 100, seed=1),
             lambda: sweep_theoretical(below, 2, [Mechanism.LAZY], trials=100, seed=1),
             lambda: paired_treatment_deltas(below, 2, Mechanism.EAGER, 100, seed=1)):
         with pytest.raises(DomainError, match="below 0"):
@@ -388,11 +343,8 @@ def test_law_with_values_below_zero_refused():
 
 
 def test_auction_split_linear_in_fraction():
-    def at(p, assignment=AssignmentMode.RANDOM_PER_AUCTION):
-        plan = TreatmentPlan(mode=SplitMode.AUCTION_SPLIT, treated_fraction=p,
-                             assignment=assignment)
-        return simulate_treatment(UNIFORM, 3, plan, Mechanism.EAGER,
-                                  200_000, seed=29)
+    def at(p):
+        return simulate_treatment(UNIFORM, 3, p, Mechanism.EAGER, 200_000, seed=29)
 
     lo, mid, hi = at(0.0), at(0.5), at(1.0)
     assert abs(lo.mean - 0.5) < 4 * lo.stderr  # E[second of 3 uniforms]
@@ -400,8 +352,7 @@ def test_auction_split_linear_in_fraction():
     blend = 0.5 * (lo.mean + hi.mean)
     se = math.sqrt(mid.stderr ** 2 + 0.25 * (lo.stderr ** 2 + hi.stderr ** 2))
     assert abs(mid.mean - blend) < 4 * se
-    fixed = at(0.5, AssignmentMode.FIXED_SUBSET)
-    assert fixed.x == 0.5 and fixed.trials == 200_000
+    assert mid.x == 0.5 and mid.trials == 200_000
 
 
 def test_empirical_sweep_endpoints():

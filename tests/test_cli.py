@@ -99,12 +99,15 @@ def test_exit_code_bad_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_gen_of_an_empty_graph_exits_2_and_writes_no_log(tmp_path, capsys, fmt):
-    """A graph with no vertices is a log with no auctions, which parse_log would refuse."""
+    """A graph with no vertices is a log with no auctions, which parse_log would refuse.
+    The refused run removes the --out directories it created; one that existed before stays."""
     params = '{"vertices": [], "edges": [], "L": 2, "H": 3}'
-    assert main(["gen", "--generator", "hardness", "--params", params, "--format", fmt,
-                 "--out", str(tmp_path)]) == 2
-    assert "no auctions" in capsys.readouterr().err
-    assert not (tmp_path / f"log.{fmt}").exists()
+    for out in (tmp_path / "out", tmp_path / "a" / "b", tmp_path):
+        assert main(["gen", "--generator", "hardness", "--params", params, "--format", fmt,
+                     "--out", str(out)]) == 2
+        assert "no auctions" in capsys.readouterr().err
+        assert not (out / f"log.{fmt}").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_bad_data(tmp_path, capsys):
@@ -388,7 +391,7 @@ def test_sweep_both_draws_each_block_once(tmp_path, monkeypatch):
     assert calls == [(1000, 3), (1000, 3), (500, 3)]
 
 
-@pytest.mark.parametrize("rate", ["1e-6", "1e6", "1e12"])
+@pytest.mark.parametrize("rate", ["1e-300", "1e-6", "1e6", "1e12", "1e300"])
 def test_sweep_exponential_references_at_any_scale(tmp_path, rate):
     # quadrature in raw x gave a negative or biased reference far from scale 1
     with warnings.catch_warnings():
@@ -398,7 +401,18 @@ def test_sweep_exponential_references_at_any_scale(tmp_path, rate):
                      "--seed", "4", "--out", str(tmp_path)]) == 0
     for row in _sweep_rows(tmp_path):
         _, _, mean, se, _, ref = row.split("\t")
+        assert float(se) > 0  # squared raw payments under- or overflowed to 0 or nan
         assert abs(float(mean) - float(ref)) <= 5.0 * float(se)
+
+
+def test_sweep_of_a_uniform_law_near_the_float_limit(tmp_path):
+    # raw payments of uniform(0, 1e308) summed to inf: inf means, once refused with exit 3
+    assert main(["sweep", "--mode", "theoretical", "--dist", "uniform", "--params",
+                 '{"lo": 0, "hi": 1e308}', "--n", "2", "--trials", "1000", "--mechanism", "both",
+                 "--out", str(tmp_path)]) == 0
+    for row in _sweep_rows(tmp_path):
+        _, _, mean, se, _, ref = row.split("\t")
+        assert 0 < float(se) < math.inf and abs(float(mean) - float(ref)) <= 5.0 * float(se)
 
 
 def test_sweep_rejects_nonpositive_n(tmp_path, capsys):
@@ -507,8 +521,7 @@ def test_unknown_params_keys_exit_2(tmp_path, capsys, argv, key):
 
 
 @pytest.mark.parametrize("dist, params", [
-    ("exponential", '{"rate": 1e-300}'),  # nan stderrs, negative references
-    ("uniform", '{"lo": 0, "hi": 1e308}'),  # inf means
+    ("exponential", '{"rate": 1e-307}'),  # nan references: x = scale * u overflows in quad
 ])
 def test_theoretical_sweep_refuses_non_finite_output(tmp_path, capsys, dist, params):
     out = tmp_path / "out"

@@ -134,21 +134,11 @@ def test_bisection_that_does_not_converge_is_a_domain_error():
 
 
 def test_equal_revenue_price_invariance():
-    """Every posted price r in [1, M] earns r * P(b >= r) = 1."""
+    """Every posted price r in [1, M] earns r * P(b >= r) = 1; at r = M, P is the atom."""
     er = equal_revenue_dist(50.0)
     for r in np.linspace(1.0, 50.0, 41):
-        assert abs(float(r) * er.survival_left(float(r)) - 1.0) <= 1e-12
-
-
-def test_survival_left_conventions():
-    u = uniform_dist()
-    assert u.survival_left(0.0) == 1.0
-    assert u.survival_left(0.25) == 0.75
-    assert u.survival_left(1.0) == 0.0
-    assert u.survival_left(2.0) == 0.0
-    er = equal_revenue_dist(10.0)
-    assert er.survival_left(10.0) == 0.1
-    assert er.survival_left(10.5) == 0.0
+        p = er.atom_at_hi if r == er.hi else 1.0 - er.cdf(float(r))
+        assert abs(float(r) * p - 1.0) <= 1e-12
 
 
 def test_ppf_cdf_roundtrip():

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 from reservelab import logio
 from reservelab.errors import LogParseError
 from reservelab.logio import (LOG_HEADER, format_micro, is_micro, parse_bid_token, parse_log,
-                              quantize_log, quantize_value, read_reserves,
-                              write_log, write_reserves)
+                              quantize_log, read_reserves, write_log, write_reserves)
 from reservelab.logs import BidLog
 from reservelab.mechanics import BidProfile, ReserveVector
 from reservelab.vectorized import ABSENT
@@ -67,12 +66,6 @@ def test_micro_round_trip_random():
 
 
 def test_quantize():
-    assert quantize_value(1 / 3) == 0.333333
-    assert quantize_value(2.0) == 2.0
-    with pytest.raises(ValueError):
-        quantize_value(-1.0)
-    with pytest.raises(ValueError):
-        quantize_value(math.inf)
     q = quantize_log(BidLog([BidProfile("a", {"A": 1 / 3})]))
     assert q.profiles[0].bids["A"] == 0.333333
 
@@ -83,8 +76,6 @@ def test_values_whose_micros_overflow_are_refused(tmp_path, x):
     assert not is_micro(x)
     with pytest.raises(ValueError, match="not representable"):
         format_micro(x)
-    with pytest.raises(ValueError, match="exceeds the 1e9 cap"):
-        quantize_value(x)
     log = BidLog.from_matrix(np.array([[1.0, x]]), ("A", "B"))
     with pytest.raises(ValueError, match="not representable"):
         write_log(log, str(tmp_path / "log.csv"))
