@@ -184,11 +184,12 @@ def _reference_simulate(dist, n, p, mechanism, trials, seed):
     return SweepRow(p, mechanism, *abtest._mean_stderr(*stats, 1.0), trials)
 
 
-def _reference_all_k(n, mechanism, trials, seed, diff=False):
-    """Per-k (or adjacent-k difference) means and stderrs of the first-written loop."""
+def _reference_all_k(n, mechanism, trials, seed, diff=False, dist=UNIFORM):
+    """Per-k (or adjacent-k difference) means and stderrs of the first-written loop,
+    merging raw payments."""
     stats = (0, 0.0, 0.0)
-    for block in _reference_bidder_chunks(UNIFORM, n, mechanism, trials, seed, range(n + 1),
-                                          _myerson_row(UNIFORM, n)):
+    for block in _reference_bidder_chunks(dist, n, mechanism, trials, seed, range(n + 1),
+                                          _myerson_row(dist, n)):
         stats = abtest._merge_moments(stats, np.diff(block, axis=1) if diff else block)
     count, means, m2s = stats
     return [abtest._mean_stderr(count, mean, m2, 1.0) for mean, m2 in zip(means, m2s)]
@@ -256,6 +257,21 @@ def test_sweep_and_paired_deltas_equal_the_per_k_reference(n, mech):
                             in enumerate(_reference_all_k(n, mech, _ORACLE_TRIALS, 22, diff=True))]
 
 
+@pytest.mark.parametrize("n", [1, 3, 10])
+@pytest.mark.parametrize("mech", list(Mechanism))
+def test_bidder_split_off_scale_1_agrees_with_raw_moments(n, mech):
+    # sweeps and paired deltas merge payment / scale; off scale 1 that moves only rounding
+    dist = exponential_dist(3.0)
+    rows = sweep_theoretical(dist, n, [mech], _ORACLE_TRIALS, seed=21).rows
+    deltas = paired_treatment_deltas(dist, n, mech, _ORACLE_TRIALS, seed=22)
+    for got, want in ((rows, _reference_all_k(n, mech, _ORACLE_TRIALS, 21, dist=dist)),
+                      (deltas, _reference_all_k(n, mech, _ORACLE_TRIALS, 22, True, dist))):
+        assert len(got) == len(want)
+        for g, (mean, se) in zip(got, want):
+            assert g.mean == pytest.approx(mean, rel=1e-12)
+            assert g.stderr == pytest.approx(se, rel=1e-9)
+
+
 def test_uniform_lazy_endpoints_closed_form_matches_quadrature():
     """The closed uniform(0,1) lazy endpoints are within 1e-15 of quadrature and print alike."""
     for n in range(1, 41):
@@ -283,6 +299,37 @@ def test_simulate_treatment_equals_the_reference_loops(dist, mech):
         assert (got.x, got.trials) == (want.x, want.trials)
         assert got.mean == pytest.approx(want.mean, rel=1e-12)
         assert got.stderr == pytest.approx(want.stderr, rel=1e-9)
+
+
+def _auction_split_estimates(dist):
+    row = simulate_treatment(dist, 3, 0.5, Mechanism.EAGER, 20_000, seed=31)
+    return [(row.mean, row.stderr)]
+
+
+def _sweep_estimates(dist):
+    res = sweep_theoretical(dist, 3, [Mechanism.EAGER, Mechanism.LAZY], 20_000, seed=31)
+    return [(r.mean, r.stderr) for r in res.rows]
+
+
+def _paired_delta_estimates(dist):
+    return [(d.mean, d.stderr)
+            for d in paired_treatment_deltas(dist, 3, Mechanism.EAGER, 20_000, seed=31)]
+
+
+@pytest.mark.parametrize("rate", [1e-300, 1e-160, 1e200, 1e300])
+@pytest.mark.parametrize("estimate", [_auction_split_estimates, _sweep_estimates,
+                                      _paired_delta_estimates],
+                         ids=["auction-split", "sweep", "paired-deltas"])
+def test_estimates_at_extreme_scales_are_the_unit_laws_scaled(estimate, rate):
+    # squared raw payments underflowed to a stderr of 0, or overflowed to nan, at these rates
+    unit, scaled = exponential_dist(1.0), exponential_dist(rate)
+    want = estimate(unit)
+    got = estimate(scaled)
+    assert len(got) == len(want)
+    for (mean, se), (unit_mean, unit_se) in zip(got, want):
+        assert 0.0 < se < math.inf
+        assert mean == pytest.approx(unit_mean * scaled.scale, rel=1e-9)
+        assert se == pytest.approx(unit_se * scaled.scale, rel=1e-9)
 
 
 def test_paired_deltas_detect_dip_and_jump():
