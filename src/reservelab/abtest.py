@@ -13,6 +13,7 @@ takes its payments from one vectorized.nested_payments pass per block of draws a
 mechanism, and a sweep of both rules draws, ranks and scores each block once.
 An auction split, simulate_treatment(dist, n, fraction, mechanism, trials, seed),
 treats each auction with probability `fraction`: all its bidders at the Myerson reserve.
+Each refuses a law that is_regular rejects.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import ContinuousDist, VirtualValueFn, myerson_reserve
+from .distributions import _FLOAT_MAX, ContinuousDist, is_regular, myerson_reserve
 from .errors import DomainError
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
@@ -85,7 +86,7 @@ def _mean_stderr(count: int, mean: float, m2: float, scale: float) -> tuple[floa
 
 
 def _myerson_row(dist: ContinuousDist, n: int) -> np.ndarray:
-    if not VirtualValueFn(dist).is_monotone_on_grid():
+    if not is_regular(dist):
         raise DomainError(f"{dist.name}: not regular, refusing a Myerson reserve source")
     return np.full(n, myerson_reserve(dist))
 
@@ -219,7 +220,8 @@ def _quad(dist: ContinuousDist, integrand, lo: float, hi: float) -> float:
     """
     from scipy import integrate  # 0.5-0.7 s to import, so only where a reference needs it
     s = dist.scale
-    val, _ = integrate.quad(lambda u: integrand(s * u), lo / s, hi / s,
+    # past the float range x = scale * u is inf and the integrand reads inf * 0: clamp it
+    val, _ = integrate.quad(lambda u: integrand(min(s * u, _FLOAT_MAX)), lo / s, hi / s,
                             epsabs=1e-10, epsrel=1e-10, limit=200)
     return s * val
 
@@ -238,26 +240,17 @@ def expected_second_highest(dist: ContinuousDist, n: int) -> float:
     return n * (n - 1) * _quad(dist, integrand, dist.lo, dist.hi)
 
 
-def _is_unit_uniform(dist: ContinuousDist) -> bool:
-    """uniform(0,1), the law whose references have closed forms."""
-    return dist.name.startswith("uniform(") and (dist.lo, dist.hi) == (0.0, 1.0)
-
-
-def _lazy_endpoints(dist: ContinuousDist, n: int) -> tuple[float, float]:
-    """Lazy revenue with no bidder treated and with all n treated at the Myerson reserve."""
-    if _is_unit_uniform(dist):
-        return (n - 1.0) / (n + 1.0), rev_e_k_closed_uniform(n, n)
-    return expected_second_highest(dist, n), rev_e_k_quadrature(dist, n, n)
-
-
-def _reference(dist: ContinuousDist, n: int, k: int, mechanism: Mechanism,
-               lazy_endpoints: Optional[tuple[float, float]]) -> float:
+def _references(dist: ContinuousDist, n: int, mechanism: Mechanism) -> list[float]:
+    """The references of one rule at k = 0..n: closed forms for uniform(0,1), quadrature
+    otherwise. Lazy is linear in k from no bidder treated to all n, where it equals eager."""
+    unit = dist.name.startswith("uniform(") and (dist.lo, dist.hi) == (0.0, 1.0)
+    ks = range(n + 1) if mechanism is Mechanism.EAGER else [n]
+    eager = [rev_e_k_closed_uniform(n, k) if unit else rev_e_k_quadrature(dist, n, k)
+             for k in ks]
     if mechanism is Mechanism.EAGER:
-        if _is_unit_uniform(dist):
-            return rev_e_k_closed_uniform(n, k)
-        return rev_e_k_quadrature(dist, n, k)
-    rev0, revn = lazy_endpoints
-    return rev_l_k_closed(n, k, rev0, revn)
+        return eager
+    rev0 = (n - 1.0) / (n + 1.0) if unit else expected_second_highest(dist, n)
+    return [rev_l_k_closed(n, k, rev0, eager[0]) for k in range(n + 1)]
 
 
 def sweep_theoretical(dist: ContinuousDist, n: int, mechanisms, trials: int,
@@ -276,12 +269,10 @@ def sweep_theoretical(dist: ContinuousDist, n: int, mechanisms, trials: int,
     arms = _bidder_arms(mechanisms, _myerson_row(dist, n))
     count, means, m2s = _moments(dist, n, trials, seed, arms)
     means, m2s = means.reshape(-1, n + 1), m2s.reshape(-1, n + 1)  # [mechanism, k]
-    lazy_endpoints = _lazy_endpoints(dist, n) if Mechanism.LAZY in mechanisms else None
     rows = []
     for j, mechanism in enumerate(mechanisms):
-        for k in range(n + 1):
+        for k, ref in enumerate(_references(dist, n, mechanism)):
             mean, se = _mean_stderr(count, means[j, k], m2s[j, k], dist.scale)
-            ref = _reference(dist, n, k, mechanism, lazy_endpoints)
             if not (math.isfinite(mean) and math.isfinite(se) and 0.0 <= ref < math.inf):
                 raise DomainError(f"{dist.name}, n={n}, {mechanism.value} k={k}: mean {mean}, "
                                   f"stderr {se}, reference {ref}; want finite, reference >= 0")

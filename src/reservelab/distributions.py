@@ -63,8 +63,11 @@ def uniform_dist(lo: float = 0.0, hi: float = 1.0) -> ContinuousDist:
 
 
 def exponential_dist(rate: float = 1.0) -> ContinuousDist:
-    if not 0 < rate <= _FLOAT_MAX:
-        raise ValueError(f"rate must be finite and > 0, got {rate!r}")
+    # the largest draw is -log1p(-u) / rate at u = 1 - 2**-53: 53 ln 2 / rate, which
+    # overflows below a rate of about 2.04e-307
+    if not (0 < rate <= _FLOAT_MAX and 53 * math.log(2) / rate <= _FLOAT_MAX):
+        raise ValueError(f"rate must be finite and > 0 with a finite largest draw "
+                         f"(53 ln 2 / rate), got {rate!r}")
     return ContinuousDist(
         name=f"exponential({_exact(rate)})",
         lo=0.0, hi=math.inf,
@@ -114,26 +117,18 @@ def virtual_value(dist: ContinuousDist, v: float) -> float:
     return _phi_unchecked(dist, v)
 
 
-@dataclass(frozen=True)
-class VirtualValueFn:
-    """phi as a callable; regular distributions have phi monotone non-decreasing."""
-
-    dist: ContinuousDist
-
-    def __call__(self, v: float) -> float:
-        return virtual_value(self.dist, v)
-
-    def is_monotone_on_grid(self) -> bool:
-        hi = self.dist.hi
-        if hi == math.inf:
-            hi = float(self.dist.ppf(np.array(0.9999)))
-        lo = self.dist.lo
-        eps = (hi - lo) * 1e-9
-        # at least one ulp inside, where eps rounds away against a large offset
-        grid = np.linspace(max(lo + eps, np.nextafter(lo, math.inf)),
-                           min(hi - eps, np.nextafter(hi, -math.inf)), 10_000)
-        vals = [virtual_value(self.dist, float(v)) for v in grid]
-        return all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+def is_regular(dist: ContinuousDist) -> bool:
+    """Whether phi is non-decreasing, to 1e-12, on a 10^4-point grid of the support."""
+    hi = dist.hi
+    if hi == math.inf:
+        hi = float(dist.ppf(np.array(0.9999)))
+    lo = dist.lo
+    eps = (hi - lo) * 1e-9
+    # at least one ulp inside, where eps rounds away against a large offset
+    grid = np.linspace(max(lo + eps, np.nextafter(lo, math.inf)),
+                       min(hi - eps, np.nextafter(hi, -math.inf)), 10_000)
+    vals = [virtual_value(dist, float(v)) for v in grid]
+    return all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def myerson_reserve(dist: ContinuousDist) -> float:

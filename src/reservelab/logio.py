@@ -428,31 +428,22 @@ def write_reserves(reserves: ReserveVector, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_CELLS = [(Mechanism.LAZY, "rstar_l"), (Mechanism.EAGER, "rstar_l"),
+          (Mechanism.LAZY, "monopoly"), (Mechanism.EAGER, "monopoly")]
+_LIFT_HEADER = ("slot\tbasis\tdelta_lazy_rstar_l\tdelta_eager_rstar_l\t"
+                "delta_lazy_monopoly\tdelta_eager_monopoly")
+
+
 @dataclass(frozen=True)
 class LiftReport:
-    """Revenue lifts and welfare losses of reserve vectors against the zero-reserve baseline.
-
-    Raw per-auction revenues are stored; deltas are derived views.
-    `delta_difference` computes eager-minus-lazy revenue at one reserve source
-    directly (not as a difference of deltas), so it matches a fresh simulation
-    bit for bit.
-    """
+    """Per-auction revenue and welfare on one log: rev0 and wel0 with no reserves, then
+    `revenue` and `welfare` under each (mechanism, reserve source) of _CELLS, in its order."""
 
     slot: str
     rev0: float
     wel0: float
-    revenue: dict[str, float]  # keys "lazy:rstar_l", "eager:monopoly", ...
-    welfare: dict[str, float]
-    reserves: dict[str, ReserveVector]
-
-    def delta(self, mechanism: Mechanism, source: str) -> float:
-        return self.revenue[f"{mechanism.value}:{source}"] - self.rev0
-
-    def welfare_loss(self, mechanism: Mechanism, source: str) -> float:
-        return self.wel0 - self.welfare[f"{mechanism.value}:{source}"]
-
-    def delta_difference(self, source: str) -> float:
-        return self.revenue[f"eager:{source}"] - self.revenue[f"lazy:{source}"]
+    revenue: tuple[float, ...]
+    welfare: tuple[float, ...]
 
 
 def compute_lift_report(log: BidLog, slot: str) -> LiftReport:
@@ -460,27 +451,17 @@ def compute_lift_report(log: BidLog, slot: str) -> LiftReport:
     rev0, wel0 = empirical_totals(log, ReserveVector.zero(), Mechanism.LAZY)
     vectors = {"rstar_l": optimal_lazy(log).reserves,
                "monopoly": monopoly_reserves(log).reserves}
-    revenue: dict[str, float] = {}
-    welfare: dict[str, float] = {}
-    for source, rv in vectors.items():
-        for mech in (Mechanism.LAZY, Mechanism.EAGER):
-            rev, wel = empirical_totals(log, rv, mech)
-            revenue[f"{mech.value}:{source}"] = rev / len(log)
-            welfare[f"{mech.value}:{source}"] = wel / len(log)
-    return LiftReport(slot, rev0 / len(log), wel0 / len(log), revenue, welfare, vectors)
+    totals = [empirical_totals(log, vectors[source], mech) for mech, source in _CELLS]
+    return LiftReport(slot, rev0 / len(log), wel0 / len(log),
+                      tuple(rev / len(log) for rev, _ in totals),
+                      tuple(wel / len(log) for _, wel in totals))
 
 
-_CELLS = [(Mechanism.LAZY, "rstar_l"), (Mechanism.EAGER, "rstar_l"),
-          (Mechanism.LAZY, "monopoly"), (Mechanism.EAGER, "monopoly")]
-_LIFT_HEADER = ("slot\tbasis\tdelta_lazy_rstar_l\tdelta_eager_rstar_l\t"
-                "delta_lazy_monopoly\tdelta_eager_monopoly")
-
-
-def _lift_tsv(reports: Iterable[LiftReport], cell) -> str:
+def _lift_tsv(reports: Iterable[LiftReport], cells) -> str:
     """Raw cells, then the same divided by the lazy-at-rstar_l cell when it is positive."""
     lines = [_LIFT_HEADER]
     for rep in reports:
-        raw = [cell(rep, mech, src) for mech, src in _CELLS]
+        raw = cells(rep)
         lines.append("\t".join([rep.slot, "raw"] + [f"{v:.10g}" for v in raw]))
         if raw[0] > 0.0:
             norm = [v / raw[0] for v in raw]
@@ -492,9 +473,9 @@ def _lift_tsv(reports: Iterable[LiftReport], cell) -> str:
 
 def lift_revenue_tsv(reports: Iterable[LiftReport]) -> str:
     """Revenue-lift table: raw deltas plus the same normalized so lazy-at-rstar = 1."""
-    return _lift_tsv(reports, LiftReport.delta)
+    return _lift_tsv(reports, lambda rep: [rev - rep.rev0 for rev in rep.revenue])
 
 
 def lift_welfare_tsv(reports: Iterable[LiftReport]) -> str:
     """Welfare-loss table, normalized so the lazy-at-rstar loss = 1 when positive."""
-    return _lift_tsv(reports, LiftReport.welfare_loss)
+    return _lift_tsv(reports, lambda rep: [rep.wel0 - wel for wel in rep.welfare])

@@ -12,8 +12,8 @@ from reservelab.abtest import (SweepResult, SweepRow, _myerson_row, empirical_tr
                                expected_second_highest, paired_treatment_deltas,
                                rev_e_k_closed_uniform, rev_e_k_quadrature, rev_l_k_closed,
                                simulate_treatment, sweep_theoretical)
-from reservelab.distributions import (ContinuousDist, VirtualValueFn, equal_revenue_dist,
-                                      exponential_dist, uniform_dist)
+from reservelab.distributions import (ContinuousDist, equal_revenue_dist, exponential_dist,
+                                      is_regular, uniform_dist)
 from reservelab.errors import DomainError
 from reservelab.logs import BidLog
 from reservelab.mechanics import Mechanism, ReserveVector
@@ -141,7 +141,7 @@ def test_narrow_support_far_from_zero_is_judged_regular():
     # the Myerson reserve is lo and every bidder clears it
     shifted = uniform_dist(1e9, 1e9 + 1.0)
     assert shifted.name == "uniform(1e+09,1000000001)"
-    assert VirtualValueFn(shifted).is_monotone_on_grid()
+    assert is_regular(shifted)
     assert _myerson_row(shifted, 2).tolist() == [1e9, 1e9]
     row = simulate_treatment(shifted, 2, 1.0, Mechanism.EAGER, 100, seed=1)
     assert math.isfinite(row.mean) and math.isfinite(row.stderr)
@@ -275,7 +275,8 @@ def test_bidder_split_off_scale_1_agrees_with_raw_moments(n, mech):
 def test_uniform_lazy_endpoints_closed_form_matches_quadrature():
     """The closed uniform(0,1) lazy endpoints are within 1e-15 of quadrature and print alike."""
     for n in range(1, 41):
-        closed = abtest._lazy_endpoints(UNIFORM, n)
+        refs = abtest._references(UNIFORM, n, Mechanism.LAZY)
+        closed = refs[0], refs[-1]
         quad = (expected_second_highest(UNIFORM, n), rev_e_k_quadrature(UNIFORM, n, n))
         for c, q in zip(closed, quad):
             assert abs(c - q) <= 1e-15 * abs(q)
@@ -376,6 +377,15 @@ def test_non_regular_dist_refused():
     with pytest.raises(DomainError):
         sweep_theoretical(piecewise_density_dist(), 3, [Mechanism.EAGER],
                           trials=100, seed=1)
+
+
+def test_sweep_refuses_a_non_finite_row():
+    # uniform(0,1)'s cdf and pdf, so the references are finite, but draws above u = 0.5 are
+    # 1e308: the second-highest payments of k = 0 sum to inf
+    big = ContinuousDist(name="big-tail", lo=0.0, hi=1.0, cdf=UNIFORM.cdf, pdf=UNIFORM.pdf,
+                         ppf=lambda u: np.where(np.asarray(u) > 0.5, 1e308, u))
+    with pytest.raises(DomainError, match="k=0: mean inf"):
+        sweep_theoretical(big, 2, [Mechanism.LAZY, Mechanism.EAGER], trials=1000, seed=1)
 
 
 def test_law_with_values_below_zero_refused():

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from reservelab import distributions
-from reservelab.distributions import (ContinuousDist, VirtualValueFn, equal_revenue_dist,
-                                      exponential_dist, myerson_reserve, uniform_dist,
-                                      virtual_value)
+from reservelab.distributions import (ContinuousDist, equal_revenue_dist, exponential_dist,
+                                      is_regular, myerson_reserve, uniform_dist, virtual_value)
 from reservelab.errors import DomainError
 
 
@@ -186,8 +185,8 @@ def test_sampling_equal_revenue():
 
 
 def test_monotone_grid_check():
-    assert VirtualValueFn(uniform_dist()).is_monotone_on_grid()
-    assert VirtualValueFn(exponential_dist(1.0)).is_monotone_on_grid()
+    assert is_regular(uniform_dist())
+    assert is_regular(exponential_dist(1.0))
 
 
 def piecewise_density_dist():
@@ -219,4 +218,4 @@ def test_non_regular_dist_detected():
     assert abs(virtual_value(d, 0.4) - (0.4 - 0.28 / 1.8)) < 1e-12
     assert abs(virtual_value(d, 0.6) - 0.2) < 1e-12
     assert virtual_value(d, 0.6) < virtual_value(d, 0.4)
-    assert not VirtualValueFn(d).is_monotone_on_grid()
+    assert not is_regular(d)
