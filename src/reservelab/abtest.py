@@ -99,6 +99,8 @@ def _moments(dist: ContinuousDist, n: int, trials: int, seed: int, arms) -> tupl
     values) draws any treatment from the same rng and returns the block's payments, one
     row per auction (common random numbers). A law with values below 0 is a DomainError:
     the payment kernels never sell to a negative bid, but the references integrate over it.
+    So is a draw that is not a finite number, which the kernels would read as a bid that
+    clears no reserve.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -108,6 +110,8 @@ def _moments(dist: ContinuousDist, n: int, trials: int, seed: int, arms) -> tupl
     stats = (0, 0.0, 0.0)
     for first in range(0, trials, _CHUNK):
         values = dist.sample(rng, (min(_CHUNK, trials - first), n))
+        if not np.isfinite(values).all():
+            raise DomainError(f"{dist.name}: a draw is not a finite number")
         block = arms(rng, values)
         block /= dist.scale  # in place: a second block would add to peak memory
         with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf/nan moments

@@ -1,9 +1,9 @@
 """Command-line pipeline: generate logs, optimize reserves, emit lift tables and sweeps.
 
 Configuration comes from an optional JSON file (--config) with every flag
-overriding the matching key. Outputs land in --out: data artifacts
-(log/reserve CSVs, TSV tables) are byte-identical across reruns of the same
-config and seed; summary.json additionally records the wall-clock runtime.
+overriding the matching key. Once the flags pass, main makes --out, the subcommand
+writes its data artifacts there (byte-identical across reruns of the same config and
+seed), and main writes summary.json, which also records the wall-clock runtime.
 
 Exit codes: 0 success, 2 bad configuration, 3 bad data, 4 refused search size.
 """
@@ -92,29 +92,6 @@ def load_config(config_path: Optional[str], overrides: dict) -> RunConfig:
         if "choices" in check and value not in (None, *check["choices"]):
             raise ConfigError(f"{name} must be one of {check['choices']}, got {value!r}")
     return cfg
-
-
-# What each subcommand reads: its help, the flags every run reads besides --out, and for each
-# choice that picks a variant, the flags each value adds. The input source is --input, a
-# sampled --generator, or hardness. argparse gives a subcommand the union of its flags; a
-# given flag the run's source, task or mode does not read exits 2, as does a run that picks no
-# variant of a choice (or two input sources) or leaves unset a `needed` flag its variant adds.
-# Keys of a --config file are never refused, so one file can serve the whole pipeline.
-_SOURCES = {"input": ("input", "format"), "generator": ("generator", "params", "count", "seed"),
-            "hardness": ("generator", "params")}
-_READS = {
-    "gen": ("materialize a generator to a log file", ("format",),
-            {"source": {k: _SOURCES[k] for k in ("generator", "hardness")}}),
-    "optimize": ("compute reserve prices", ("task",),
-                 {"source": _SOURCES,
-                  "task": {"lazy": (), "monopoly": ("mechanism",),
-                           "eager-exact": ("max_product_size",),
-                           "eager-local": ("max_rounds",)}}),
-    "lift-tables": ("revenue-lift and welfare-loss tables", (), {"source": _SOURCES}),
-    "sweep": ("treated-share revenue sweep", ("mode", "mechanism", "seed"),
-              {"mode": {"theoretical": ("params", "dist", "n", "trials"),
-                        "empirical": ("input", "format", "reserves", "grid", "assignments")}}),
-}
 
 
 def _variant(command: str, cfg: RunConfig, choice: str, variants: dict) -> tuple[str, str]:
@@ -223,11 +200,18 @@ def _input_logs(cfg: RunConfig, single: bool):
         yield parse_log(path, cfg.format), os.path.basename(path)
 
 
+def _write_text(cfg: RunConfig, name: str, text: str) -> str:
+    """Write a text artifact into --out; returns its path."""
+    path = os.path.join(cfg.out, name)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return path
+
+
 def cmd_gen(cfg: RunConfig) -> tuple[list[str], dict]:
     """Materialize a generator to a log file."""
     log = materialize_log(cfg)
     fmt = cfg.format or "csv"
-    os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, f"log.{fmt}")
     write_log(log, path, fmt)
     return [path], {"auctions": len(log), "bidders": len(log.bidder_ids)}
@@ -248,7 +232,6 @@ def cmd_optimize(cfg: RunConfig) -> tuple[list[str], dict]:
     else:
         mech = Mechanism.EAGER
         result = eager_coordinate_ascent(log, max_rounds=cfg.max_rounds)
-    os.makedirs(cfg.out, exist_ok=True)
     reserve_path = os.path.join(cfg.out, "reserves.csv")
     write_reserves(result.reserves, reserve_path)
     extra = {
@@ -269,14 +252,9 @@ def cmd_optimize(cfg: RunConfig) -> tuple[list[str], dict]:
 def cmd_lift_tables(cfg: RunConfig) -> tuple[list[str], dict]:
     """Revenue-lift and welfare-loss tables, one slot per input log."""
     reports = [compute_lift_report(log, slot) for log, slot in _input_logs(cfg, single=False)]
-    os.makedirs(cfg.out, exist_ok=True)
-    rev_path = os.path.join(cfg.out, "lift_revenue.tsv")
-    wel_path = os.path.join(cfg.out, "lift_welfare.tsv")
-    with open(rev_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(lift_revenue_tsv(reports))
-    with open(wel_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(lift_welfare_tsv(reports))
-    return [rev_path, wel_path], {"slots": [r.slot for r in reports]}
+    paths = [_write_text(cfg, "lift_revenue.tsv", lift_revenue_tsv(reports)),
+             _write_text(cfg, "lift_welfare.tsv", lift_welfare_tsv(reports))]
+    return paths, {"slots": [r.slot for r in reports]}
 
 
 def _parse_grid(grid) -> list[float]:
@@ -315,19 +293,37 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list[str], dict]:
     for res in results:
         rows.extend(res.rows)
     combined = SweepResult(tuple(rows), cfg.seed, results[0].descriptor)
-    os.makedirs(cfg.out, exist_ok=True)
-    path = os.path.join(cfg.out, "sweep.tsv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(combined.to_tsv())
-    return [path], {"rows": len(rows)}
+    return [_write_text(cfg, "sweep.tsv", combined.to_tsv())], {"rows": len(rows)}
+
+
+# What each subcommand reads: its handler (whose docstring is its help), the flags every run
+# reads besides --out, and for each choice that picks a variant, the flags each value adds. The
+# input source is --input, a sampled --generator, or hardness. argparse gives a subcommand the
+# union of its flags; a given flag the run's source, task or mode does not read exits 2, as does
+# a run that picks no variant of a choice (or two input sources) or leaves unset a `needed` flag
+# its variant adds. Keys of a --config file are never refused, so one file serves the pipeline.
+_SOURCES = {"input": ("input", "format"), "generator": ("generator", "params", "count", "seed"),
+            "hardness": ("generator", "params")}
+_READS = {
+    "gen": (cmd_gen, ("format",), {"source": {k: _SOURCES[k] for k in ("generator", "hardness")}}),
+    "optimize": (cmd_optimize, ("task",),
+                 {"source": _SOURCES,
+                  "task": {"lazy": (), "monopoly": ("mechanism",),
+                           "eager-exact": ("max_product_size",),
+                           "eager-local": ("max_rounds",)}}),
+    "lift-tables": (cmd_lift_tables, (), {"source": _SOURCES}),
+    "sweep": (cmd_sweep, ("mode", "mechanism", "seed"),
+              {"mode": {"theoretical": ("params", "dist", "n", "trials"),
+                        "empirical": ("input", "format", "reserves", "grid", "assignments")}}),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="reservelab",
                                      description="Second-price auction reserve toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (about, base, choices) in _READS.items():
-        p = sub.add_parser(command, help=about)
+    for command, (handler, base, choices) in _READS.items():
+        p = sub.add_parser(command, help=handler.__doc__, description=handler.__doc__)
         p.add_argument("--config", help="JSON config file; flags override its keys")
         offered = ["out", *base, *(f for v in choices.values() for fs in v.values() for f in fs)]
         for name in dict.fromkeys(offered):  # a choice's flag offers its variants' names
@@ -339,12 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {"gen": cmd_gen, "optimize": cmd_optimize,
-             "lift-tables": cmd_lift_tables, "sweep": cmd_sweep}
-
-
 def main(argv=None) -> int:
-    """Run one subcommand and write summary.json from the outputs and fields it returns.
+    """Make --out, run one subcommand and write summary.json from the outputs it returns.
 
     A failed run removes the directories of --out it created and left empty (os.rmdir
     only: a file, or a directory that existed before the run, is never removed).
@@ -365,13 +357,13 @@ def main(argv=None) -> int:
             fresh.append(path)
             path = os.path.dirname(path)
         read = _refuse_unread_flags(ns.command, overrides, cfg)
+        os.makedirs(cfg.out, exist_ok=True)
         started = time.monotonic()
-        outputs, extra = _COMMANDS[ns.command](cfg)
+        outputs, extra = _READS[ns.command][0](cfg)
         summary = {"command": ns.command, "config": {k: getattr(cfg, k) for k in read}, **extra,
                    "outputs": sorted(outputs), "runtime_seconds": time.monotonic() - started}
-        with open(os.path.join(cfg.out, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True, default=str)
-            fh.write("\n")
+        _write_text(cfg, "summary.json",
+                    json.dumps(summary, indent=2, sort_keys=True, default=str) + "\n")
         return 0
     except SearchSpaceTooLarge as e:
         print(f"refusing: {e}", file=sys.stderr)

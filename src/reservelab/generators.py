@@ -216,20 +216,19 @@ def high_low_exact(n: int) -> HighLowAnalysis:
     over h = number of high competitors ~ Binomial(n-1, 1/n^2), splitting
     ties uniformly among equal bids.
     """
-    from scipy import stats  # 1.2 s to import; no CLI command calls this
-
     q = 1.0 / n ** 2
     h = np.arange(n)
-    pmf = stats.binom.pmf(h, n - 1, q)
-    p0 = pmf[0]
     none_high = (1.0 - q) ** (n - 1)
+    # Binomial(n - 1, q) pmf by the recurrence p[h] = p[h - 1] * (n - h) / h * q / (1 - q):
+    # no binomial coefficient, which would overflow a float past n of about 1030
+    pmf = none_high * np.cumprod(np.concatenate(([1.0], (n - h[1:]) / h[1:] * q / (1.0 - q))))
     eager = n * (1.0 - none_high) + none_high
 
     inv = 1.0 / (h + 1.0)
     # reserve n: sell only when high; winner among h+1 highs pays n
     c_high = n * q * float(np.dot(pmf, inv))
     # reserve 1 (= 0): always sell when winning; pay the second-highest bid
-    c_low = n * q * float(np.dot(pmf[1:], inv[1:])) + q * p0 + (1.0 - q) * p0 / n
+    c_low = n * q * float(np.dot(pmf[1:], inv[1:])) + q * none_high + (1.0 - q) * none_high / n
     per_bidder = max(c_low, c_high)
     lazy = n * per_bidder
     return HighLowAnalysis(n, eager, lazy, 1.0 if c_low >= c_high else float(n),
@@ -293,12 +292,14 @@ def _equal_revenue_pair_expectations(M: float, epsilon: float):
 def equal_revenue_pair_analysis(M: float, epsilon: float) -> EqualRevenuePairAnalysis:
     """Lazy-at-(0, M) revenue versus the best eager revenue over a reserve grid.
 
-    The eager search runs r2 over a 160-point log grid on [1, M] (plus 0, plus
-    M exactly; the maximum sits at an endpoint) and r1 over a 25-point one.
+    The eager search runs r2 over a 160-point log grid on [1, M] plus 0, M and
+    (1 - eps) M, and r1 over a 25-point one. (1 - eps) M is the largest r2 the shadow
+    bidder's atom bid clears: the revenue drops just above it, and the maximum sits there.
     """
     lazy_rev, eager_rev = _equal_revenue_pair_expectations(M, epsilon)
     lazy = lazy_rev(0.0, M)
-    r2_grid = np.concatenate([[0.0], np.logspace(0.0, math.log10(M), 160), [M]])
+    r2_grid = np.concatenate([[0.0], np.logspace(0.0, math.log10(M), 160),
+                              [(1.0 - epsilon) * M, M]])
     r1_grid = np.concatenate([[0.0], np.logspace(0.0, math.log10(M), 25)])
     best = (-math.inf, (0.0, 0.0))
     for r1 in r1_grid:

@@ -94,13 +94,9 @@ def quantize_log(log: BidLog) -> BidLog:
 
 
 def _infer_format(path: str, format: Optional[str]) -> str:
-    if format is not None:
-        fmt = format.lower()
-    elif path.endswith(".csv"):
-        fmt = "csv"
-    elif path.endswith(".jsonl"):
-        fmt = "jsonl"
-    else:
+    fmt = (format.lower() if format is not None
+           else next((f for f in LOG_FORMATS if path.endswith("." + f)), None))
+    if fmt is None:
         raise ValueError(f"cannot infer log format from {path!r}; pass format='csv' or 'jsonl'")
     if fmt not in LOG_FORMATS:
         raise ValueError(f"unknown log format {fmt!r}")
@@ -367,13 +363,9 @@ def _record_bytes(pieces: tuple[bytes, ...], columns: list) -> bytes:
     parts = [(np.frombuffer(pieces[0], dtype=np.uint8), True)]
     for piece, column in zip(pieces[1:], columns):
         parts += [column, (np.frombuffer(piece, dtype=np.uint8), True)]
-    matrix = np.empty((len(columns[0][0]), sum(p.shape[-1] for p, _ in parts)), dtype=np.uint8)
-    keep = np.empty(matrix.shape, dtype=bool)
-    at = 0
-    for values, kept in parts:
-        matrix[:, at:at + values.shape[-1]] = values
-        keep[:, at:at + values.shape[-1]] = kept
-        at += values.shape[-1]
+    rows = len(columns[0][0])
+    matrix = np.concatenate([np.broadcast_to(v, (rows, v.shape[-1])) for v, _ in parts], axis=1)
+    keep = np.concatenate([np.broadcast_to(k, (rows, v.shape[-1])) for v, k in parts], axis=1)
     return matrix[keep].tobytes()
 
 
@@ -430,8 +422,7 @@ def write_reserves(reserves: ReserveVector, path: str) -> None:
 
 _CELLS = [(Mechanism.LAZY, "rstar_l"), (Mechanism.EAGER, "rstar_l"),
           (Mechanism.LAZY, "monopoly"), (Mechanism.EAGER, "monopoly")]
-_LIFT_HEADER = ("slot\tbasis\tdelta_lazy_rstar_l\tdelta_eager_rstar_l\t"
-                "delta_lazy_monopoly\tdelta_eager_monopoly")
+_LIFT_HEADER = "\t".join(["slot", "basis", *(f"delta_{m.value}_{src}" for m, src in _CELLS)])
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,32 @@ def test_unreadable_input_exits_2_naming_the_path(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["optimize", "--task", "lazy", "--input", "<bad>"], 3,
+     "error: line 2: invalid UTF-8 byte 0xff (invalid start byte)"),
+    (["optimize", "--task", "eager-exact", "--input", "<log>", "--max-product-size", "1000"], 4,
+     "refusing: 181^3 = 5929741 candidate vectors exceed max_product_size=1000"),
+    (["sweep", "--dist", "equal_revenue", "--params", '{"M": 100.0}', "--n", "2",
+      "--trials", "10"], 3,
+     "error: equal_revenue(100): not regular, refusing a Myerson reserve source"),
+    (["lift-tables", "--input", "<log>", "--input", "<missing>"], 2,
+     "error: <missing>: No such file or directory"),
+    (["gen", "--generator", "hardness",
+      "--params", '{"vertices": [], "edges": [], "L": 2, "H": 3}'], 2,
+     "error: cannot write a log with no auctions: parse_log refuses it"),
+], ids=["optimize-undecodable", "eager-exact-too-large", "sweep-not-regular",
+        "lift-tables-missing-input", "gen-empty-graph"])
+def test_a_run_failing_after_its_flags_pass_leaves_no_out(tmp_path, capsys, argv, code, err):
+    # main makes --out before the handler runs, and removes it when the handler fails
+    (tmp_path / "bad.csv").write_bytes(b"auction_id,bidder_id,bid\na1,b1,\xff\n")
+    paths = {"<log>": str(run_gen(tmp_path)), "<bad>": str(tmp_path / "bad.csv"),
+             "<missing>": str(tmp_path / "missing.csv")}
+    capsys.readouterr()
+    assert main([paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "a" / "b")]) == code
+    assert capsys.readouterr().err == err.replace("<missing>", paths["<missing>"]) + "\n"
+    assert not (tmp_path / "a").exists()
+
+
 def test_exit_code_search_too_large(tmp_path, capsys):
     out = tmp_path / "gen"
     assert main(["gen", "--generator", "iid", "--params",

@@ -7,9 +7,10 @@ import pytest
 
 from reservelab.distributions import uniform_dist
 from reservelab.generators import (EqualRevenuePairAnalysis, JointGenerator,
-                                   equal_revenue_pair_analysis, gen_correlated_equal_revenue,
-                                   gen_geometric_pair, gen_hardness_instance, gen_high_low,
-                                   gen_iid, gen_symmetric_one_high, geometric_pair_analysis,
+                                   _equal_revenue_pair_expectations, equal_revenue_pair_analysis,
+                                   gen_correlated_equal_revenue, gen_geometric_pair,
+                                   gen_hardness_instance, gen_high_low, gen_iid,
+                                   gen_symmetric_one_high, geometric_pair_analysis,
                                    geometric_pair_atoms, high_low_exact,
                                    independent_set_number, sample_log)
 
@@ -148,6 +149,7 @@ def test_high_low_exact_values():
     assert abs(a.ratio - 1.9329099535899688) < 1e-12
     assert abs(a.eager_revenue - 1.9512376728406415) < 1e-12
     assert a.lazy_per_bidder_reserve == 1.0
+    assert all(type(v) is float for v in (a.eager_revenue, a.optimal_lazy_revenue, a.ratio))
 
 
 def test_high_low_ratio_climbs_toward_two():
@@ -160,9 +162,19 @@ def test_equal_revenue_pair_analysis():
     a = equal_revenue_pair_analysis(1e4, 1e-6)
     assert isinstance(a, EqualRevenuePairAnalysis)
     assert abs(a.lazy_revenue - 19.411266472002126) < 1e-9
-    assert abs(a.best_eager_revenue - 10.747897902095287) < 1e-9
+    assert abs(a.best_eager_revenue - 11.208388186585855) < 1e-9
     assert a.best_eager_reserves[0] == 1.0
     assert a.ratio >= 1.7
+
+
+def test_equal_revenue_pair_analysis_reaches_the_atom_edge():
+    # r2 = (1 - eps) M is the largest reserve the shadow bidder's atom bid clears; just
+    # above it the eager revenue drops by about 1, so a grid that skips it misses the optimum
+    M, eps = 1e4, 1e-6
+    _, eager_rev = _equal_revenue_pair_expectations(M, eps)
+    edge = eager_rev(1.0, (1.0 - eps) * M)
+    assert eager_rev(1.0, (1.0 - eps) * M * (1.0 + 1e-12)) < edge - 0.9
+    assert equal_revenue_pair_analysis(M, eps).best_eager_revenue >= edge
 
 
 def test_geometric_pair_analysis():

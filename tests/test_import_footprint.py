@@ -30,12 +30,12 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("scipy")),
 """
 
 
-def loaded_modules(argv):
+def loaded_modules(argv, script=SCRIPT):
     """Exit code, the scipy modules loaded and whether numpy.ma is loaded, after running
-    argv in a fresh process."""
+    argv (or another script that prints the same) in a fresh process."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    args = [sys.executable, "-c", SCRIPT] + ([] if argv is None else [json.dumps(argv)])
+    args = [sys.executable, "-c", script] + ([] if argv is None else [json.dumps(argv)])
     proc = subprocess.run(args, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -97,3 +97,16 @@ def test_exponential_theoretical_sweep_loads_scipy_integrate(inputs):
     code, modules, _ = loaded_modules(argv)
     assert code == 0
     assert "scipy.integrate" in modules
+
+
+def test_high_low_exact_loads_no_scipy():
+    """The high-low oracle sums its Binomial pmf by a ratio recurrence, not scipy.stats."""
+    script = """
+import json, sys
+from reservelab.generators import high_low_exact
+assert high_low_exact(50).ratio > 1.9
+print(json.dumps([0, sorted(m for m in sys.modules if m.startswith("scipy")), None]))
+"""
+    code, modules, _ = loaded_modules(None, script)
+    assert code == 0
+    assert modules == []
