@@ -10,7 +10,9 @@ across k make the effect measurable at stated standard errors.
 A bidder split (sweep_theoretical, paired_treatment_deltas) treats the bidders of
 rank < k in a random ranking per auction. The treated sets are nested, so every k
 takes its payments from one vectorized.nested_payments pass per block of draws and
-mechanism, and a sweep of both rules draws, ranks and scores each block once.
+mechanism, and a sweep of both rules draws, ranks and scores each block once. Only
+the auctions where a reserve can bind (vectorized.reserve_can_bind) are ranked and
+scored; every other auction pays its second bid at every k, under both rules.
 An auction split, simulate_treatment(dist, n, fraction, mechanism, trials, seed),
 treats each auction with probability `fraction`: all its bidders at the Myerson reserve.
 Each refuses a law that is_regular rejects.
@@ -28,7 +30,7 @@ from .distributions import _FLOAT_MAX, ContinuousDist, is_regular, myerson_reser
 from .errors import DomainError
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
-from .vectorized import lazy_order, lazy_select, nested_payments, payments
+from .vectorized import lazy_order, lazy_select, nested_payments, payments, reserve_can_bind
 
 _CHUNK = 100_000  # Monte-Carlo auctions drawn and evaluated per block
 # auctions per all-k payment pass within a block; on a 2-core Xeon (2 MB L2 per core)
@@ -123,19 +125,26 @@ def _bidder_arms(mechanisms, r_full: np.ndarray):
     """Arms treating k of the n bidders, treated sets nested: (c, len(mechanisms) * (n + 1))
     payments, column j * (n + 1) + k for mechanisms[j] with k bidders treated.
 
-    One argsort of a uniform (c, n) draw ranks each auction's bidders; the treated
-    set of k is the bidders of rank < k, so nested_payments evaluates every k in one
-    pass per mechanism and slice of _SLICE auctions, the mechanisms taking turns on
-    a slice while it is in cache (slicing bounds the pass's memory only).
+    Every column starts at the auction's second bid (one lazy_order pass), which is the
+    payment wherever no reserve can bind. A uniform (c, n) draw ranks each auction's
+    bidders, and the treated set of k is the bidders of rank < k; only the auctions
+    reserve_can_bind selects are ranked (an argsort per row, so the same ranks as
+    ranking all) and go to nested_payments, which evaluates every k in one pass per
+    mechanism and slice of _SLICE of them, the mechanisms taking turns on a slice
+    while it is in cache (slicing bounds the pass's memory only).
     """
     def arms(rng, values):
         c, n = values.shape
-        perm = np.argsort(rng.random((c, n)), axis=1)  # bidder column at each rank
+        u = rng.random((c, n))  # for every auction, so the stream is that of ranking all
+        second = lazy_order(values)[2]
         out = np.empty((c, len(mechanisms), n + 1))
-        for s in range(0, c, _SLICE):
+        out[...] = second[:, None, None]
+        rows = reserve_can_bind(second, r_full)
+        binding, perm = values[rows], np.argsort(u[rows], axis=1)  # bidder column at each rank
+        for s in range(0, len(rows), _SLICE):
             for j, mechanism in enumerate(mechanisms):
-                out[s:s + _SLICE, j] = nested_payments(values[s:s + _SLICE], r_full,
-                                                       perm[s:s + _SLICE], mechanism)
+                out[rows[s:s + _SLICE], j] = nested_payments(binding[s:s + _SLICE], r_full,
+                                                             perm[s:s + _SLICE], mechanism)
         return out.reshape(c, -1)
     return arms
 
@@ -320,8 +329,10 @@ def empirical_treatment_sweep(log: BidLog, reserves: ReserveVector, fractions,
     whole log is re-run; means and standard errors are over
     `assignments_per_point` independent subsets. Each distinct subset's log
     revenue is computed once per call and reused by every draw of it; a point
-    whose draws are all one subset reports that revenue with stderr 0. Lazy
-    orders the log once (lazy_order), so each subset is a selection on it.
+    whose draws are all one subset reports that revenue with stderr 0. The log is
+    ordered once (lazy_order), and each subset's lazy payments are a selection on
+    that order. Eager takes the same selection and re-runs payments only on the
+    auctions where one of the subset's reserves can bind (reserve_can_bind).
     """
     if len(log) == 0:
         raise ValueError("empty log")
@@ -333,7 +344,7 @@ def empirical_treatment_sweep(log: BidLog, reserves: ReserveVector, fractions,
     bids = log.to_matrix()
     n = len(log.bidder_ids)
     r_full = np.array([reserves.get(b) for b in log.bidder_ids])
-    order = lazy_order(bids) if mechanism is Mechanism.LAZY else None
+    order = lazy_order(bids)
     rng = np.random.default_rng(seed)
     revenue: dict[tuple[int, ...], float] = {}  # sorted treated subset -> mean log revenue
     rows = []
@@ -348,7 +359,10 @@ def empirical_treatment_sweep(log: BidLog, reserves: ReserveVector, fractions,
                 treated = list(subset)
                 row = np.zeros(n)
                 row[treated] = r_full[treated]
-                pay = payments(bids, row, mechanism) if order is None else lazy_select(order, row)
+                pay = lazy_select(order, row)
+                if mechanism is Mechanism.EAGER:
+                    bind = reserve_can_bind(order[2], row)
+                    pay[bind] = payments(bids[bind], row, mechanism)
                 revenue[subset] = float(np.mean(pay))
         if len(set(subsets)) == 1:
             mean, se = revenue[subsets[0]], 0.0

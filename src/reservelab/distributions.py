@@ -167,7 +167,9 @@ def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: fl
     """The root of f in [a, b] given f(a) < 0 < f(b), by scipy.optimize.bisect's loop.
 
     Same halving, same stopping rule (|dm| < xtol + 4 eps |xm|, at most 100
-    steps), so it returns the float scipy returns without importing scipy.
+    steps), so it returns the float scipy returns without importing scipy. Signs
+    are compared, not multiplied: the product of two values of order 1e-162 or less
+    underflows to +-0.0, and `a` would move right to the top of the bracket.
     """
     rtol = 4.0 * np.finfo(float).eps
     dm = b - a
@@ -175,7 +177,7 @@ def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: fl
         dm *= 0.5
         xm = a + dm
         fm = f(xm)
-        if fm * fa >= 0.0:
+        if (fm < 0.0) == (fa < 0.0):
             a = xm
         if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
             return float(xm)

@@ -14,6 +14,9 @@ nested_payments evaluates nested treated sets: the bidders at treatment ranks
 sets grow one bidder per rank, so top-two scans over the rank order (treated
 prefix, untreated suffix) give every k's outcome from selections alone, equal
 to one kernel call per k; the suffix scan read backwards is already in k order.
+
+reserve_can_bind states when a reserve can change an auction's price at all; the
+sweeps send only those auctions to a kernel.
 """
 
 from __future__ import annotations
@@ -45,6 +48,15 @@ def lazy_order(bids: np.ndarray):
     """The reserve-independent lazy step: per auction, the zero-reserve winner
     column, the top bid and the second-highest bid (0 with one participant)."""
     return _top_two(np.asarray(bids, dtype=float).T)
+
+
+def reserve_can_bind(second: np.ndarray, reserves) -> np.ndarray:
+    """Indices of the auctions whose price some reserve can change: second bid (a
+    lazy_order one, 0 with one participant) below the largest of `reserves` and 0, the
+    reserve an untreated bidder holds. Every other auction pays its second bid under
+    both rules: no reserve lies above that bid, so none removes either of the top two
+    bidders or raises the price."""
+    return np.flatnonzero(second < max(float(np.max(reserves)), 0.0))
 
 
 def _at(reserves: np.ndarray, winner: np.ndarray) -> np.ndarray:
@@ -117,6 +129,7 @@ def nested_payments(bids: np.ndarray, reserves: np.ndarray, perm: np.ndarray,
     untreated bids >= 0, and merges the two at each k. Which of several tied top
     bidders wins does not matter there: a tie makes the second bid equal the top,
     every survivor's reserve is at most its bid, so the payment is the top bid.
+    Exact on any rows; the sweeps pass only those reserve_can_bind selects.
     """
     bids = np.asarray(bids, dtype=float)
     reserves = np.asarray(reserves, dtype=float)

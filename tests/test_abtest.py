@@ -229,6 +229,89 @@ def test_bidder_arms_equal_the_per_k_kernels_property(case):
     assert np.array_equal(got, want)
 
 
+def _second_bids(bids):
+    """Each row's second-highest bid, 0 with fewer than two present: by a full sort."""
+    second = np.sort(bids, axis=1)[:, -2]
+    return np.where(np.isfinite(second), second, 0.0)
+
+
+# Rows at the edges of the rule "a reserve can bind only below the second bid": with the
+# largest reserve 1/2, a second bid equal to it, just under it, between the reserves, a
+# lone bidder, negative values and an auction nobody joins
+_EDGE_BIDS = np.array([[0.5, 0.5, 0.1], [1.0, 0.5, 0.25], [0.75, 0.4999, 0.6],
+                       [0.75, 0.3, 0.1], [0.5, 0.25, 0.25], [0.75, ABSENT, ABSENT],
+                       [ABSENT, 0.3, ABSENT], [-0.5, 0.75, 0.6], [0.75, -0.5, ABSENT],
+                       [-0.5, ABSENT, ABSENT], [-0.5, -0.25, 0.6], [ABSENT, ABSENT, ABSENT],
+                       [0.6, 0.6, 0.6], [0.0, 0.0, ABSENT]])
+_EDGE_RESERVES = [np.array([0.25, 0.5, 0.5]), np.array([0.0, math.inf, 0.5]),
+                  np.array([0.5, 0.0, 0.0]), np.zeros(3)]
+
+
+@pytest.mark.parametrize("r_full", _EDGE_RESERVES, ids=["0.25-0.5-0.5", "inf", "one", "none"])
+def test_bidder_arms_at_the_binding_edges_equal_the_per_k_kernels(r_full):
+    c, n = _EDGE_BIDS.shape
+    mechanisms = list(Mechanism)
+    for seed in range(6):  # several rankings, so each bidder is treated first somewhere
+        got = abtest._bidder_arms(mechanisms, r_full)(np.random.default_rng(seed), _EDGE_BIDS)
+        ranks = np.argsort(np.argsort(np.random.default_rng(seed).random((c, n)), axis=1),
+                           axis=1)
+        want = np.stack([payments(_EDGE_BIDS, np.where(ranks < k, r_full, 0.0), mech)
+                         for mech in mechanisms for k in range(n + 1)], axis=1)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("r_full", _EDGE_RESERVES, ids=["0.25-0.5-0.5", "inf", "one", "none"])
+@pytest.mark.parametrize("mech", list(Mechanism))
+def test_empirical_sweep_at_the_binding_edges_equals_per_draw_reference(r_full, mech):
+    # a log holds no negative bid and no empty auction: the other edge rows
+    bids = _EDGE_BIDS[((_EDGE_BIDS >= 0) | (_EDGE_BIDS == ABSENT)).all(axis=1)
+                      & (_EDGE_BIDS > ABSENT).any(axis=1)]
+    ids = ("b0", "b1", "b2")
+    log = BidLog.from_matrix(bids, ids)
+    reserves = ReserveVector(dict(zip(ids, r_full.tolist())))
+    fractions = [0.0, 1 / 3, 2 / 3, 1.0]
+    res = empirical_treatment_sweep(log, reserves, fractions, mech, 12, seed=3)
+    want, _ = _per_draw_sweep(log, reserves, fractions, mech, 12, seed=3)
+    assert [(r.mean, r.stderr) for r in res.rows] == want
+
+
+def test_bidder_split_kernels_see_only_the_auctions_where_a_reserve_can_bind(monkeypatch):
+    # uniform(0,1), n = 10, Myerson reserve 1/2: a reserve can bind only where the second bid
+    # is below 1/2, in about (n + 1) / 2 ** n = 1.1 % of auctions
+    n, trials, seed = 10, 20_000, 4
+    seen, original = {mech: [] for mech in Mechanism}, abtest.nested_payments
+
+    def recording(bids, reserves, perm, mechanism):
+        seen[mechanism].append(np.array(bids))
+        return original(bids, reserves, perm, mechanism)
+
+    monkeypatch.setattr(abtest, "nested_payments", recording)
+    sweep_theoretical(UNIFORM, n, list(Mechanism), trials, seed)
+    values = UNIFORM.sample(np.random.default_rng(seed), (trials, n))  # the sweep's one chunk
+    want = values[_second_bids(values) < 0.5]
+    assert 0 < len(want) < 0.02 * trials
+    for mech in Mechanism:
+        assert np.array_equal(np.concatenate(seen[mech]), want)
+
+
+def test_eager_empirical_sweep_reruns_only_the_auctions_where_a_reserve_can_bind(monkeypatch):
+    log, reserves = _sweep_case(12)
+    bids = log.to_matrix()
+    second = _second_bids(bids)
+    calls = []
+
+    def recording(rows, row, mechanism):
+        calls.append((np.array(rows), row.copy()))
+        return payments(rows, row, mechanism)
+
+    monkeypatch.setattr(abtest, "payments", recording)
+    empirical_treatment_sweep(log, reserves, _FRACTIONS, Mechanism.EAGER, 40, seed=5)
+    assert calls
+    for rows, row in calls:
+        assert np.array_equal(rows, bids[second < row.max()])
+    assert any(len(rows) < len(bids) for rows, _ in calls)
+
+
 def _no_kernel(*args, **kwargs):
     raise AssertionError("a payment kernel call")
 
@@ -329,8 +412,9 @@ def test_estimates_at_extreme_scales_are_the_unit_laws_scaled(estimate, rate):
     assert len(got) == len(want)
     for (mean, se), (unit_mean, unit_se) in zip(got, want):
         assert 0.0 < se < math.inf
-        assert mean == pytest.approx(unit_mean * scaled.scale, rel=1e-9)
-        assert se == pytest.approx(unit_se * scaled.scale, rel=1e-9)
+        # abs=0: approx's default abs of 1e-12 accepts any value near 1e-200
+        assert mean == pytest.approx(unit_mean * scaled.scale, rel=1e-9, abs=0)
+        assert se == pytest.approx(unit_se * scaled.scale, rel=1e-9, abs=0)
 
 
 def test_paired_deltas_detect_dip_and_jump():

@@ -87,9 +87,10 @@ _BISECTED = ([uniform_dist(lo, hi) for lo in (0.0, -1.0, -1e6, 1e-3, 0.25, 3.0, 
               for hi in (1e-9, 1e-3, 1.0, 10.0, 1e6, 1e9 + 1.0, 1e15, 1e100, 1e300)
               # uniform(-1e6, 1e-9) brackets below 0: its bracket steps 1e-6 in from each end
               if hi / 2 > lo and (lo, hi) != (-1e6, 1e-9)]
-             + [uniform_dist(0.0, 1e-13)]
+             + [uniform_dist(0.0, 1e-13), uniform_dist(0.0, 1e-200), uniform_dist(0.0, 1e-300),
+                uniform_dist(1e-300, 3e-300)]
              + [exponential_dist(rate) for rate in
-                (1e-12, 1e-6, 1e-3, 0.37, 1.0, 4.0, 1e3, 1e6, 1e9, 1e12)])
+                (1e-12, 1e-6, 1e-3, 0.37, 1.0, 4.0, 1e3, 1e6, 1e9, 1e12, 1e200, 1e300)])
 
 
 def test_myerson_bisection_equals_scipy_bisect(monkeypatch):
@@ -119,10 +120,12 @@ def test_myerson_bisection_equals_scipy_bisect(monkeypatch):
 
 def test_myerson_small_scale_laws_match_closed_forms():
     # the bracket inset and xtol scale with the law below scale 1
-    for rate in (1e3, 1e9, 1e12, 1e15):
+    # at 1e-200 and below the product of two virtual values underflows to +-0.0, so the
+    # bisection must compare their signs
+    for rate in (1e3, 1e9, 1e12, 1e15, 1e200, 1e300):
         got = myerson_reserve(exponential_dist(rate))
         assert abs(got - 1.0 / rate) <= 1e-9 / rate
-    for hi in (1e-3, 1e-9, 1e-13, 1e-16):
+    for hi in (1e-3, 1e-9, 1e-13, 1e-16, 1e-200, 1e-300):
         assert abs(myerson_reserve(uniform_dist(0.0, hi)) - hi / 2) <= 1e-9 * hi / 2
 
 
