@@ -28,8 +28,8 @@ from .logio import (LOG_FORMATS, compute_lift_report, lift_revenue_tsv, lift_wel
                     parse_log, quantize_log, read_reserves, write_log, write_reserves)
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
-from .optimize import (eager_coordinate_ascent, empirical_revenue, empirical_totals,
-                       monopoly_reserves, optimal_eager_exact, optimal_lazy)
+from .optimize import (eager_coordinate_ascent, empirical_revenue, monopoly_reserves,
+                       optimal_eager_exact, optimal_lazy)
 
 DEFAULT_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -242,7 +242,7 @@ def cmd_optimize(cfg: RunConfig) -> tuple[list[str], dict]:
         "bidders": len(log.bidder_ids),
         "revenue_zero_reserve": empirical_revenue(log, ReserveVector.zero(), mech),
         "expected_revenue": result.expected_revenue,
-        "total_revenue": empirical_totals(log, result.reserves, mech)[0],
+        "total_revenue": result.total_revenue,
     }
     if cfg.task == "eager-local":
         extra.update(rounds=result.rounds, converged=result.converged)

@@ -5,14 +5,16 @@ Parsing is strict: anything that is not a plain non-negative micro decimal is
 rejected with its 1-based line number. Values are capped at 1e9 (1e15 micros)
 so that micros -> float -> micros round trips are exact in both directions.
 
-A CSV log is parsed column-wise first, in whole-array passes over its bytes:
-blocks of lines are checked by byte-level numpy tests, the bids are read in one
-np.loadtxt pass, and each id column maps to matrix rows or columns in first-seen
-order by one stable sort of its byte spans as NUL-padded 8-byte words; only the
-distinct ids are decoded. A file with any record outside that plain form (quotes,
-non-ASCII, a bad bid, a duplicate pair, ...) is parsed again from the top by the
-per-record path, a `csv.reader` over its lines, which alone raises
-`LogParseError`; JSONL logs and reserve files take that path only.
+A CSV log is parsed column-wise first, in one gate pass over each block of lines:
+byte-level numpy tests find and check each line's two commas, its dot and its end,
+and an int64 Horner pass over the bid's digit columns gives its integer micros.
+Each id column maps to matrix rows or columns in first-seen order: an id of at most
+8 bytes is one NUL-padded big-endian uint64 key, a wider one a row of such words
+among the ids of its width; a sort groups equal keys, and each group's least line
+is its first sighting. Only the distinct ids are decoded. A file with any record
+outside that plain form (quotes, non-ASCII, a bad bid, a duplicate pair, ...) is
+parsed again from the top by the per-record path, a `csv.reader` over its lines,
+which alone raises `LogParseError`; JSONL logs and reserve files take that path only.
 
 write_log checks every bid's integer micros in one array pass. It then fills each
 block of records into one byte matrix, a row per record: the format's literal
@@ -24,7 +26,6 @@ and writes the kept bytes in one step.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import re
@@ -203,86 +204,161 @@ _BLOCK_LINES = 1 << 16  # lines per block of the CSV gate and of write_log's byt
 _PLAIN_BYTE = np.zeros(256, dtype=bool)
 _PLAIN_BYTE[[ord("\t"), ord("\n"), *range(0x20, 0x7F)]] = True
 _PLAIN_BYTE[ord('"')] = False
+# Integer digits a bid may have on the columnar route. A longer integer part is over the
+# cap unless it has leading zeros, and the per-record parse reads both cases.
+_INTEGER_PLACES = 10
 
 
-def _plain_block(block: np.ndarray, ends: np.ndarray) -> bool:
-    """True when every line of `block` (bytes; `ends` holds each line's newline offset)
-    is `id,id,bid` with non-empty ids of plain bytes and a bid matching _BID_RE, and no
-    line, so no field, is longer than csv.field_size_limit()."""
-    if not np.take(_PLAIN_BYTE, block).all():
-        return False
+def _digits(block: np.ndarray, at: np.ndarray, places: int, keep) -> np.ndarray:
+    """Per line, the integer whose `places` decimal digits are the bytes block[at + k],
+    each read as 0 where keep(k) is False: an int64 Horner pass over byte columns."""
+    value = np.zeros(len(at), dtype=np.int64)
+    for k in range(places):
+        digit = block.take(at + k, mode="clip") - ord("0")  # any byte where not kept
+        value *= 10
+        value += digit * keep(k)
+    return value
+
+
+def _plain_block(block: np.ndarray, ends: np.ndarray):
+    """(first commas, second commas, bid micros) of the lines of `block` (bytes; `ends`
+    holds each line's newline offset, or the block's length for a file's last line that
+    has no newline) when every line is `id,id,bid` with non-empty ids of plain bytes and
+    a bid of at most 1e9 matching _BID_RE with an integer part of at most
+    _INTEGER_PLACES bytes, and no line, so no field, is longer than
+    csv.field_size_limit(); else None."""
     marks = np.flatnonzero(block - ord("0") >= 10)  # every byte but a digit (uint8 wraps)
     marked = block[marks]
-    commas = marks[marked == ord(",")]
+    if not np.take(_PLAIN_BYTE, marked).all():  # a digit is plain
+        return None
+    commas = marks.compress(marked == ord(","))
     if len(commas) != 2 * len(ends):
-        return False
+        return None
     # Commas are sorted, so when each pair falls inside its own line, every line has two.
     starts = np.concatenate(([0], ends[:-1] + 1))
     first, second = commas[0::2], commas[1::2]
     if not ((starts < first) & (first + 1 < second) & (second + 1 < ends)
             & (ends - starts <= csv.field_size_limit())).all():
-        return False
+        return None
     at = np.flatnonzero(marked == ord("\n"))  # each line end's place in marks
+    if len(at) < len(ends):  # the file's last line, with no newline, ends past every mark
+        at = np.append(at, len(marks))
     last = marks[at - 1]  # the second comma when the bid is all digits, else its one dot
     dotted = ((block[last] == ord(".")) & (marks[at - 2] == second) & (second + 1 < last)
               & (last + 1 < ends) & (ends <= last + 7))
-    return bool(((last == second) | dotted).all())
+    if not ((last == second) | dotted).all():
+        return None
+    point = np.where(dotted, last, ends)  # where the integer part stops
+    units, fraction = point - second - 1, np.where(dotted, ends - last - 1, 0)
+    places = int(units.max())
+    if places > _INTEGER_PLACES:
+        return None
+    micros = (_digits(block, point - places, places, lambda k: k >= places - units) * 10 ** 6
+              + _digits(block, last + 1, 6, lambda k: k < fraction))
+    return (first, second, micros) if micros.max() <= MAX_MICROS else None
 
 
-def _first_seen(raw: np.ndarray, starts: np.ndarray, stops: np.ndarray):
-    """Each span raw[starts:stops]'s index among the distinct spans in first-seen order,
-    and those distinct spans as str. Spans are sorted one width at a time as NUL-padded
-    8-byte words: exact on plain bytes, which hold no NUL, and no span is padded to a
-    longer one's width."""
-    widths = stops - starts
-    by_width = np.argsort(widths, kind="stable")
+def _span_keys(data: bytes, starts: np.ndarray, stops: np.ndarray,
+               at: np.ndarray) -> np.ndarray:
+    """(len(at), words) uint64 keys of the spans data[starts:stops] picked by `at`, all of
+    at most 8 bytes or all of one width: each span's bytes NUL-padded to whole words read
+    big-endian, so key order is byte order. A span of at most 8 bytes is one unaligned
+    8-byte gather of the word that ends where the span ends, shifted past the bytes
+    before it; no gather is clipped, since the header's 25 bytes come before every span.
+    Work is in place where it can be: this is the parse's peak memory."""
+    stops = stops[at]
+    widths = stops - starts[at]
+    width = int(widths.max())
+    if width <= 8:
+        words = np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
+        stops -= 8
+        keys = words[stops]
+        widths *= -8
+        widths += 64
+        keys <<= widths.view(np.uint64)  # 0 to 56, the same bits as int64
+        keys = keys[:, None]
+    else:
+        keys = np.zeros((len(at), -(-width // 8) * 8), dtype=np.uint8)
+        keys[:, :width] = sliding_window_view(np.frombuffer(data, dtype=np.uint8), width)[
+            stops - width]
+        keys = keys.view(">u8")
+    # the same values stored little-endian, the native order of common hosts: sorts fast
+    return keys.byteswap(inplace=True).view("<u8")
+
+
+def _number_spans(keys: np.ndarray, at: np.ndarray, index: np.ndarray, offset: int):
+    """Sets index[at] to each span's number among the distinct `keys` (rows, one per span
+    of `at`) in key order, plus `offset`; returns each distinct key's least span index
+    and its bytes, NUL padding stripped."""
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
+    keys, at = keys[order], at[order]
+    del order  # one (N,) array less through the parse's peak
+    fresh = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
+    number = np.cumsum(fresh)
+    number += offset - 1
+    index[at] = number
+    names = keys[fresh].astype(">u8").view(f"S{8 * keys.shape[1]}")[:, 0]
+    return np.minimum.reduceat(at, np.flatnonzero(fresh)), names.astype(object)
+
+
+def _width_groups(widths: np.ndarray) -> list[np.ndarray]:
+    """Indices of the spans of at most 8 bytes, then of each wider width in turn."""
+    wide = np.flatnonzero(widths > 8)
+    wide = wide[np.argsort(widths[wide], kind="stable")]
+    groups = [np.flatnonzero(widths <= 8),
+              *np.split(wide, np.flatnonzero(np.diff(widths[wide])) + 1)]
+    return [at for at in groups if len(at)]
+
+
+def _first_seen(data: bytes, starts: np.ndarray, stops: np.ndarray):
+    """Each span data[starts:stops]'s index among the distinct spans in first-seen order,
+    and those distinct spans as str. The spans of at most 8 bytes are keyed together,
+    the wider ones one width at a time, so no span is padded to a longer one's width.
+    NUL padding is exact on plain bytes, which hold no NUL. Equal keys are grouped by a
+    sort; a group's first-seen span is its least index, so the sort need not be stable."""
     index = np.empty(len(starts), dtype=np.intp)
     firsts, names = [], []
-    for at in np.split(by_width, np.flatnonzero(np.diff(widths[by_width])) + 1):
-        width = int(widths[at[0]])
-        keys = np.zeros((len(at), -(-width // 8) * 8), dtype=np.uint8)
-        keys[:, :width] = sliding_window_view(raw, width)[starts[at]]
-        words = keys.view(np.uint64)
-        order = np.lexsort(words.T)  # stable: equal spans keep file order
-        words = words[order]
-        fresh = np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1)))
-        index[at[order]] = sum(map(len, firsts)) + np.cumsum(fresh) - 1
-        firsts.append(at[order[fresh]])
-        names.append(keys[order[fresh]].view(f"S{keys.shape[1]}")[:, 0])
+    for at in _width_groups(stops - starts):
+        first, name = _number_spans(_span_keys(data, starts, stops, at), at, index,
+                                    sum(map(len, firsts)))
+        firsts.append(first)
+        names.append(name)
     by_first = np.argsort(np.concatenate(firsts))
     rank = np.empty(len(by_first), dtype=np.intp)
     rank[by_first] = np.arange(len(by_first))
-    return rank[index], np.concatenate(names)[by_first].astype(str).tolist()
+    text = b"\n".join(np.concatenate(names)[by_first].tolist()).decode()
+    return rank[index], text.split("\n")
 
 
 def _columnar_csv(data: bytes) -> Optional[BidLog]:
-    """The log of a CSV file whose records are all plain (see _plain_block) with bids
-    up to 1e9 and no repeated (auction, bidder) pair, else None. On such a file the
-    per-record parse returns the same log: np.loadtxt, like float(token), gives the
-    correctly rounded double of the decimal token, as is its micros / 10**6."""
+    """The log of a CSV file whose records are all plain (see _plain_block) and hold no
+    repeated (auction, bidder) pair, else None. On such a file the per-record parse
+    returns the same log: each bid is its integer micros / 10**6, both exact integers,
+    so the quotient is correctly rounded, the same double as parse_bid_token's."""
     if not data.startswith(LOG_HEADER.encode() + b"\n"):
         return None
-    if not data.endswith(b"\n"):
-        data += b"\n"
     raw = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))  # ends[0] closes the header
+    if not data.endswith(b"\n"):  # the last line ends at the file's end
+        ends = np.append(ends, len(raw))
     if len(ends) == 1:
         return None
+    first, second, micros = (np.empty(len(ends) - 1, dtype=np.int64) for _ in range(3))
     for i in range(1, len(ends), _BLOCK_LINES):
         start, block_ends = ends[i - 1] + 1, ends[i:i + _BLOCK_LINES]
-        if not _plain_block(raw[start:block_ends[-1] + 1], block_ends - start):
+        block = _plain_block(raw[start:block_ends[-1] + 1], block_ends - start)
+        if block is None:
             return None
-    commas = np.flatnonzero(raw == ord(","))[2:]  # two on each line past the header
-    first, second = commas[0::2], commas[1::2]
-    values = np.loadtxt(io.BytesIO(data), delimiter=",", usecols=2, skiprows=1,
-                        comments=None, ndmin=1)
-    if (values > 1e9).any():
-        return None
-    rows, auction_ids = _first_seen(raw, ends[:-1] + 1, first)
-    cols, bidder_ids = _first_seen(raw, first + 1, second)
+        lines = slice(i - 1, i - 1 + len(block_ends))
+        first[lines], second[lines], micros[lines] = block[0] + start, block[1] + start, block[2]
+    # bidders first: their few names, not the many auction names, are held through the
+    # other pass, and `second` is freed before it
+    cols, bidder_ids = _first_seen(data, first + 1, second)
+    del second
+    rows, auction_ids = _first_seen(data, ends[:-1] + 1, first)
     bids = np.full((len(auction_ids), len(bidder_ids)), ABSENT)
-    bids[rows, cols] = values
-    if np.count_nonzero(bids != ABSENT) != len(values):  # a pair was written twice
+    bids[rows, cols] = micros / 10 ** 6
+    if np.count_nonzero(bids != ABSENT) != len(micros):  # a pair was written twice
         return None
     return BidLog.from_matrix(bids, bidder_ids, auction_ids)
 
@@ -438,11 +514,15 @@ class LiftReport:
 
 
 def compute_lift_report(log: BidLog, slot: str) -> LiftReport:
-    """Lifts of the optimal lazy reserves and the monopoly reserves on one log."""
+    """Lifts of the optimal lazy reserves and the monopoly reserves on one log. Each
+    optimizer's result already holds its totals under its own mechanism (lazy for
+    rstar_l, eager for monopoly), so only the other two cells run a kernel."""
     rev0, wel0 = empirical_totals(log, ReserveVector.zero(), Mechanism.LAZY)
-    vectors = {"rstar_l": optimal_lazy(log).reserves,
-               "monopoly": monopoly_reserves(log).reserves}
-    totals = [empirical_totals(log, vectors[source], mech) for mech, source in _CELLS]
+    results = {(Mechanism.LAZY, "rstar_l"): optimal_lazy(log),
+               (Mechanism.EAGER, "monopoly"): monopoly_reserves(log, Mechanism.EAGER)}
+    vectors = {source: result.reserves for (_, source), result in results.items()}
+    totals = [(results[cell].total_revenue, results[cell].total_welfare) if cell in results
+              else empirical_totals(log, vectors[cell[1]], cell[0]) for cell in _CELLS]
     return LiftReport(slot, rev0 / len(log), wel0 / len(log),
                       tuple(rev / len(log) for rev, _ in totals),
                       tuple(wel / len(log) for _, wel in totals))

@@ -28,8 +28,9 @@ is the scalable local search built from the same line search. A log with
 auction weights is the same problem, which is how product laws are searched.
 
 All optimizers report expected_revenue through the same exact evaluator
-(empirical_revenue), so two routes that agree on the reserves agree on the
-revenue bit for bit.
+(empirical_totals, whose revenue fsum empirical_revenue divides by the log's
+length), so two routes that agree on the reserves agree on the revenue bit for
+bit. The result keeps both fsums, so a caller needs no second kernel run.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ _BRUTEFORCE_CHUNK = 256
 class OptimizationResult:
     reserves: ReserveVector
     expected_revenue: float
+    # the exact fsums behind expected_revenue: total payment and welfare over the log
+    total_revenue: float
+    total_welfare: float
     # eager_coordinate_ascent only: rounds run, and False when it stopped at max_rounds
     rounds: int | None = None
     converged: bool | None = None
@@ -81,9 +85,13 @@ def empirical_revenue(log: BidLog, reserves: ReserveVector, mechanism: Mechanism
 
 
 def _result(log: BidLog, row: np.ndarray, mechanism: Mechanism) -> OptimizationResult:
-    """Reserves from a row in bidder_ids order, with their empirical revenue under `mechanism`."""
+    """Reserves from a row in bidder_ids order, with their totals under `mechanism` and
+    the empirical revenue empirical_revenue reports for them."""
+    if len(log) == 0:
+        raise ValueError("empty log")
     reserves = ReserveVector(dict(zip(log.bidder_ids, (float(x) for x in row))))
-    return OptimizationResult(reserves, empirical_revenue(log, reserves, mechanism))
+    revenue, welfare = empirical_totals(log, reserves, mechanism)
+    return OptimizationResult(reserves, revenue / len(log), revenue, welfare)
 
 
 def optimal_lazy(log: BidLog) -> OptimizationResult:

@@ -2,12 +2,13 @@
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import fields
 
 import pytest
 
-from reservelab import abtest
+from reservelab import abtest, vectorized
 from reservelab.cli import _READS, RunConfig, main
 from reservelab.distributions import ContinuousDist
 from reservelab.logio import (compute_lift_report, lift_revenue_tsv, lift_welfare_tsv,
@@ -76,6 +77,29 @@ def test_hardness_instances_exact_totals(tmp_path):
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["total_revenue"] == total
+
+
+@pytest.mark.parametrize("command, runs", [(["optimize", "--task", "lazy"], 2),
+                                           (["optimize", "--task", "monopoly"], 2),
+                                           (["lift-tables"], 5)],
+                         ids=["optimize-lazy", "optimize-monopoly", "lift-tables"])
+def test_commands_run_no_full_log_kernel_twice(tmp_path, monkeypatch, command, runs):
+    """optimize reads total_revenue from the optimizer's result, and lift-tables reads
+    the (lazy, rstar_l) and (eager, monopoly) cells from the optimizers' results, so
+    each vectorized.payments call computes a total that no other call computes."""
+    log_path = run_gen(tmp_path)
+    calls = []
+    real = vectorized.payments
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("reservelab") and getattr(module, "payments", None) is real:
+            monkeypatch.setattr(module, "payments", counted)
+    assert main([*command, "--input", str(log_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == runs, calls
 
 
 def test_exit_code_bad_config(tmp_path, capsys):

@@ -13,6 +13,8 @@ from reservelab.generators import (EqualRevenuePairAnalysis, JointGenerator,
                                    gen_symmetric_one_high, geometric_pair_analysis,
                                    geometric_pair_atoms, high_low_exact,
                                    independent_set_number, sample_log)
+from reservelab.mechanics import Mechanism
+from reservelab.vectorized import payments
 
 
 def test_sample_log_deterministic():
@@ -188,3 +190,24 @@ def test_geometric_pair_analysis():
     assert g16.monopoly_reserve == 2.0 ** 15 + 0.001
     assert g16.ratio > 8.49
     assert g16.ratio > g.ratio
+
+
+@pytest.mark.parametrize("K", [10, 16])
+def test_geometric_pair_analysis_equals_the_payment_kernels_on_its_weighted_log(K):
+    """Criterion 10 a second way. The analysis sums scalar run_auction payments over the
+    atoms; here the K-row log of bids [v, v], weighted by p, runs through
+    vectorized.payments under both rules, at zero reserves and at the monopoly reserve
+    taken by an fsum argmax of r * P(bid >= r) over the atoms (first max)."""
+    epsilon = 1e-3
+    values, probs = geometric_pair_atoms(K, epsilon)
+    objective = [r * math.fsum(probs[values >= r].tolist()) for r in values.tolist()]
+    r_m = values[objective.index(max(objective))]
+    bids = np.column_stack([values, values])
+    g = geometric_pair_analysis(K, epsilon)
+    assert g.monopoly_reserve == r_m
+    for mechanism in Mechanism:
+        rev_zero, rev_mono = (math.fsum((probs * payments(bids, np.array([r, r]), mechanism))
+                                        .tolist()) for r in (0.0, r_m))
+        assert g.zero_reserve_revenue == pytest.approx(rev_zero, rel=1e-14, abs=0)
+        assert g.monopoly_revenue == pytest.approx(rev_mono, rel=1e-14, abs=0)
+        assert g.ratio == pytest.approx(rev_zero / rev_mono, rel=1e-14, abs=0)

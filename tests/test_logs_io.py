@@ -437,7 +437,15 @@ _EDGE_BODIES = [b"a,A,1\nb,A,2\na,B,3.25\n", b"a,A,1\nb,A,2\na,A,3\n", b"a,A,1\n
                  b"abcdefghik,ABCDEFGHIJKLMNOPQ,3\nabcdefghij,ABCDEFGHIJKLMNOPQ,4\n",
                  # an auction in two separate runs; runs across a block boundary
                  b"a,A,1\na,B,2\nb,A,3\na,C,4\n", b"a,A,1\na,B,2\na,C,3\nb,A,4\nb,B,5\n",
-                 b"a,A,1\na,B,2\na,A,3\n"]
+                 b"a,A,1\na,B,2\na,A,3\n",
+                 # the digit pass: integer parts of 10 and 11 bytes, the largest bids under
+                 # and at the cap, the least bid, a zero fraction, and bids of unlike
+                 # lengths side by side in a block
+                 b"a,A,0000000000.5\nb,A,10\n", b"a,A,00000000001\nb,A,1\n",
+                 b"a,A,999999999.999999\nb,A,0.000001\n", b"a,A,1000000000.000000\nb,A,7.25\n",
+                 b"a,A,0.000001\nb,A,1.000000\nc,A,10\nd,A,999999999.999999\n",
+                 # a last record without a newline, with 1 and 6 fraction digits
+                 b"a,A,1\nb,A,2.5", b"a,A,1\nb,A,2.123456"]
 
 
 @pytest.mark.parametrize("block_lines", [1, 2])
@@ -452,19 +460,38 @@ def test_columnar_parse_equals_the_per_record_parse_on_edge_cases(tmp_path, monk
 
 
 def test_plain_csv_takes_the_columnar_path(tmp_path, monkeypatch):
+    """Also with ids of 1, 7, 8, 9 and 17 bytes as the first auction and bidder after the
+    header and the last ones in the file, among ids of 2 to 4 bytes: one-word keys of
+    each width up to 8 and wider keys, read at both ends of the buffer; and without the
+    file's last newline."""
     rng = np.random.default_rng(5)
     bids = np.where(rng.random((300, 4)) < 0.3, ABSENT, rng.integers(0, 10 ** 9, (300, 4)) / 1e6)
     bids[:, 0] = 2.5
-    log = BidLog.from_matrix(bids, ["b0", "b1", "b2", "b3"])
-    path = str(tmp_path / "log.csv")
-    write_log(log, path)
+    logs = [BidLog.from_matrix(bids, ["b0", "b1", "b2", "b3"])]
+    bids[-1, -1] = 1e9
+    for width in (1, 7, 8, 9, 17):  # bidder ids sort as listed: "A" < "b" < "z"
+        auction_ids = ["x" * width, *(f"a{i}" for i in range(1, 299)), "y" * width]
+        logs.append(BidLog.from_matrix(bids, ["A" * width, "b1", "b2", "z" * width],
+                                       auction_ids))
+    paths = [tmp_path / f"log{i}.csv" for i in range(len(logs))]
+    for log, path in zip(logs, paths):
+        write_log(log, str(path))
+    for log, path in zip(logs[1:], paths[1:]):
+        lines = path.read_bytes().split(b"\n")
+        first, last = log.auction_ids[0], log.auction_ids[-1]
+        assert lines[1].startswith(f"{first},{log.bidder_ids[0]},".encode())
+        assert lines[-2] == f"{last},{log.bidder_ids[-1]},1000000000".encode()
+    logs.append(logs[-1])
+    paths.append(tmp_path / "no_last_newline.csv")
+    paths[-1].write_bytes(paths[-2].read_bytes()[:-1])
 
     def refuse(data, fmt):
         raise AssertionError("the per-record parse ran")
 
     monkeypatch.setattr(logio, "_parse_records", refuse)
     monkeypatch.setattr(logio, "_BLOCK_LINES", 64)
-    assert parse_log(path) == log
+    for log, path in zip(logs, paths):
+        assert parse_log(str(path)) == log
 
 
 _MICROS = st.one_of(st.integers(0, 10 ** 15), st.sampled_from([0, 1, 10 ** 6, 10 ** 15]),
