@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import _FLOAT_MAX, ContinuousDist, is_regular, myerson_reserve
+from .distributions import _FLOAT_MAX, ContinuousDist, _integrate, is_regular, myerson_reserve
 from .errors import DomainError
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
@@ -224,19 +224,15 @@ def rev_e_k_quadrature(dist: ContinuousDist, n: int, k: int) -> float:
 
 
 def _quad(dist: ContinuousDist, integrand, lo: float, hi: float) -> float:
-    """Int_lo^hi integrand(x) dx, integrated in the law's unit: x = scale * u.
+    """Int_lo^hi integrand(x) dx by distributions._integrate in the law's unit: x = scale * u.
 
-    quad's infinite-range transform and absolute tolerance both assume mass
-    near 1; a law of scale 1e-6 or 1e6 read in raw x returns zero, a negative
-    revenue or a biased one. In u the integrand of a revenue is of order 1.
-    A law of scale 1 integrates exactly as in x.
+    On [a, inf) the rule's nodes are densest within a few units of a, so it reads the
+    integrand in u, where a revenue's integrand decays over a unit at any scale.
     """
-    from scipy import integrate  # 0.5-0.7 s to import, so only where a reference needs it
     s = dist.scale
     # past the float range x = scale * u is inf and the integrand reads inf * 0: clamp it
-    val, _ = integrate.quad(lambda u: integrand(min(s * u, _FLOAT_MAX)), lo / s, hi / s,
-                            epsabs=1e-10, epsrel=1e-10, limit=200)
-    return s * val
+    return s * _integrate(lambda us: np.array([integrand(min(s * u, _FLOAT_MAX))
+                                               for u in us.tolist()]), lo / s, hi / s)
 
 
 def expected_second_highest(dist: ContinuousDist, n: int) -> float:

@@ -91,6 +91,9 @@ def load_config(config_path: Optional[str], overrides: dict) -> RunConfig:
             raise ConfigError(f"{name} must be an integer >= {check['least']}, got {value!r}")
         if "choices" in check and value not in (None, *check["choices"]):
             raise ConfigError(f"{name} must be one of {check['choices']}, got {value!r}")
+    for key, value in cfg.params.items():  # no law or generator takes a bool either
+        if isinstance(value, bool):
+            raise ConfigError(f"{key} has the wrong JSON type: {value!r}")
     return cfg
 
 

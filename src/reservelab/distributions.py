@@ -182,3 +182,25 @@ def _bisect(f: Callable[[float], float], a: float, b: float, fa: float, xtol: fl
         if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
             return float(xm)
     raise DomainError(f"bisection on [{a}, {b}] did not converge in 100 steps")
+
+
+# the double-exponential rule's steps t = k/32, |t| <= 4.3, where e^(-pi sinh t) is 5e-51
+_T = np.arange(-137, 138) / 32.0
+_SINH, _COSH = np.pi * np.sinh(_T), np.pi * np.cosh(_T) / 32.0
+_U, _V, _EXP = 1.0 / (1.0 + np.exp(-_SINH)), 1.0 / (1.0 + np.exp(_SINH)), np.exp(_SINH)
+
+
+def _integrate(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    """Int_a^b f(x) dx by a fixed double-exponential rule (Takahasi & Mori, 1974).
+
+    On [a, b], x = a + (b - a) u with u = 1 / (1 + e^(-pi sinh t)); u and 1 - u are
+    each computed directly, so a node near b keeps its distance from b. On [a, inf),
+    x = a + e^(pi sinh t). f maps the array of nodes to its values, which are summed
+    with their weights by math.fsum. Accurate to rounding for an f that is smooth on
+    the open interval: split at any kink or jump.
+    """
+    if b == math.inf:
+        x, w = a + _EXP, _EXP * _COSH
+    else:
+        x, w = np.where(_T < 0, a + (b - a) * _U, b - (b - a) * _V), (b - a) * _U * _V * _COSH
+    return math.fsum(w * f(x))

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import ContinuousDist, equal_revenue_dist
+from .distributions import ContinuousDist, _integrate, equal_revenue_dist
 from .logs import BidLog
 from .mechanics import BidProfile, Mechanism, ReserveVector, run_auction
 
@@ -116,6 +116,8 @@ def geometric_pair_atoms(K: int, epsilon: float) -> tuple[np.ndarray, np.ndarray
     """Common-bid atoms of the geometric pair: values and probabilities."""
     if not 2 <= K <= 1024:  # past 1024 the top atom 2^(K-1) overflows a float
         raise ValueError(f"K must be in [2, 1024], got {K!r}")
+    if not (epsilon > 0 and math.isfinite(2.0 ** (K - 1) + epsilon)):
+        raise ValueError(f"epsilon must be > 0 with 2^(K-1) + epsilon finite, got {epsilon!r}")
     values = np.array([2.0 ** (k - 1) for k in range(1, K)] + [2.0 ** (K - 1) + epsilon])
     probs = np.array([2.0 ** (-k) for k in range(1, K)] + [2.0 ** (1 - K)])
     return values, probs
@@ -247,25 +249,21 @@ class EqualRevenuePairAnalysis:
 
 def _equal_revenue_pair_expectations(M: float, epsilon: float):
     """Expected revenue functions (lazy, eager) for the correlated pair, by quadrature."""
-    from scipy import integrate  # no CLI command calls this
-
     p_zero = math.log(M) / M
     atom = 1.0 / M
 
     def branch_b(payment, breakpoints):
-        pts = sorted({float(b) for b in breakpoints if 1.0 < b < M})
-        val, _ = integrate.quad(lambda b: payment(b) / b ** 2, 1.0, M,
-                                points=pts or None, limit=200)
-        return val + atom * payment(M)
+        # pieces between the payment's kinks and jumps, where it is smooth
+        pts = sorted({1.0, M, *(float(b) for b in breakpoints if 1.0 < b < M)})
+        return math.fsum([*(_integrate(lambda b: payment(b) / b ** 2, lo, hi)
+                            for lo, hi in zip(pts, pts[1:])), atom * float(payment(M))])
 
     def lazy_rev(r1: float, r2: float) -> float:
         # (0, M) branch: top bidder is the M side
         a = r2 if r2 <= M else 0.0
 
         def pay(b):
-            if b < r1:
-                return 0.0
-            return max(r1, (1.0 - epsilon) * b)
+            return np.where(b >= r1, np.maximum(r1, (1.0 - epsilon) * b), 0.0)
 
         return p_zero * a + (1.0 - p_zero) * branch_b(pay, [r1, r1 / (1.0 - epsilon)])
 
@@ -274,15 +272,9 @@ def _equal_revenue_pair_expectations(M: float, epsilon: float):
         t2 = r2 / (1.0 - epsilon)
 
         def pay(b):
-            s1 = b >= r1
             s2 = (1.0 - epsilon) * b >= r2
-            if s1 and s2:
-                return max(r1, (1.0 - epsilon) * b)
-            if s1:
-                return r1
-            if s2:
-                return r2
-            return 0.0
+            return np.where(b >= r1, np.where(s2, np.maximum(r1, (1.0 - epsilon) * b), r1),
+                            np.where(s2, r2, 0.0))
 
         return p_zero * a + (1.0 - p_zero) * branch_b(pay, [r1, t2, r1 / (1.0 - epsilon)])
 

@@ -436,7 +436,7 @@ def test_sweep_exponential_references_at_any_scale(tmp_path, rate):
     # quadrature in raw x gave a negative or biased reference far from scale 1; below rate
     # 1e-304 its x = scale * u overflowed to inf, and the integrand read inf * 0 = nan
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # scipy's IntegrationWarning included
+        warnings.simplefilter("error")
         assert main(["sweep", "--mode", "theoretical", "--dist", "exponential",
                      "--params", f'{{"rate": {rate}}}', "--n", "3", "--trials", "20000",
                      "--seed", "4", "--out", str(tmp_path)]) == 0
@@ -504,6 +504,9 @@ def test_single_log_commands_refuse_repeated_input(tmp_path, capsys):
     # the largest draw, 53 ln 2 / rate, overflowed in the ppf: a RuntimeWarning, then exit 3
     *[(["sweep", "--dist", "exponential", "--params", f'{{"rate": {rate}}}', "--n", "2",
         "--trials", "100"], None, "rate") for rate in ("1e-308", "1e-307", "2e-307")],
+    # the "top" atom 4 - 3.5 lay below 1 and 2: exit 0; at -5 BidLog's message, no name
+    *[(["gen", "--generator", "geometric_pair", "--params", f'{{"K": 3, "epsilon": {eps}}}',
+        "--count", "5"], None, "epsilon") for eps in ("-3.5", "-5")],
 ])
 def test_bad_config_values_exit_2_naming_the_field(tmp_path, capsys, argv, config, field):
     if config is not None:
@@ -512,6 +515,27 @@ def test_bad_config_values_exit_2_naming_the_field(tmp_path, capsys, argv, confi
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err.split() and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+SWEEP2 = ["sweep", "--n", "2", "--trials", "10", "--dist"]
+GEN5 = ["gen", "--count", "5", "--generator"]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (SWEEP2 + ["exponential", "--params", '{"rate": true}'], "rate"),
+    (SWEEP2 + ["uniform", "--params", '{"lo": false, "hi": true}'], "lo"),
+    (GEN5 + ["high_low", "--params", '{"n": 3, "epsilon": true}'], "epsilon"),
+    (GEN5 + ["symmetric_one_high", "--params", '{"n": 3, "H": true, "L": false}'], "H"),
+    (["gen", "--generator", "hardness",
+      "--params", '{"vertices": [0, 1], "edges": [[0, 1]], "L": true, "H": 1.5}'], "L"),
+    (GEN5 + ["geometric_pair", "--params", '{"K": 3, "epsilon": true}'], "epsilon"),
+])
+def test_boolean_params_exit_2_naming_the_key(tmp_path, capsys, argv, key):
+    # each ran as the number 1 or 0: exponential(1), uniform(0,1), a log with exit 0
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err.split() and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

@@ -104,6 +104,14 @@ def test_geometric_pair_refuses_a_top_atom_past_the_float_range():
     assert geometric_pair_analysis(1024, 0.5).ratio == 1.0
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -3.5, -5.0, math.nan, math.inf, 1e308])
+def test_geometric_pair_refuses_an_epsilon_that_breaks_the_grid(epsilon):
+    # -3.5 put the "top" atom at 0.5, below 1 and 2; 1e308 overflows it at K = 1024
+    for build in (geometric_pair_atoms, gen_geometric_pair):
+        with pytest.raises(ValueError, match="epsilon must be > 0"):
+            build(1024 if epsilon == 1e308 else 3, epsilon)
+
+
 def test_iid_generator():
     gen = gen_iid(uniform_dist(), 3)
     bids = gen.draw(np.random.default_rng(4), 100)

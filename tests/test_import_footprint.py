@@ -1,10 +1,11 @@
-"""No CLI command imports scipy unless it calls it.
+"""No CLI command imports scipy.
 
 Importing scipy costs a reservelab process about a second before it does
-any work. Each case runs one command in a fresh interpreter and lists the
-scipy modules loaded when it returns, so a top-level scipy import anywhere
-the CLI reaches fails here. No command loads numpy.ma either, which np.unique
-imports on its first call (11-17 ms per process).
+any work, and nothing under src/ uses it: tests use it as an oracle. Each
+case runs one command in a fresh interpreter and lists the scipy modules
+loaded when it returns, so a scipy import anywhere the CLI reaches fails
+here. No command loads numpy.ma either, which np.unique imports on its first
+call (11-17 ms per process).
 """
 
 import json
@@ -56,6 +57,7 @@ GEN = ["gen", "--generator", "iid", "--params", IID_PARAMS, "--count", "20", "--
 THEORETICAL = ["sweep", "--mode", "theoretical", "--n", "3", "--trials", "1000",
                "--mechanism", "both"]
 
+# name: argv, with the exit code when it is not 0
 CASES = {
     "import": None,
     "gen-csv": GEN,
@@ -67,7 +69,14 @@ CASES = {
     "sweep-empirical": ["sweep", "--mode", "empirical", "--input", "<log>",
                         "--reserves", "<reserves>", "--mechanism", "both"],
     "sweep-theoretical-uniform": THEORETICAL + ["--dist", "uniform"],
+    "sweep-theoretical-exponential": THEORETICAL + ["--dist", "exponential"],
+    "sweep-theoretical-uniform-3-10": THEORETICAL + ["--dist", "uniform",
+                                                     "--params", '{"lo": 3, "hi": 10}'],
+    # refused after the law is built: phi == 0 has no Myerson reserve
+    "sweep-theoretical-equal-revenue": THEORETICAL + ["--dist", "equal_revenue",
+                                                      "--params", '{"M": 100}'],
 }
+EXIT = {"sweep-theoretical-equal-revenue": 3}
 
 
 def command(name, inputs):
@@ -80,31 +89,34 @@ def command(name, inputs):
 @pytest.mark.parametrize("name", list(CASES))
 def test_command_loads_no_scipy(inputs, name):
     code, modules, _ = loaded_modules(command(name, inputs))
-    assert code == 0
+    assert code == EXIT.get(name, 0)
     assert modules == []
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_command_loads_no_numpy_ma(inputs, name):
     code, _, numpy_ma = loaded_modules(command(name, inputs))
-    assert code == 0
+    assert code == EXIT.get(name, 0)
     assert not numpy_ma
 
 
-def test_exponential_theoretical_sweep_loads_scipy_integrate(inputs):
-    """The guard can fail: a quadrature reference does import scipy."""
-    argv = THEORETICAL + ["--dist", "exponential", "--out", inputs["out"] + "-exponential"]
-    code, modules, _ = loaded_modules(argv)
+def test_the_reader_reports_scipy_integrate_when_the_script_imports_it(inputs):
+    """The guard can fail: a scipy module loaded in the process is listed."""
+    pytest.importorskip("scipy.integrate")
+    code, modules, _ = loaded_modules(command("sweep-theoretical-exponential", inputs),
+                                      "import scipy.integrate\n" + SCRIPT)
     assert code == 0
     assert "scipy.integrate" in modules
 
 
-def test_high_low_exact_loads_no_scipy():
-    """The high-low oracle sums its Binomial pmf by a ratio recurrence, not scipy.stats."""
+def test_construction_analyses_load_no_scipy():
+    """The high-low oracle sums its Binomial pmf by a ratio recurrence, not scipy.stats, and
+    the correlated pair integrates by distributions._integrate, not scipy.integrate."""
     script = """
 import json, sys
-from reservelab.generators import high_low_exact
+from reservelab.generators import equal_revenue_pair_analysis, high_low_exact
 assert high_low_exact(50).ratio > 1.9
+assert equal_revenue_pair_analysis(1e4, 1e-6).ratio > 1.7
 print(json.dumps([0, sorted(m for m in sys.modules if m.startswith("scipy")), None]))
 """
     code, modules, _ = loaded_modules(None, script)
