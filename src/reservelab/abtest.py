@@ -7,12 +7,13 @@ linearly in k. Closed forms for the uniform case, order-statistic quadrature
 for any regular family, and seeded Monte Carlo with common random numbers
 across k make the effect measurable at stated standard errors.
 
-A bidder split (sweep_theoretical, paired_treatment_deltas) treats the bidders of
-rank < k in a random ranking per auction. The treated sets are nested, so every k
-takes its payments from one vectorized.nested_payments pass per block of draws and
-mechanism, and a sweep of both rules draws, ranks and scores each block once. Only
-the auctions where a reserve can bind (vectorized.reserve_can_bind) are ranked and
-scored; every other auction pays its second bid at every k, under both rules.
+A bidder split (sweep_theoretical, paired_treatment_deltas) treats the bidders in
+columns < k: its laws are iid with one reserve, so the draws are exchangeable and those
+columns are a uniformly random k-subset. The treated sets are nested, so every k takes
+its payments from one vectorized.nested_payments pass per block of draws and mechanism,
+and a sweep of both rules draws and scores each block once. Only the auctions where a
+reserve can bind (vectorized.reserve_can_bind) are scored; every other auction pays its
+second bid at every k, under both rules.
 An auction split, simulate_treatment(dist, n, fraction, mechanism, trials, seed),
 treats each auction with probability `fraction`: all its bidders at the Myerson reserve.
 Each refuses a law that is_regular rejects.
@@ -122,29 +123,26 @@ def _moments(dist: ContinuousDist, n: int, trials: int, seed: int, arms) -> tupl
 
 
 def _bidder_arms(mechanisms, r_full: np.ndarray):
-    """Arms treating k of the n bidders, treated sets nested: (c, len(mechanisms) * (n + 1))
-    payments, column j * (n + 1) + k for mechanisms[j] with k bidders treated.
+    """Arms treating the bidders in columns < k, treated sets nested: (c, len(mechanisms) *
+    (n + 1)) payments, column j * (n + 1) + k for mechanisms[j] with k bidders treated.
 
     Every column starts at the auction's second bid (one lazy_order pass), which is the
-    payment wherever no reserve can bind. A uniform (c, n) draw ranks each auction's
-    bidders, and the treated set of k is the bidders of rank < k; only the auctions
-    reserve_can_bind selects are ranked (an argsort per row, so the same ranks as
-    ranking all) and go to nested_payments, which evaluates every k in one pass per
-    mechanism and slice of _SLICE of them, the mechanisms taking turns on a slice
-    while it is in cache (slicing bounds the pass's memory only).
+    payment wherever no reserve can bind. Only the auctions reserve_can_bind selects go
+    to nested_payments, which evaluates every k in one pass per mechanism and slice of
+    _SLICE of them, the mechanisms taking turns on a slice while it is in cache (slicing
+    bounds the pass's memory only). The arms draw nothing from the rng.
     """
     def arms(rng, values):
         c, n = values.shape
-        u = rng.random((c, n))  # for every auction, so the stream is that of ranking all
         second = lazy_order(values)[2]
         out = np.empty((c, len(mechanisms), n + 1))
         out[...] = second[:, None, None]
         rows = reserve_can_bind(second, r_full)
-        binding, perm = values[rows], np.argsort(u[rows], axis=1)  # bidder column at each rank
+        binding = values[rows]
         for s in range(0, len(rows), _SLICE):
             for j, mechanism in enumerate(mechanisms):
                 out[rows[s:s + _SLICE], j] = nested_payments(binding[s:s + _SLICE], r_full,
-                                                             perm[s:s + _SLICE], mechanism)
+                                                             mechanism)
         return out.reshape(c, -1)
     return arms
 
@@ -268,7 +266,7 @@ def sweep_theoretical(dist: ContinuousDist, n: int, mechanisms, trials: int,
 
     One row per k for each of `mechanisms`, mechanism-major in the order
     given. One Monte-Carlo pass scores every mechanism, so all rows, across
-    k and across mechanisms, share their draws and treatment ranks.
+    k and across mechanisms, share their draws; k treats the columns < k.
     References: closed forms for uniform(0,1), quadrature for other
     families; lazy interpolates linearly between its k = 0 and k = n
     endpoints. A non-finite mean, stderr or reference, or a negative reference,
@@ -339,7 +337,7 @@ def empirical_treatment_sweep(log: BidLog, reserves: ReserveVector, fractions,
         raise ValueError("assignments_per_point must be >= 1")
     bids = log.to_matrix()
     n = len(log.bidder_ids)
-    r_full = np.array([reserves.get(b) for b in log.bidder_ids])
+    r_full = reserves.row(log.bidder_ids)
     order = lazy_order(bids)
     rng = np.random.default_rng(seed)
     revenue: dict[tuple[int, ...], float] = {}  # sorted treated subset -> mean log revenue

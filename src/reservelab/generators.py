@@ -64,8 +64,8 @@ def gen_high_low(n: int, epsilon: float = 1e-9) -> JointGenerator:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
     q = 1.0 / n ** 2
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -101,8 +101,8 @@ def gen_symmetric_one_high(n: int, H: float, L: float) -> JointGenerator:
     """Exchangeable, not independent: one uniformly chosen bidder bids H, the rest L."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    if not H > L >= 0:
-        raise ValueError("need H > L >= 0")
+    if not math.inf > H > L >= 0:
+        raise ValueError(f"H and L must be finite with H > L >= 0, got {H!r} and {L!r}")
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
         out = np.full((count, n), float(L))

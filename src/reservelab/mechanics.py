@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+import numpy as np
+
 
 class Mechanism(enum.Enum):
     LAZY = "lazy"
@@ -62,6 +64,10 @@ class ReserveVector:
 
     def get(self, bidder: str) -> float:
         return self.reserves.get(bidder, 0.0)
+
+    def row(self, bidder_ids) -> np.ndarray:
+        """The reserves in bidder order: the (n,) row the payment kernels take."""
+        return np.array([self.get(b) for b in bidder_ids], dtype=float)
 
     @staticmethod
     def zero() -> "ReserveVector":

@@ -65,14 +65,10 @@ class OptimizationResult:
     converged: bool | None = None
 
 
-def _reserve_row(log: BidLog, reserves: ReserveVector) -> np.ndarray:
-    return np.array([reserves.get(b) for b in log.bidder_ids])
-
-
 def empirical_totals(log: BidLog, reserves: ReserveVector,
                      mechanism: Mechanism) -> tuple[float, float]:
     """Total payment and total welfare over the log's auctions, each an exact fsum."""
-    pay, wel = payments(log.to_matrix(), _reserve_row(log, reserves), mechanism,
+    pay, wel = payments(log.to_matrix(), reserves.row(log.bidder_ids), mechanism,
                         return_welfare=True)
     return math.fsum(pay.tolist()), math.fsum(wel.tolist())
 
@@ -346,7 +342,7 @@ def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
     cands = _global_candidates(log)
     bids = log.to_matrix()
     n = len(log.bidder_ids)
-    current = np.array([init.get(b) for b in log.bidder_ids])
+    current = init.row(log.bidder_ids)
     current_total = float(_eager_totals_for_rows(bids, current[None, :])[0])
 
     rounds, converged = 0, False

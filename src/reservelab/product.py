@@ -104,7 +104,7 @@ def expected_revenue_product(dist: ProductDist, reserves: ReserveVector,
         raise SearchSpaceTooLarge(
             f"{dist.support_size()} profiles exceed max_profiles={_MAX_PROFILES}")
     values, probs = _profile_arrays(dist)
-    row = np.array([reserves.get(b) for b in dist.bidder_ids()])
+    row = reserves.row(dist.bidder_ids())
     return math.fsum((probs * payments(values, row, mechanism)).tolist())
 
 

@@ -9,11 +9,11 @@ Semantics match mechanics.run_lazy / run_eager exactly (same weak
 inequalities, same smallest-column tie-break); the scalar functions stay the
 reference and the test suite cross-checks the two.
 
-nested_payments evaluates nested treated sets: the bidders at treatment ranks
-0..k-1 hold their reserves, the rest hold 0, for every k = 0..n at once. The
-sets grow one bidder per rank, so top-two scans over the rank order (treated
-prefix, untreated suffix) give every k's outcome from selections alone, equal
-to one kernel call per k; the suffix scan read backwards is already in k order.
+nested_payments evaluates nested treated sets: the bidders in columns < k hold
+their reserves, the rest hold 0, for every k = 0..n at once. The sets grow one
+column at a time, so top-two scans over the columns (treated prefix, untreated
+suffix) give every k's outcome from selections alone, equal to one kernel call
+per k; the suffix scan read backwards is already in k order.
 
 reserve_can_bind states when a reserve can change an auction's price at all; the
 sweeps send only those auctions to a kernel.
@@ -104,9 +104,9 @@ def payments(bids: np.ndarray, reserves: np.ndarray, mechanism: Mechanism,
 
 
 def _running_top_two(bids: np.ndarray, reserves: np.ndarray):
-    """Top two of bids[:t] for t = 0..m, over (m, T) rows in scan order: the (m + 1, T)
-    top bid, the reserve of a bidder holding it and the second-highest bid; an empty
-    prefix has top and second -inf."""
+    """Top two of bids[:t] for t = 0..m, over (m, T) rows in scan order with the (m,) reserve
+    of each row: the (m + 1, T) top bid, the reserve of a bidder holding it and the
+    second-highest bid; an empty prefix has top and second -inf."""
     top = np.full((len(bids) + 1,) + bids.shape[1:], ABSENT)
     second = top.copy()
     r_top = np.zeros(top.shape)
@@ -117,41 +117,34 @@ def _running_top_two(bids: np.ndarray, reserves: np.ndarray):
     return top, r_top, second
 
 
-def nested_payments(bids: np.ndarray, reserves: np.ndarray, perm: np.ndarray,
+def nested_payments(bids: np.ndarray, reserves: np.ndarray,
                     mechanism: Mechanism) -> np.ndarray:
-    """(T, n + 1) payments: column k has the bidders perm[:, :k] at `reserves` (one
-    (n,) row) and the others at 0, exactly as payments() with that reserve array.
+    """(T, n + 1) payments: column k has the bidders in columns < k at `reserves` (one (n,)
+    row) and the others at 0, exactly as payments() with that reserve array.
 
-    perm is (T, n) or (n,): the bidder column at each treatment rank. Lazy runs
-    lazy_order once and picks, per k, the treated or untreated outcome by the
-    winner's rank. Eager scans the rank order once from each end, prefix top-two
-    of the treated bids that clear their reserve and suffix top-two of the
-    untreated bids >= 0, and merges the two at each k. Which of several tied top
-    bidders wins does not matter there: a tie makes the second bid equal the top,
-    every survivor's reserve is at most its bid, so the payment is the top bid.
+    Lazy runs lazy_order once and picks, per k, the treated or untreated outcome by
+    whether the winner's column is < k. Eager scans the columns once from each end,
+    prefix top-two of the treated bids that clear their reserve and suffix top-two of
+    the untreated bids >= 0, and merges the two at each k. Which of several tied top
+    bidders wins does not matter there: a tie makes the second bid equal the top, every
+    survivor's reserve is at most its bid, so the payment is the top bid.
     Exact on any rows; the sweeps pass only those reserve_can_bind selects.
     """
     bids = np.asarray(bids, dtype=float)
     reserves = np.asarray(reserves, dtype=float)
-    T, n = bids.shape
-    perm = np.broadcast_to(perm, (T, n))
+    n = bids.shape[1]
     if mechanism is Mechanism.LAZY:
         order = lazy_order(bids)
-        ranks = np.empty((T, n), dtype=np.intp)
-        np.put_along_axis(ranks, perm, np.arange(n), axis=1)
-        rank_w = np.take_along_axis(ranks, order[0][:, None], axis=1)
-        return np.where(rank_w < np.arange(n + 1), lazy_select(order, reserves)[:, None],
+        return np.where(order[0][:, None] < np.arange(n + 1),
+                        lazy_select(order, reserves)[:, None],
                         lazy_select(order, np.zeros(n))[:, None])
-    cols = np.ascontiguousarray(perm.T)  # (n, T): bidder column at each rank
-    ranked = np.take_along_axis(bids.T, cols, axis=0)
-    r_ranked = reserves[cols]
-    untreated = np.where(ranked >= 0.0, ranked, ABSENT)
-    # row k of the prefix scan: the treated ranks < k; row n - k of the suffix scan
-    # (row k of its reversed view): the untreated ranks >= k
+    cols = np.ascontiguousarray(bids.T)  # (n, T): each scan step reads one bidder's bids
+    # row k of the prefix scan: the treated columns < k; row n - k of the suffix scan
+    # (row k of its reversed view): the untreated columns >= k
     p_top, p_res, p_second = _running_top_two(
-        np.where(ranked >= r_ranked, ranked, ABSENT), r_ranked)
+        np.where(cols >= reserves[:, None], cols, ABSENT), reserves)
     s_top, _, s_second = (a[::-1] for a in _running_top_two(
-        untreated[::-1], np.zeros_like(untreated)))
+        np.where(cols >= 0.0, cols, ABSENT)[::-1], np.zeros(n)))
     top = np.maximum(p_top, s_top)
     second = np.maximum(np.maximum(p_second, s_second), np.minimum(p_top, s_top))
     r_w = np.where(p_top > s_top, p_res, 0.0)

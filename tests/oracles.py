@@ -46,3 +46,20 @@ def profile_arrays(dist):
     values = np.array([[v for v, _ in combo] for combo in combos])
     probs = np.array([math.prod(p for _, p in combo) for combo in combos])
     return values, probs
+
+
+def high_low_weighted_log(n: int, delta: float):
+    """The high-low law (each of n bidders bids n w.p. 1/n^2, else 1) with its noise
+    -> 0, as a weighted log: every level profile in {1, n}^n under every tie order,
+    the bidder at place r of the order bidding its level plus r * delta. Returns the
+    (2^n n!, n) bids and weights that sum to 1, each profile's split evenly over the
+    n! orders, so every tie goes to each tied bidder equally often."""
+    q = 1.0 / n ** 2
+    orders = list(itertools.permutations(range(n)))
+    bids, weights = [], []
+    for levels in itertools.product((1.0, float(n)), repeat=n):
+        p = math.prod(q if v > 1.0 else 1.0 - q for v in levels) / len(orders)
+        for order in orders:
+            bids.append([v + delta * r for v, r in zip(levels, order)])
+            weights.append(p)
+    return np.array(bids), np.array(weights)

@@ -1,5 +1,6 @@
 """Treatment simulation: closed forms, quadrature references, and paired sweeps."""
 
+import itertools
 import math
 
 import numpy as np
@@ -150,8 +151,10 @@ def test_narrow_support_far_from_zero_is_judged_regular():
                for r in res.rows)
 
 
-def _reference_bidder_chunks(dist, n, mechanism, trials, seed, ks, r_full):
-    """The per-k kernel loop as first written: (c, len(ks)) payments per chunk of draws."""
+def _reference_bidder_chunks(dist, n, mechanism, trials, seed, ks, r_full, ranked=False):
+    """The per-k kernel loop: (c, len(ks)) payments per chunk of draws, the bidders in
+    columns < k treated, or with `ranked` those of rank < k in a fresh uniform ranking per
+    auction (drawn after the values), the treated set the bidder split once used."""
     ks = list(ks)
     rng = np.random.default_rng(seed)
     remaining = trials
@@ -159,11 +162,11 @@ def _reference_bidder_chunks(dist, n, mechanism, trials, seed, ks, r_full):
         c = min(abtest._CHUNK, remaining)
         remaining -= c
         values = dist.sample(rng, (c, n))
-        order = np.argsort(rng.random((c, n)), axis=1)
-        ranks = np.argsort(order, axis=1)
+        ranks = (np.argsort(np.argsort(rng.random((c, n)), axis=1), axis=1) if ranked
+                 else np.arange(n))
         out = np.empty((c, len(ks)))
         for j, k in enumerate(ks):
-            reserves = np.where(ranks < k, r_full[None, :], 0.0)
+            reserves = np.where(ranks < k, r_full, 0.0)
             out[:, j] = payments(values, reserves, mechanism)
         yield out
 
@@ -184,12 +187,12 @@ def _reference_simulate(dist, n, p, mechanism, trials, seed):
     return SweepRow(p, mechanism, *abtest._mean_stderr(*stats, 1.0), trials)
 
 
-def _reference_all_k(n, mechanism, trials, seed, diff=False, dist=UNIFORM):
-    """Per-k (or adjacent-k difference) means and stderrs of the first-written loop,
+def _reference_all_k(n, mechanism, trials, seed, diff=False, dist=UNIFORM, ranked=False):
+    """Per-k (or adjacent-k difference) means and stderrs of the per-k kernel loop,
     merging raw payments."""
     stats = (0, 0.0, 0.0)
     for block in _reference_bidder_chunks(dist, n, mechanism, trials, seed, range(n + 1),
-                                          _myerson_row(dist, n)):
+                                          _myerson_row(dist, n), ranked):
         stats = abtest._merge_moments(stats, np.diff(block, axis=1) if diff else block)
     count, means, m2s = stats
     return [abtest._mean_stderr(count, mean, m2, 1.0) for mean, m2 in zip(means, m2s)]
@@ -203,7 +206,7 @@ _GRID = [-0.5, 0.0, 0.25, 0.5, 1.0]  # coarse, so bids tie with each other and w
 @st.composite
 def chunk_cases(draw):
     """A chunk of tied values (one negative level, some absent bids), a reserve row with
-    0, +inf and bid levels, the mechanisms in some order and the ranking draw's seed."""
+    0, +inf and bid levels, the mechanisms in some order and an rng seed."""
     n = draw(st.integers(1, 12))
     c = draw(st.integers(1, 25))
     values = np.array(draw(st.lists(st.sampled_from(_GRID + [ABSENT]),
@@ -222,9 +225,7 @@ def test_bidder_arms_equal_the_per_k_kernels_property(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(abtest, "_SLICE", 7)  # several all-k passes per chunk
         got = abtest._bidder_arms(mechanisms, r_full)(np.random.default_rng(seed), values)
-    u = np.random.default_rng(seed).random((c, n))
-    ranks = np.argsort(np.argsort(u, axis=1), axis=1)
-    want = np.stack([payments(values, np.where(ranks < k, r_full, 0.0), mech)
+    want = np.stack([payments(values, np.where(np.arange(n) < k, r_full, 0.0), mech)
                      for mech in mechanisms for k in range(n + 1)], axis=1)
     assert np.array_equal(got, want)
 
@@ -249,13 +250,12 @@ _EDGE_RESERVES = [np.array([0.25, 0.5, 0.5]), np.array([0.0, math.inf, 0.5]),
 
 @pytest.mark.parametrize("r_full", _EDGE_RESERVES, ids=["0.25-0.5-0.5", "inf", "one", "none"])
 def test_bidder_arms_at_the_binding_edges_equal_the_per_k_kernels(r_full):
-    c, n = _EDGE_BIDS.shape
+    n = _EDGE_BIDS.shape[1]
     mechanisms = list(Mechanism)
-    for seed in range(6):  # several rankings, so each bidder is treated first somewhere
-        got = abtest._bidder_arms(mechanisms, r_full)(np.random.default_rng(seed), _EDGE_BIDS)
-        ranks = np.argsort(np.argsort(np.random.default_rng(seed).random((c, n)), axis=1),
-                           axis=1)
-        want = np.stack([payments(_EDGE_BIDS, np.where(ranks < k, r_full, 0.0), mech)
+    for cols in itertools.permutations(range(n)):  # so each bidder is treated first somewhere
+        bids, r = _EDGE_BIDS[:, list(cols)], r_full[list(cols)]
+        got = abtest._bidder_arms(mechanisms, r)(np.random.default_rng(0), bids)
+        want = np.stack([payments(bids, np.where(np.arange(n) < k, r, 0.0), mech)
                          for mech in mechanisms for k in range(n + 1)], axis=1)
         assert np.array_equal(got, want)
 
@@ -281,9 +281,9 @@ def test_bidder_split_kernels_see_only_the_auctions_where_a_reserve_can_bind(mon
     n, trials, seed = 10, 20_000, 4
     seen, original = {mech: [] for mech in Mechanism}, abtest.nested_payments
 
-    def recording(bids, reserves, perm, mechanism):
+    def recording(bids, reserves, mechanism):
         seen[mechanism].append(np.array(bids))
-        return original(bids, reserves, perm, mechanism)
+        return original(bids, reserves, mechanism)
 
     monkeypatch.setattr(abtest, "nested_payments", recording)
     sweep_theoretical(UNIFORM, n, list(Mechanism), trials, seed)
@@ -353,6 +353,21 @@ def test_bidder_split_off_scale_1_agrees_with_raw_moments(n, mech):
         for g, (mean, se) in zip(got, want):
             assert g.mean == pytest.approx(mean, rel=1e-12)
             assert g.stderr == pytest.approx(se, rel=1e-9)
+
+
+@pytest.mark.parametrize("dist", [UNIFORM, exponential_dist(1.0)], ids=["uniform", "exp"])
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("mech", list(Mechanism))
+def test_first_k_columns_estimate_what_a_random_ranking_does(dist, n, mech):
+    # iid draws with one common reserve are exchangeable, so treating columns < k has the
+    # law of treating a uniformly random k-subset per auction: the two estimates agree
+    # within noise on every row (independent seeds, so their variances add)
+    trials = 200_000
+    rows = sweep_theoretical(dist, n, [mech], trials, seed=41).rows
+    ranked = _reference_all_k(n, mech, trials, 42, dist=dist, ranked=True)
+    assert len(rows) == len(ranked) == n + 1
+    for row, (mean, se) in zip(rows, ranked):
+        assert abs(row.mean - mean) <= 5.0 * math.hypot(row.stderr, se)
 
 
 def test_uniform_lazy_endpoints_closed_form_matches_quadrature():

@@ -478,6 +478,10 @@ def test_single_log_commands_refuse_repeated_input(tmp_path, capsys):
     assert not (tmp_path / "o2").exists() and not (tmp_path / "s2").exists()
 
 
+SWEEP2 = ["sweep", "--n", "2", "--trials", "10", "--dist"]
+GEN5 = ["gen", "--count", "5", "--generator"]
+
+
 @pytest.mark.parametrize("argv, config, field", [
     (["gen", "--generator", "iid", "--params", IID_PARAMS], {"count": "10"}, "count"),
     (["gen", "--generator", "iid", "--count", "5",
@@ -507,6 +511,12 @@ def test_single_log_commands_refuse_repeated_input(tmp_path, capsys):
     # the "top" atom 4 - 3.5 lay below 1 and 2: exit 0; at -5 BidLog's message, no name
     *[(["gen", "--generator", "geometric_pair", "--params", f'{{"K": 3, "epsilon": {eps}}}',
         "--count", "5"], None, "epsilon") for eps in ("-3.5", "-5")],
+    # an infinite epsilon or H, or a NaN epsilon, made a log whose BidLog message names
+    # no parameter
+    *[(GEN5 + ["high_low", "--params", f'{{"n": 3, "epsilon": {eps}}}'], None, "epsilon")
+      for eps in ("Infinity", "NaN")],
+    *[(GEN5 + ["symmetric_one_high", "--params", f'{{"n": 3, "H": {h}, "L": 1}}'], None, "H")
+      for h in ("Infinity", "NaN")],
 ])
 def test_bad_config_values_exit_2_naming_the_field(tmp_path, capsys, argv, config, field):
     if config is not None:
@@ -516,10 +526,6 @@ def test_bad_config_values_exit_2_naming_the_field(tmp_path, capsys, argv, confi
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err.split() and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
-
-
-SWEEP2 = ["sweep", "--n", "2", "--trials", "10", "--dist"]
-GEN5 = ["gen", "--count", "5", "--generator"]
 
 
 @pytest.mark.parametrize("argv, key", [

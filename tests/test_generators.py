@@ -14,7 +14,10 @@ from reservelab.generators import (EqualRevenuePairAnalysis, JointGenerator,
                                    geometric_pair_atoms, high_low_exact,
                                    independent_set_number, sample_log)
 from reservelab.mechanics import Mechanism
+from reservelab.optimize import exact_eager_search, exact_lazy_search
 from reservelab.vectorized import payments
+
+from oracles import high_low_weighted_log
 
 
 def test_sample_log_deterministic():
@@ -166,6 +169,27 @@ def test_high_low_ratio_climbs_toward_two():
     ratios = [high_low_exact(n).ratio for n in (50, 100, 200)]
     assert all(r >= 1.7 for r in ratios)
     assert ratios[0] < ratios[1] < ratios[2] < 2.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_high_low_analysis_equals_the_searches_on_its_weighted_log(n):
+    """Criterion 08 a second way, on the law as a weighted log of its level profiles and
+    tie orders (oracles.high_low_weighted_log). Each tie order lifts a bid by under
+    n * delta, so each revenue moves by less than that."""
+    delta = 1e-7
+    bids, weights = high_low_weighted_log(n, delta)
+    assert math.fsum(weights.tolist()) == pytest.approx(1.0, rel=1e-15)
+
+    def revenue(reserves, mechanism):
+        return math.fsum((weights * payments(bids, np.asarray(reserves), mechanism)).tolist())
+
+    a = high_low_exact(n)
+    eager = revenue([1.0] + [float(n)] * (n - 1), Mechanism.EAGER)
+    assert abs(eager - a.eager_revenue) <= n * delta
+    lazy = revenue(exact_lazy_search(bids, weights), Mechanism.LAZY)
+    assert abs(lazy - a.optimal_lazy_revenue) <= n * delta
+    best = exact_eager_search(bids, np.array([0.0, 1.0, float(n)]), weights)
+    assert abs(revenue(best, Mechanism.EAGER) - a.eager_revenue) <= n * delta
 
 
 def test_equal_revenue_pair_analysis():

@@ -83,6 +83,11 @@ def test_reserve_validation():
     assert ReserveVector.zero().get("anyone") == 0.0
 
 
+def test_reserve_row_is_in_the_given_bidder_order():
+    row = ReserveVector({"B": 2, "A": math.inf}).row(["C", "A", "B"])
+    assert row.dtype == float and row.tolist() == [0.0, math.inf, 2.0]
+
+
 def test_critical_bid_fixtures():
     r = ReserveVector({"A": 8.0, "B": 1.0, "C": 2.0})
     assert critical_bid(THREE, r, "A", Mechanism.LAZY) == 8.0

@@ -113,19 +113,19 @@ def test_lazy_order():
 
 
 def test_nested_payments_by_hand():
-    # bids 5, 5, 2, 4; treatment ranks put bidder 3 first, then 1, 0, 2; reserves 4.5, 6, 0, 4
-    bids = np.array([[5.0, 5.0, 2.0, 4.0]])
-    reserves = np.array([4.5, 6.0, 0.0, 4.0])
-    perm = np.array([3, 1, 0, 2])
-    # eager, k = 0 and 1: bidders 0 and 1 tie at 5; k = 2: bidder 1 misses its 6, so 0 wins
-    # at the second bid 4; k = 3 and 4: bidder 0 now holds 4.5 and pays it
-    eager = nested_payments(bids, reserves, perm, Mechanism.EAGER)
-    lazy = nested_payments(bids, reserves, perm, Mechanism.LAZY)
+    # bids 4, 5, 5, 2; reserves 4, 6, 4.5, 0; column k joins the treated set at k + 1
+    bids = np.array([[4.0, 5.0, 5.0, 2.0]])
+    reserves = np.array([4.0, 6.0, 4.5, 0.0])
+    # eager, k = 0 and 1: columns 1 and 2 tie at 5 (column 0 clears its 4); k = 2: column 1
+    # misses its 6, so column 2 wins at the second bid 4; k = 3 and 4: column 2 now holds
+    # 4.5 and pays it
+    eager = nested_payments(bids, reserves, Mechanism.EAGER)
+    lazy = nested_payments(bids, reserves, Mechanism.LAZY)
     assert eager.tolist() == [[5.0, 5.0, 4.0, 4.5, 4.5]]
-    # the tie goes to bidder 0, who clears its 4.5 once treated (k = 3 and 4)
-    assert lazy.tolist() == [[5.0, 5.0, 5.0, 5.0, 5.0]]
+    # the tie goes to column 1, which misses its 6 once treated (k >= 2)
+    assert lazy.tolist() == [[5.0, 5.0, 0.0, 0.0, 0.0]]
     for k in range(5):
-        row = np.where(np.isin(np.arange(4), perm[:k]), reserves, 0.0)
+        row = np.where(np.arange(4) < k, reserves, 0.0)
         assert eager_payments(bids, row).tolist() == [eager[0, k]]
         assert lazy_payments(bids, row).tolist() == [lazy[0, k]]
 
