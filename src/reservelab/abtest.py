@@ -13,7 +13,8 @@ columns are a uniformly random k-subset. The treated sets are nested, so every k
 its payments from one vectorized.nested_payments pass per block of draws and mechanism,
 and a sweep of both rules draws and scores each block once. Only the auctions where a
 reserve can bind (vectorized.reserve_can_bind) are scored; every other auction pays its
-second bid at every k, under both rules.
+second bid at every k, under both rules, so it enters the moments as one column per
+block of draws, which the merge broadcasts over every (mechanism, k) column.
 An auction split, simulate_treatment(dist, n, fraction, mechanism, trials, seed),
 treats each auction with probability `fraction`: all its bidders at the Myerson reserve.
 Each refuses a law that is_regular rejects.
@@ -64,6 +65,14 @@ class SweepResult:
                          f"{r.stderr:.10g}\t{r.trials}\t{ref}")
         return "\n".join(lines) + "\n"
 
+    def max_abs_z(self) -> Optional[float]:
+        """The largest |mean - reference| / stderr over the rows, all of which have a
+        reference. A row of stderr 0 counts 0 when its mean is its reference; any other
+        row whose z is not a finite number gives None (null in JSON, which has no inf)."""
+        z = max(abs(r.mean - r.reference) / r.stderr if r.stderr > 0
+                else 0.0 if r.mean == r.reference else math.inf for r in self.rows)
+        return z if math.isfinite(z) else None
+
 
 def _merge_moments(stats: tuple, block: np.ndarray) -> tuple:
     """Fold the samples of `block` (axis 0) into running per-column (count, mean, M2).
@@ -71,9 +80,13 @@ def _merge_moments(stats: tuple, block: np.ndarray) -> tuple:
     M2 is the sum of squared deviations from the mean. Blocks merge with the
     Chan-Golub-LeVeque update, so the variance never comes from subtracting two
     large sums of squares and stays exact when the mean is large against the spread.
+    A block of one column whose samples hold in every column merges into all of them
+    (broadcast); an empty block leaves the stats as they are.
     """
     count, mean, m2 = stats
     c = block.shape[0]
+    if c == 0:
+        return stats
     b_mean = block.mean(axis=0)
     total = count + c
     delta = b_mean - mean
@@ -99,51 +112,57 @@ def _moments(dist: ContinuousDist, n: int, trials: int, seed: int, arms) -> tupl
     merged in the law's unit (payment / dist.scale), so no square over- or underflows.
 
     Each block of up to _CHUNK auctions draws its (c, n) values first; then arms(rng,
-    values) draws any treatment from the same rng and returns the block's payments, one
-    row per auction (common random numbers). A law with values below 0 is a DomainError:
-    the payment kernels never sell to a negative bid, but the references integrate over it.
-    So is a draw that is not a finite number, which the kernels would read as a bid that
-    clears no reserve.
+    values) draws any treatment from the same rng and returns the block's payments as
+    groups of auctions, one row per auction (common random numbers). The first group has
+    every column, even with no rows, and sets the width of the stats; a later group of
+    one column pays the same in every column. Each group merges on its own, in order.
+    A law with values below 0 is a DomainError: the payment kernels never sell to a
+    negative bid, but the references integrate over it. So is a draw that is not a
+    finite number, which the kernels would read as a bid that clears no reserve.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if dist.lo < 0:
         raise DomainError(f"{dist.name}: support reaches below 0; values must be >= 0")
     rng = np.random.default_rng(seed)
-    stats = (0, 0.0, 0.0)
+    stats = None
     for first in range(0, trials, _CHUNK):
         values = dist.sample(rng, (min(_CHUNK, trials - first), n))
         if not np.isfinite(values).all():
             raise DomainError(f"{dist.name}: a draw is not a finite number")
-        block = arms(rng, values)
-        block /= dist.scale  # in place: a second block would add to peak memory
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf/nan moments
-            stats = _merge_moments(stats, block)
+        groups = arms(rng, values)
+        if stats is None:
+            stats = (0, np.zeros(groups[0].shape[1:]), np.zeros(groups[0].shape[1:]))
+        for group in groups:
+            group /= dist.scale  # in place: a second copy would add to peak memory
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf/nan
+                stats = _merge_moments(stats, group)
     return stats
 
 
 def _bidder_arms(mechanisms, r_full: np.ndarray):
-    """Arms treating the bidders in columns < k, treated sets nested: (c, len(mechanisms) *
-    (n + 1)) payments, column j * (n + 1) + k for mechanisms[j] with k bidders treated.
+    """Arms treating the bidders in columns < k, treated sets nested. Per block, two groups:
+    the (c_b, len(mechanisms) * (n + 1)) payments of the c_b auctions reserve_can_bind
+    selects, column j * (n + 1) + k for mechanisms[j] with k bidders treated, then the
+    (c - c_b, 1) second bids of the other auctions, which each of them pays in every column.
 
-    Every column starts at the auction's second bid (one lazy_order pass), which is the
-    payment wherever no reserve can bind. Only the auctions reserve_can_bind selects go
-    to nested_payments, which evaluates every k in one pass per mechanism and slice of
-    _SLICE of them, the mechanisms taking turns on a slice while it is in cache (slicing
-    bounds the pass's memory only). The arms draw nothing from the rng.
+    The second bids come from one lazy_order pass. The binding auctions go to
+    nested_payments, which evaluates every k in one pass per mechanism and slice of _SLICE
+    of them, the mechanisms taking turns on a slice while it is in cache (slicing bounds
+    the pass's memory only). No (c, ...) block of payments is built. The arms draw nothing
+    from the rng.
     """
     def arms(rng, values):
-        c, n = values.shape
+        n = values.shape[1]
         second = lazy_order(values)[2]
-        out = np.empty((c, len(mechanisms), n + 1))
-        out[...] = second[:, None, None]
         rows = reserve_can_bind(second, r_full)
         binding = values[rows]
+        block = np.empty((len(rows), len(mechanisms) * (n + 1)))
         for s in range(0, len(rows), _SLICE):
             for j, mechanism in enumerate(mechanisms):
-                out[rows[s:s + _SLICE], j] = nested_payments(binding[s:s + _SLICE], r_full,
-                                                             mechanism)
-        return out.reshape(c, -1)
+                block[s:s + _SLICE, j * (n + 1):(j + 1) * (n + 1)] = nested_payments(
+                    binding[s:s + _SLICE], r_full, mechanism)
+        return block, np.delete(second, rows)[:, None]
     return arms
 
 
@@ -160,7 +179,7 @@ def simulate_treatment(dist: ContinuousDist, n: int, fraction: float, mechanism:
 
     def arm(rng, values):
         treated = rng.random(len(values)) < fraction
-        return payments(values, np.where(treated[:, None], r_full, 0.0), mechanism)
+        return (payments(values, np.where(treated[:, None], r_full, 0.0), mechanism),)
 
     mean, se = _mean_stderr(*_moments(dist, n, trials, seed, arm), dist.scale)
     return SweepRow(fraction, mechanism, mean, se, trials)
@@ -304,8 +323,12 @@ def paired_treatment_deltas(dist: ContinuousDist, n: int, mechanism: Mechanism,
     estimates, which is what makes the small monotone-decrease gaps testable.
     """
     arms = _bidder_arms([mechanism], _myerson_row(dist, n))
-    count, means, m2s = _moments(dist, n, trials, seed,
-                                 lambda rng, v: np.diff(arms(rng, v), axis=1))
+
+    def deltas(rng, values):
+        block, rest = arms(rng, values)  # an auction no reserve can bind differs by 0
+        return np.diff(block, axis=1), np.zeros(rest.shape)
+
+    count, means, m2s = _moments(dist, n, trials, seed, deltas)
     out = []
     for k in range(n):
         mean, se = _mean_stderr(count, means[k], m2s[k], dist.scale)

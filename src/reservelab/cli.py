@@ -296,7 +296,10 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list[str], dict]:
     for res in results:
         rows.extend(res.rows)
     combined = SweepResult(tuple(rows), cfg.seed, results[0].descriptor)
-    return [_write_text(cfg, "sweep.tsv", combined.to_tsv())], {"rows": len(rows)}
+    extra = {"rows": len(rows)}
+    if cfg.mode == "theoretical":
+        extra["max_abs_z"] = combined.max_abs_z()
+    return [_write_text(cfg, "sweep.tsv", combined.to_tsv())], extra
 
 
 # What each subcommand reads: its handler (whose docstring is its help), the flags every run

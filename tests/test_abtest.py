@@ -102,18 +102,17 @@ def test_simulate_treatment_deterministic():
 def test_stderr_exact_at_large_means():
     # 1e6 payments near 1e9 with spread ~0.24: a sum of squares minus count * mean^2
     # cancels to noise; merged per-chunk deviations keep the stderr of the unshifted draws.
-    # No reserves: the bidder split's k = 0 row and an auction split of fraction 0. The
-    # sweep's block mean sums a column of a 2-D block in order, not pairwise: about 1e-5
-    # of rounding at 1e9, so its mean is held to 1e-13 relative, the auction split's to 1e-6
+    # No reserves: the bidder split's k = 0 row and an auction split of fraction 0. Both
+    # means sum one column pairwise (the sweep's Myerson reserve 1e9 binds nowhere, so its
+    # auctions merge as one column), so both are held to 1e-6 at 1e9, 1e-15 relative
     plain = uniform_dist()
     shifted = uniform_dist(1e9, 1e9 + 1.0)
-    for estimate, mean_tol in (
-            (lambda d: sweep_theoretical(d, 2, [Mechanism.LAZY], 1_000_000, 3).rows[0], 1e-4),
-            (lambda d: simulate_treatment(d, 2, 0.0, Mechanism.LAZY, 1_000_000, 3), 1e-6)):
+    for estimate in (lambda d: sweep_theoretical(d, 2, [Mechanism.LAZY], 1_000_000, 3).rows[0],
+                     lambda d: simulate_treatment(d, 2, 0.0, Mechanism.LAZY, 1_000_000, 3)):
         small, big = estimate(plain), estimate(shifted)
         assert abs(small.stderr - math.sqrt(1.0 / 18.0) / 1000.0) < 0.01 * small.stderr
         assert abs(big.stderr - small.stderr) < 1e-3 * small.stderr
-        assert abs(big.mean - 1e9 - small.mean) < mean_tol
+        assert abs(big.mean - 1e9 - small.mean) < 1e-6
 
 
 def test_sweep_matches_references():
@@ -152,9 +151,10 @@ def test_narrow_support_far_from_zero_is_judged_regular():
 
 
 def _reference_bidder_chunks(dist, n, mechanism, trials, seed, ks, r_full, ranked=False):
-    """The per-k kernel loop: (c, len(ks)) payments per chunk of draws, the bidders in
-    columns < k treated, or with `ranked` those of rank < k in a fresh uniform ranking per
-    auction (drawn after the values), the treated set the bidder split once used."""
+    """The per-k kernel loop: each chunk's (c, n) values and (c, len(ks)) payments, the
+    bidders in columns < k treated, or with `ranked` those of rank < k in a fresh uniform
+    ranking per auction (drawn after the values), the treated set the bidder split once
+    used."""
     ks = list(ks)
     rng = np.random.default_rng(seed)
     remaining = trials
@@ -168,7 +168,7 @@ def _reference_bidder_chunks(dist, n, mechanism, trials, seed, ks, r_full, ranke
         for j, k in enumerate(ks):
             reserves = np.where(ranks < k, r_full, 0.0)
             out[:, j] = payments(values, reserves, mechanism)
-        yield out
+        yield values, out
 
 
 def _reference_simulate(dist, n, p, mechanism, trials, seed):
@@ -187,15 +187,25 @@ def _reference_simulate(dist, n, p, mechanism, trials, seed):
     return SweepRow(p, mechanism, *abtest._mean_stderr(*stats, 1.0), trials)
 
 
-def _reference_all_k(n, mechanism, trials, seed, diff=False, dist=UNIFORM, ranked=False):
-    """Per-k (or adjacent-k difference) means and stderrs of the per-k kernel loop,
-    merging raw payments."""
-    stats = (0, 0.0, 0.0)
-    for block in _reference_bidder_chunks(dist, n, mechanism, trials, seed, range(n + 1),
-                                          _myerson_row(dist, n), ranked):
-        stats = abtest._merge_moments(stats, np.diff(block, axis=1) if diff else block)
+def _reference_all_k(n, mechanism, trials, seed, diff=False, dist=UNIFORM, ranked=False,
+                     raw=False):
+    """Per-k (or adjacent-k difference) means and stderrs of the per-k kernel loop, merged
+    per chunk in the bidder split's groups: the rows where the largest reserve (or 0) lies
+    above the second bid, then the first column of the others, which pay the same at every
+    k. Payments merge in the law's unit (/ dist.scale), or with `raw` as they are."""
+    r_full = _myerson_row(dist, n)
+    unit = 1.0 if raw else dist.scale
+    width = n if diff else n + 1
+    stats = (0, np.zeros(width), np.zeros(width))
+    for values, block in _reference_bidder_chunks(dist, n, mechanism, trials, seed,
+                                                  range(n + 1), r_full, ranked):
+        bind = _second_bids(values) < max(r_full.max(), 0.0)
+        assert (block[~bind] == block[~bind, :1]).all()
+        block = (np.diff(block, axis=1) if diff else block) / unit
+        for group in (block[bind], block[~bind, :1]):
+            stats = abtest._merge_moments(stats, group)
     count, means, m2s = stats
-    return [abtest._mean_stderr(count, mean, m2, 1.0) for mean, m2 in zip(means, m2s)]
+    return [abtest._mean_stderr(count, mean, m2, unit) for mean, m2 in zip(means, m2s)]
 
 
 _ORACLE_TRIALS = abtest._CHUNK + 1  # two chunks, the second of one auction
@@ -225,14 +235,28 @@ def test_bidder_arms_equal_the_per_k_kernels_property(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(abtest, "_SLICE", 7)  # several all-k passes per chunk
         got = abtest._bidder_arms(mechanisms, r_full)(np.random.default_rng(seed), values)
+    _assert_groups_are_the_per_k_kernels(got, values, r_full, mechanisms)
+
+
+def _assert_groups_are_the_per_k_kernels(groups, values, r_full, mechanisms):
+    """The bidder arms' two groups are the per-k kernels' payments, column by column: of
+    the rows where the largest reserve (or 0) lies above the second bid, then of the others
+    as one column."""
+    n = values.shape[1]
     want = np.stack([payments(values, np.where(np.arange(n) < k, r_full, 0.0), mech)
                      for mech in mechanisms for k in range(n + 1)], axis=1)
-    assert np.array_equal(got, want)
+    bind = _second_bids(values) < max(r_full.max(), 0.0)
+    block, rest = groups
+    assert block.shape == (bind.sum(), want.shape[1]) and rest.shape == ((~bind).sum(), 1)
+    for j in range(want.shape[1]):
+        assert np.array_equal(block[:, j], want[bind, j])
+        assert np.array_equal(rest[:, 0], want[~bind, j])
 
 
 def _second_bids(bids):
-    """Each row's second-highest bid, 0 with fewer than two present: by a full sort."""
-    second = np.sort(bids, axis=1)[:, -2]
+    """Each row's second-highest bid, 0 with fewer than two present: by a full sort, with
+    an absent column added so that one bidder has a second."""
+    second = np.sort(np.column_stack([bids, np.full(len(bids), ABSENT)]), axis=1)[:, -2]
     return np.where(np.isfinite(second), second, 0.0)
 
 
@@ -255,9 +279,7 @@ def test_bidder_arms_at_the_binding_edges_equal_the_per_k_kernels(r_full):
     for cols in itertools.permutations(range(n)):  # so each bidder is treated first somewhere
         bids, r = _EDGE_BIDS[:, list(cols)], r_full[list(cols)]
         got = abtest._bidder_arms(mechanisms, r)(np.random.default_rng(0), bids)
-        want = np.stack([payments(bids, np.where(np.arange(n) < k, r, 0.0), mech)
-                         for mech in mechanisms for k in range(n + 1)], axis=1)
-        assert np.array_equal(got, want)
+        _assert_groups_are_the_per_k_kernels(got, bids, r, mechanisms)
 
 
 @pytest.mark.parametrize("r_full", _EDGE_RESERVES, ids=["0.25-0.5-0.5", "inf", "one", "none"])
@@ -292,6 +314,28 @@ def test_bidder_split_kernels_see_only_the_auctions_where_a_reserve_can_bind(mon
     assert 0 < len(want) < 0.02 * trials
     for mech in Mechanism:
         assert np.array_equal(np.concatenate(seen[mech]), want)
+
+
+def test_bidder_split_merges_one_binding_block_and_one_column_per_chunk(monkeypatch):
+    # no (c, m) block for the auctions no reserve can bind: per chunk the moments see the
+    # binding rows' payments at full width, then the other rows' second bids as one column
+    n, seed = 10, 6
+    merged, original = [], abtest._merge_moments
+
+    def recording(stats, block):
+        merged.append(np.array(block))
+        return original(stats, block)
+
+    monkeypatch.setattr(abtest, "_merge_moments", recording)
+    sweep_theoretical(UNIFORM, n, list(Mechanism), _ORACLE_TRIALS, seed)
+    rng = np.random.default_rng(seed)
+    chunks = [UNIFORM.sample(rng, (c, n)) for c in (abtest._CHUNK, 1)]
+    assert len(merged) == 2 * len(chunks)
+    for values, (block, rest) in zip(chunks, zip(merged[::2], merged[1::2])):
+        second = _second_bids(values)
+        bind = second < 0.5
+        assert block.shape == (bind.sum(), 2 * (n + 1))
+        assert np.array_equal(rest, second[~bind, None])
 
 
 def test_eager_empirical_sweep_reruns_only_the_auctions_where_a_reserve_can_bind(monkeypatch):
@@ -340,6 +384,21 @@ def test_sweep_and_paired_deltas_equal_the_per_k_reference(n, mech):
                             in enumerate(_reference_all_k(n, mech, _ORACLE_TRIALS, 22, diff=True))]
 
 
+@pytest.mark.parametrize("mech", list(Mechanism))
+def test_sweep_and_paired_deltas_where_no_reserve_can_bind(mech):
+    # uniform(6,10)'s Myerson reserve is its low end 6, so no auction binds: every chunk's
+    # binding group is empty and the stats take their width from it
+    dist, n = uniform_dist(6.0, 10.0), 3
+    assert _myerson_row(dist, n).tolist() == [6.0] * n
+    rows = sweep_theoretical(dist, n, [mech], _ORACLE_TRIALS, seed=21).rows
+    assert [(r.mean, r.stderr) for r in rows] == _reference_all_k(n, mech, _ORACLE_TRIALS, 21,
+                                                                  dist=dist)
+    assert len({(r.mean, r.stderr) for r in rows}) == 1
+    deltas = paired_treatment_deltas(dist, n, mech, _ORACLE_TRIALS, seed=22)
+    assert [(d.mean, d.stderr) for d in deltas] == _reference_all_k(
+        n, mech, _ORACLE_TRIALS, 22, diff=True, dist=dist) == [(0.0, 0.0)] * n
+
+
 @pytest.mark.parametrize("n", [1, 3, 10])
 @pytest.mark.parametrize("mech", list(Mechanism))
 def test_bidder_split_off_scale_1_agrees_with_raw_moments(n, mech):
@@ -347,8 +406,10 @@ def test_bidder_split_off_scale_1_agrees_with_raw_moments(n, mech):
     dist = exponential_dist(3.0)
     rows = sweep_theoretical(dist, n, [mech], _ORACLE_TRIALS, seed=21).rows
     deltas = paired_treatment_deltas(dist, n, mech, _ORACLE_TRIALS, seed=22)
-    for got, want in ((rows, _reference_all_k(n, mech, _ORACLE_TRIALS, 21, dist=dist)),
-                      (deltas, _reference_all_k(n, mech, _ORACLE_TRIALS, 22, True, dist))):
+    for got, want in ((rows, _reference_all_k(n, mech, _ORACLE_TRIALS, 21, dist=dist,
+                                              raw=True)),
+                      (deltas, _reference_all_k(n, mech, _ORACLE_TRIALS, 22, True, dist,
+                                                raw=True))):
         assert len(got) == len(want)
         for g, (mean, se) in zip(got, want):
             assert g.mean == pytest.approx(mean, rel=1e-12)
@@ -656,3 +717,14 @@ def test_tsv_rendering():
     assert lines[2] == "x\tmechanism\tmean\tstderr\ttrials\treference"
     assert lines[3].split("\t") == ["0", "lazy", "1.25", "0.01", "100", ""]
     assert lines[4].split("\t") == ["1", "eager", "1.5", "0.02", "100", "1.49"]
+
+
+def test_max_abs_z():
+    def result(*rows):
+        return SweepResult(tuple(SweepRow(float(k), Mechanism.EAGER, mean, se, 10, ref)
+                                 for k, (mean, se, ref) in enumerate(rows)), 1, "t")
+
+    assert result((1.5, 0.25, 1.0), (1.0, 0.5, 2.0)).max_abs_z() == 2.0
+    assert result((1.5, 0.25, 1.0), (2.0, 0.0, 2.0)).max_abs_z() == 2.0  # stderr 0, z 0
+    assert result((1.5, 0.25, 1.0), (2.5, 0.0, 2.0)).max_abs_z() is None
+    assert result((1e300, 1e-300, 0.0),).max_abs_z() is None  # z overflows

@@ -267,6 +267,9 @@ def test_sweep_theoretical_table(tmp_path):
     assert all(r[5] != "" for r in rows)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rows"] == 12
+    zs = [abs(float(r[2]) - float(r[5])) / float(r[3]) for r in rows]
+    # the rows print 10 digits: a mean near its reference leaves z about 8 of them
+    assert summary["max_abs_z"] == pytest.approx(max(zs), rel=1e-6) and max(zs) < 5.0
 
 
 def test_sweep_rerun_byte_identical(tmp_path):
@@ -295,6 +298,7 @@ def test_sweep_empirical(tmp_path):
     rows = [ln.split("\t") for ln in lines[3:]]
     assert [r[0] for r in rows] == ["0", "0.5", "1"]
     assert all(r[1] == "eager" for r in rows)
+    assert "max_abs_z" not in json.loads((out / "summary.json").read_text())  # no references
 
 
 @pytest.mark.parametrize("rows", ["zz,0.5\n", "b00,0.5\nzz,0.5\n"])

@@ -1,0 +1,38 @@
+"""The tier-1 run itself: a failing test is reported as one failure and the run goes on.
+
+Hypothesis's pytest plugin imports libcst to print a failing example's patch, and libcst's
+import warns DeprecationWarning from mypy_extensions. Under the repo's `error::` filters that
+warning raised inside a pytest hook: the run ended with INTERNALERROR (exit 3) and no test
+after the failing one ran. The repo's ini ignores that one third-party message.
+"""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+FAILING_THEN_PASSING = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_runs_after_the_failure():
+    pass
+"""
+
+
+def test_failing_hypothesis_test_leaves_the_run_going(tmp_path):
+    (tmp_path / "test_sample.py").write_text(FAILING_THEN_PASSING)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", os.path.join(ROOT, "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_sample.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert proc.returncode == 1
+    assert "1 failed, 1 passed" in proc.stdout
