@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -247,6 +248,11 @@ def cmd_optimize(cfg: RunConfig) -> tuple[list[str], dict]:
         "expected_revenue": result.expected_revenue,
         "total_revenue": result.total_revenue,
     }
+    if result.candidates is not None:  # the eager searches: their per-bidder grids
+        extra["candidates"] = list(result.candidates)
+    if cfg.task == "eager-exact":
+        extra.update(vectors=math.prod(result.candidates),
+                     lines=math.prod(result.candidates[:-1]))
     if cfg.task == "eager-local":
         extra.update(rounds=result.rounds, converged=result.converged)
     return [reserve_path], extra

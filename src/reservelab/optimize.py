@@ -19,10 +19,28 @@ candidate, for a block of reserve rows at once (_eager_line_totals). These
 fast totals lie within a proven rounding bound of the auction-order sums of
 _eager_totals_for_rows, so re-scoring only the candidates within that bound
 of the best finds the first ordered argmax, as re-simulating every candidate
-would (_best_on_lines). optimal_eager_exact enumerates the first n - 1
-reserves of the candidate grid in product order and line-searches the last,
-which moves fastest in that order; a block of prefixes replaces the best so
-far only when strictly better, so ties break toward the lexicographically
+would (_best_on_lines).
+
+Every eager search draws bidder j's reserve from j's own set S_j, {0} plus
+j's distinct bids (own_candidates): a grid of prod |S_j|, about T^n vectors,
+where one set of every bid in the log gives about (nT)^n. This loses no
+optimum. Fix the other reserves and let b' < b be consecutive members of
+S_j. For every r_j in (b', b], j survives in the same auctions, and each
+payment there is either constant or max(r_j, a), both non-decreasing in r_j.
+So a first argmax strictly inside (b', b) would force the total to be flat
+on (b', b]. But b' is then also an argmax, because where j bids b' it either
+raises the second price or wins and pays b' >= C0, and b' comes earlier in
+product order. Above j's largest bid m, j never enters, which never beats
+r_j = m. Payments are each >=, so ordered float sums keep these comparisons,
+and so do non-negative weights. The one thing rounding can change is a
+total that rises on (b', b] in exact arithmetic but rounds flat: the grid of
+every bid may then pick a reserve inside (b', b) where this one picks b, at
+the same total.
+
+optimal_eager_exact enumerates the first n - 1 reserves in product order
+(mixed radix, the last digit fastest) and line-searches the last, which
+moves fastest in that order; a block of prefixes replaces the best so far
+only when strictly better, so ties break toward the lexicographically
 smallest vector, exactly as in a full enumeration. eager_coordinate_ascent
 is the scalable local search built from the same line search. A log with
 auction weights is the same problem, which is how product laws are searched.
@@ -60,6 +78,8 @@ class OptimizationResult:
     # the exact fsums behind expected_revenue: total payment and welfare over the log
     total_revenue: float
     total_welfare: float
+    # eager searches only: each bidder's candidate count, in bidder_ids order
+    candidates: tuple[int, ...] | None = None
     # eager_coordinate_ascent only: rounds run, and False when it stopped at max_rounds
     rounds: int | None = None
     converged: bool | None = None
@@ -150,9 +170,19 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate([[True], values[1:] != values[:-1]])]
 
 
-def _global_candidates(log: BidLog) -> np.ndarray:
-    bids = log.to_matrix()
-    return _distinct(np.concatenate([[0.0], bids[np.isfinite(bids)]]))
+def own_candidates(bids: np.ndarray) -> list[np.ndarray]:
+    """Per bidder of `bids` (T, n), {0} plus that bidder's distinct bids, ascending: the
+    reserves the eager searches of a log try for it (see the module docstring)."""
+    return [_distinct(np.concatenate([[0.0], b[np.isfinite(b)]])) for b in bids.T]
+
+
+def check_grid_size(sizes, max_product_size: int) -> None:
+    """Refuse (SearchSpaceTooLarge) a grid of per-bidder sets of `sizes` whose product, its
+    number of vectors, exceeds max_product_size."""
+    size = math.prod(sizes)
+    if size > max_product_size:
+        raise SearchSpaceTooLarge(f"{' x '.join(map(str, sizes))} = {size} candidate vectors "
+                                  f"exceed max_product_size={max_product_size}")
 
 
 def _eager_totals_for_rows(bids: np.ndarray, R: np.ndarray,
@@ -279,25 +309,27 @@ def exact_lazy_search(bids: np.ndarray, weights: np.ndarray | None = None) -> np
     return best
 
 
-def exact_eager_search(bids: np.ndarray, cands: np.ndarray,
+def exact_eager_search(bids: np.ndarray, sets: list[np.ndarray],
                        weights: np.ndarray | None = None) -> np.ndarray:
-    """The first vector of itertools.product(cands, repeat=n) with the highest ordered
-    eager total over `bids` (T, n), weighted by `weights` (T,) if given.
+    """The first vector of itertools.product(*sets) with the highest ordered eager total
+    over `bids` (T, n), weighted by `weights` (T,) if given; sets[j] holds bidder j's
+    candidates, ascending.
 
     Blocks of prefixes (reserves 0..n-2), in product order and within
-    _SEARCH_BATCH elements per array, each line-search reserve n - 1.
+    _SEARCH_BATCH elements per array, each line-search reserve n - 1 over sets[n - 1].
     """
-    (T, n), C = bids.shape, len(cands)
-    prefixes = C ** (n - 1)
-    step = max(1, _SEARCH_BATCH // max(T, C + 1))
+    T, n = bids.shape
+    sizes = [len(s) for s in sets]
+    prefixes = math.prod(sizes[:-1])
+    step = max(1, _SEARCH_BATCH // max(T, sizes[-1] + 1))
     best, best_total = None, -math.inf
     for lo in range(0, prefixes, step):
         index = np.arange(lo, min(lo + step, prefixes))
         rows = np.zeros((len(index), n))
-        for k in range(n - 2, -1, -1):  # base-C digits of the prefix index, last fastest
-            index, digit = np.divmod(index, C)
-            rows[:, k] = cands[digit]
-        row, total = _best_on_lines(bids, rows, n - 1, cands, weights)
+        for k in range(n - 2, -1, -1):  # mixed-radix digits of the prefix index, last fastest
+            index, digit = np.divmod(index, sizes[k])
+            rows[:, k] = sets[k][digit]
+        row, total = _best_on_lines(bids, rows, n - 1, sets[n - 1], weights)
         if total > best_total:
             best, best_total = row, total
     return best
@@ -306,41 +338,43 @@ def exact_eager_search(bids: np.ndarray, cands: np.ndarray,
 def optimal_eager_exact(log: BidLog, max_product_size: int = 1_000_000) -> OptimizationResult:
     """Exact eager optimum over the product of per-bidder candidate sets.
 
-    Every bidder's candidates are {0} plus all distinct bid values in the log.
-    Refuses (SearchSpaceTooLarge) when the product exceeds max_product_size.
-    The search scores every vector of the product by its auction-order sum
-    but simulates few: it enumerates the first n - 1 reserves and
-    line-searches the last, which is exact because each line's fast totals
-    are re-scored within their rounding bound (see the module docstring).
-    Ties break toward the lexicographically smallest reserve vector.
+    Bidder j's candidates are {0} plus j's own distinct bids, which hold the
+    optimum of any larger grid (see the module docstring). Refuses
+    (SearchSpaceTooLarge) when the product of the set sizes exceeds
+    max_product_size. The search scores every vector of the product by its
+    auction-order sum but simulates few: it enumerates the first n - 1
+    reserves and line-searches the last, which is exact because each line's
+    fast totals are re-scored within their rounding bound. Ties break toward
+    the lexicographically smallest reserve vector. The result records each
+    bidder's candidate count.
     """
-    cands = _global_candidates(log)
-    n = len(log.bidder_ids)
-    size = len(cands) ** n
-    if size > max_product_size:
-        raise SearchSpaceTooLarge(
-            f"{len(cands)}^{n} = {size} candidate vectors exceed max_product_size={max_product_size}")
-    return _result(log, exact_eager_search(log.to_matrix(), cands), Mechanism.EAGER)
+    bids = log.to_matrix()
+    sets = own_candidates(bids)
+    sizes = tuple(len(s) for s in sets)
+    check_grid_size(sizes, max_product_size)
+    return replace(_result(log, exact_eager_search(bids, sets), Mechanism.EAGER),
+                   candidates=sizes)
 
 
 def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
                             max_rounds: int = 50) -> OptimizationResult:
     """Local search for eager reserves: cycle bidders, re-optimize one reserve at a time.
 
-    Bidders are cycled in ascending bidder_id order; each step searches the
-    full candidate set ({0} plus all distinct log bids) for that bidder and
-    moves only on strict improvement, preferring the smallest improving
-    candidate. Each step is _best_on_lines on the current row, O((T +
-    |candidates|) log T), and moves exactly as a re-simulation of every
-    candidate would. Stops after a full round improves total revenue by a
-    relative factor below 1e-12 (converged), or after max_rounds rounds; the
-    result reports the rounds run and whether it converged. Revenue never
-    decreases, so the result is at least as good as the starting point.
+    Bidders are cycled in ascending bidder_id order; each step searches that
+    bidder's own candidates ({0} plus its distinct bids, which hold the best
+    of any larger set: see the module docstring) and moves only on strict
+    improvement, preferring the smallest improving candidate. Each step is
+    _best_on_lines on the current row, O((T + |candidates|) log T), and moves
+    exactly as a re-simulation of each of those candidates would. Stops after a full
+    round improves total revenue by a relative factor below 1e-12
+    (converged), or after max_rounds rounds; the result reports the rounds
+    run, whether it converged and each bidder's candidate count. Revenue
+    never decreases, so the result is at least as good as the starting point.
     """
     if init is None:
         init = ReserveVector.zero()
-    cands = _global_candidates(log)
     bids = log.to_matrix()
+    sets = own_candidates(bids)
     n = len(log.bidder_ids)
     current = init.row(log.bidder_ids)
     current_total = float(_eager_totals_for_rows(bids, current[None, :])[0])
@@ -350,9 +384,10 @@ def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
         rounds += 1
         round_start = current_total
         for j in range(n):
-            row, total = _best_on_lines(bids, current[None, :], j, cands)
+            row, total = _best_on_lines(bids, current[None, :], j, sets[j])
             if total > current_total:
                 current, current_total = row, total
         converged = current_total - round_start <= 1e-12 * max(1.0, abs(round_start))
 
-    return replace(_result(log, current, Mechanism.EAGER), rounds=rounds, converged=converged)
+    return replace(_result(log, current, Mechanism.EAGER), rounds=rounds, converged=converged,
+                   candidates=tuple(len(s) for s in sets))

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import SearchSpaceTooLarge
 from .mechanics import Mechanism, ReserveVector
-from .optimize import exact_eager_search, exact_lazy_search
+from .optimize import check_grid_size, exact_eager_search, exact_lazy_search
 from .vectorized import payments
 
 
@@ -126,25 +126,23 @@ def optimal_reserves_product(dist: ProductDist,
     """Exact optimal reserves for a finite-support product distribution.
 
     The law is searched as a log of its support profiles weighted by
-    probability, each payment sum in profile order. Candidates are {0} plus
-    the union of all atom values (the objective is piecewise linear in each
-    reserve with breakpoints only at atoms). Eager returns the grid's first
-    vector, in product order, with the highest sum (optimize.exact_eager_search);
-    lazy, per bidder, the smallest candidate with the highest sum over the
-    profiles she wins at zero reserves (optimize.exact_lazy_search). The
-    revenue comes from expected_revenue_product. A grid of more than
-    _MAX_PRODUCT_SIZE vectors is refused (SearchSpaceTooLarge) for both rules
-    before any profile is enumerated; it also caps the support size.
+    probability, each payment sum in profile order. Bidder j's candidates are
+    {0} plus j's own atoms, which hold the optimum of any larger grid (see
+    the reservelab.optimize docstring). Eager returns the first vector of the
+    product of those sets, in product order, with the highest sum
+    (optimize.exact_eager_search); lazy, per bidder, the smallest candidate
+    with the highest sum over the profiles she wins at zero reserves
+    (optimize.exact_lazy_search). The revenue comes from
+    expected_revenue_product. A grid of more than _MAX_PRODUCT_SIZE vectors is
+    refused (SearchSpaceTooLarge) for both rules before any profile is
+    enumerated; it also caps the support size.
     """
     ids = dist.bidder_ids()
-    n = len(ids)
-    cands = np.array(sorted({0.0} | {v for d in dist.bidders.values() for v in d.values()}))
-    if len(cands) ** n > _MAX_PRODUCT_SIZE:
-        raise SearchSpaceTooLarge(f"{len(cands)}^{n} = {len(cands) ** n} candidate vectors "
-                                  f"exceed max_product_size={_MAX_PRODUCT_SIZE}")
+    sets = [np.array(sorted({0.0, *d.values()})) for d in dist.bidders.values()]
+    check_grid_size([len(s) for s in sets], _MAX_PRODUCT_SIZE)
     values, probs = _profile_arrays(dist)
     if mechanism is Mechanism.EAGER:
-        best = exact_eager_search(values, cands, probs)
+        best = exact_eager_search(values, sets, probs)
     else:
         best = exact_lazy_search(values, probs)
     reserves = ReserveVector(dict(zip(ids, (float(x) for x in best))))

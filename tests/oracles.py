@@ -8,6 +8,17 @@ import numpy as np
 from reservelab.mechanics import BidProfile, run_auction
 
 
+def global_candidates(bids: np.ndarray) -> np.ndarray:
+    """{0} plus every distinct bid of `bids` (T, n), ascending: one grid shared by all
+    bidders, which the per-bidder grids of the eager searches must match."""
+    return np.unique(np.concatenate([[0.0], bids[np.isfinite(bids)]]))
+
+
+def own_set_sizes(bids: np.ndarray) -> list[int]:
+    """Per bidder of `bids` (T, n), the size of {0} plus its distinct bids."""
+    return [len(np.unique(np.append(col[np.isfinite(col)], 0.0))) for col in bids.T]
+
+
 def argmax_over_grid(cands, n: int, score, chunk: int) -> np.ndarray:
     """The vector of itertools.product(cands, repeat=n) with the highest score.
 
@@ -48,18 +59,35 @@ def profile_arrays(dist):
     return values, probs
 
 
+def symmetrized_weighted_log(rows, delta: float, weights=None):
+    """The law of `rows` (each n bids, -inf where absent; weighted by `weights`, else
+    equally) made symmetric across bidders, as a weighted log: every row under every
+    column order, and each of those under every tie order, the bidder at place r of
+    the order bidding its bid plus r * delta. A row's weight splits evenly over the
+    (n!)^2 pairs of orders, and equal bid vectors merge into one auction that sums
+    their weights, in order of first appearance. Returns the bids and weights."""
+    n = len(rows[0])
+    if weights is None:
+        weights = [1.0 / len(rows)] * len(rows)
+    orders = list(itertools.permutations(range(n)))
+    merged = {}
+    for row, weight in zip(rows, weights):
+        share = weight / len(orders) ** 2
+        for columns in orders:
+            for ties in orders:
+                bids = tuple(row[c] + delta * r for c, r in zip(columns, ties))
+                merged.setdefault(bids, []).append(share)
+    return (np.array(list(merged)).reshape(-1, n),
+            np.array([math.fsum(shares) for shares in merged.values()]))
+
+
 def high_low_weighted_log(n: int, delta: float):
     """The high-low law (each of n bidders bids n w.p. 1/n^2, else 1) with its noise
-    -> 0, as a weighted log: every level profile in {1, n}^n under every tie order,
-    the bidder at place r of the order bidding its level plus r * delta. Returns the
-    (2^n n!, n) bids and weights that sum to 1, each profile's split evenly over the
-    n! orders, so every tie goes to each tied bidder equally often."""
+    -> 0, as a symmetrized weighted log: one row per count k of high bidders, with
+    probability C(n, k) q^k (1 - q)^(n - k). Every level profile in {1, n}^n then
+    appears under every tie order, with each profile's probability split evenly over
+    the n! orders, so every tie goes to each tied bidder equally often."""
     q = 1.0 / n ** 2
-    orders = list(itertools.permutations(range(n)))
-    bids, weights = [], []
-    for levels in itertools.product((1.0, float(n)), repeat=n):
-        p = math.prod(q if v > 1.0 else 1.0 - q for v in levels) / len(orders)
-        for order in orders:
-            bids.append([v + delta * r for v, r in zip(levels, order)])
-            weights.append(p)
-    return np.array(bids), np.array(weights)
+    rows = [[float(n)] * k + [1.0] * (n - k) for k in range(n + 1)]
+    weights = [math.comb(n, k) * q ** k * (1.0 - q) ** (n - k) for k in range(n + 1)]
+    return symmetrized_weighted_log(rows, delta, weights)

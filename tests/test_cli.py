@@ -12,10 +12,12 @@ from reservelab import abtest, vectorized
 from reservelab.cli import _READS, RunConfig, main
 from reservelab.distributions import ContinuousDist
 from reservelab.logio import (compute_lift_report, lift_revenue_tsv, lift_welfare_tsv,
-                              parse_log, read_reserves)
+                              parse_log, read_reserves, write_reserves)
 from reservelab.logs import BidLog
-from reservelab.mechanics import BidProfile, run_eager
-from reservelab.optimize import optimal_lazy
+from reservelab.mechanics import BidProfile, ReserveVector, run_eager
+from reservelab.optimize import _eager_totals_for_rows, optimal_lazy
+
+from oracles import argmax_over_grid, global_candidates, own_set_sizes
 
 IID_PARAMS = '{"dist": "uniform", "n": 3, "lo": 0.0, "hi": 10.0}'
 TRIANGLE = '{"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [0, 2]], "L": 2, "H": 3}'
@@ -77,6 +79,8 @@ def test_hardness_instances_exact_totals(tmp_path):
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["total_revenue"] == total
+        # every bidder bids L and H: {0, 2, 3} each, 3^2 lines of 3 candidates
+        assert (summary["candidates"], summary["vectors"], summary["lines"]) == ([3] * 3, 27, 9)
 
 
 @pytest.mark.parametrize("command, runs", [(["optimize", "--task", "lazy"], 2),
@@ -181,7 +185,7 @@ def test_unreadable_input_exits_2_naming_the_path(tmp_path, capsys):
     (["optimize", "--task", "lazy", "--input", "<bad>"], 3,
      "error: line 2: invalid UTF-8 byte 0xff (invalid start byte)"),
     (["optimize", "--task", "eager-exact", "--input", "<log>", "--max-product-size", "1000"], 4,
-     "refusing: 181^3 = 5929741 candidate vectors exceed max_product_size=1000"),
+     "refusing: 61 x 61 x 61 = 226981 candidate vectors exceed max_product_size=1000"),
     (["sweep", "--dist", "equal_revenue", "--params", '{"M": 100.0}', "--n", "2",
       "--trials", "10"], 3,
      "error: equal_revenue(100): not regular, refusing a Myerson reserve source"),
@@ -212,6 +216,45 @@ def test_exit_code_search_too_large(tmp_path, capsys):
                  "--max-product-size", "1000", "--out", str(tmp_path / "opt")])
     assert code == 4
     assert capsys.readouterr().err.startswith("refusing:")
+
+
+def test_eager_exact_searches_each_bidders_own_bids(tmp_path):
+    """On 8 auctions of 3 bidders the grid of every bid holds 25^3 vectors, over
+    --max-product-size, but each bidder's {0} plus own bids only 9^3. The run searches
+    those, and writes the vector the grid of every bid finds."""
+    log_path = run_gen(tmp_path, count="8", seed="1")
+    log = parse_log(str(log_path))
+    bids = log.to_matrix()
+    cands = global_candidates(bids)
+    assert len(cands) ** 3 > 1000 >= math.prod(own_set_sizes(bids))
+    out = tmp_path / "opt"
+    assert main(["optimize", "--task", "eager-exact", "--input", str(log_path),
+                 "--max-product-size", "1000", "--out", str(out)]) == 0
+    want = argmax_over_grid(cands.tolist(), 3, lambda R: _eager_totals_for_rows(bids, R), 1 << 12)
+    write_reserves(ReserveVector(dict(zip(log.bidder_ids, want.tolist()))),
+                   str(tmp_path / "want.csv"))
+    assert (out / "reserves.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+_OPTIMIZE_KEYS = ("auctions bidders command config expected_revenue mechanism outputs "
+                  "revenue_zero_reserve runtime_seconds slot task total_revenue").split()
+
+
+@pytest.mark.parametrize("task, keys", [("lazy", ""), ("monopoly", ""),
+                                        ("eager-local", "candidates converged rounds"),
+                                        ("eager-exact", "candidates lines vectors")])
+def test_optimize_summary_keys_per_task(tmp_path, task, keys):
+    """The eager searches record each bidder's candidate count in bidder_ids order, and
+    eager-exact the vectors it scores and the lines it searches."""
+    log_path = run_gen(tmp_path, count="8", seed="1")
+    out = tmp_path / "opt"
+    assert main(["optimize", "--task", task, "--input", str(log_path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert sorted(summary) == sorted(_OPTIMIZE_KEYS + keys.split())
+    sizes = own_set_sizes(parse_log(str(log_path)).to_matrix())
+    want = {"candidates": sizes, "vectors": math.prod(sizes), "lines": math.prod(sizes[:-1])}
+    assert {k: summary[k] for k in want if k in summary} == {k: want[k] for k in keys.split()
+                                                            if k in want}
 
 
 def test_exit_code_domain_error(tmp_path):

@@ -188,7 +188,7 @@ def test_high_low_analysis_equals_the_searches_on_its_weighted_log(n):
     assert abs(eager - a.eager_revenue) <= n * delta
     lazy = revenue(exact_lazy_search(bids, weights), Mechanism.LAZY)
     assert abs(lazy - a.optimal_lazy_revenue) <= n * delta
-    best = exact_eager_search(bids, np.array([0.0, 1.0, float(n)]), weights)
+    best = exact_eager_search(bids, [np.array([0.0, 1.0, float(n)])] * n, weights)
     assert abs(revenue(best, Mechanism.EAGER) - a.eager_revenue) <= n * delta
 
 

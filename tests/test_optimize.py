@@ -14,13 +14,12 @@ from reservelab.logs import BidLog
 from reservelab.mechanics import BidProfile, Mechanism, ReserveVector, run_eager
 from reservelab import optimize
 from reservelab.optimize import (_best_on_lines, _eager_line_totals, _eager_totals_for_rows,
-                                 _global_candidates, _result,
-                                 eager_coordinate_ascent, empirical_revenue,
-                                 monopoly_reserves, optimal_eager_exact, optimal_lazy,
-                                 optimal_lazy_bruteforce)
+                                 _result, eager_coordinate_ascent, empirical_revenue,
+                                 exact_eager_search, monopoly_reserves, optimal_eager_exact,
+                                 optimal_lazy, optimal_lazy_bruteforce, own_candidates)
 from reservelab.vectorized import ABSENT, payments
 
-from oracles import argmax_over_grid
+from oracles import argmax_over_grid, global_candidates, own_set_sizes
 
 
 def log_of(rows):
@@ -177,6 +176,15 @@ def test_eager_exact_size_bound():
         optimal_eager_exact(log, max_product_size=10)
 
 
+def test_eager_exact_counts_each_bidders_own_bids():
+    # A bids {1, 2, 5}, B bids {2} and once 0: grids of 4 and 2 candidates, 8 vectors
+    log = log_of([{"A": 1.0, "B": 2.0}, {"A": 2.0}, {"A": 5.0, "B": 0.0}])
+    assert optimal_eager_exact(log, max_product_size=8).candidates == (4, 2)
+    with pytest.raises(SearchSpaceTooLarge,
+                       match=r"^4 x 2 = 8 candidate vectors exceed max_product_size=7$"):
+        optimal_eager_exact(log, max_product_size=7)
+
+
 def test_eager_exact_lex_smallest_tie():
     # both bidders bidding 2 always: reserves (0,0), (0,2), (2,0), (2,2) all earn 2
     log = log_of([{"A": 2.0, "B": 2.0}])
@@ -190,42 +198,95 @@ def grid_search(bids, cands, weights=None):
                             lambda R: _eager_totals_for_rows(bids, R, weights), 1 << 14)
 
 
+_LEVELS = [0.0, 0.5, 1.0, 2.0, 3.0]  # few levels, so bids tie with each other and with reserves
+_WEIGHTS = [0.1, 0.25, 1 / 3, 1.0, 2.5]
+
+
 @st.composite
 def exact_cases(draw):
-    """A log of integer bids (ties) with absent cells, whose grid is under 1e4 vectors,
-    and a search block size: the default, or small enough to split the prefixes."""
+    """A log with absent cells whose grid of every bid is under 1e4 vectors, auction
+    weights or None, and a search block size: the default, or small enough to split the
+    prefixes. The bids are integers, or in the tie-heavy family a few levels (halves
+    and integers, so unweighted sums stay exact) that most bidders share."""
     n = draw(st.integers(1, 4))
-    top = int(10 ** (4 / n) + 1e-9) - 1  # {0..top}^n holds at most 1e4 vectors
     T = draw(st.integers(1, 15))
-    values = st.integers(0, draw(st.integers(1, min(top, 30)))).map(float)
+    if draw(st.booleans()):
+        top = int(10 ** (4 / n) + 1e-9) - 1  # {0..top}^n holds at most 1e4 vectors
+        values = st.integers(0, draw(st.integers(1, min(top, 30)))).map(float)
+    else:
+        values = st.sampled_from(_LEVELS[:draw(st.integers(1, len(_LEVELS)))])
     bids = np.array(draw(st.lists(st.lists(values | st.just(ABSENT), min_size=n, max_size=n),
                                   min_size=T, max_size=T)))
     bids[np.arange(T), draw(st.lists(st.integers(0, n - 1), min_size=T, max_size=T))] = 1.0
+    weights = draw(st.none() | st.lists(st.sampled_from(_WEIGHTS), min_size=T, max_size=T))
     batch = draw(st.sampled_from([optimize._SEARCH_BATCH, 40, 1]))
-    return BidLog.from_matrix(bids, [f"b{j}" for j in range(n)]), batch
+    return (BidLog.from_matrix(bids, [f"b{j}" for j in range(n)]),
+            None if weights is None else np.array(weights), batch)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(exact_cases())
 def test_eager_exact_returns_the_grid_vector(case):
-    log, batch = case
-    want = grid_search(log.to_matrix(), _global_candidates(log))
+    """Each bidder's own bids find the vector, not just the total, that the grid of
+    every bid in the log finds."""
+    log, weights, batch = case
+    bids = log.to_matrix()
+    want = grid_search(bids, global_candidates(bids), weights)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(optimize, "_SEARCH_BATCH", batch)
         got = optimal_eager_exact(log, max_product_size=10 ** 4)
-    assert [got.reserves.get(b) for b in log.bidder_ids] == want.tolist()
+        assert exact_eager_search(bids, own_candidates(bids), weights).tolist() == want.tolist()
+    if weights is None:
+        assert [got.reserves.get(b) for b in log.bidder_ids] == want.tolist()
     assert got.expected_revenue == empirical_revenue(log, got.reserves, Mechanism.EAGER)
+    assert got.candidates == tuple(own_set_sizes(bids))
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_cases(), st.data())
+def test_a_line_over_own_bids_equals_the_line_over_every_bid(case, data):
+    """One eager_coordinate_ascent step, _best_on_lines over bidder j's own candidates,
+    moves to the row and total that re-simulating every candidate of the grid of every
+    bid finds, from any reserve row."""
+    log, weights, _ = case
+    bids = log.to_matrix()
+    cands = global_candidates(bids)
+    n = len(log.bidder_ids)
+    row = np.array(data.draw(st.lists(st.sampled_from(cands.tolist() + [math.inf]),
+                                      min_size=n, max_size=n)))
+    for j, own in enumerate(own_candidates(bids)):
+        R = np.tile(row, (len(cands), 1))
+        R[:, j] = cands
+        totals = _eager_totals_for_rows(bids, R, weights)
+        i = int(np.argmax(totals))
+        got, total = _best_on_lines(bids, row[None, :], j, own, weights)
+        assert got.tolist() == R[i].tolist() and total == totals[i]
+
+
+def test_own_bids_can_split_a_tie_that_only_rounding_makes():
+    # Auction order puts 1e17 first, whose float spacing is 16: A's line totals
+    # 1e17 + r round to 1e17 + 16 for r = 9 (C's bid) and r = 10 (A's own), though the
+    # exact totals differ. The grid of every bid takes 9; A's own bids take 10, at the
+    # same total.
+    bids = np.array([[ABSENT, 1e17, 1e17], [10.0, ABSENT, ABSENT], [ABSENT, ABSENT, 9.0]])
+    row, total = _best_on_lines(bids, np.zeros((1, 3)), 0, own_candidates(bids)[0])
+    cands = global_candidates(bids)
+    R = np.zeros((len(cands), 3))
+    R[:, 0] = cands
+    totals = _eager_totals_for_rows(bids, R)
+    assert cands[np.argmax(totals)] == 9.0 and row[0] == 10.0
+    assert total == totals.max() == 1e17 + 16
 
 
 @settings(max_examples=200, deadline=None)
 @given(exact_cases())
 def test_lazy_returns_the_grid_vector(case):
-    # integer bids make every sum exact, so the per-bidder search must find the
-    # full grid's first vector with the highest lazy total
-    log, batch = case
+    # integer and half bids make every unweighted sum exact, so the per-bidder search
+    # must find the full grid's first vector with the highest lazy total
+    log, _, batch = case
     bids = log.to_matrix()
     want = argmax_over_grid(
-        _global_candidates(log).tolist(), bids.shape[1],
+        global_candidates(bids).tolist(), bids.shape[1],
         lambda R: np.add.accumulate(payments(bids, R[:, None, :], Mechanism.LAZY),
                                     axis=1)[:, -1], 1 << 14)
     with pytest.MonkeyPatch.context() as m:
@@ -296,9 +357,10 @@ def test_row_totals_do_not_depend_on_the_block(monkeypatch):
 
 
 def reference_ascent(log, init=None, max_rounds=50):
-    """Coordinate ascent that re-simulates every candidate row of every step."""
-    cands = _global_candidates(log)
+    """Coordinate ascent that re-simulates every candidate row of every step, each
+    reserve from {0} plus every bid in the log."""
     bids = log.to_matrix()
+    cands = global_candidates(bids)
     current = np.array([(init or ReserveVector.zero()).get(b) for b in log.bidder_ids])
     current_total = float(_eager_totals_for_rows(bids, current[None, :])[0])
     rounds, converged = 0, False
@@ -316,13 +378,15 @@ def reference_ascent(log, init=None, max_rounds=50):
         if current_total - round_start <= 1e-12 * max(1.0, abs(round_start)):
             converged = True
             break
-    return replace(_result(log, current, Mechanism.EAGER), rounds=rounds, converged=converged)
+    return replace(_result(log, current, Mechanism.EAGER), rounds=rounds, converged=converged,
+                   candidates=tuple(own_set_sizes(bids)))
 
 
 def check_line_search(log, current, weights=None):
     """Every candidate's fast total against the ordered sums, for one reserve row or a
     (B, n) block of them, and the block's first ordered argmax from the shortlist."""
-    bids, cands = log.to_matrix(), _global_candidates(log)
+    bids = log.to_matrix()
+    cands = global_candidates(bids)
     rows = np.atleast_2d(current)
     for j in range(len(log.bidder_ids)):
         fast, tol, repeats = _eager_line_totals(bids, rows, j, cands, weights)
@@ -347,15 +411,12 @@ def test_line_search_matches_ordered_totals():
                          value_pool=pools[it % 3])
         n = len(log.bidder_ids)
         seen_n.add(n)
-        levels = np.concatenate([_global_candidates(log), [math.inf]])
+        levels = np.concatenate([global_candidates(log.to_matrix()), [math.inf]])
         check_line_search(log, np.zeros(n))
         check_line_search(log, rng.choice(levels, size=n))
         check_line_search(log, rng.choice(levels, size=(5, n)))
         check_line_search(log, rng.choice(levels, size=(3, n)), rng.random(len(log)))
     assert {1, 2} <= seen_n
-
-
-_LEVELS = [0.0, 0.5, 1.0, 2.0, 3.0]  # few levels, so bids tie with each other and with reserves
 
 
 @st.composite
@@ -371,8 +432,7 @@ def line_cases(draw):
     n = len(log.bidder_ids)
     rows = draw(st.lists(st.lists(st.sampled_from(_LEVELS + [math.inf]), min_size=n, max_size=n),
                          min_size=1, max_size=3))
-    weights = draw(st.none() | st.lists(st.sampled_from([0.1, 0.25, 1 / 3, 1.0, 2.5]),
-                                        min_size=T, max_size=T))
+    weights = draw(st.none() | st.lists(st.sampled_from(_WEIGHTS), min_size=T, max_size=T))
     return log, np.array(rows), None if weights is None else np.array(weights)
 
 
@@ -404,7 +464,8 @@ def test_line_search_near_tie_keeps_ordered_argmax():
     # 0.6 first and the prefix sums 0.9, so only the re-scored shortlist keeps 0.6
     log = BidLog.from_matrix(np.array([[1.1, 0.2], [1.1, 1.1], [0.6, 1.1], [0.9, 0.1]]),
                              ["b0", "b1"])
-    bids, cands = log.to_matrix(), _global_candidates(log)
+    bids = log.to_matrix()
+    cands = global_candidates(bids)
     fast = _eager_line_totals(bids, np.zeros((1, 2)), 0, cands)[0][0]
     R = np.zeros((len(cands), 2))
     R[:, 0] = cands

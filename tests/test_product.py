@@ -12,9 +12,10 @@ from oracles import argmax_over_grid
 from reservelab import product
 from reservelab.errors import SearchSpaceTooLarge
 from reservelab.mechanics import Mechanism, ReserveVector
+from reservelab.optimize import exact_eager_search, exact_lazy_search, own_candidates
 from reservelab.product import (FiniteDist, ProductDist, expected_revenue_product,
                                 optimal_reserves_product, trim_lift)
-from reservelab.vectorized import payments
+from reservelab.vectorized import ABSENT, payments
 
 D1 = FiniteDist(((1.0, 0.5), (3.0, 0.5)))
 D2 = FiniteDist(((2.0, 1.0),))
@@ -102,16 +103,18 @@ def test_optimal_reserves_tie_prefers_lex_smallest():
 
 
 def test_optimal_reserves_refuses_large_grid(monkeypatch):
-    # 13 two-atom bidders: 3^13 candidate vectors exceed the bound, 2^13 profiles do not
+    # 13 two-atom bidders, each with {0} and its atoms: 3^13 candidate vectors exceed
+    # the bound, 2^13 profiles do not
     wide = ProductDist({f"b{i:02d}": D1 for i in range(13)})
 
     def enumerate_profiles(dist):
         raise AssertionError("profiles enumerated before the size check")
 
     monkeypatch.setattr(product, "_profile_arrays", enumerate_profiles)
-    with pytest.raises(SearchSpaceTooLarge, match=r"3\^13 = 1594323 candidate vectors exceed "
-                                                  r"max_product_size=1000000"):
-        optimal_reserves_product(wide, Mechanism.EAGER)
+    want = " x ".join(["3"] * 13) + " = 1594323 candidate vectors exceed max_product_size=1000000"
+    for mech in Mechanism:
+        with pytest.raises(SearchSpaceTooLarge, match=f"^{want}$"):
+            optimal_reserves_product(wide, mech)
 
 
 def random_product(rng, max_bidders=3, max_atoms=4):
@@ -150,6 +153,44 @@ def test_eager_optimum_dominates_lazy_optimum():
         _, rev_l = optimal_reserves_product(dist, Mechanism.LAZY)
         _, rev_e = optimal_reserves_product(dist, Mechanism.EAGER)
         assert rev_e >= rev_l - 1e-9
+
+
+def weighted_optima(bids, weights):
+    """OPT_L and OPT_E of a weighted log, from exact_lazy_search and exact_eager_search
+    over each bidder's own bids, each revenue an fsum of weighted payments."""
+    def revenue(reserves, mechanism):
+        return math.fsum((weights * payments(bids, reserves, mechanism)).tolist())
+    return (revenue(exact_lazy_search(bids, weights), Mechanism.LAZY),
+            revenue(exact_eager_search(bids, own_candidates(bids), weights), Mechanism.EAGER))
+
+
+@st.composite
+def symmetric_rows(draw):
+    """One or two rows of n = 2..4 bids on three levels or absent, each with a bid."""
+    n = draw(st.integers(2, 4))
+    row = st.lists(st.sampled_from([0.0, 1.0, 2.0, ABSENT]), min_size=n, max_size=n)
+    return draw(st.lists(row.filter(lambda r: max(r) > ABSENT), min_size=1, max_size=2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_rows())
+def test_eager_optimum_dominates_lazy_optimum_for_symmetric_bidders(rows):
+    """The paper's other dominance case: for symmetric bidders (every row under every
+    column order) with symmetric tie-breaking (each tie order equally often, as bids
+    offset by delta per rank), OPT_E >= OPT_L. The offsets move each revenue by under
+    n * delta."""
+    delta = 1e-6
+    bids, weights = oracles.symmetrized_weighted_log(rows, delta)
+    lazy, eager = weighted_optima(bids, weights)
+    assert eager >= lazy - len(rows[0]) * delta
+
+
+def test_symmetry_without_a_tie_split_lets_lazy_win():
+    # every column order of (2, 3) and (1, 1), but (1, 1) always goes to the first
+    # column: lazy reserves (1, 3) earn (2 + 3 + 2 * 1) / 4, eager at best 1.5
+    bids, weights = oracles.symmetrized_weighted_log([(2.0, 3.0), (1.0, 1.0)], 0.0)
+    assert weights.tolist() == [0.25, 0.25, 0.5]
+    assert weighted_optima(bids, weights) == (1.75, 1.5)
 
 
 def test_optimum_beats_midpoint_perturbations():
@@ -257,7 +298,7 @@ def test_search_returns_the_grid_vector(dist):
     and the whole-law sum ranks (2, 1) one ulp higher)."""
     ids = dist.bidder_ids()
     values, probs = product._profile_arrays(dist)
-    cands = sorted({0.0} | {v for d in dist.bidders.values() for v in d.values()})
+    cands = oracles.global_candidates(values).tolist()
     winner = np.argmax(values, axis=1)  # first max: ties go to the smaller column
     lazy = []
     for i in range(len(ids)):
