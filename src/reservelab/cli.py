@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -29,8 +28,8 @@ from .logio import (LOG_FORMATS, compute_lift_report, lift_revenue_tsv, lift_wel
                     parse_log, quantize_log, read_reserves, write_log, write_reserves)
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
-from .optimize import (eager_coordinate_ascent, empirical_revenue, monopoly_reserves,
-                       optimal_eager_exact, optimal_lazy)
+from .optimize import (MAX_PRODUCT_SIZE, eager_coordinate_ascent, empirical_revenue,
+                       monopoly_reserves, optimal_eager_exact, optimal_lazy)
 
 DEFAULT_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -53,7 +52,7 @@ class RunConfig:
     out: str = _flag(".", "output directory")
     mechanism: str = _flag("both", "payment rule", choices=("lazy", "eager", "both"))
     task: Optional[str] = _flag(None, "reserve-optimization task")
-    max_product_size: int = _flag(1_000_000, "largest eager-exact search", least=1)
+    max_product_size: int = _flag(MAX_PRODUCT_SIZE, "largest eager-exact search", least=1)
     max_rounds: int = _flag(50, "eager-local rounds", least=1)
     trials: int = _flag(100_000, "Monte-Carlo trials", least=1)
     mode: str = _flag("theoretical", "sweep mode")
@@ -225,37 +224,27 @@ def cmd_optimize(cfg: RunConfig) -> tuple[list[str], dict]:
     """Run one reserve-optimization task; writes reserves.csv."""
     [(log, slot)] = _input_logs(cfg, single=True)
     if cfg.task == "lazy":
-        mech = Mechanism.LAZY
         result = optimal_lazy(log)
     elif cfg.task == "monopoly":
-        mech = Mechanism.EAGER if cfg.mechanism == "both" else Mechanism(cfg.mechanism)
-        result = monopoly_reserves(log, mech)
+        result = monopoly_reserves(log, Mechanism.EAGER if cfg.mechanism == "both"
+                                   else Mechanism(cfg.mechanism))
     elif cfg.task == "eager-exact":
-        mech = Mechanism.EAGER
         result = optimal_eager_exact(log, cfg.max_product_size)
     else:
-        mech = Mechanism.EAGER
         result = eager_coordinate_ascent(log, max_rounds=cfg.max_rounds)
     reserve_path = os.path.join(cfg.out, "reserves.csv")
     write_reserves(result.reserves, reserve_path)
-    extra = {
+    return [reserve_path], {
         "task": cfg.task,
         "slot": slot,
-        "mechanism": mech.value,
+        "mechanism": result.mechanism.value,
         "auctions": len(log),
         "bidders": len(log.bidder_ids),
-        "revenue_zero_reserve": empirical_revenue(log, ReserveVector.zero(), mech),
+        "revenue_zero_reserve": empirical_revenue(log, ReserveVector.zero(), result.mechanism),
         "expected_revenue": result.expected_revenue,
         "total_revenue": result.total_revenue,
+        **result.counters,
     }
-    if result.candidates is not None:  # the eager searches: their per-bidder grids
-        extra["candidates"] = list(result.candidates)
-    if cfg.task == "eager-exact":
-        extra.update(vectors=math.prod(result.candidates),
-                     lines=math.prod(result.candidates[:-1]))
-    if cfg.task == "eager-local":
-        extra.update(rounds=result.rounds, converged=result.converged)
-    return [reserve_path], extra
 
 
 def cmd_lift_tables(cfg: RunConfig) -> tuple[list[str], dict]:

@@ -54,7 +54,7 @@ bit. The result keeps both fsums, so a caller needs no second kernel run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,6 +69,8 @@ from .vectorized import ABSENT, _top_two, eager_payments, lazy_order, payments
 _SEARCH_BATCH = 1 << 12
 # candidates re-simulated together by optimal_lazy_bruteforce
 _BRUTEFORCE_CHUNK = 256
+# most candidate vectors an exact eager search enumerates unless told otherwise
+MAX_PRODUCT_SIZE = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -78,11 +80,10 @@ class OptimizationResult:
     # the exact fsums behind expected_revenue: total payment and welfare over the log
     total_revenue: float
     total_welfare: float
-    # eager searches only: each bidder's candidate count, in bidder_ids order
-    candidates: tuple[int, ...] | None = None
-    # eager_coordinate_ascent only: rounds run, and False when it stopped at max_rounds
-    rounds: int | None = None
-    converged: bool | None = None
+    # the rule the totals are under
+    mechanism: Mechanism
+    # what the eager searches did, as their docstrings list; empty for the others
+    counters: dict
 
 
 def empirical_totals(log: BidLog, reserves: ReserveVector,
@@ -100,14 +101,15 @@ def empirical_revenue(log: BidLog, reserves: ReserveVector, mechanism: Mechanism
     return empirical_totals(log, reserves, mechanism)[0] / len(log)
 
 
-def _result(log: BidLog, row: np.ndarray, mechanism: Mechanism) -> OptimizationResult:
-    """Reserves from a row in bidder_ids order, with their totals under `mechanism` and
-    the empirical revenue empirical_revenue reports for them."""
+def _result(log: BidLog, row: np.ndarray, mechanism: Mechanism,
+            **counters) -> OptimizationResult:
+    """Reserves from a row in bidder_ids order, with their totals under `mechanism`, the
+    empirical revenue empirical_revenue reports for them and the search's counters."""
     if len(log) == 0:
         raise ValueError("empty log")
     reserves = ReserveVector(dict(zip(log.bidder_ids, (float(x) for x in row))))
     revenue, welfare = empirical_totals(log, reserves, mechanism)
-    return OptimizationResult(reserves, revenue / len(log), revenue, welfare)
+    return OptimizationResult(reserves, revenue / len(log), revenue, welfare, mechanism, counters)
 
 
 def optimal_lazy(log: BidLog) -> OptimizationResult:
@@ -170,10 +172,11 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate([[True], values[1:] != values[:-1]])]
 
 
-def own_candidates(bids: np.ndarray) -> list[np.ndarray]:
-    """Per bidder of `bids` (T, n), {0} plus that bidder's distinct bids, ascending: the
-    reserves the eager searches of a log try for it (see the module docstring)."""
-    return [_distinct(np.concatenate([[0.0], b[np.isfinite(b)]])) for b in bids.T]
+def own_candidates(columns) -> list[np.ndarray]:
+    """Per bidder, {0} plus the distinct finite values of its array in `columns` (a log's
+    bids.T, or each bidder's atoms), ascending: the reserves the eager searches try for it
+    (see the module docstring)."""
+    return [_distinct(np.concatenate([[0.0], c[np.isfinite(c)]])) for c in map(np.asarray, columns)]
 
 
 def check_grid_size(sizes, max_product_size: int) -> None:
@@ -335,7 +338,8 @@ def exact_eager_search(bids: np.ndarray, sets: list[np.ndarray],
     return best
 
 
-def optimal_eager_exact(log: BidLog, max_product_size: int = 1_000_000) -> OptimizationResult:
+def optimal_eager_exact(log: BidLog,
+                        max_product_size: int = MAX_PRODUCT_SIZE) -> OptimizationResult:
     """Exact eager optimum over the product of per-bidder candidate sets.
 
     Bidder j's candidates are {0} plus j's own distinct bids, which hold the
@@ -345,15 +349,16 @@ def optimal_eager_exact(log: BidLog, max_product_size: int = 1_000_000) -> Optim
     auction-order sum but simulates few: it enumerates the first n - 1
     reserves and line-searches the last, which is exact because each line's
     fast totals are re-scored within their rounding bound. Ties break toward
-    the lexicographically smallest reserve vector. The result records each
-    bidder's candidate count.
+    the lexicographically smallest reserve vector. Its counters are `candidates`
+    (each bidder's count, in bidder_ids order), `vectors` (their product) and
+    `lines` (the product of all but the last, the line-searched bidder).
     """
     bids = log.to_matrix()
-    sets = own_candidates(bids)
-    sizes = tuple(len(s) for s in sets)
+    sets = own_candidates(bids.T)
+    sizes = [len(s) for s in sets]
     check_grid_size(sizes, max_product_size)
-    return replace(_result(log, exact_eager_search(bids, sets), Mechanism.EAGER),
-                   candidates=sizes)
+    return _result(log, exact_eager_search(bids, sets), Mechanism.EAGER, candidates=sizes,
+                   vectors=math.prod(sizes), lines=math.prod(sizes[:-1]))
 
 
 def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
@@ -367,14 +372,15 @@ def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
     _best_on_lines on the current row, O((T + |candidates|) log T), and moves
     exactly as a re-simulation of each of those candidates would. Stops after a full
     round improves total revenue by a relative factor below 1e-12
-    (converged), or after max_rounds rounds; the result reports the rounds
-    run, whether it converged and each bidder's candidate count. Revenue
-    never decreases, so the result is at least as good as the starting point.
+    (converged), or after max_rounds rounds. Its counters are `candidates` (each
+    bidder's count, in bidder_ids order), `rounds` (rounds run) and `converged`
+    (False when it stopped at max_rounds). Revenue never decreases, so the result
+    is at least as good as the starting point.
     """
     if init is None:
         init = ReserveVector.zero()
     bids = log.to_matrix()
-    sets = own_candidates(bids)
+    sets = own_candidates(bids.T)
     n = len(log.bidder_ids)
     current = init.row(log.bidder_ids)
     current_total = float(_eager_totals_for_rows(bids, current[None, :])[0])
@@ -389,5 +395,5 @@ def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
                 current, current_total = row, total
         converged = current_total - round_start <= 1e-12 * max(1.0, abs(round_start))
 
-    return replace(_result(log, current, Mechanism.EAGER), rounds=rounds, converged=converged,
-                   candidates=tuple(len(s) for s in sets))
+    return _result(log, current, Mechanism.EAGER, candidates=[len(s) for s in sets],
+                   rounds=rounds, converged=converged)

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import SearchSpaceTooLarge
 from .mechanics import Mechanism, ReserveVector
-from .optimize import check_grid_size, exact_eager_search, exact_lazy_search
+from .optimize import (MAX_PRODUCT_SIZE, check_grid_size, exact_eager_search,
+                       exact_lazy_search, own_candidates)
 from .vectorized import payments
 
 
@@ -89,7 +90,6 @@ class ProductDist:
 
 
 _MAX_PROFILES = 1_000_000  # largest profile space expected_revenue_product enumerates
-_MAX_PRODUCT_SIZE = 1_000_000  # most candidate vectors optimal_reserves_product searches
 
 
 def expected_revenue_product(dist: ProductDist, reserves: ReserveVector,
@@ -127,19 +127,19 @@ def optimal_reserves_product(dist: ProductDist,
 
     The law is searched as a log of its support profiles weighted by
     probability, each payment sum in profile order. Bidder j's candidates are
-    {0} plus j's own atoms, which hold the optimum of any larger grid (see
-    the reservelab.optimize docstring). Eager returns the first vector of the
-    product of those sets, in product order, with the highest sum
-    (optimize.exact_eager_search); lazy, per bidder, the smallest candidate
+    {0} plus j's own atoms (optimize.own_candidates), which hold the optimum of
+    any larger grid (see the reservelab.optimize docstring). Eager returns the
+    first vector of the product of those sets, in product order, with the
+    highest sum (optimize.exact_eager_search); lazy, per bidder, the smallest candidate
     with the highest sum over the profiles she wins at zero reserves
     (optimize.exact_lazy_search). The revenue comes from
-    expected_revenue_product. A grid of more than _MAX_PRODUCT_SIZE vectors is
-    refused (SearchSpaceTooLarge) for both rules before any profile is
-    enumerated; it also caps the support size.
+    expected_revenue_product. A grid of more than optimize.MAX_PRODUCT_SIZE
+    vectors is refused (SearchSpaceTooLarge) for both rules before any profile
+    is enumerated; it also caps the support size.
     """
     ids = dist.bidder_ids()
-    sets = [np.array(sorted({0.0, *d.values()})) for d in dist.bidders.values()]
-    check_grid_size([len(s) for s in sets], _MAX_PRODUCT_SIZE)
+    sets = own_candidates(d.values() for d in dist.bidders.values())
+    check_grid_size([len(s) for s in sets], MAX_PRODUCT_SIZE)
     values, probs = _profile_arrays(dist)
     if mechanism is Mechanism.EAGER:
         best = exact_eager_search(values, sets, probs)

@@ -10,10 +10,12 @@ inequalities, same smallest-column tie-break); the scalar functions stay the
 reference and the test suite cross-checks the two.
 
 nested_payments evaluates nested treated sets: the bidders in columns < k hold
-their reserves, the rest hold 0, for every k = 0..n at once. The sets grow one
-column at a time, so top-two scans over the columns (treated prefix, untreated
-suffix) give every k's outcome from selections alone, equal to one kernel call
-per k; the suffix scan read backwards is already in k order.
+their reserves, the rest hold 0, for every k = 0..n at once. Lazy fixes the winner
+before any reserve is checked, so the lazy kernel takes the n + 1 reserve rows as one
+batch on one bid order. Under eager the sets grow one column at a time, so top-two
+scans over the columns (treated prefix, untreated suffix) give every k's outcome from
+selections alone, equal to one kernel call per k; the suffix scan read backwards is
+already in k order.
 
 reserve_can_bind states when a reserve can change an auction's price at all; the
 sweeps send only those auctions to a kernel.
@@ -122,22 +124,20 @@ def nested_payments(bids: np.ndarray, reserves: np.ndarray,
     """(T, n + 1) payments: column k has the bidders in columns < k at `reserves` (one (n,)
     row) and the others at 0, exactly as payments() with that reserve array.
 
-    Lazy runs lazy_order once and picks, per k, the treated or untreated outcome by
-    whether the winner's column is < k. Eager scans the columns once from each end,
-    prefix top-two of the treated bids that clear their reserve and suffix top-two of
-    the untreated bids >= 0, and merges the two at each k. Which of several tied top
-    bidders wins does not matter there: a tie makes the second bid equal the top, every
-    survivor's reserve is at most its bid, so the payment is the top bid.
+    Lazy is one lazy_payments call on the (n + 1, 1, n) batch of those reserve rows.
+    Eager scans the columns once from each end, prefix top-two of the treated bids that
+    clear their reserve and suffix top-two of the untreated bids >= 0, and merges the
+    two at each k. Which of several tied top bidders wins does not matter there: a tie
+    makes the second bid equal the top, every survivor's reserve is at most its bid, so
+    the payment is the top bid.
     Exact on any rows; the sweeps pass only those reserve_can_bind selects.
     """
     bids = np.asarray(bids, dtype=float)
     reserves = np.asarray(reserves, dtype=float)
     n = bids.shape[1]
     if mechanism is Mechanism.LAZY:
-        order = lazy_order(bids)
-        return np.where(order[0][:, None] < np.arange(n + 1),
-                        lazy_select(order, reserves)[:, None],
-                        lazy_select(order, np.zeros(n))[:, None])
+        treated = np.arange(n) < np.arange(n + 1)[:, None]  # row k: the columns < k
+        return lazy_payments(bids, np.where(treated, reserves, 0.0)[:, None, :]).T
     cols = np.ascontiguousarray(bids.T)  # (n, T): each scan step reads one bidder's bids
     # row k of the prefix scan: the treated columns < k; row n - k of the suffix scan
     # (row k of its reversed view): the untreated columns >= k

@@ -91,3 +91,24 @@ def high_low_weighted_log(n: int, delta: float):
     rows = [[float(n)] * k + [1.0] * (n - k) for k in range(n + 1)]
     weights = [math.comb(n, k) * q ** k * (1.0 - q) ** (n - k) for k in range(n + 1)]
     return symmetrized_weighted_log(rows, delta, weights)
+
+
+def equal_revenue_pair_cell_logs(M: float, epsilon: float, K: int):
+    """Criterion 09's correlated pair as two weighted logs that bound it. W.p. ln(M)/M the
+    bids are (0, M); otherwise bidder 0 bids b from the equal-revenue law on [1, M] (mass
+    1/b^2 db, plus 1/M at M) and bidder 1 bids (1 - epsilon) b. The law's [1, M) mass is
+    cut into K log-spaced cells, each moved to its lower end in one log and its upper end
+    in the other. Both rules pay non-decreasing amounts in b at any reserves, so the logs'
+    revenues bound the law's from below and above at every reserve vector, and so do
+    their optima. Returns (lower bids, upper bids, weights)."""
+    p_zero = math.log(M) / M
+    edges = np.logspace(0.0, math.log10(M), K + 1)
+    edges[[0, -1]] = 1.0, M
+    weights = np.concatenate([[p_zero], (1.0 - p_zero) * (1.0 / edges[:-1] - 1.0 / edges[1:]),
+                              [(1.0 - p_zero) / M]])
+
+    def log_at(b):
+        b = np.append(b, M)
+        return np.vstack([[0.0, M], np.column_stack([b, (1.0 - epsilon) * b])])
+
+    return log_at(edges[:-1]), log_at(edges[1:]), weights

@@ -7,13 +7,14 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Installs the tracer (which raises when a traced reservelab name is deleted or moved),
-# then calls the functions whose span names read a call argument, and prints the spans.
+# then calls the functions whose span names read a call argument, and a lazy theoretical
+# sweep, whose nested payments run the traced lazy kernel; and prints the spans.
 TRACED_CALLS = """
 import sys
 sys.path[:0] = sys.argv[1:]
 import layers, spans
 from reservelab import (BidLog, BidProfile, FiniteDist, Mechanism, ProductDist, ReserveVector,
-                        abtest, optimize, product)
+                        abtest, optimize, product, uniform_dist)
 
 tracer = spans.Tracer()
 layers.install_tracing(tracer)
@@ -25,6 +26,7 @@ two_atoms = FiniteDist(((1.0, 0.5), (2.0, 0.5)))
 product.optimal_reserves_product(ProductDist({"b1": two_atoms, "b2": two_atoms}),
                                  Mechanism.EAGER)
 optimize.eager_coordinate_ascent(log, max_rounds=1)
+abtest.sweep_theoretical(uniform_dist(0.0, 1.0), 2, [Mechanism.LAZY], 1000, 0)
 print("\\n".join(sorted({s.name for s in tracer.spans})))
 """
 
@@ -36,4 +38,4 @@ def test_benchmark_tracing_installs():
     assert proc.returncode == 0, proc.stderr
     names = set(proc.stdout.split())
     assert {"abtest.empirical_treatment_sweep.lazy", "product.optimal_reserves_product.eager",
-            "optimize.eager_local.T2"} <= names, sorted(names)
+            "optimize.eager_local.T2", "vectorized.lazy"} <= names, sorted(names)

@@ -244,13 +244,15 @@ _OPTIMIZE_KEYS = ("auctions bidders command config expected_revenue mechanism ou
                                         ("eager-local", "candidates converged rounds"),
                                         ("eager-exact", "candidates lines vectors")])
 def test_optimize_summary_keys_per_task(tmp_path, task, keys):
-    """The eager searches record each bidder's candidate count in bidder_ids order, and
-    eager-exact the vectors it scores and the lines it searches."""
+    """Each task records the rule it scored under (monopoly's default is eager), the
+    eager searches each bidder's candidate count in bidder_ids order, and eager-exact
+    the vectors it scores and the lines it searches."""
     log_path = run_gen(tmp_path, count="8", seed="1")
     out = tmp_path / "opt"
     assert main(["optimize", "--task", task, "--input", str(log_path), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert sorted(summary) == sorted(_OPTIMIZE_KEYS + keys.split())
+    assert summary["mechanism"] == ("lazy" if task == "lazy" else "eager")
     sizes = own_set_sizes(parse_log(str(log_path)).to_matrix())
     want = {"candidates": sizes, "vectors": math.prod(sizes), "lines": math.prod(sizes[:-1])}
     assert {k: summary[k] for k in want if k in summary} == {k: want[k] for k in keys.split()
@@ -778,6 +780,23 @@ def test_summary_config_lists_the_flags_the_run_read(tmp_path, paths, argv, keys
     assert config["out"] == str(out)
     unset = [k for k in ("format", "grid") if k in config and f"--{k}" not in argv]
     assert all(config[k] is None for k in unset)  # read but unset: recorded as null
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["gen", "--generator", "iid", "--params", "{iid}", "--count", "5"], "auctions bidders"),
+    (["gen", "--generator", "hardness", "--params", "{triangle}"], "auctions bidders"),
+    (["lift-tables", "--input", "{log}", "--input", "{log}"], "slots"),
+    (THEORETICAL, "max_abs_z rows"),
+    (EMPIRICAL, "rows"),
+])
+def test_summary_keys_per_subcommand(tmp_path, paths, argv, keys):
+    """summary.json's keys for every run but optimize's, which
+    test_optimize_summary_keys_per_task pins per task."""
+    argv = [a.format(iid=IID_PARAMS, triangle=TRIANGLE, **paths) for a in argv]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert sorted(summary) == sorted(f"command config outputs runtime_seconds {keys}".split())
 
 
 @pytest.mark.parametrize("grid, code", [([True, "0.5"], 2), (["0", "1"], 2), ([0, 0.5], 0)])

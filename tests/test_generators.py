@@ -14,10 +14,10 @@ from reservelab.generators import (EqualRevenuePairAnalysis, JointGenerator,
                                    geometric_pair_atoms, high_low_exact,
                                    independent_set_number, sample_log)
 from reservelab.mechanics import Mechanism
-from reservelab.optimize import exact_eager_search, exact_lazy_search
+from reservelab.optimize import exact_eager_search, exact_lazy_search, own_candidates
 from reservelab.vectorized import payments
 
-from oracles import high_low_weighted_log
+from oracles import equal_revenue_pair_cell_logs, high_low_weighted_log
 
 
 def test_sample_log_deterministic():
@@ -209,6 +209,31 @@ def test_equal_revenue_pair_analysis_reaches_the_atom_edge():
     edge = eager_rev(1.0, (1.0 - eps) * M)
     assert eager_rev(1.0, (1.0 - eps) * M * (1.0 + 1e-12)) < edge - 0.9
     assert equal_revenue_pair_analysis(M, eps).best_eager_revenue >= edge
+
+
+def test_equal_revenue_pair_analysis_lies_between_its_cell_laws():
+    """Criterion 09 a second way, with no quadrature. The law with its [1, M) mass on 600
+    log-spaced cells, each at its lower or upper end (oracles.equal_revenue_pair_cell_logs),
+    bounds every revenue from below and above. So lazy at (0, M) on the two logs brackets
+    the analysis's lazy revenue; the upper log's exact eager optimum bounds the law's from
+    above and the lower log's from below, which the analysis's grid must reach; and lazy on
+    the lower log over eager on the upper one is a certified lower bound on the ratio.
+    The slack covers the analysis's quadrature rounding."""
+    M, eps = 1e4, 1e-6
+    low, high, weights = equal_revenue_pair_cell_logs(M, eps, 600)
+    assert math.fsum(weights.tolist()) == pytest.approx(1.0, rel=1e-15)
+
+    def revenue(bids, reserves, mechanism):
+        return math.fsum((weights * payments(bids, np.asarray(reserves), mechanism)).tolist())
+
+    lazy = [revenue(b, [0.0, M], Mechanism.LAZY) for b in (low, high)]
+    eager = [revenue(b, exact_eager_search(b, own_candidates(b.T), weights), Mechanism.EAGER)
+             for b in (low, high)]
+    a = equal_revenue_pair_analysis(M, eps)
+    slack = 1e-12 * a.lazy_revenue
+    assert lazy[0] - slack <= a.lazy_revenue <= lazy[1] + slack
+    assert eager[0] - slack <= a.best_eager_revenue <= eager[1] + slack
+    assert lazy[0] / eager[1] >= 1.7
 
 
 def test_geometric_pair_analysis():

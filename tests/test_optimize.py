@@ -1,7 +1,7 @@
 """Reserve optimizers: fixtures, oracle equivalence, hardness identities."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,10 +13,11 @@ from reservelab.generators import gen_hardness_instance, independent_set_number
 from reservelab.logs import BidLog
 from reservelab.mechanics import BidProfile, Mechanism, ReserveVector, run_eager
 from reservelab import optimize
-from reservelab.optimize import (_best_on_lines, _eager_line_totals, _eager_totals_for_rows,
-                                 _result, eager_coordinate_ascent, empirical_revenue,
-                                 exact_eager_search, monopoly_reserves, optimal_eager_exact,
-                                 optimal_lazy, optimal_lazy_bruteforce, own_candidates)
+from reservelab.optimize import (OptimizationResult, _best_on_lines, _eager_line_totals,
+                                 _eager_totals_for_rows, _result, eager_coordinate_ascent,
+                                 empirical_revenue, exact_eager_search, monopoly_reserves,
+                                 optimal_eager_exact, optimal_lazy, optimal_lazy_bruteforce,
+                                 own_candidates)
 from reservelab.vectorized import ABSENT, payments
 
 from oracles import argmax_over_grid, global_candidates, own_set_sizes
@@ -179,10 +180,28 @@ def test_eager_exact_size_bound():
 def test_eager_exact_counts_each_bidders_own_bids():
     # A bids {1, 2, 5}, B bids {2} and once 0: grids of 4 and 2 candidates, 8 vectors
     log = log_of([{"A": 1.0, "B": 2.0}, {"A": 2.0}, {"A": 5.0, "B": 0.0}])
-    assert optimal_eager_exact(log, max_product_size=8).candidates == (4, 2)
+    assert optimal_eager_exact(log, max_product_size=8).counters == {
+        "candidates": [4, 2], "vectors": 8, "lines": 4}
     with pytest.raises(SearchSpaceTooLarge,
                        match=r"^4 x 2 = 8 candidate vectors exceed max_product_size=7$"):
         optimal_eager_exact(log, max_product_size=7)
+
+
+def test_results_record_their_rule_and_counters():
+    """Each result names the rule its revenue is under and carries its search's counters:
+    none for the lazy and monopoly searches."""
+    log = log_of([{"A": 1.0, "B": 2.0}, {"A": 2.0}, {"A": 5.0, "B": 0.0}])
+    runs = [(optimal_lazy(log), Mechanism.LAZY, ""),
+            (optimal_lazy_bruteforce(log), Mechanism.LAZY, ""),
+            (monopoly_reserves(log), Mechanism.EAGER, ""),
+            *((monopoly_reserves(log, m), m, "") for m in Mechanism),
+            (optimal_eager_exact(log), Mechanism.EAGER, "candidates lines vectors"),
+            (eager_coordinate_ascent(log), Mechanism.EAGER, "candidates converged rounds")]
+    for result, mechanism, keys in runs:
+        assert result.mechanism is mechanism and sorted(result.counters) == keys.split()
+        assert result.expected_revenue == empirical_revenue(log, result.reserves, mechanism)
+    assert [f.name for f in fields(OptimizationResult)] == [
+        "reserves", "expected_revenue", "total_revenue", "total_welfare", "mechanism", "counters"]
 
 
 def test_eager_exact_lex_smallest_tie():
@@ -235,11 +254,11 @@ def test_eager_exact_returns_the_grid_vector(case):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(optimize, "_SEARCH_BATCH", batch)
         got = optimal_eager_exact(log, max_product_size=10 ** 4)
-        assert exact_eager_search(bids, own_candidates(bids), weights).tolist() == want.tolist()
+        assert exact_eager_search(bids, own_candidates(bids.T), weights).tolist() == want.tolist()
     if weights is None:
         assert [got.reserves.get(b) for b in log.bidder_ids] == want.tolist()
     assert got.expected_revenue == empirical_revenue(log, got.reserves, Mechanism.EAGER)
-    assert got.candidates == tuple(own_set_sizes(bids))
+    assert got.counters["candidates"] == own_set_sizes(bids)
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,7 +273,7 @@ def test_a_line_over_own_bids_equals_the_line_over_every_bid(case, data):
     n = len(log.bidder_ids)
     row = np.array(data.draw(st.lists(st.sampled_from(cands.tolist() + [math.inf]),
                                       min_size=n, max_size=n)))
-    for j, own in enumerate(own_candidates(bids)):
+    for j, own in enumerate(own_candidates(bids.T)):
         R = np.tile(row, (len(cands), 1))
         R[:, j] = cands
         totals = _eager_totals_for_rows(bids, R, weights)
@@ -269,7 +288,7 @@ def test_own_bids_can_split_a_tie_that_only_rounding_makes():
     # exact totals differ. The grid of every bid takes 9; A's own bids take 10, at the
     # same total.
     bids = np.array([[ABSENT, 1e17, 1e17], [10.0, ABSENT, ABSENT], [ABSENT, ABSENT, 9.0]])
-    row, total = _best_on_lines(bids, np.zeros((1, 3)), 0, own_candidates(bids)[0])
+    row, total = _best_on_lines(bids, np.zeros((1, 3)), 0, own_candidates(bids.T)[0])
     cands = global_candidates(bids)
     R = np.zeros((len(cands), 3))
     R[:, 0] = cands
@@ -378,8 +397,8 @@ def reference_ascent(log, init=None, max_rounds=50):
         if current_total - round_start <= 1e-12 * max(1.0, abs(round_start)):
             converged = True
             break
-    return replace(_result(log, current, Mechanism.EAGER), rounds=rounds, converged=converged,
-                   candidates=tuple(own_set_sizes(bids)))
+    return _result(log, current, Mechanism.EAGER, candidates=own_set_sizes(bids), rounds=rounds,
+                   converged=converged)
 
 
 def check_line_search(log, current, weights=None):
@@ -455,7 +474,7 @@ def test_ascent_matches_reference_loop():
                 want = reference_ascent(log, init, max_rounds)
                 assert got.reserves == want.reserves
                 assert got.expected_revenue == want.expected_revenue
-                assert (got.rounds, got.converged) == (want.rounds, want.converged)
+                assert got.counters == want.counters
 
 
 def test_line_search_near_tie_keeps_ordered_argmax():

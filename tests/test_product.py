@@ -161,7 +161,7 @@ def weighted_optima(bids, weights):
     def revenue(reserves, mechanism):
         return math.fsum((weights * payments(bids, reserves, mechanism)).tolist())
     return (revenue(exact_lazy_search(bids, weights), Mechanism.LAZY),
-            revenue(exact_eager_search(bids, own_candidates(bids), weights), Mechanism.EAGER))
+            revenue(exact_eager_search(bids, own_candidates(bids.T), weights), Mechanism.EAGER))
 
 
 @st.composite
