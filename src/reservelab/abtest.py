@@ -23,7 +23,7 @@ Each refuses a law that is_regular rejects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,8 @@ from .distributions import _FLOAT_MAX, ContinuousDist, _integrate, is_regular, m
 from .errors import DomainError
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
-from .vectorized import lazy_order, lazy_select, nested_payments, payments, reserve_can_bind
+from .vectorized import (lazy_order, lazy_select, nested_payments, payments, reserve_can_bind,
+                         second_bid)
 
 _CHUNK = 100_000  # Monte-Carlo auctions drawn and evaluated per block
 # auctions per all-k payment pass within a block; on a 2-core Xeon (2 MB L2 per core)
@@ -55,6 +56,8 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     seed: int
     descriptor: str
+    # what the estimator did, as its docstring lists; empty for the empirical sweep
+    counters: dict = field(default_factory=dict)
 
     def to_tsv(self) -> str:
         lines = [f"# seed={self.seed}", f"# source={self.descriptor}",
@@ -146,15 +149,15 @@ def _bidder_arms(mechanisms, r_full: np.ndarray):
     selects, column j * (n + 1) + k for mechanisms[j] with k bidders treated, then the
     (c - c_b, 1) second bids of the other auctions, which each of them pays in every column.
 
-    The second bids come from one lazy_order pass. The binding auctions go to
-    nested_payments, which evaluates every k in one pass per mechanism and slice of _SLICE
-    of them, the mechanisms taking turns on a slice while it is in cache (slicing bounds
-    the pass's memory only). No (c, ...) block of payments is built. The arms draw nothing
-    from the rng.
+    The second bids come from one second_bid pass, which tracks no winner. The binding
+    auctions go to nested_payments, which evaluates every k in one pass per mechanism and
+    slice of _SLICE of them, the mechanisms taking turns on a slice while it is in cache
+    (slicing bounds the pass's memory only). No (c, ...) block of payments is built. The
+    arms draw nothing from the rng.
     """
     def arms(rng, values):
         n = values.shape[1]
-        second = lazy_order(values)[2]
+        second = second_bid(values)
         rows = reserve_can_bind(second, r_full)
         binding = values[rows]
         block = np.empty((len(rows), len(mechanisms) * (n + 1)))
@@ -289,11 +292,20 @@ def sweep_theoretical(dist: ContinuousDist, n: int, mechanisms, trials: int,
     References: closed forms for uniform(0,1), quadrature for other
     families; lazy interpolates linearly between its k = 0 and k = n
     endpoints. A non-finite mean, stderr or reference, or a negative reference,
-    raises DomainError naming the first such row.
+    raises DomainError naming the first such row. Its counter `binding_auctions` is the
+    number of drawn auctions reserve_can_bind sent to nested_payments.
     """
     mechanisms = list(mechanisms)
     arms = _bidder_arms(mechanisms, _myerson_row(dist, n))
-    count, means, m2s = _moments(dist, n, trials, seed, arms)
+    binding = 0
+
+    def counted(rng, values):
+        nonlocal binding
+        groups = arms(rng, values)
+        binding += len(groups[0])
+        return groups
+
+    count, means, m2s = _moments(dist, n, trials, seed, counted)
     means, m2s = means.reshape(-1, n + 1), m2s.reshape(-1, n + 1)  # [mechanism, k]
     rows = []
     for j, mechanism in enumerate(mechanisms):
@@ -303,7 +315,8 @@ def sweep_theoretical(dist: ContinuousDist, n: int, mechanisms, trials: int,
                 raise DomainError(f"{dist.name}, n={n}, {mechanism.value} k={k}: mean {mean}, "
                                   f"stderr {se}, reference {ref}; want finite, reference >= 0")
             rows.append(SweepRow(float(k), mechanism, mean, se, trials, ref))
-    return SweepResult(tuple(rows), seed, f"theoretical({dist.name},n={n})")
+    return SweepResult(tuple(rows), seed, f"theoretical({dist.name},n={n})",
+                       {"binding_auctions": binding})
 
 
 @dataclass(frozen=True)

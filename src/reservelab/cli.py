@@ -288,10 +288,12 @@ def cmd_sweep(cfg: RunConfig) -> tuple[list[str], dict]:
                                              cfg.assignments, cfg.seed)
                    for mech in mechanisms]
     rows: list[SweepRow] = []
+    extra: dict = {}
     for res in results:
         rows.extend(res.rows)
+        extra.update(res.counters)
     combined = SweepResult(tuple(rows), cfg.seed, results[0].descriptor)
-    extra = {"rows": len(rows)}
+    extra["rows"] = len(rows)
     if cfg.mode == "theoretical":
         extra["max_abs_z"] = combined.max_abs_z()
     return [_write_text(cfg, "sweep.tsv", combined.to_tsv())], extra

@@ -18,7 +18,8 @@ selections alone, equal to one kernel call per k; the suffix scan read backwards
 already in k order.
 
 reserve_can_bind states when a reserve can change an auction's price at all; the
-sweeps send only those auctions to a kernel.
+sweeps send only those auctions to a kernel. second_bid is lazy_order's second bid alone,
+for callers that need no winner: the bidder split reads nothing else.
 """
 
 from __future__ import annotations
@@ -52,12 +53,28 @@ def lazy_order(bids: np.ndarray):
     return _top_two(np.asarray(bids, dtype=float).T)
 
 
+def second_bid(bids: np.ndarray) -> np.ndarray:
+    """lazy_order(bids)[2] alone, bit for bit: per auction the second-highest bid (0 with
+    one participant), from one top/second pass over contiguous bidder columns that tracks
+    no winner. The operands are _top_two's, in its order."""
+    columns = np.ascontiguousarray(np.asarray(bids, dtype=float).T)  # (n, T)
+    if len(columns) == 0:
+        raise ValueError("no bidders")
+    top = columns[0].copy()  # a Fortran-order input's columns are its own memory
+    second = np.full(top.shape, ABSENT)
+    low = np.empty(top.shape)
+    for col in columns[1:]:
+        np.maximum(second, np.minimum(top, col, out=low), out=second)
+        np.maximum(top, col, out=top)
+    return np.where(np.isfinite(second), second, 0.0)  # single participant: 0
+
+
 def reserve_can_bind(second: np.ndarray, reserves) -> np.ndarray:
-    """Indices of the auctions whose price some reserve can change: second bid (a
-    lazy_order one, 0 with one participant) below the largest of `reserves` and 0, the
-    reserve an untreated bidder holds. Every other auction pays its second bid under
-    both rules: no reserve lies above that bid, so none removes either of the top two
-    bidders or raises the price."""
+    """Indices of the auctions whose price some reserve can change: second bid
+    (second_bid's, equal to lazy_order's, 0 with one participant) below the largest of
+    `reserves` and 0, the reserve an untreated bidder holds. Every other auction pays its
+    second bid under both rules: no reserve lies above that bid, so none removes either of
+    the top two bidders or raises the price."""
     return np.flatnonzero(second < max(float(np.max(reserves)), 0.0))
 
 

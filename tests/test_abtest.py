@@ -19,7 +19,8 @@ from reservelab.errors import DomainError
 from reservelab.logs import BidLog
 from reservelab.mechanics import Mechanism, ReserveVector
 from reservelab.optimize import empirical_revenue
-from reservelab.vectorized import ABSENT, payments
+from reservelab.vectorized import (ABSENT, lazy_order, nested_payments, payments,
+                                   reserve_can_bind)
 
 UNIFORM = uniform_dist()
 
@@ -336,6 +337,59 @@ def test_bidder_split_merges_one_binding_block_and_one_column_per_chunk(monkeypa
         bind = second < 0.5
         assert block.shape == (bind.sum(), 2 * (n + 1))
         assert np.array_equal(rest, second[~bind, None])
+
+
+def test_sweep_counts_the_auctions_it_sends_to_the_kernels():
+    # uniform(0,1), n = 10, reserve 1/2: the second bid is below 1/2 when at most one of the
+    # ten values is above it, with probability 11 / 1024
+    n, seed = 10, 6
+    res = sweep_theoretical(UNIFORM, n, list(Mechanism), _ORACLE_TRIALS, seed)
+    rng = np.random.default_rng(seed)
+    chunks = [UNIFORM.sample(rng, (c, n)) for c in (abtest._CHUNK, 1)]
+    want = sum(int(np.count_nonzero(_second_bids(values) < 0.5)) for values in chunks)
+    assert res.counters == {"binding_auctions": want}
+    p = 11 / 1024
+    assert abs(want - _ORACLE_TRIALS * p) < 5 * math.sqrt(_ORACLE_TRIALS * p * (1 - p))
+
+
+def _lazy_order_arms(mechanisms, r_full):
+    """The bidder arms with each chunk's second bids from lazy_order's full pass, scored in
+    one nested_payments call per mechanism."""
+    def arms(rng, values):
+        second = lazy_order(values)[2]
+        rows = reserve_can_bind(second, r_full)
+        block = np.concatenate([nested_payments(values[rows], r_full, mechanism)
+                                for mechanism in mechanisms], axis=1)
+        return block, np.delete(second, rows)[:, None]
+    return arms
+
+
+def _no_lazy_order(bids):
+    raise AssertionError("a lazy_order call")
+
+
+_GUARD_TRIALS = abtest._CHUNK + 2_500  # one full chunk and a partial one
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+@pytest.mark.parametrize("dist", [UNIFORM, uniform_dist(0.0, 1000.0), exponential_dist(1.0)],
+                         ids=["uniform", "scaled", "exponential"])
+def test_bidder_split_reads_its_second_bids_without_lazy_order(dist, n, monkeypatch):
+    def estimates():
+        return [sweep_theoretical(dist, n, list(Mechanism), _GUARD_TRIALS, seed=8),
+                *(paired_treatment_deltas(dist, n, mech, _GUARD_TRIALS, seed=8)
+                  for mech in Mechanism)]
+
+    want = estimates()
+    mechanisms, r_full = list(Mechanism), _myerson_row(dist, n)
+    rng = np.random.default_rng(8)
+    for c in (abtest._CHUNK, _GUARD_TRIALS - abtest._CHUNK):
+        values = dist.sample(rng, (c, n))
+        got = abtest._bidder_arms(mechanisms, r_full)(rng, values)
+        ref = _lazy_order_arms(mechanisms, r_full)(rng, values)
+        assert [(g.shape, g.tobytes()) for g in got] == [(r.shape, r.tobytes()) for r in ref]
+    monkeypatch.setattr(abtest, "lazy_order", _no_lazy_order)
+    assert estimates() == want
 
 
 def test_eager_empirical_sweep_reruns_only_the_auctions_where_a_reserve_can_bind(monkeypatch):

@@ -786,7 +786,7 @@ def test_summary_config_lists_the_flags_the_run_read(tmp_path, paths, argv, keys
     (["gen", "--generator", "iid", "--params", "{iid}", "--count", "5"], "auctions bidders"),
     (["gen", "--generator", "hardness", "--params", "{triangle}"], "auctions bidders"),
     (["lift-tables", "--input", "{log}", "--input", "{log}"], "slots"),
-    (THEORETICAL, "max_abs_z rows"),
+    (THEORETICAL, "binding_auctions max_abs_z rows"),
     (EMPIRICAL, "rows"),
 ])
 def test_summary_keys_per_subcommand(tmp_path, paths, argv, keys):

@@ -3,13 +3,14 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reservelab.logs import BidLog
 from reservelab.mechanics import BidProfile, Mechanism, ReserveVector, run_auction
 from reservelab.vectorized import (ABSENT, eager_payments, lazy_order, lazy_payments, lazy_select,
-                                   nested_payments, payments)
+                                   nested_payments, payments, second_bid)
 
 
 def random_log(rng, n_bidders=None, n_auctions=None, absent_prob=0.3):
@@ -138,6 +139,47 @@ def test_lazy_select_reuses_one_order():
 
 
 _LEVELS = [0.0, 0.5, 1.0, 2.0, 3.0]  # few levels, so bids tie with each other and with reserves
+
+
+@st.composite
+def second_bid_cases(draw):
+    """A (T, n) bid matrix of few levels, so bids tie, with absent bids: rows of one
+    participant and rows nobody joins are forced in when T allows."""
+    n = draw(st.integers(1, 12))
+    T = draw(st.integers(0, 50))
+    bids = np.array(draw(st.lists(st.sampled_from(_LEVELS + [ABSENT]),
+                                  min_size=T * n, max_size=T * n))).reshape(T, n)
+    if T >= 2:
+        bids[0] = ABSENT
+        bids[1] = ABSENT
+        bids[1, draw(st.integers(0, n - 1))] = draw(st.sampled_from(_LEVELS))
+    return bids
+
+
+def _assert_second_bid_is_lazy_orders(bids):
+    kept = bids.copy()
+    got = second_bid(bids)
+    assert got.dtype == np.float64 and got.shape == bids.shape[:1]
+    assert got.tobytes() == lazy_order(bids)[2].tobytes()
+    assert np.array_equal(bids, kept)  # the input is left alone
+
+
+@settings(max_examples=300, deadline=None)
+@given(second_bid_cases())
+def test_second_bid_is_lazy_orders_second_bid_property(bids):
+    _assert_second_bid_is_lazy_orders(bids)
+    _assert_second_bid_is_lazy_orders(np.asfortranarray(bids))  # columns already contiguous
+    wide = np.column_stack([bids, np.full(len(bids), 4.0)])
+    _assert_second_bid_is_lazy_orders(wide[:, :-1])  # a strided column slice
+
+
+def test_second_bid_by_hand():
+    bids = np.array([[3.0, 5.0, 5.0], [2.0, ABSENT, ABSENT], [ABSENT, 1.0, 4.0],
+                     [ABSENT, ABSENT, ABSENT], [0.0, 0.0, ABSENT]])
+    assert second_bid(bids).tolist() == [5.0, 0.0, 1.0, 0.0, 0.0]
+    assert second_bid([[7.0]]).tolist() == [0.0]  # a lone bidder: 0
+    with pytest.raises(ValueError, match="no bidders"):
+        second_bid(np.zeros((3, 0)))
 
 
 @st.composite
