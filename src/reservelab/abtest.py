@@ -112,7 +112,8 @@ def _myerson_row(dist: ContinuousDist, n: int) -> np.ndarray:
 
 def _moments(dist: ContinuousDist, n: int, trials: int, seed: int, arms) -> tuple:
     """Running (count, mean, M2) of the payments `arms` returns on `trials` seeded auctions,
-    merged in the law's unit (payment / dist.scale), so no square over- or underflows.
+    merged in the law's unit (payment / dist.scale), so no square over- or underflows, and
+    the number of auctions the arms scored at full width (the rows of every first group).
 
     Each block of up to _CHUNK auctions draws its (c, n) values first; then arms(rng,
     values) draws any treatment from the same rng and returns the block's payments as
@@ -128,19 +129,20 @@ def _moments(dist: ContinuousDist, n: int, trials: int, seed: int, arms) -> tupl
     if dist.lo < 0:
         raise DomainError(f"{dist.name}: support reaches below 0; values must be >= 0")
     rng = np.random.default_rng(seed)
-    stats = None
+    stats, full = None, 0
     for first in range(0, trials, _CHUNK):
         values = dist.sample(rng, (min(_CHUNK, trials - first), n))
         if not np.isfinite(values).all():
             raise DomainError(f"{dist.name}: a draw is not a finite number")
         groups = arms(rng, values)
+        full += len(groups[0])
         if stats is None:
             stats = (0, np.zeros(groups[0].shape[1:]), np.zeros(groups[0].shape[1:]))
         for group in groups:
             group /= dist.scale  # in place: a second copy would add to peak memory
             with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as inf/nan
                 stats = _merge_moments(stats, group)
-    return stats
+    return stats, full
 
 
 def _bidder_arms(mechanisms, r_full: np.ndarray):
@@ -184,7 +186,7 @@ def simulate_treatment(dist: ContinuousDist, n: int, fraction: float, mechanism:
         treated = rng.random(len(values)) < fraction
         return (payments(values, np.where(treated[:, None], r_full, 0.0), mechanism),)
 
-    mean, se = _mean_stderr(*_moments(dist, n, trials, seed, arm), dist.scale)
+    mean, se = _mean_stderr(*_moments(dist, n, trials, seed, arm)[0], dist.scale)
     return SweepRow(fraction, mechanism, mean, se, trials)
 
 
@@ -222,6 +224,8 @@ def rev_e_k_quadrature(dist: ContinuousDist, n: int, k: int) -> float:
     """
     if not 0 <= k <= n:
         raise ValueError(f"k {k} out of range [0, {n}]")
+    if dist.atom_at_hi:
+        raise DomainError(f"{dist.name}: order-statistic quadrature needs an atomless law")
     r = myerson_reserve(dist)
     if n == 1 and k == 0:
         return 0.0
@@ -269,17 +273,15 @@ def expected_second_highest(dist: ContinuousDist, n: int) -> float:
     return n * (n - 1) * _quad(dist, integrand, dist.lo, dist.hi)
 
 
-def _references(dist: ContinuousDist, n: int, mechanism: Mechanism) -> list[float]:
-    """The references of one rule at k = 0..n: closed forms for uniform(0,1), quadrature
-    otherwise. Lazy is linear in k from no bidder treated to all n, where it equals eager."""
+def _references(dist: ContinuousDist, n: int) -> dict[Mechanism, list[float]]:
+    """Each rule's references at k = 0..n, one table per sweep. Eager's come from the closed
+    form for uniform(0,1), quadrature otherwise. Lazy is linear in k between eager's two
+    ends: no bidder treated, where both rules pay the second bid, and all n treated."""
     unit = dist.name.startswith("uniform(") and (dist.lo, dist.hi) == (0.0, 1.0)
-    ks = range(n + 1) if mechanism is Mechanism.EAGER else [n]
     eager = [rev_e_k_closed_uniform(n, k) if unit else rev_e_k_quadrature(dist, n, k)
-             for k in ks]
-    if mechanism is Mechanism.EAGER:
-        return eager
-    rev0 = (n - 1.0) / (n + 1.0) if unit else expected_second_highest(dist, n)
-    return [rev_l_k_closed(n, k, rev0, eager[0]) for k in range(n + 1)]
+             for k in range(n + 1)]
+    return {Mechanism.EAGER: eager,
+            Mechanism.LAZY: [rev_l_k_closed(n, k, eager[0], eager[n]) for k in range(n + 1)]}
 
 
 def sweep_theoretical(dist: ContinuousDist, n: int, mechanisms, trials: int,
@@ -289,27 +291,21 @@ def sweep_theoretical(dist: ContinuousDist, n: int, mechanisms, trials: int,
     One row per k for each of `mechanisms`, mechanism-major in the order
     given. One Monte-Carlo pass scores every mechanism, so all rows, across
     k and across mechanisms, share their draws; k treats the columns < k.
-    References: closed forms for uniform(0,1), quadrature for other
-    families; lazy interpolates linearly between its k = 0 and k = n
-    endpoints. A non-finite mean, stderr or reference, or a negative reference,
-    raises DomainError naming the first such row. Its counter `binding_auctions` is the
-    number of drawn auctions reserve_can_bind sent to nested_payments.
+    References come from one _references table: eager's by closed form for uniform(0,1)
+    and by quadrature (n + 1 integrals) for other families, lazy's linear between
+    eager's k = 0 and k = n ends. A non-finite mean, stderr or reference, or a negative
+    reference, raises DomainError naming the first such row. Its counter
+    `binding_auctions` is the number of drawn auctions reserve_can_bind sent to
+    nested_payments, which _moments counts as the rows its arms scored at full width.
     """
     mechanisms = list(mechanisms)
-    arms = _bidder_arms(mechanisms, _myerson_row(dist, n))
-    binding = 0
-
-    def counted(rng, values):
-        nonlocal binding
-        groups = arms(rng, values)
-        binding += len(groups[0])
-        return groups
-
-    count, means, m2s = _moments(dist, n, trials, seed, counted)
+    (count, means, m2s), binding = _moments(dist, n, trials, seed,
+                                            _bidder_arms(mechanisms, _myerson_row(dist, n)))
     means, m2s = means.reshape(-1, n + 1), m2s.reshape(-1, n + 1)  # [mechanism, k]
+    references = _references(dist, n)
     rows = []
     for j, mechanism in enumerate(mechanisms):
-        for k, ref in enumerate(_references(dist, n, mechanism)):
+        for k, ref in enumerate(references[mechanism]):
             mean, se = _mean_stderr(count, means[j, k], m2s[j, k], dist.scale)
             if not (math.isfinite(mean) and math.isfinite(se) and 0.0 <= ref < math.inf):
                 raise DomainError(f"{dist.name}, n={n}, {mechanism.value} k={k}: mean {mean}, "
@@ -341,7 +337,7 @@ def paired_treatment_deltas(dist: ContinuousDist, n: int, mechanism: Mechanism,
         block, rest = arms(rng, values)  # an auction no reserve can bind differs by 0
         return np.diff(block, axis=1), np.zeros(rest.shape)
 
-    count, means, m2s = _moments(dist, n, trials, seed, deltas)
+    (count, means, m2s), _ = _moments(dist, n, trials, seed, deltas)
     out = []
     for k in range(n):
         mean, se = _mean_stderr(count, means[k], m2s[k], dist.scale)

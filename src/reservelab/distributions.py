@@ -36,7 +36,8 @@ class ContinuousDist:
     pdf: Callable[[float], float]
     ppf: Callable[[np.ndarray], np.ndarray]  # inverse cdf on [0, 1)
     atom_at_hi: float = 0.0
-    # characteristic width, used to scale finite-difference steps and brackets
+    # characteristic width: it scales myerson_reserve's bracket and tolerances, and is the
+    # unit of the Monte-Carlo moments (abtest._moments, _mean_stderr) and _quad's variable
     scale: float = field(default=1.0)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:

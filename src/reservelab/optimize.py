@@ -8,8 +8,8 @@ auctions she would win at zero reserves, and there her lazy revenue is
 with k_i(r) = #{auctions in Q_i : top >= r > second} and s_i(r) = sum of
 seconds >= r: the eager revenue of the log [top, second] over Q_i with the
 rival at reserve 0. exact_lazy_search runs the eager line search below on it
-once per bidder; optimal_lazy_bruteforce re-simulates every candidate
-directly and exists as an independent check.
+once per bidder; optimal_lazy_bruteforce re-simulates every candidate of {0},
+the tops and the seconds directly and exists as an independent check.
 
 The eager problem has no such decoupling (it is as hard as maximum
 independent set), but one reserve at a time it is easy. With the others
@@ -35,7 +35,10 @@ r_j = m. Payments are each >=, so ordered float sums keep these comparisons,
 and so do non-negative weights. The one thing rounding can change is a
 total that rises on (b', b] in exact arithmetic but rounds flat: the grid of
 every bid may then pick a reserve inside (b', b) where this one picks b, at
-the same total.
+the same total. The argument covers the lazy line, this eager line on the log
+[top, second], where bidder i's own bids are the tops, and monopoly_reserves'
+r * #{own bids >= r}, whose count is constant on (b', b]. So every search takes
+its candidates from own_candidates.
 
 optimal_eager_exact enumerates the first n - 1 reserves in product order
 (mixed radix, the last digit fastest) and line-searches the last, which
@@ -149,19 +152,16 @@ def optimal_lazy_bruteforce(log: BidLog) -> OptimizationResult:
 def monopoly_reserves(log: BidLog, mechanism: Mechanism = Mechanism.EAGER) -> OptimizationResult:
     """Per-bidder monopoly reserves: maximize r * #{own bids >= r} independently.
 
-    Candidates are the bidder's own distinct bid values, ties toward the
-    smallest. This ignores competition entirely; expected_revenue reports what
+    Candidates are the bidder's own_candidates, ties toward the smallest; their 0
+    earns 0. This ignores competition entirely; expected_revenue reports what
     the vector earns on the log under `mechanism` (eager by default), since
     the monopoly objective itself is not auction revenue.
     """
     bids = log.to_matrix()
     chosen = np.empty(len(log.bidder_ids))
-    for j in range(len(log.bidder_ids)):
-        vals = bids[:, j]
-        vals = np.sort(vals[np.isfinite(vals)])
-        cands = _distinct(vals)
-        n_at_least = len(vals) - np.searchsorted(vals, cands, side="left")
-        rev = cands * n_at_least
+    for j, cands in enumerate(own_candidates(bids.T)):
+        vals = np.sort(bids[:, j])  # an absent -inf sorts below every candidate
+        rev = cands * (len(vals) - np.searchsorted(vals, cands, side="left"))
         chosen[j] = cands[np.argmax(rev)]  # first max = smallest candidate
     return _result(log, chosen, mechanism)
 
@@ -294,12 +294,12 @@ def _best_on_lines(bids: np.ndarray, rows: np.ndarray, j: int, cands: np.ndarray
 
 
 def exact_lazy_search(bids: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Per bidder of `bids` (T, n), the smallest of {0} and the top/second values of
-    the auctions Q she wins at zero reserves with the highest ordered lazy total
-    over Q, each payment times its weight if `weights` (T,) is given; 0 if Q is
-    empty. On Q the log [top, second] with the rival at reserve 0 pays lazily (she
-    wins ties; once she drops out the rival is alone and pays 0), so one eager line
-    search per bidder is exact."""
+    """Per bidder of `bids` (T, n), the smallest of its own_candidates over the tops of
+    the auctions Q she wins at zero reserves, {0} plus those tops, with the highest
+    ordered lazy total over Q, each payment times its weight if `weights` (T,) is
+    given; 0 if Q is empty. On Q the log [top, second] with the rival at reserve 0
+    pays lazily (she wins ties; once she drops out the rival is alone and pays 0), so
+    one eager line search per bidder over her own bids in that log is exact."""
     winner, top, second = lazy_order(bids)
     w = np.ones(len(top)) if weights is None else weights
     best = np.zeros(bids.shape[1])
@@ -307,7 +307,7 @@ def exact_lazy_search(bids: np.ndarray, weights: np.ndarray | None = None) -> np
         mine = winner == i
         if mine.any():
             pair = np.stack([top[mine], second[mine]], axis=1)
-            cands = _distinct(np.concatenate([[0.0], pair.ravel()]))
+            cands = own_candidates([top[mine]])[0]
             best[i] = _best_on_lines(pair, np.zeros((1, 2)), 0, cands, w[mine])[0][0]
     return best
 

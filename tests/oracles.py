@@ -1,10 +1,13 @@
 """Reference implementations that the fast searches and evaluators are checked against."""
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
+from reservelab.distributions import ContinuousDist
+from reservelab.generators import equal_revenue_pair_analysis
 from reservelab.mechanics import BidProfile, run_auction
 
 
@@ -91,6 +94,38 @@ def high_low_weighted_log(n: int, delta: float):
     rows = [[float(n)] * k + [1.0] * (n - k) for k in range(n + 1)]
     weights = [math.comb(n, k) * q ** k * (1.0 - q) ** (n - k) for k in range(n + 1)]
     return symmetrized_weighted_log(rows, delta, weights)
+
+
+@functools.cache
+def criterion_09_analysis():
+    """equal_revenue_pair_analysis(1e4, 1e-6), criterion 09's correlated pair, computed once
+    per test process: it takes about a second, and three generator tests read it too."""
+    return equal_revenue_pair_analysis(1e4, 1e-6)
+
+
+def piecewise_density_dist():
+    """Density 1.8 on [0, .5) and 0.2 on [.5, 1]: phi drops at the break, so the law is
+    not regular."""
+    def cdf(v):
+        if v < 0:
+            return 0.0
+        if v < 0.5:
+            return 1.8 * v
+        return min(1.0, 0.9 + 0.2 * (v - 0.5))
+
+    def pdf(v):
+        if 0 <= v < 0.5:
+            return 1.8
+        if 0.5 <= v <= 1:
+            return 0.2
+        return 0.0
+
+    def ppf(u):
+        u = np.asarray(u)
+        return np.where(u < 0.9, u / 1.8, 0.5 + (u - 0.9) / 0.2)
+
+    return ContinuousDist(name="piecewise", lo=0.0, hi=1.0,
+                          cdf=cdf, pdf=pdf, ppf=ppf)
 
 
 def equal_revenue_pair_cell_logs(M: float, epsilon: float, K: int):

@@ -22,6 +22,8 @@ from reservelab.optimize import empirical_revenue
 from reservelab.vectorized import (ABSENT, lazy_order, nested_payments, payments,
                                    reserve_can_bind)
 
+from oracles import piecewise_density_dist
+
 UNIFORM = uniform_dist()
 
 
@@ -425,7 +427,7 @@ def test_bidder_split_estimates_make_no_kernel_call(monkeypatch):
 @pytest.mark.parametrize("mech", list(Mechanism))
 def test_sweep_and_paired_deltas_equal_the_per_k_reference(n, mech):
     res = sweep_theoretical(UNIFORM, n, [mech], _ORACLE_TRIALS, seed=21)
-    lazy_ends = ((n - 1) / (n + 1), rev_e_k_closed_uniform(n, n))
+    lazy_ends = (rev_e_k_closed_uniform(n, 0), rev_e_k_closed_uniform(n, n))
     want = [SweepRow(float(k), mech, mean, se, _ORACLE_TRIALS,
                      rev_e_k_closed_uniform(n, k) if mech is Mechanism.EAGER
                      else rev_l_k_closed(n, k, *lazy_ends))
@@ -486,11 +488,12 @@ def test_first_k_columns_estimate_what_a_random_ranking_does(dist, n, mech):
 
 
 def test_uniform_lazy_endpoints_closed_form_matches_quadrature():
-    """The closed uniform(0,1) lazy endpoints are within 1e-15 of quadrature and print alike."""
+    """The closed uniform(0,1) lazy endpoints, eager's at k = 0 and n, are within 1e-15 of
+    the quadrature that every other law's take, and print alike."""
     for n in range(1, 41):
-        refs = abtest._references(UNIFORM, n, Mechanism.LAZY)
+        refs = abtest._references(UNIFORM, n)[Mechanism.LAZY]
         closed = refs[0], refs[-1]
-        quad = (expected_second_highest(UNIFORM, n), rev_e_k_quadrature(UNIFORM, n, n))
+        quad = (rev_e_k_quadrature(UNIFORM, n, 0), rev_e_k_quadrature(UNIFORM, n, n))
         for c, q in zip(closed, quad):
             assert abs(c - q) <= 1e-15 * abs(q)
         tsvs = [SweepResult(tuple(SweepRow(float(k), Mechanism.LAZY, 0.5, 0.01, 10,
@@ -498,6 +501,25 @@ def test_uniform_lazy_endpoints_closed_form_matches_quadrature():
                                   for k in range(n + 1)), 1, "t").to_tsv()
                 for ends in (closed, quad)]
         assert tsvs[0] == tsvs[1]
+
+
+def test_both_rule_sweep_integrates_each_eager_reference_once(monkeypatch):
+    """Lazy's references are eager's two ends, so a both-rule sweep of a quadrature law
+    integrates eager at k = 0..n once each and E[second highest] never."""
+    calls = {"rev_e_k_quadrature": 0, "expected_second_highest": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(abtest, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(abtest, name, counting)
+    n = 5
+    rows = sweep_theoretical(exponential_dist(1.0), n, [Mechanism.EAGER, Mechanism.LAZY],
+                             1000, seed=1).rows
+    assert calls == {"rev_e_k_quadrature": n + 1, "expected_second_highest": 0}
+    eager = [r.reference for r in rows[:n + 1]]
+    assert [r.reference for r in rows[n + 1:]] == [rev_l_k_closed(n, k, eager[0], eager[n])
+                                                   for k in range(n + 1)]
 
 
 @pytest.mark.parametrize("dist", [UNIFORM, exponential_dist(3.0)], ids=["unit", "scale-1/3"])
@@ -561,36 +583,22 @@ def test_paired_deltas_validation():
         paired_treatment_deltas(UNIFORM, 5, Mechanism.EAGER, trials=0, seed=1)
 
 
-def piecewise_density_dist():
-    """Two-slab density on [0, 1] whose virtual value is non-monotone."""
-    def cdf(v):
-        if v < 0:
-            return 0.0
-        if v < 0.5:
-            return 1.8 * v
-        return min(1.0, 0.9 + 0.2 * (v - 0.5))
-
-    def pdf(v):
-        if 0 <= v < 0.5:
-            return 1.8
-        if 0.5 <= v <= 1:
-            return 0.2
-        return 0.0
-
-    def ppf(u):
-        u = np.asarray(u)
-        return np.where(u < 0.9, u / 1.8, 0.5 + (u - 0.9) / 0.2)
-
-    return ContinuousDist(name="piecewise", lo=0.0, hi=1.0,
-                          cdf=cdf, pdf=pdf, ppf=ppf)
-
-
 def test_non_regular_dist_refused():
     with pytest.raises(DomainError):
         simulate_treatment(piecewise_density_dist(), 3, 0.5, Mechanism.EAGER, 100, seed=1)
     with pytest.raises(DomainError):
         sweep_theoretical(piecewise_density_dist(), 3, [Mechanism.EAGER],
                           trials=100, seed=1)
+
+
+@pytest.mark.parametrize("mech", list(Mechanism))
+def test_sweep_of_a_law_with_an_atom_refuses_its_references(mech):
+    # regular on its density, but the references' order-statistic quadrature has no term
+    # for the atom at hi; lazy's ends are eager's, so both rules refuse it
+    atom = ContinuousDist(name="atom", lo=0.0, hi=1.0, cdf=UNIFORM.cdf, pdf=UNIFORM.pdf,
+                          ppf=UNIFORM.ppf, atom_at_hi=0.1)
+    with pytest.raises(DomainError, match="atomless"):
+        sweep_theoretical(atom, 3, [mech], trials=100, seed=1)
 
 
 def test_sweep_refuses_a_non_finite_row():

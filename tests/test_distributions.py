@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from reservelab import distributions
-from reservelab.distributions import (ContinuousDist, equal_revenue_dist, exponential_dist,
-                                      is_regular, myerson_reserve, uniform_dist, virtual_value)
+from reservelab.distributions import (equal_revenue_dist, exponential_dist, is_regular,
+                                      myerson_reserve, uniform_dist, virtual_value)
 from reservelab.errors import DomainError
+
+from oracles import piecewise_density_dist
 
 
 def test_constructor_validation():
@@ -190,30 +192,6 @@ def test_sampling_equal_revenue():
 def test_monotone_grid_check():
     assert is_regular(uniform_dist())
     assert is_regular(exponential_dist(1.0))
-
-
-def piecewise_density_dist():
-    """Density 1.8 on [0, .5) and 0.2 on [.5, 1]: phi drops at the break."""
-    def cdf(v):
-        if v < 0:
-            return 0.0
-        if v < 0.5:
-            return 1.8 * v
-        return min(1.0, 0.9 + 0.2 * (v - 0.5))
-
-    def pdf(v):
-        if 0 <= v < 0.5:
-            return 1.8
-        if 0.5 <= v <= 1:
-            return 0.2
-        return 0.0
-
-    def ppf(u):
-        u = np.asarray(u)
-        return np.where(u < 0.9, u / 1.8, 0.5 + (u - 0.9) / 0.2)
-
-    return ContinuousDist(name="piecewise", lo=0.0, hi=1.0,
-                          cdf=cdf, pdf=pdf, ppf=ppf)
 
 
 def test_non_regular_dist_detected():

