@@ -17,7 +17,9 @@ second bid at every k, under both rules, so it enters the moments as one column 
 block of draws, which the merge broadcasts over every (mechanism, k) column.
 An auction split, simulate_treatment(dist, n, fraction, mechanism, trials, seed),
 treats each auction with probability `fraction`: all its bidders at the Myerson reserve.
-Each refuses a law that is_regular rejects.
+Each refuses a law that is_regular rejects. A log split (empirical_treatment_sweep) treats
+random subsets of a bid log's bidders and prices them by the same rule under both
+mechanisms: every auction pays its second bid but those reserve_can_bind selects.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from .distributions import _FLOAT_MAX, ContinuousDist, _integrate, is_regular, m
 from .errors import DomainError
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
-from .vectorized import (lazy_order, lazy_select, nested_payments, payments, reserve_can_bind,
-                         second_bid)
+from .vectorized import nested_payments, payments, reserve_can_bind, second_bid
 
 _CHUNK = 100_000  # Monte-Carlo auctions drawn and evaluated per block
 # auctions per all-k payment pass within a block; on a 2-core Xeon (2 MB L2 per core)
@@ -260,17 +261,14 @@ def _quad(dist: ContinuousDist, integrand, lo: float, hi: float) -> float:
 
 
 def expected_second_highest(dist: ContinuousDist, n: int) -> float:
-    """E[second-highest of n iid draws]: n(n-1) Int x F^(n-2) (1-F) f dx. Zero for n = 1."""
+    """E[second-highest of n iid draws]: eager's revenue with no bidder treated, where every
+    bidder faces reserve 0 and pays the second bid. Zero for n = 1, before any Myerson
+    reserve is computed."""
     if dist.atom_at_hi:
         raise DomainError(f"{dist.name}: order-statistic quadrature needs an atomless law")
     if n < 2:
         return 0.0
-
-    def integrand(x):
-        F = dist.cdf(x)
-        return x * F ** (n - 2) * (1.0 - F) * dist.pdf(x)
-
-    return n * (n - 1) * _quad(dist, integrand, dist.lo, dist.hi)
+    return rev_e_k_quadrature(dist, n, 0)
 
 
 def _references(dist: ContinuousDist, n: int) -> dict[Mechanism, list[float]]:
@@ -355,10 +353,10 @@ def empirical_treatment_sweep(log: BidLog, reserves: ReserveVector, fractions,
     whole log is re-run; means and standard errors are over
     `assignments_per_point` independent subsets. Each distinct subset's log
     revenue is computed once per call and reused by every draw of it; a point
-    whose draws are all one subset reports that revenue with stderr 0. The log is
-    ordered once (lazy_order), and each subset's lazy payments are a selection on
-    that order. Eager takes the same selection and re-runs payments only on the
-    auctions where one of the subset's reserves can bind (reserve_can_bind).
+    whose draws are all one subset reports that revenue with stderr 0. The log's
+    second bids are read once (second_bid), and under either rule a subset's payments
+    are those second bids with payments() re-run only on the auctions where one of
+    its reserves can bind (reserve_can_bind).
     """
     if len(log) == 0:
         raise ValueError("empty log")
@@ -370,7 +368,7 @@ def empirical_treatment_sweep(log: BidLog, reserves: ReserveVector, fractions,
     bids = log.to_matrix()
     n = len(log.bidder_ids)
     r_full = reserves.row(log.bidder_ids)
-    order = lazy_order(bids)
+    second = second_bid(bids)
     rng = np.random.default_rng(seed)
     revenue: dict[tuple[int, ...], float] = {}  # sorted treated subset -> mean log revenue
     rows = []
@@ -385,10 +383,9 @@ def empirical_treatment_sweep(log: BidLog, reserves: ReserveVector, fractions,
                 treated = list(subset)
                 row = np.zeros(n)
                 row[treated] = r_full[treated]
-                pay = lazy_select(order, row)
-                if mechanism is Mechanism.EAGER:
-                    bind = reserve_can_bind(order[2], row)
-                    pay[bind] = payments(bids[bind], row, mechanism)
+                pay = second.copy()
+                bind = reserve_can_bind(second, row)
+                pay[bind] = payments(bids[bind], row, mechanism)
                 revenue[subset] = float(np.mean(pay))
         if len(set(subsets)) == 1:
             mean, se = revenue[subsets[0]], 0.0

@@ -59,13 +59,10 @@ class FiniteDist:
     def trimmed(self, reserve: float) -> "FiniteDist":
         """Collapse all mass strictly below `reserve` into an atom at 0."""
         below = math.fsum(p for v, p in self.atoms if v < reserve)
-        kept = [(v, p) for v, p in self.atoms if v >= reserve]
         if below <= 0:
             return self
-        merged = {0.0: below}
-        for v, p in kept:
-            merged[v] = merged.get(v, 0.0) + p
-        return FiniteDist(tuple(merged.items()))
+        # mass below the reserve puts it above 0, so no kept atom sits at 0
+        return FiniteDist(((0.0, below), *((v, p) for v, p in self.atoms if v >= reserve)))
 
 
 @dataclass(frozen=True)
@@ -83,10 +80,7 @@ class ProductDist:
         return tuple(self.bidders)
 
     def support_size(self) -> int:
-        size = 1
-        for d in self.bidders.values():
-            size *= len(d.atoms)
-        return size
+        return math.prod(len(d.atoms) for d in self.bidders.values())
 
 
 _MAX_PROFILES = 1_000_000  # largest profile space expected_revenue_product enumerates

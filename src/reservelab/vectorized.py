@@ -19,7 +19,8 @@ already in k order.
 
 reserve_can_bind states when a reserve can change an auction's price at all; the
 sweeps send only those auctions to a kernel. second_bid is lazy_order's second bid alone,
-for callers that need no winner: the bidder split reads nothing else.
+for callers that need no winner: both sweeps read it once and pay it in every auction
+reserve_can_bind leaves out.
 """
 
 from __future__ import annotations
@@ -91,19 +92,16 @@ def _outcome(sold, top, r_w, second, return_welfare: bool):
     return payment, np.where(sold, top, 0.0)
 
 
-def lazy_select(order, reserves: np.ndarray, return_welfare: bool = False):
-    """Lazy payments (optionally welfare) from a lazy_order result: selections only."""
-    winner, top, second = order
+def lazy_payments(bids: np.ndarray, reserves: np.ndarray,
+                  return_welfare: bool = False):
+    """Per-auction payments under lazy reserves. Optionally also welfare. The winner is
+    fixed before any reserve is checked, so one lazy_order serves every reserve row of a
+    batch, and each row's outcome is selections on it."""
+    winner, top, second = lazy_order(bids)
     reserves = np.asarray(reserves, dtype=float)
     winner = np.broadcast_to(winner, np.broadcast_shapes(reserves.shape[:-1], winner.shape))
     r_w = _at(reserves, winner)
     return _outcome(top >= r_w, top, r_w, second, return_welfare)
-
-
-def lazy_payments(bids: np.ndarray, reserves: np.ndarray,
-                  return_welfare: bool = False):
-    """Per-auction payments under lazy reserves. Optionally also welfare."""
-    return lazy_select(lazy_order(bids), reserves, return_welfare)
 
 
 def eager_payments(bids: np.ndarray, reserves: np.ndarray,

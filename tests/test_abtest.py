@@ -20,7 +20,7 @@ from reservelab.logs import BidLog
 from reservelab.mechanics import Mechanism, ReserveVector
 from reservelab.optimize import empirical_revenue
 from reservelab.vectorized import (ABSENT, lazy_order, nested_payments, payments,
-                                   reserve_can_bind)
+                                   reserve_can_bind, second_bid)
 
 from oracles import piecewise_density_dist
 
@@ -366,23 +366,14 @@ def _lazy_order_arms(mechanisms, r_full):
     return arms
 
 
-def _no_lazy_order(bids):
-    raise AssertionError("a lazy_order call")
-
-
 _GUARD_TRIALS = abtest._CHUNK + 2_500  # one full chunk and a partial one
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10])
 @pytest.mark.parametrize("dist", [UNIFORM, uniform_dist(0.0, 1000.0), exponential_dist(1.0)],
                          ids=["uniform", "scaled", "exponential"])
-def test_bidder_split_reads_its_second_bids_without_lazy_order(dist, n, monkeypatch):
-    def estimates():
-        return [sweep_theoretical(dist, n, list(Mechanism), _GUARD_TRIALS, seed=8),
-                *(paired_treatment_deltas(dist, n, mech, _GUARD_TRIALS, seed=8)
-                  for mech in Mechanism)]
-
-    want = estimates()
+def test_bidder_split_reads_its_second_bids_without_lazy_order(dist, n):
+    assert not hasattr(abtest, "lazy_order")
     mechanisms, r_full = list(Mechanism), _myerson_row(dist, n)
     rng = np.random.default_rng(8)
     for c in (abtest._CHUNK, _GUARD_TRIALS - abtest._CHUNK):
@@ -390,26 +381,44 @@ def test_bidder_split_reads_its_second_bids_without_lazy_order(dist, n, monkeypa
         got = abtest._bidder_arms(mechanisms, r_full)(rng, values)
         ref = _lazy_order_arms(mechanisms, r_full)(rng, values)
         assert [(g.shape, g.tobytes()) for g in got] == [(r.shape, r.tobytes()) for r in ref]
-    monkeypatch.setattr(abtest, "lazy_order", _no_lazy_order)
-    assert estimates() == want
 
 
-def test_eager_empirical_sweep_reruns_only_the_auctions_where_a_reserve_can_bind(monkeypatch):
+def _check_binding_reruns(mech, monkeypatch):
+    # one second_bid read of the log per sweep, and every payments call gets exactly the
+    # auctions whose second bid sits below the row's top reserve
     log, reserves = _sweep_case(12)
     bids = log.to_matrix()
     second = _second_bids(bids)
-    calls = []
+    reads, calls = [], []
+
+    def counting(matrix):
+        reads.append(matrix.shape)
+        return second_bid(matrix)
 
     def recording(rows, row, mechanism):
         calls.append((np.array(rows), row.copy()))
         return payments(rows, row, mechanism)
 
+    monkeypatch.setattr(abtest, "second_bid", counting)
     monkeypatch.setattr(abtest, "payments", recording)
-    empirical_treatment_sweep(log, reserves, _FRACTIONS, Mechanism.EAGER, 40, seed=5)
+    res = empirical_treatment_sweep(log, reserves, _FRACTIONS, mech, 40, seed=5)
+    assert reads == [(300, 12)]
     assert calls
     for rows, row in calls:
         assert np.array_equal(rows, bids[second < row.max()])
     assert any(len(rows) < len(bids) for rows, _ in calls)
+    want, _ = _per_draw_sweep(log, reserves, _FRACTIONS, mech, 40, seed=5)
+    assert [(r.mean, r.stderr) for r in res.rows] == want
+
+
+def test_eager_empirical_sweep_reruns_only_the_auctions_where_a_reserve_can_bind(monkeypatch):
+    _check_binding_reruns(Mechanism.EAGER, monkeypatch)
+
+
+def test_lazy_empirical_sweep_orders_the_log_once(monkeypatch):
+    # the lazy sweep reads the log's top and second bids in one pass and, like eager,
+    # re-runs payments only on the auctions where a reserve can bind
+    _check_binding_reruns(Mechanism.LAZY, monkeypatch)
 
 
 def _no_kernel(*args, **kwargs):
@@ -738,23 +747,10 @@ def test_empirical_sweep_evaluates_each_distinct_subset_once(n, monkeypatch):
         return payments(bids, row, mechanism)
 
     monkeypatch.setattr(abtest, "payments", counting)
-    empirical_treatment_sweep(log, reserves, _FRACTIONS, Mechanism.EAGER, 40, seed=5)
-    assert len(rows) == len(set(rows)) == len(distinct)
-
-
-def test_lazy_empirical_sweep_orders_the_log_once(monkeypatch):
-    log, reserves = _sweep_case(12)
-    want = empirical_treatment_sweep(log, reserves, _FRACTIONS, Mechanism.LAZY, 40, seed=5)
-    orders, original = [], abtest.lazy_order
-
-    def counting(bids):
-        orders.append(bids.shape)
-        return original(bids)
-
-    monkeypatch.setattr(abtest, "lazy_order", counting)
-    monkeypatch.setattr(abtest, "payments", _no_kernel)
-    assert empirical_treatment_sweep(log, reserves, _FRACTIONS, Mechanism.LAZY, 40, seed=5) == want
-    assert orders == [(300, 12)]
+    for mech in Mechanism:  # the subsets drawn depend on the seed alone
+        rows.clear()
+        empirical_treatment_sweep(log, reserves, _FRACTIONS, mech, 40, seed=5)
+        assert len(rows) == len(set(rows)) == len(distinct)
 
 
 def test_empirical_sweep_validation():

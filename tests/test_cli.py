@@ -1,18 +1,25 @@
 """End-to-end runs of the command-line pipeline, in process."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import sys
+import tempfile
 import warnings
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reservelab import abtest, vectorized
 from reservelab.cli import _READS, RunConfig, main
 from reservelab.distributions import ContinuousDist
 from reservelab.logio import (compute_lift_report, lift_revenue_tsv, lift_welfare_tsv,
-                              parse_log, read_reserves, write_reserves)
+                              parse_log, read_reserves, write_log, write_reserves)
 from reservelab.logs import BidLog
 from reservelab.mechanics import BidProfile, ReserveVector, run_eager
 from reservelab.optimize import _eager_totals_for_rows, optimal_lazy
@@ -871,3 +878,89 @@ def test_one_bidder_eager_sweep_references_zero_untreated(tmp_path, dist, params
                  "--mechanism", "eager", "--trials", "100", "--out", str(out)]) == 0
     rows = [r.split("\t") for r in (out / "sweep.tsv").read_text().strip().split("\n")[3:]]
     assert [r[0] for r in rows] == ["0", "1"] and rows[0][2:] == ["0", "0", "100", "0"]
+
+
+# A good value for each flag a generated run may give; the source, task and mode flags and the
+# params of each variant are set by the variant itself.
+_GOOD = {"format": ["csv"], "mechanism": ["lazy", "eager", "both"],
+         "max_product_size": ["4"],  # eager-exact refuses it on every log here: exit 4
+         "max_rounds": ["1", "3"], "trials": ["10", "200"], "n": ["1", "3"],
+         "grid": ["0,0.5,1", "0.25"], "assignments": ["1", "3"], "seed": ["0", "7"],
+         "count": ["3", "20"]}
+_DIST_PARAMS = {"uniform": "{}", "exponential": '{"rate": 2}', "equal_revenue": '{"M": 10}'}
+_SOURCE_ARGV = {"input": ["--input", "{log}"],
+                "generator": ["--generator", "iid", "--params", IID_PARAMS],
+                "hardness": ["--generator", "hardness", "--params", TRIANGLE]}
+_NEEDED = {f.name for f in fields(RunConfig) if f.metadata.get("needed")}
+_FAULTS = ("none", "unread", "bool param", "missing needed", "bad grid")
+
+
+@st.composite
+def cli_runs(draw):
+    """A subcommand, one variant per choice, flags for what that variant reads, and at most
+    one config fault: a flag the variant does not read, a bool param, a needed flag left out
+    or a bad grid. Returns (argv, the flags the run reads, whether a fault was put in)."""
+    command = draw(st.sampled_from(sorted(_READS)))
+    _, base, choices = _READS[command]
+    picked = {choice: draw(st.sampled_from(sorted(variants)))
+              for choice, variants in choices.items()}
+    read = {"out", *base, *(f for c, v in picked.items() for f in choices[c][v])}
+    offered = {f for variants in choices.values() for fs in variants.values() for f in fs}
+    argv = [command]
+    for choice, value in picked.items():
+        argv += _SOURCE_ARGV[value] if choice == "source" else [f"--{choice}", value]
+    if picked.get("mode") == "theoretical":
+        dist = draw(st.sampled_from(sorted(_DIST_PARAMS)))
+        argv += ["--dist", dist, "--params", _DIST_PARAMS[dist]]
+    elif picked.get("mode") == "empirical":
+        argv += ["--input", "{log}", "--reserves", "{reserves}"]
+    given = {a[2:] for a in argv if a.startswith("--")}
+    needed = sorted(read & _NEEDED)
+    for flag in sorted(read - given - {"out"}):
+        if flag in needed or draw(st.booleans()):
+            argv += [f"--{flag.replace('_', '-')}", draw(st.sampled_from(_GOOD[flag]))]
+    fault = draw(st.sampled_from(_FAULTS))
+    unread = sorted(offered - read)
+    if fault == "unread" and unread:
+        flag = draw(st.sampled_from(unread))
+        value = {"input": "{log}", "reserves": "{reserves}", "dist": "uniform",
+                 "generator": "iid", "params": "{}"}.get(flag) or _GOOD[flag][0]
+        argv += [f"--{flag.replace('_', '-')}", value]
+    elif fault == "bool param":
+        argv += ["--params", '{"lo": true}']
+    elif fault == "missing needed" and needed:
+        flag = "--" + draw(st.sampled_from(needed)).replace("_", "-")
+        at = argv.index(flag)
+        del argv[at:at + 2]
+    elif fault == "bad grid" and command == "sweep":
+        argv += ["--grid", draw(st.sampled_from(["", "a,b", "0.5,x"]))]
+    else:
+        fault = "none"
+    return argv, read, fault != "none"
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_runs())
+def test_generated_runs_keep_the_cli_contract(run):
+    argv, read, faulty = run
+    with tempfile.TemporaryDirectory() as tmp:
+        write_log(BidLog.from_matrix(np.array([[1.0, 2.5, 4.0], [3.0, 0.5, 2.0]] * 5),
+                                     ("a", "b", "c")), os.path.join(tmp, "log.csv"))
+        write_reserves(ReserveVector({"a": 1.5, "c": 3.0}), os.path.join(tmp, "reserves.csv"))
+        out = os.path.join(tmp, "new", "out")
+        argv = [{"{log}": os.path.join(tmp, "log.csv"),
+                 "{reserves}": os.path.join(tmp, "reserves.csv")}.get(a, a) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--out", out])
+        assert code in (0, 2, 3, 4)
+        if faulty:
+            assert code == 2
+        if code == 0:
+            with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+                assert set(json.load(fh)["config"]) == read
+            assert err.getvalue() == ""
+        else:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("refusing: " if code == 4 else "error: ")
+            assert not os.path.exists(os.path.join(tmp, "new"))

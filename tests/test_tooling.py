@@ -4,8 +4,12 @@ Hypothesis's pytest plugin imports libcst to print a failing example's patch, an
 import warns DeprecationWarning from mypy_extensions. Under the repo's `error::` filters that
 warning raised inside a pytest hook: the run ended with INTERNALERROR (exit 3) and no test
 after the failing one ran. The repo's ini ignores that one third-party message.
+
+Also a lint the repo has no linter for: no module of the package imports a name it never
+reads, so a kernel entry point that loses its last caller loses its import too.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +40,26 @@ def test_failing_hypothesis_test_leaves_the_run_going(tmp_path):
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert proc.returncode == 1
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def _unused_imports(path):
+    """The names a module binds by import and never reads (`from __future__` aside)."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    src = os.path.join(ROOT, "src", "reservelab")
+    unused = {name: _unused_imports(os.path.join(src, name))
+              for name in sorted(os.listdir(src))
+              if name.endswith(".py") and name != "__init__.py"}
+    assert {name: found for name, found in unused.items() if found} == {}

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from reservelab.logs import BidLog
 from reservelab.mechanics import BidProfile, Mechanism, ReserveVector, run_auction
-from reservelab.vectorized import (ABSENT, eager_payments, lazy_order, lazy_payments, lazy_select,
+from reservelab.vectorized import (ABSENT, eager_payments, lazy_order, lazy_payments,
                                    nested_payments, payments, second_bid)
 
 
@@ -129,13 +129,6 @@ def test_nested_payments_by_hand():
         row = np.where(np.arange(4) < k, reserves, 0.0)
         assert eager_payments(bids, row).tolist() == [eager[0, k]]
         assert lazy_payments(bids, row).tolist() == [lazy[0, k]]
-
-
-def test_lazy_select_reuses_one_order():
-    bids = np.array([[3.0, 5.0, 5.0], [2.0, ABSENT, ABSENT], [ABSENT, 1.0, 4.0]])
-    order = lazy_order(bids)
-    for row in ([0.0, 0.0, 0.0], [1.0, 5.5, 4.0], [math.inf, 2.0, 3.5]):
-        assert lazy_select(order, row).tolist() == lazy_payments(bids, row).tolist()
 
 
 _LEVELS = [0.0, 0.5, 1.0, 2.0, 3.0]  # few levels, so bids tie with each other and with reserves
