@@ -8,13 +8,14 @@ so that micros -> float -> micros round trips are exact in both directions.
 A CSV log is parsed column-wise first, in one gate pass over each block of lines:
 byte-level numpy tests find and check each line's two commas, its dot and its end,
 and an int64 Horner pass over the bid's digit columns gives its integer micros.
-Each id column maps to matrix rows or columns in first-seen order: an id of at most
-8 bytes is one NUL-padded big-endian uint64 key, a wider one a row of such words
-among the ids of its width; a sort groups equal keys, and each group's least line
-is its first sighting. Only the distinct ids are decoded. A file with any record
-outside that plain form (quotes, non-ASCII, a bad bid, a duplicate pair, ...) is
-parsed again from the top by the per-record path, a `csv.reader` over its lines,
-which alone raises `LogParseError`; JSONL logs and reserve files take that path only.
+Each id column maps to matrix rows or columns in first-seen order. Its ids are keyed
+one width at a time, ⌈w/8⌉ big-endian words: an id of w bytes is a row of its
+NUL-padded uint64 words among the ids of its width; a sort groups equal keys, and
+each group's least line is its first sighting. Only the distinct ids are decoded. A
+file with any record outside that plain form (quotes, non-ASCII, a bad bid, a
+duplicate pair, ...) is parsed again from the top by the per-record path, a
+`csv.reader` over its lines, which alone raises `LogParseError`; JSONL logs and
+reserve files take that path only.
 
 write_log checks every bid's integer micros in one array pass. It then fills each
 block of records into one byte matrix, a row per record: the format's literal
@@ -200,7 +201,7 @@ def _parse_records(data: bytes, fmt: str) -> BidLog:
 _BLOCK_LINES = 1 << 16  # lines per block of the CSV gate and of write_log's byte matrix
 # Bytes a plain CSV record may hold: printable ASCII and tab. So no quote, no byte
 # str.splitlines breaks a line at other than the newline, nothing that is not ASCII,
-# and no NUL, so two NUL-padded plain spans are equal only when the spans are.
+# and no NUL, which the `S` decode of a key's NUL-padded words would strip.
 _PLAIN_BYTE = np.zeros(256, dtype=bool)
 _PLAIN_BYTE[[ord("\t"), ord("\n"), *range(0x20, 0x7F)]] = True
 _PLAIN_BYTE[ord('"')] = False
@@ -258,32 +259,20 @@ def _plain_block(block: np.ndarray, ends: np.ndarray):
     return (first, second, micros) if micros.max() <= MAX_MICROS else None
 
 
-def _span_keys(data: bytes, starts: np.ndarray, stops: np.ndarray,
-               at: np.ndarray) -> np.ndarray:
-    """(len(at), words) uint64 keys of the spans data[starts:stops] picked by `at`, all of
-    at most 8 bytes or all of one width: each span's bytes NUL-padded to whole words read
-    big-endian, so key order is byte order. A span of at most 8 bytes is one unaligned
-    8-byte gather of the word that ends where the span ends, shifted past the bytes
-    before it; no gather is clipped, since the header's 25 bytes come before every span.
-    Work is in place where it can be: this is the parse's peak memory."""
-    stops = stops[at]
-    widths = stops - starts[at]
-    width = int(widths.max())
-    if width <= 8:
-        words = np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
-        stops -= 8
-        keys = words[stops]
-        widths *= -8
-        widths += 64
-        keys <<= widths.view(np.uint64)  # 0 to 56, the same bits as int64
-        keys = keys[:, None]
-    else:
-        keys = np.zeros((len(at), -(-width // 8) * 8), dtype=np.uint8)
-        keys[:, :width] = sliding_window_view(np.frombuffer(data, dtype=np.uint8), width)[
-            stops - width]
-        keys = keys.view(">u8")
-    # the same values stored little-endian, the native order of common hosts: sorts fast
-    return keys.byteswap(inplace=True).view("<u8")
+def _span_keys(data: bytes, stops: np.ndarray, width: int) -> np.ndarray:
+    """(len(stops), ⌈width/8⌉) uint64 keys of the spans of `width` bytes that end at
+    `stops`: each span's bytes NUL-padded to whole words read big-endian, so key order
+    is byte order. Each word is one unaligned 8-byte gather: word k at the span's start
+    plus 8k, the last one the 8 bytes that end where the span ends, shifted past the
+    bytes before it. No gather is clipped, since the header's 25 bytes come before
+    every span."""
+    words = np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
+    keys = np.empty((len(stops), -(-width // 8)), dtype=np.uint64)  # native order: sorts fast
+    for k in range(keys.shape[1] - 1):
+        keys[:, k] = words[stops - (width - 8 * k)]
+    keys[:, -1] = words[stops - 8]
+    keys[:, -1] <<= np.uint64(8 * (-width % 8))
+    return keys
 
 
 def _number_spans(keys: np.ndarray, at: np.ndarray, index: np.ndarray, offset: int):
@@ -302,24 +291,23 @@ def _number_spans(keys: np.ndarray, at: np.ndarray, index: np.ndarray, offset: i
 
 
 def _width_groups(widths: np.ndarray) -> list[np.ndarray]:
-    """Indices of the spans of at most 8 bytes, then of each wider width in turn."""
-    wide = np.flatnonzero(widths > 8)
-    wide = wide[np.argsort(widths[wide], kind="stable")]
-    groups = [np.flatnonzero(widths <= 8),
-              *np.split(wide, np.flatnonzero(np.diff(widths[wide])) + 1)]
-    return [at for at in groups if len(at)]
+    """Indices of the spans of each width in turn, narrowest first."""
+    order = np.argsort(widths, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(widths[order])) + 1)
 
 
 def _first_seen(data: bytes, starts: np.ndarray, stops: np.ndarray):
     """Each span data[starts:stops]'s index among the distinct spans in first-seen order,
-    and those distinct spans as str. The spans of at most 8 bytes are keyed together,
-    the wider ones one width at a time, so no span is padded to a longer one's width.
-    NUL padding is exact on plain bytes, which hold no NUL. Equal keys are grouped by a
-    sort; a group's first-seen span is its least index, so the sort need not be stable."""
+    and those distinct spans as str. The spans are keyed one width at a time, ⌈w/8⌉
+    big-endian words, so no span is padded to a longer one's width. Decoding a key strips
+    its NUL padding, which is exact on plain bytes, which hold no NUL. Equal keys are
+    grouped by a sort; a group's first-seen span is its least index, so the sort need not
+    be stable."""
     index = np.empty(len(starts), dtype=np.intp)
     firsts, names = [], []
     for at in _width_groups(stops - starts):
-        first, name = _number_spans(_span_keys(data, starts, stops, at), at, index,
+        width = int(stops[at[0]] - starts[at[0]])
+        first, name = _number_spans(_span_keys(data, stops[at], width), at, index,
                                     sum(map(len, firsts)))
         firsts.append(first)
         names.append(name)

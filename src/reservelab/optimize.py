@@ -9,7 +9,8 @@ with k_i(r) = #{auctions in Q_i : top >= r > second} and s_i(r) = sum of
 seconds >= r: the eager revenue of the log [top, second] over Q_i with the
 rival at reserve 0. exact_lazy_search runs the eager line search below on it
 once per bidder; optimal_lazy_bruteforce re-simulates every candidate of {0},
-the tops and the seconds directly and exists as an independent check.
+the tops and the seconds directly, its totals summed in auction order as the
+search's are, and exists as an independent check.
 
 The eager problem has no such decoupling (it is as hard as maximum
 independent set), but one reserve at a time it is easy. With the others
@@ -125,7 +126,8 @@ def optimal_lazy_bruteforce(log: BidLog) -> OptimizationResult:
     """Optimal lazy reserves by direct re-simulation of every candidate.
 
     Same per-bidder decoupling, no incremental bookkeeping: for each candidate
-    r the revenue over Q_i is summed from scratch. Slower than optimal_lazy
+    r the revenue over Q_i is summed from scratch, in auction order, as the
+    search ranks its candidates. Slower than optimal_lazy
     by a factor of the candidate count; kept as an independent route to the
     same argmax and revenue.
     """
@@ -141,7 +143,9 @@ def optimal_lazy_bruteforce(log: BidLog) -> OptimizationResult:
         best_r, best_rev = 0.0, -math.inf
         for lo in range(0, len(cands), _BRUTEFORCE_CHUNK):
             c = cands[lo:lo + _BRUTEFORCE_CHUNK, None]
-            rev = np.where(tops[None, :] >= c, np.maximum(c, seconds[None, :]), 0.0).sum(axis=1)
+            pay = np.where(tops[None, :] >= c, np.maximum(c, seconds[None, :]), 0.0)
+            # in auction order, as the search sums: a pairwise .sum() can rank a tie the other way
+            rev = np.add.accumulate(pay, axis=1)[:, -1]
             i = int(np.argmax(rev))
             if rev[i] > best_rev:  # first strict max across chunks = smallest candidate on ties
                 best_r, best_rev = float(c[i, 0]), float(rev[i])

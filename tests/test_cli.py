@@ -21,7 +21,7 @@ from reservelab.distributions import ContinuousDist
 from reservelab.logio import (compute_lift_report, lift_revenue_tsv, lift_welfare_tsv,
                               parse_log, read_reserves, write_log, write_reserves)
 from reservelab.logs import BidLog
-from reservelab.mechanics import BidProfile, ReserveVector, run_eager
+from reservelab.mechanics import BidProfile, Mechanism, ReserveVector, run_auction, run_eager
 from reservelab.optimize import _eager_totals_for_rows, optimal_lazy
 
 from oracles import argmax_over_grid, global_candidates, own_set_sizes
@@ -964,3 +964,70 @@ def test_generated_runs_keep_the_cli_contract(run):
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("refusing: " if code == 4 else "error: ")
             assert not os.path.exists(os.path.join(tmp, "new"))
+
+
+# ids of 1 to 3 bytes and of 9 to 14, past one key word; bids of zero, the least micro,
+# small decimals that tie and the 1e9 cap
+_DATA_IDS = st.one_of(st.text("ab9-", min_size=1, max_size=3),
+                      st.text("ab9-", min_size=9, max_size=14))
+_DATA_BIDS = st.sampled_from([0.0, 1e-6, 0.25, 0.5, 0.5, 1.75, 2.0, 1e9])
+
+
+@st.composite
+def data_logs(draw):
+    """Logs of 1 to 4 bidders and 1 to 6 auctions, with absent bidders; each auction
+    holds at least one bid."""
+    bidders = draw(st.lists(_DATA_IDS, min_size=1, max_size=4, unique=True))
+    auctions = draw(st.lists(_DATA_IDS, min_size=1, max_size=6, unique=True))
+    cell = st.one_of(st.just(vectorized.ABSENT), _DATA_BIDS)
+    rows = []
+    for _ in auctions:
+        row = draw(st.lists(cell, min_size=len(bidders), max_size=len(bidders)))
+        row[draw(st.integers(0, len(bidders) - 1))] = draw(_DATA_BIDS)
+        rows.append(row)
+    return BidLog.from_matrix(np.array(rows), bidders, auctions)
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 0 or code == 4 and argv[2] == "eager-exact", (argv, err.getvalue())
+    if code == 0:
+        assert err.getvalue() == ""
+    return code
+
+
+@settings(max_examples=40, deadline=None)
+@given(data_logs())
+def test_drawn_logs_keep_the_cli_data_contract(log):
+    """Each drawn log, as CSV and as JSONL, through the four optimize tasks, lift-tables and
+    an empirical sweep on the lazy reserves: every run exits 0 (or 4 for a refused exact
+    search) without a word on stderr, each expected_revenue is the scalar auctions' mean
+    revenue on the written reserves, and the sweep's f = 0 rows are the zero-reserve
+    revenue."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("csv", "jsonl"):
+            path = os.path.join(tmp, f"log.{fmt}")
+            write_log(log, path)
+            for task in ("lazy", "monopoly", "eager-exact", "eager-local"):
+                out = os.path.join(tmp, fmt, task)
+                if _run(["optimize", "--task", task, "--input", path, "--out", out]):
+                    continue
+                with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+                    summary = json.load(fh)
+                reserves = read_reserves(os.path.join(out, "reserves.csv"))
+                mechanism = Mechanism(summary["mechanism"])
+                mean = math.fsum(run_auction(p, reserves, mechanism).payment
+                                 for p in log.profiles) / len(log)
+                assert summary["expected_revenue"] == pytest.approx(mean, rel=1e-9, abs=1e-9)
+                zero = summary["revenue_zero_reserve"]  # the same under either rule
+            _run(["lift-tables", "--input", path, "--out", os.path.join(tmp, fmt, "lift")])
+            sweep = os.path.join(tmp, fmt, "sweep")
+            _run(["sweep", "--mode", "empirical", "--input", path, "--reserves",
+                  os.path.join(tmp, fmt, "lazy", "reserves.csv"), "--grid", "0,0.5,1",
+                  "--assignments", "3", "--out", sweep])
+            with open(os.path.join(sweep, "sweep.tsv"), encoding="utf-8") as fh:
+                rows = [line.split("\t") for line in fh.read().splitlines()[3:]]
+            assert ([float(row[2]) for row in rows if row[0] == "0"]
+                    == pytest.approx([zero, zero], rel=1e-9, abs=1e-9))

@@ -494,6 +494,38 @@ def test_plain_csv_takes_the_columnar_path(tmp_path, monkeypatch):
         assert parse_log(str(path)) == log
 
 
+_STEM = "abcdefghijklmnopqrstuvwx"
+# plain ids of 1 to 24 bytes: a prefix of _STEM with at most one byte changed, often one
+# of bytes 9 to 16, so that ids of one width differ only in one of their 1 to 3 words
+_WIDE_IDS = st.builds(lambda width, at, byte: (_STEM[:at] + byte + _STEM[at + 1:])[:width],
+                      st.integers(1, 24), st.one_of(st.integers(8, 15), st.integers(0, 23)),
+                      st.sampled_from("AB.x"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(micro_logs(_WIDE_IDS), st.sampled_from([1, 3, 1 << 16]), st.booleans())
+def test_columnar_parse_keys_ids_of_every_width(log, block_lines, last_newline):
+    """Ids of widths 1 to 24 in one file, the first and last records' among them, so keys
+    of 1, 2 and 3 words are gathered at both ends of the buffer: the columnar parse runs
+    and returns what the per-record parse returns on the same bytes."""
+    records = logio._parse_records
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        write_log(log, f"{tmp}/log.csv")
+        with open(f"{tmp}/log.csv", "rb") as fh:
+            data = fh.read()
+        if not last_newline:
+            data = data[:-1]
+            with open(f"{tmp}/log.csv", "wb") as fh:
+                fh.write(data)
+
+        def refuse(data, fmt):
+            raise AssertionError("the per-record parse ran")
+
+        mp.setattr(logio, "_parse_records", refuse)
+        mp.setattr(logio, "_BLOCK_LINES", block_lines)
+        assert parse_log(f"{tmp}/log.csv") == records(data, "csv") == log
+
+
 _MICROS = st.one_of(st.integers(0, 10 ** 15), st.sampled_from([0, 1, 10 ** 6, 10 ** 15]),
                     st.integers(0, 10 ** 14 - 1).map(lambda k: 10 * k + 5))
 

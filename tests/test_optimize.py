@@ -86,6 +86,18 @@ def test_lazy_ties_prefer_smallest_reserve():
     assert bf.reserves.get("A") == 0.0
 
 
+def test_bruteforce_ranks_candidates_by_their_auction_order_sums():
+    # A = 0.2 and A = 0.3 tie in exact arithmetic; summed in auction order A = 0.3 totals
+    # 0.31999999999999995 over the ten auctions and A = 0.2 totals 0.32, but a pairwise
+    # sum ranks them the other way, so the oracle would pick 0.2 and the search 0.3
+    log = log_of([{"A": a, "B": b} for a, b in [
+        (0.1, 0.7), (0.3, 0.3), (0.3, 0.1), (0.7, 0.2), (0.2, 0.1), (0.3, 0.2), (0.2, 0.1),
+        (0.2, 0.7), (0.3, 0.1), (0.7, 0.3)]])
+    search, oracle = optimal_lazy(log), optimal_lazy_bruteforce(log)
+    assert search.reserves == oracle.reserves == ReserveVector({"A": 0.3, "B": 0.7})
+    assert search.expected_revenue == oracle.expected_revenue == 0.31999999999999995
+
+
 def test_scan_equals_bruteforce_random():
     # revenues must agree exactly; the chosen reserves may differ only on
     # genuine ties, where both picks re-evaluate to the same revenue

@@ -5,8 +5,9 @@ import warns DeprecationWarning from mypy_extensions. Under the repo's `error::`
 warning raised inside a pytest hook: the run ended with INTERNALERROR (exit 3) and no test
 after the failing one ran. The repo's ini ignores that one third-party message.
 
-Also a lint the repo has no linter for: no module of the package imports a name it never
-reads, so a kernel entry point that loses its last caller loses its import too.
+Also two lints the repo has no linter for: no module of the package imports a name it
+never reads, so a kernel entry point that loses its last caller loses its import too; and
+no private function or class of the package outlives its last reader.
 """
 
 import ast
@@ -63,3 +64,31 @@ def test_no_module_imports_a_name_it_never_uses():
               for name in sorted(os.listdir(src))
               if name.endswith(".py") and name != "__init__.py"}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _private_definitions(src):
+    """(module, name) of each module-level function or class whose name starts with `_`,
+    and every name read by a statement other than the one that defines it: a Name load,
+    or the attribute of an attribute load (`module._name`)."""
+    defined, read = [], set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for statement in tree.body:
+            own = (statement.name if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+                   and statement.name.startswith("_") else None)
+            if own is not None:
+                defined.append((name, own))
+            read |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(statement)
+                     if isinstance(node, (ast.Name, ast.Attribute))
+                     and isinstance(node.ctx, ast.Load)} - {own}
+    return defined, read
+
+
+def test_every_private_function_and_class_is_read():
+    defined, read = _private_definitions(os.path.join(ROOT, "src", "reservelab"))
+    assert len(defined) > 40  # the walk found the package's helpers
+    assert [(module, name) for module, name in defined if name not in read] == []
