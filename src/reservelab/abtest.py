@@ -121,20 +121,14 @@ def _moments(dist: ContinuousDist, n: int, trials: int, seed: int, arms) -> tupl
     groups of auctions, one row per auction (common random numbers). The first group has
     every column, even with no rows, and sets the width of the stats; a later group of
     one column pays the same in every column. Each group merges on its own, in order.
-    A law with values below 0 is a DomainError: the payment kernels never sell to a
-    negative bid, but the references integrate over it. So is a draw that is not a
-    finite number, which the kernels would read as a bid that clears no reserve.
+    ContinuousDist.sample refuses a law reaching below 0 and a draw that is not finite.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if dist.lo < 0:
-        raise DomainError(f"{dist.name}: support reaches below 0; values must be >= 0")
     rng = np.random.default_rng(seed)
     stats, full = None, 0
     for first in range(0, trials, _CHUNK):
         values = dist.sample(rng, (min(_CHUNK, trials - first), n))
-        if not np.isfinite(values).all():
-            raise DomainError(f"{dist.name}: a draw is not a finite number")
         groups = arms(rng, values)
         full += len(groups[0])
         if stats is None:
@@ -219,17 +213,17 @@ def rev_e_k_quadrature(dist: ContinuousDist, n: int, k: int) -> float:
     with g(x) = x f(x) - (1 - F(x)) = phi(x) f(x). The second term is the
     integration by parts of -F(r)^k Int_lo^r F^(n-k) phi'(x) dx (phi(r) = 0,
     F(lo) = 0); neither term divides by the density, so tails where f
-    underflows are fine. n = 1, k = 0 is exactly 0, a lone untreated bidder
-    paying the absent second bid: there the formula leaves rounding noise, or
-    reads Int_r^hi g when r = lo has phi(lo) > 0.
+    underflows are fine. n < 2, k = 0 is exactly 0, returned before any Myerson
+    reserve is computed: a lone untreated bidder pays the absent second bid. There the
+    formula leaves rounding noise, or reads Int_r^hi g when r = lo has phi(lo) > 0.
     """
     if not 0 <= k <= n:
         raise ValueError(f"k {k} out of range [0, {n}]")
     if dist.atom_at_hi:
         raise DomainError(f"{dist.name}: order-statistic quadrature needs an atomless law")
-    r = myerson_reserve(dist)
-    if n == 1 and k == 0:
+    if n < 2 and k == 0:
         return 0.0
+    r = myerson_reserve(dist)
 
     def g(x):
         return x * dist.pdf(x) - (1.0 - dist.cdf(x))
@@ -262,12 +256,7 @@ def _quad(dist: ContinuousDist, integrand, lo: float, hi: float) -> float:
 
 def expected_second_highest(dist: ContinuousDist, n: int) -> float:
     """E[second-highest of n iid draws]: eager's revenue with no bidder treated, where every
-    bidder faces reserve 0 and pays the second bid. Zero for n = 1, before any Myerson
-    reserve is computed."""
-    if dist.atom_at_hi:
-        raise DomainError(f"{dist.name}: order-statistic quadrature needs an atomless law")
-    if n < 2:
-        return 0.0
+    bidder faces reserve 0 and pays the second bid; 0 for n = 1."""
     return rev_e_k_quadrature(dist, n, 0)
 
 
@@ -290,7 +279,7 @@ def sweep_theoretical(dist: ContinuousDist, n: int, mechanisms, trials: int,
     given. One Monte-Carlo pass scores every mechanism, so all rows, across
     k and across mechanisms, share their draws; k treats the columns < k.
     References come from one _references table: eager's by closed form for uniform(0,1)
-    and by quadrature (n + 1 integrals) for other families, lazy's linear between
+    and by quadrature (2n + 1 integrals) for other families, lazy's linear between
     eager's k = 0 and k = n ends. A non-finite mean, stderr or reference, or a negative
     reference, raises DomainError naming the first such row. Its counter
     `binding_auctions` is the number of drawn auctions reserve_can_bind sent to
@@ -358,8 +347,6 @@ def empirical_treatment_sweep(log: BidLog, reserves: ReserveVector, fractions,
     are those second bids with payments() re-run only on the auctions where one of
     its reserves can bind (reserve_can_bind).
     """
-    if len(log) == 0:
-        raise ValueError("empty log")
     fractions = list(fractions)
     if not fractions:
         raise ValueError("empty fraction grid")

@@ -41,7 +41,14 @@ class ContinuousDist:
     scale: float = field(default=1.0)
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        return self.ppf(rng.random(size))
+        """Draws by inverse transform, each a value a bid can hold: a law reaching below 0 and a
+        draw that is not finite are each a DomainError, so no consumer checks the draws."""
+        if self.lo < 0:
+            raise DomainError(f"{self.name}: support reaches below 0; values must be >= 0")
+        values = self.ppf(rng.random(size))
+        if not np.isfinite(values).all():
+            raise DomainError(f"{self.name}: a draw is not a finite number")
+        return values
 
 
 def _exact(x: float) -> str:

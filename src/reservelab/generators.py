@@ -46,12 +46,13 @@ def numbered_ids(n: int) -> tuple[str, ...]:
 
 
 def sample_log(gen: JointGenerator, count: int, seed: int) -> BidLog:
-    """Materialize `count` profiles from the generator as a BidLog."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    bids = gen.draw(rng, count)
-    return BidLog.from_matrix(bids, gen.bidder_ids)
+    """Materialize `count` profiles from the generator as a BidLog (which refuses 0)."""
+    return BidLog.from_matrix(gen.draw(np.random.default_rng(seed), count), gen.bidder_ids)
+
+
+def _two_or_more(n: int) -> None:
+    if n < 2:
+        raise ValueError("n must be >= 2")
 
 
 def gen_high_low(n: int, epsilon: float = 1e-9) -> JointGenerator:
@@ -62,8 +63,7 @@ def gen_high_low(n: int, epsilon: float = 1e-9) -> JointGenerator:
     optima differ: at n = 5, 20k auctions, seed 1, the empirical lazy optimum
     is 1.0578 on the sampled log and 1.6090 on the quantized one.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _two_or_more(n)
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon!r}")
     q = 1.0 / n ** 2
@@ -75,15 +75,20 @@ def gen_high_low(n: int, epsilon: float = 1e-9) -> JointGenerator:
     return JointGenerator(numbered_ids(n), draw)
 
 
-def gen_correlated_equal_revenue(M: float, epsilon: float) -> JointGenerator:
-    """Two correlated bidders: w.p. ln(M)/M the profile is (0, M); otherwise
-    bidder 0 draws from the truncated equal-revenue distribution on [1, M]
-    and bidder 1 bids exactly (1 - epsilon) times that."""
+def _correlated_pair_zero_mass(M: float, epsilon: float) -> float:
+    """ln(M)/M, the mass of the (0, M) profile, once M and epsilon pass the checks."""
     if M <= math.e:
         raise ValueError("M must be > e")
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must be in (0, 1)")
-    p_zero = math.log(M) / M
+    return math.log(M) / M
+
+
+def gen_correlated_equal_revenue(M: float, epsilon: float) -> JointGenerator:
+    """Two correlated bidders: w.p. ln(M)/M the profile is (0, M); otherwise
+    bidder 0 draws from the truncated equal-revenue distribution on [1, M]
+    and bidder 1 bids exactly (1 - epsilon) times that."""
+    p_zero = _correlated_pair_zero_mass(M, epsilon)
     eqrev = equal_revenue_dist(M)
 
     def draw(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -99,8 +104,7 @@ def gen_correlated_equal_revenue(M: float, epsilon: float) -> JointGenerator:
 
 def gen_symmetric_one_high(n: int, H: float, L: float) -> JointGenerator:
     """Exchangeable, not independent: one uniformly chosen bidder bids H, the rest L."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _two_or_more(n)
     if not math.inf > H > L >= 0:
         raise ValueError(f"H and L must be finite with H > L >= 0, got {H!r} and {L!r}")
 
@@ -160,38 +164,39 @@ def gen_hardness_instance(vertices: Sequence, edges: Sequence[tuple], L: float, 
     if not L < H < 2 * L:
         raise ValueError(f"need L < H < 2L, got L={L}, H={H}")
     verts = list(vertices)
-    if len(set(verts)) != len(verts):
-        raise ValueError("duplicate vertices")
-    width = max(2, len(str(max(len(verts) - 1, 0))))
-    name = {u: f"v{i:0{width}d}" for i, u in enumerate(verts)}
-    index = {u: i for i, u in enumerate(verts)}
-    profiles = []
-    seen_edges = set()
-    for u, v in edges:
-        if u not in name or v not in name or u == v:
-            raise ValueError(f"bad edge ({u!r}, {v!r})")
-        i, j = sorted((index[u], index[v]))
-        if (i, j) in seen_edges:
-            raise ValueError(f"duplicate edge ({u!r}, {v!r})")
-        seen_edges.add((i, j))
-        profiles.append(BidProfile(f"edge_{i:0{width}d}_{j:0{width}d}",
-                                   {name[u]: float(L), name[v]: float(L)}))
-    for u in verts:
-        profiles.append(BidProfile(f"node_{index[u]:0{width}d}", {name[u]: float(H)}))
+    width = max(2, len(str(len(verts) - 1)))
+    name = [f"v{i:0{width}d}" for i in range(len(verts))]
+    profiles = [BidProfile(f"edge_{i:0{width}d}_{j:0{width}d}",
+                           {name[i]: float(L), name[j]: float(L)})
+                for i, j in _edge_positions(verts, edges)]
+    profiles += [BidProfile(f"node_{i:0{width}d}", {name[i]: float(H)}) for i in range(len(verts))]
     return BidLog(profiles)
 
 
+def _edge_positions(verts: Sequence, edges: Sequence[tuple]) -> list[tuple[int, int]]:
+    """Each edge as the sorted positions of its ends in verts, once the graph is checked."""
+    index = {u: i for i, u in enumerate(verts)}
+    if len(index) != len(verts):
+        raise ValueError("duplicate vertices")
+    pairs = {}
+    for u, v in edges:
+        if u not in index or v not in index or u == v:
+            raise ValueError(f"bad edge ({u!r}, {v!r})")
+        pair = tuple(sorted((index[u], index[v])))
+        if pair in pairs:
+            raise ValueError(f"duplicate edge ({u!r}, {v!r})")
+        pairs[pair] = None
+    return list(pairs)
+
+
 def independent_set_number(n_vertices: int, edges: Sequence[tuple[int, int]]) -> int:
-    """alpha(G) by bitmask brute force; vertices are 0..n_vertices-1. Guarded to <= 20 vertices."""
+    """alpha(G) by bitmask brute force; vertices are 0..n_vertices-1, edges checked as
+    gen_hardness_instance checks them. Guarded to <= 20 vertices."""
     if n_vertices > 20:
         raise ValueError("brute force limited to 20 vertices")
-    edge_masks = [(1 << u) | (1 << v) for u, v in edges]
-    best = 0
-    for subset in range(1 << n_vertices):
-        if any((subset & m) == m for m in edge_masks):
-            continue
-        best = max(best, subset.bit_count())
-    return best
+    edge_masks = [(1 << u) | (1 << v) for u, v in _edge_positions(range(n_vertices), edges)]
+    return max(subset.bit_count() for subset in range(1 << n_vertices)
+               if not any((subset & m) == m for m in edge_masks))
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +223,7 @@ def high_low_exact(n: int) -> HighLowAnalysis:
     over h = number of high competitors ~ Binomial(n-1, 1/n^2), splitting
     ties uniformly among equal bids.
     """
+    _two_or_more(n)
     q = 1.0 / n ** 2
     h = np.arange(n)
     none_high = (1.0 - q) ** (n - 1)
@@ -249,7 +255,7 @@ class EqualRevenuePairAnalysis:
 
 def _equal_revenue_pair_expectations(M: float, epsilon: float):
     """Expected revenue functions (lazy, eager) for the correlated pair, by quadrature."""
-    p_zero = math.log(M) / M
+    p_zero = _correlated_pair_zero_mass(M, epsilon)
     atom = 1.0 / M
 
     def branch_b(payment, breakpoints):

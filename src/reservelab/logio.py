@@ -366,11 +366,11 @@ def _id_tokens(ids: Iterable[str], fmt: str) -> list[str]:
 
 def _micros(values: np.ndarray) -> np.ndarray:
     """Integer micros of each value, is_micro tested on the whole array; raises
-    format_micro's error for the first value that fails it."""
+    format_micro's error for the first value that fails it. Only the cap and exactness are
+    tested: the values are a BidLog's present bids, each finite and >= 0."""
     with np.errstate(over="ignore"):  # a product that overflows is inf, over the cap
         micros = np.rint(values * 10 ** 6)  # half to even, as round()
-    ok = np.isfinite(values) & (values >= 0) & (micros <= MAX_MICROS)
-    ok &= micros / 10 ** 6 == values
+    ok = (micros <= MAX_MICROS) & (micros / 10 ** 6 == values)
     if not ok.all():
         format_micro(float(values[np.argmin(ok)]))
     return micros.astype(np.int64)
@@ -384,14 +384,14 @@ _BLOCK_BYTES = 1 << 23  # write_log halves a block while rows x widest tokens is
 
 def _token_table(tokens: list[str]):
     """The tokens' UTF-8 bytes one after another, then as many zero bytes as the longest
-    takes, and each token's offset and length in them. No token holds a newline: a CSV
-    id with a line break is refused, and JSON escapes one."""
+    takes, and each token's offset and length in them. No token is empty (BidLog holds no
+    empty id) or holds a newline: a CSV id with a line break is refused, JSON escapes one."""
     data = "\n".join(tokens).encode()
     raw = np.frombuffer(data, dtype=np.uint8)
     stops = np.append(np.flatnonzero(raw == ord("\n")), len(raw))
     starts = np.concatenate(([0], stops[:-1] + 1))
     lengths = stops - starts
-    padded = data + bytes(max(1, int(lengths.max())))
+    padded = data + bytes(int(lengths.max()))
     return np.frombuffer(padded, dtype=np.uint8), starts, lengths
 
 
@@ -399,7 +399,7 @@ def _token_column(table, at: np.ndarray):
     """(bytes, keep) of the tokens `at`, one row each, as wide as the longest. A mask, not
     NUL padding, marks each token's bytes: a token may hold a NUL."""
     raw, starts, lengths = table
-    width = max(1, int(lengths[at].max()))
+    width = int(lengths[at].max())
     return sliding_window_view(raw, width)[starts[at]], np.arange(width) < lengths[at, None]
 
 
@@ -434,12 +434,10 @@ def _record_bytes(pieces: tuple[bytes, ...], columns: list) -> bytes:
 
 
 def write_log(log: BidLog, path: str, format: Optional[str] = None) -> None:
-    """Write a bid log, one row per present bid in auction then bidder order. Raises
-    on a log with no auctions, which parse_log refuses, and on bids that are not micro
-    decimals, before it opens the file."""
+    """Write a bid log, one row per present bid in auction then bidder order. Raises on bids
+    that are not micro decimals, before it opens the file; BidLog already refuses the
+    empty log and the empty id that parse_log would refuse."""
     fmt = _infer_format(path, format)
-    if not len(log):
-        raise ValueError("cannot write a log with no auctions: parse_log refuses it")
     bids = log.to_matrix()
     rows, cols = np.nonzero(bids != ABSENT)
     tables = [_token_table(_id_tokens(ids, fmt)) for ids in (log.auction_ids, log.bidder_ids)]

@@ -15,8 +15,9 @@ class BidLog:
     """Ordered auctions held as one read-only (T, n) bid matrix, -inf where absent.
 
     Rows follow auction_ids, which are distinct; columns follow bidder_ids, the
-    sorted universe of every bidder appearing anywhere in the log. Every bid is
-    finite and >= 0, and every auction has at least one bidder.
+    sorted universe of every bidder appearing anywhere in the log. There is an auction, no
+    id is empty, every bid is finite and >= 0, and every auction has at least one bidder:
+    _store refuses any other log, so no consumer checks these again.
     """
 
     __slots__ = ("_bids", "bidder_ids", "auction_ids")
@@ -25,15 +26,19 @@ class BidLog:
         profiles = tuple(profiles)
         ids = sorted({b for p in profiles for b in p.bids})
         bids = np.array([[p.bids.get(b, ABSENT) for b in ids] for p in profiles], dtype=float)
-        self._store(bids.reshape(len(profiles), len(ids)), ids, [p.auction_id for p in profiles])
+        self._store(bids, ids, [p.auction_id for p in profiles])
 
     def _store(self, bids: np.ndarray, bidder_ids: Iterable[str], auction_ids: Iterable[str]):
         auction_ids, bidder_ids = tuple(auction_ids), tuple(bidder_ids)
+        if not auction_ids:
+            raise ValueError("log has no auctions")
         if bids.shape != (len(auction_ids), len(bidder_ids)):
             raise ValueError(f"bid matrix of shape {bids.shape} for {len(auction_ids)} "
                              f"auction ids and {len(bidder_ids)} bidder ids")
         for what, ids in (("auction_id", auction_ids), ("bidder_id", bidder_ids)):
-            if len(set(ids)) != len(ids):
+            if "" in (distinct := set(ids)):
+                raise ValueError(f"empty {what}")
+            if len(distinct) != len(ids):
                 raise ValueError(f"duplicate {what} {Counter(ids).most_common(1)[0][0]!r}")
         present = bids != ABSENT
         if not (~present | np.isfinite(bids) & (bids >= 0)).all():
@@ -77,7 +82,7 @@ class BidLog:
         default to a00000, a00001, ..."""
         bids = np.asarray(bids, dtype=float)
         if auction_ids is None:
-            width = max(5, len(str(max(len(bids) - 1, 0))))
+            width = max(5, len(str(len(bids) - 1)))
             auction_ids = (f"a{i:0{width}d}" for i in range(len(bids)))
         log = object.__new__(BidLog)
         log._store(bids, bidder_ids, auction_ids)

@@ -100,8 +100,6 @@ def empirical_totals(log: BidLog, reserves: ReserveVector,
 
 def empirical_revenue(log: BidLog, reserves: ReserveVector, mechanism: Mechanism) -> float:
     """Mean payment per auction over the log. The one evaluator everything reports through."""
-    if len(log) == 0:
-        raise ValueError("empty log")
     return empirical_totals(log, reserves, mechanism)[0] / len(log)
 
 
@@ -109,8 +107,6 @@ def _result(log: BidLog, row: np.ndarray, mechanism: Mechanism,
             **counters) -> OptimizationResult:
     """Reserves from a row in bidder_ids order, with their totals under `mechanism`, the
     empirical revenue empirical_revenue reports for them and the search's counters."""
-    if len(log) == 0:
-        raise ValueError("empty log")
     reserves = ReserveVector(dict(zip(log.bidder_ids, (float(x) for x in row))))
     revenue, welfare = empirical_totals(log, reserves, mechanism)
     return OptimizationResult(reserves, revenue / len(log), revenue, welfare, mechanism, counters)

@@ -85,6 +85,21 @@ def test_expected_second_highest():
         expected_second_highest(equal_revenue_dist(10.0), 3)
 
 
+def test_a_lone_untreated_bidder_pays_0_before_any_myerson_reserve():
+    # the untruncated equal-revenue law is atomless, and phi == 0 has no Myerson reserve
+    er = ContinuousDist(name="er", lo=1.0, hi=math.inf, cdf=lambda v: 1.0 - 1.0 / v,
+                        pdf=lambda v: v ** -2, ppf=lambda u: 1.0 / (1.0 - u))
+    assert expected_second_highest(er, 1) == rev_e_k_quadrature(er, 1, 0) == 0.0
+    with pytest.raises(DomainError, match="no sign change"):
+        rev_e_k_quadrature(er, 1, 1)
+
+
+@pytest.mark.parametrize("k", [-1, 3])
+def test_quadrature_refuses_a_k_out_of_range(k):
+    with pytest.raises(ValueError, match=rf"^k {k} out of range \[0, 2\]$"):
+        rev_e_k_quadrature(UNIFORM, 2, k)
+
+
 def test_simulate_treatment_validation():
     with pytest.raises(ValueError):
         simulate_treatment(UNIFORM, 5, 0.5, Mechanism.EAGER, 0, seed=1)

@@ -132,6 +132,30 @@ def test_exit_code_bad_config(tmp_path, capsys):
                  "5", "--seed", "-3", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("config, params, err", [
+    ("[1]", None, "config must be a JSON object"),
+    (None, "{oops", "--params is not valid JSON: Expecting property name enclosed in "
+                    "double quotes")], ids=["config-not-object", "params-not-json"])
+def test_a_config_or_params_that_is_not_a_json_object_exits_2(tmp_path, capsys, config, params, err):
+    argv = ["gen", "--generator", "iid", "--count", "5", "--out", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "config.json").write_text(config)
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert main(argv + ["--params", params or IID_PARAMS]) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_refuses_a_law_with_values_below_zero(tmp_path, capsys):
+    # the same refusal as sweep's, naming the law; no bid is drawn and no log written
+    out = tmp_path / "out"
+    assert main(["gen", "--generator", "iid", "--count", "10", "--out", str(out),
+                 "--params", '{"dist": "uniform", "lo": -5, "hi": 1, "n": 2}']) == 3
+    assert capsys.readouterr().err == "error: uniform(-5,1): support reaches below 0; " \
+                                      "values must be >= 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_gen_of_an_empty_graph_exits_2_and_writes_no_log(tmp_path, capsys, fmt):
     """A graph with no vertices is a log with no auctions, which parse_log would refuse.
@@ -200,7 +224,7 @@ def test_unreadable_input_exits_2_naming_the_path(tmp_path, capsys):
      "error: <missing>: No such file or directory"),
     (["gen", "--generator", "hardness",
       "--params", '{"vertices": [], "edges": [], "L": 2, "H": 3}'], 2,
-     "error: cannot write a log with no auctions: parse_log refuses it"),
+     "error: bad parameters for generator 'hardness': log has no auctions"),
 ], ids=["optimize-undecodable", "eager-exact-too-large", "sweep-not-regular",
         "lift-tables-missing-input", "gen-empty-graph"])
 def test_a_run_failing_after_its_flags_pass_leaves_no_out(tmp_path, capsys, argv, code, err):

@@ -60,6 +60,16 @@ def test_virtual_value_outside_support():
         virtual_value(er, 10.0)
 
 
+def test_virtual_value_where_the_density_is_zero():
+    # a gap in the density inside the open support: phi divides by f
+    gap = distributions.ContinuousDist(
+        name="gap", lo=0.0, hi=2.0, cdf=lambda v: min(1.0, max(0.0, v if v < 1 else v - 1)),
+        pdf=lambda v: 0.0 if 0.5 <= v < 1.5 else 0.5, ppf=lambda u: u)
+    assert virtual_value(gap, 0.25) == 0.25 - 0.75 / 0.5
+    with pytest.raises(DomainError, match=r"^gap: density is 0 at 1\.0$"):
+        virtual_value(gap, 1.0)
+
+
 def test_myerson_uniform():
     assert abs(myerson_reserve(uniform_dist()) - 0.5) <= 1e-9
     assert abs(myerson_reserve(uniform_dist(0.0, 4.0)) - 2.0) <= 1e-9
@@ -174,6 +184,24 @@ def test_sampling_exponential():
     assert (x >= 0.0).all()
     se = 0.5 / math.sqrt(x.size)
     assert abs(x.mean() - 0.5) < 4 * se
+
+
+def test_sampling_refuses_what_no_bid_can_hold():
+    """A law reaching below 0 is refused before any draw; a draw that is not finite after.
+    The law itself is fine: myerson_reserve reads uniform(-1, 1)."""
+    below = uniform_dist(-1.0, 1.0)
+    assert myerson_reserve(below) == pytest.approx(0.5)
+    rng = np.random.default_rng(8)
+    with pytest.raises(DomainError, match=r"^uniform\(-1,1\): support reaches below 0; "
+                                          r"values must be >= 0$"):
+        below.sample(rng, 10)
+    assert rng.random() == np.random.default_rng(8).random()  # nothing drawn
+    for bad in (math.nan, math.inf):
+        holed = distributions.ContinuousDist(
+            name="holed", lo=0.0, hi=1.0, cdf=lambda v: v, pdf=lambda v: 1.0,
+            ppf=lambda u, bad=bad: np.where(u > 0.5, bad, u))
+        with pytest.raises(DomainError, match="^holed: a draw is not a finite number$"):
+            holed.sample(rng, 100)
 
 
 def test_sampling_equal_revenue():

@@ -8,6 +8,7 @@ import pytest
 from reservelab.distributions import uniform_dist
 from reservelab.generators import (EqualRevenuePairAnalysis, JointGenerator,
                                    _equal_revenue_pair_expectations,
+                                   equal_revenue_pair_analysis,
                                    gen_correlated_equal_revenue, gen_geometric_pair,
                                    gen_hardness_instance, gen_high_low, gen_iid,
                                    gen_symmetric_one_high, geometric_pair_analysis,
@@ -155,6 +156,28 @@ def test_independent_set_number():
     assert independent_set_number(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]) == 2
     with pytest.raises(ValueError):
         independent_set_number(21, [])
+
+
+@pytest.mark.parametrize("analysis, generator, err", [
+    (lambda: high_low_exact(0), lambda: gen_high_low(0), "n must be >= 2"),
+    (lambda: high_low_exact(1), lambda: gen_high_low(1), "n must be >= 2"),
+    (lambda: equal_revenue_pair_analysis(0.5, 0.1),
+     lambda: gen_correlated_equal_revenue(0.5, 0.1), "M must be > e"),
+    (lambda: equal_revenue_pair_analysis(1e4, 1.5),
+     lambda: gen_correlated_equal_revenue(1e4, 1.5), r"epsilon must be in \(0, 1\)"),
+    (lambda: independent_set_number(3, [(0, 5)]),
+     lambda: gen_hardness_instance(range(3), [(0, 5)], 2.0, 3.0), r"bad edge \(0, 5\)"),
+    (lambda: independent_set_number(3, [(1, 1)]),
+     lambda: gen_hardness_instance(range(3), [(1, 1)], 2.0, 3.0), r"bad edge \(1, 1\)"),
+    (lambda: independent_set_number(3, [(0, 1), (1, 0)]),
+     lambda: gen_hardness_instance(range(3), [(0, 1), (1, 0)], 2.0, 3.0),
+     r"duplicate edge \(1, 0\)")],
+    ids=["high-low-0", "high-low-1", "pair-M", "pair-epsilon", "edge-off-graph", "loop",
+         "repeated-edge"])
+def test_each_exact_analysis_refuses_what_its_generator_refuses(analysis, generator, err):
+    for make in (analysis, generator):
+        with pytest.raises(ValueError, match=f"^{err}$"):
+            make()
 
 
 def test_high_low_exact_values():

@@ -65,6 +65,11 @@ def test_micro_round_trip_random():
         assert parse_bid_token(format_micro(value)) == value
 
 
+@pytest.mark.parametrize("x", ["1", None, True, [1.0]])
+def test_is_micro_is_false_for_what_is_not_a_float_or_int(x):
+    assert not is_micro(x)
+
+
 def test_quantize():
     q = quantize_log(BidLog([BidProfile("a", {"A": 1 / 3})]))
     assert q.profiles[0].bids["A"] == 0.333333
@@ -178,6 +183,9 @@ def test_empty_and_headerless_files_rejected(tmp_path):
     path.write_text("auction_id,bidder_id,bid\n")
     with pytest.raises(LogParseError):
         parse_log(str(path))
+    (tmp_path / "log.jsonl").write_text("")
+    with pytest.raises(LogParseError, match="^empty log file$"):
+        parse_log(str(tmp_path / "log.jsonl"))
 
 
 def test_interleaved_auctions_group_in_first_seen_order(tmp_path):
@@ -222,6 +230,8 @@ def test_format_inference_and_override(tmp_path):
         parse_log(str(path))
     write_log(small_log(), str(path), format="csv")
     assert len(parse_log(str(path), format="csv")) == 3
+    with pytest.raises(ValueError, match="^unknown log format 'xml'$"):
+        parse_log(str(path), format="XML")
 
 
 def test_reserves_round_trip(tmp_path):
@@ -281,6 +291,10 @@ def test_reserve_file_validation(tmp_path):
     path.write_text("bidder_id,reserve\nA,-1\n")
     with pytest.raises(LogParseError):
         read_reserves(str(path))
+    path.write_text("bidder_id,reserve\nA,1\n,2\n")
+    with pytest.raises(LogParseError, match="empty bidder_id") as e:
+        read_reserves(str(path))
+    assert e.value.line_number == 3
 
 
 def test_log_is_immutable():
@@ -317,6 +331,29 @@ def test_from_matrix_validates_and_normalizes():
         BidLog.from_matrix(m, ("A", "A", "B"))
     with pytest.raises(ValueError):
         BidLog.from_matrix(m, ("A", "B", "C"), ("q", "q"))
+    with pytest.raises(ValueError, match=r"bid matrix of shape \(2, 3\) for 2 auction ids "
+                                         r"and 2 bidder ids"):
+        BidLog.from_matrix(m, ("A", "B"))
+
+
+def test_a_log_with_no_auctions_is_refused_where_it_is_made():
+    for make in (lambda: BidLog([]), lambda: BidLog.from_matrix(np.empty((0, 2)), ["a", "b"])):
+        with pytest.raises(ValueError, match="^log has no auctions$"):
+            make()
+
+
+@pytest.mark.parametrize("make, what", [
+    (lambda: BidLog.from_matrix([[1.0]], [""], ["a"]), "bidder_id"),
+    (lambda: BidLog.from_matrix([[1.0]], ["b"], [""]), "auction_id"),
+    (lambda: BidLog.from_matrix([[1.0, ABSENT]], ["b", ""], ["a"]), "bidder_id"),  # dropped
+    (lambda: BidLog([BidProfile("", {"b": 1.0})]), "auction_id"),
+    (lambda: BidLog([BidProfile("a", {"": 1.0})]), "bidder_id")],
+    ids=["bidder", "auction", "absent-bidder", "profile-auction", "profile-bidder"])
+def test_an_empty_id_is_refused(make, what):
+    """parse_log reads an empty id as a bad one, so no log holds one: write_log would
+    write a file parse_log refuses."""
+    with pytest.raises(ValueError, match=f"^empty {what}$"):
+        make()
 
 
 _IDS = st.text('abcxyz_019,"', min_size=1, max_size=4)
@@ -586,10 +623,10 @@ def _per_record_bytes(log, fmt):
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-# Ids of unequal widths, from empty to past 8 bytes, with multi-byte UTF-8, NUL, commas,
-# quotes and a backslash.
+# Ids of unequal widths, from one byte to past 8 bytes, with multi-byte UTF-8, NUL, commas,
+# quotes and a backslash. None is empty: BidLog refuses an empty id.
 _WRITER_IDS = st.text(st.sampled_from(["a", "b", ",", '"', "\\", "\x00", " ", "\t", "\u00e9",
-                                       "\u20ac", "\U0001d11e"]), max_size=12)
+                                       "\u20ac", "\U0001d11e"]), min_size=1, max_size=12)
 
 
 @settings(max_examples=150, deadline=None)

@@ -72,6 +72,9 @@ def test_profile_validation():
         BidProfile("t", {"A": math.nan})
     with pytest.raises(ValueError):
         BidProfile("t", {"A": math.inf})
+    for bad in ("1", None, True):
+        with pytest.raises(ValueError, match="^auction 't': bid for 'A' is not a number$"):
+            BidProfile("t", {"A": bad})
 
 
 def test_reserve_validation():

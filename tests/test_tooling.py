@@ -5,13 +5,16 @@ import warns DeprecationWarning from mypy_extensions. Under the repo's `error::`
 warning raised inside a pytest hook: the run ended with INTERNALERROR (exit 3) and no test
 after the failing one ran. The repo's ini ignores that one third-party message.
 
-Also two lints the repo has no linter for: no module of the package imports a name it
-never reads, so a kernel entry point that loses its last caller loses its import too; and
-no private function or class of the package outlives its last reader.
+Also three lints the repo has no linter for: no module of the package imports a name it
+never reads, so a kernel entry point that loses its last caller loses its import too; no
+private function or class of the package outlives its last reader; and no module-level
+constant does either.
 """
 
 import ast
 import os
+import re
+import shutil
 import subprocess
 import sys
 
@@ -66,29 +69,62 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: found for name, found in unused.items() if found} == {}
 
 
-def _private_definitions(src):
-    """(module, name) of each module-level function or class whose name starts with `_`,
-    and every name read by a statement other than the one that defines it: a Name load,
-    or the attribute of an attribute load (`module._name`)."""
-    defined, read = [], set()
+def _definitions(src, own):
+    """(module, name) of each name `own(statement)` says a module-level statement defines,
+    and every name read by a statement that does not define it: a Name load, or the
+    attribute of an attribute load (`module._name`)."""
+    defined, read = {}, set()
     for name in sorted(os.listdir(src)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(src, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), name)
         for statement in tree.body:
-            own = (statement.name if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
-                   and statement.name.startswith("_") else None)
-            if own is not None:
-                defined.append((name, own))
+            names = own(statement)
+            defined.update(dict.fromkeys((name, defined_name) for defined_name in sorted(names)))
             read |= {node.id if isinstance(node, ast.Name) else node.attr
                      for node in ast.walk(statement)
                      if isinstance(node, (ast.Name, ast.Attribute))
-                     and isinstance(node.ctx, ast.Load)} - {own}
-    return defined, read
+                     and isinstance(node.ctx, ast.Load)} - names
+    return list(defined), read
+
+
+def _private_function_or_class(statement):
+    """The name of a function or class whose name starts with `_`."""
+    return ({statement.name} if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+            and statement.name.startswith("_") else set())
+
+
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _constant(statement):
+    """The UPPER or _UPPER names an assignment binds. Setting an item of a constant
+    (`_TABLE[i] = x`) counts as defining it, not as reading it."""
+    targets = (statement.targets if isinstance(statement, ast.Assign) else
+               [statement.target] if isinstance(statement, ast.AnnAssign) else [])
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and _CONSTANT.fullmatch(node.id)}
+
+
+def _unread(src, own):
+    defined, read = _definitions(src, own)
+    return defined, [(module, name) for module, name in defined if name not in read]
 
 
 def test_every_private_function_and_class_is_read():
-    defined, read = _private_definitions(os.path.join(ROOT, "src", "reservelab"))
+    defined, unread = _unread(os.path.join(ROOT, "src", "reservelab"), _private_function_or_class)
     assert len(defined) > 40  # the walk found the package's helpers
-    assert [(module, name) for module, name in defined if name not in read] == []
+    assert unread == []
+
+
+def test_every_module_constant_is_read(tmp_path):
+    src = os.path.join(ROOT, "src", "reservelab")
+    defined, unread = _unread(src, _constant)
+    assert len(defined) > 30  # the walk found the package's constants
+    assert unread == []
+    copy = tmp_path / "reservelab"  # the check sees a constant no statement reads
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "logs.py", "a", encoding="utf-8") as fh:
+        fh.write("\n_UNUSED = 1\n")
+    assert _unread(str(copy), _constant)[1] == [("logs.py", "_UNUSED")]

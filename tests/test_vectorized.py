@@ -111,6 +111,8 @@ def test_lazy_order():
     assert top.tolist() == [5.0, 2.0, 4.0]
     assert second.tolist() == [5.0, 0.0, 1.0]  # a single participant's second is 0
     assert bids[0, 1] == 5.0  # the input is left alone
+    with pytest.raises(ValueError, match="^no bidders$"):
+        lazy_order(np.empty((3, 0)))
 
 
 def test_nested_payments_by_hand():
