@@ -219,10 +219,17 @@ def rev_e_k_quadrature(dist: ContinuousDist, n: int, k: int) -> float:
     """
     if not 0 <= k <= n:
         raise ValueError(f"k {k} out of range [0, {n}]")
+    return _eager_quadratures(dist, n, [k])[0]
+
+
+def _eager_quadratures(dist: ContinuousDist, n: int, ks) -> list[float]:
+    """rev_e_k_quadrature(dist, n, k) for each k of ks, bit for bit: the upper term does not
+    depend on k, so it is integrated once, and each k < n adds one lower integral."""
     if dist.atom_at_hi:
         raise DomainError(f"{dist.name}: order-statistic quadrature needs an atomless law")
-    if n < 2 and k == 0:
-        return 0.0
+    ks = list(ks)
+    if n < 2 and not any(ks):  # only a lone untreated bidder's 0: no Myerson reserve needed
+        return [0.0] * len(ks)
     r = myerson_reserve(dist)
 
     def g(x):
@@ -232,14 +239,20 @@ def rev_e_k_quadrature(dist: ContinuousDist, n: int, k: int) -> float:
         return n * dist.cdf(x) ** (n - 1) * g(x)
 
     term1 = _quad(dist, upper_integrand, r, dist.hi)
-    if k == n:
-        return term1
 
-    def lower_integrand(x):
-        return dist.cdf(x) ** (n - k - 1) * g(x)
+    def reference(k):
+        if n < 2 and k == 0:
+            return 0.0
+        if k == n:
+            return term1
 
-    term2 = _quad(dist, lower_integrand, dist.lo, r)
-    return term1 + (n - k) * dist.cdf(r) ** k * term2
+        def lower_integrand(x):
+            return dist.cdf(x) ** (n - k - 1) * g(x)
+
+        term2 = _quad(dist, lower_integrand, dist.lo, r)
+        return term1 + (n - k) * dist.cdf(r) ** k * term2
+
+    return [reference(k) for k in ks]
 
 
 def _quad(dist: ContinuousDist, integrand, lo: float, hi: float) -> float:
@@ -265,10 +278,11 @@ def _references(dist: ContinuousDist, n: int) -> dict[Mechanism, list[float]]:
     form for uniform(0,1), quadrature otherwise. Lazy is linear in k between eager's two
     ends: no bidder treated, where both rules pay the second bid, and all n treated."""
     unit = dist.name.startswith("uniform(") and (dist.lo, dist.hi) == (0.0, 1.0)
-    eager = [rev_e_k_closed_uniform(n, k) if unit else rev_e_k_quadrature(dist, n, k)
-             for k in range(n + 1)]
+    ks = range(n + 1)
+    eager = ([rev_e_k_closed_uniform(n, k) for k in ks] if unit
+             else _eager_quadratures(dist, n, ks))
     return {Mechanism.EAGER: eager,
-            Mechanism.LAZY: [rev_l_k_closed(n, k, eager[0], eager[n]) for k in range(n + 1)]}
+            Mechanism.LAZY: [rev_l_k_closed(n, k, eager[0], eager[n]) for k in ks]}
 
 
 def sweep_theoretical(dist: ContinuousDist, n: int, mechanisms, trials: int,
@@ -279,7 +293,7 @@ def sweep_theoretical(dist: ContinuousDist, n: int, mechanisms, trials: int,
     given. One Monte-Carlo pass scores every mechanism, so all rows, across
     k and across mechanisms, share their draws; k treats the columns < k.
     References come from one _references table: eager's by closed form for uniform(0,1)
-    and by quadrature (2n + 1 integrals) for other families, lazy's linear between
+    and by quadrature (n + 1 integrals) for other families, lazy's linear between
     eager's k = 0 and k = n ends. A non-finite mean, stderr or reference, or a negative
     reference, raises DomainError naming the first such row. Its counter
     `binding_auctions` is the number of drawn auctions reserve_can_bind sent to

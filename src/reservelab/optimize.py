@@ -16,11 +16,16 @@ The eager problem has no such decoupling (it is as hard as maximum
 independent set), but one reserve at a time it is easy. With the others
 fixed, every auction's eager payment is piecewise linear in bidder j's
 reserve, so one sort of b_j plus prefix sums gives the total at every
-candidate, for a block of reserve rows at once (_eager_line_totals). These
-fast totals lie within a proven rounding bound of the auction-order sums of
+candidate, for a block of reserve rows at once (_eager_line_totals). No
+reserve changes that sort, so a search sorts each bidder's bids once
+(_sort_line) and every line of that bidder reuses it. These fast totals lie
+within a proven rounding bound of the auction-order sums of
 _eager_totals_for_rows, so re-scoring only the candidates within that bound
 of the best finds the first ordered argmax, as re-simulating every candidate
-would (_best_on_lines).
+would (_best_on_lines). The re-scoring reads the line's own per-auction
+payments (C0, C1 and max(c, a)), which are the eager kernel's own selections,
+so each re-scored total equals _eager_totals_for_rows' bit for bit and no
+kernel runs inside a search.
 
 Every eager search draws bidder j's reserve from j's own set S_j, {0} plus
 j's distinct bids (own_candidates): a grid of prod |S_j|, about T^n vectors,
@@ -45,9 +50,17 @@ optimal_eager_exact enumerates the first n - 1 reserves in product order
 (mixed radix, the last digit fastest) and line-searches the last, which
 moves fastest in that order; a block of prefixes replaces the best so far
 only when strictly better, so ties break toward the lexicographically
-smallest vector, exactly as in a full enumeration. eager_coordinate_ascent
-is the scalable local search built from the same line search. A log with
-auction weights is the same problem, which is how product laws are searched.
+smallest vector, exactly as in a full enumeration. The fastest prefix digits,
+columns h..n-2, cycle through every combination within each block, so their
+survivors' top two (winner, top, second) is one table per search, and a block
+scans only its outer columns 0..h-1 and merges the two (vectorized._merge_top_two).
+The merge is exact: max and min never round, and bids >= 0 make a 0 for no
+second merge as -inf would. The inner winner wins only where its top is
+strictly higher, so a tie stays with the smaller column, as in one scan, and
+rows stay in product order. eager_coordinate_ascent is the scalable local
+search built from the same line search, with every bidder's sort made once. A
+log with auction weights is the same problem, which is how product laws are
+searched.
 
 All optimizers report expected_revenue through the same exact evaluator
 (empirical_totals, whose revenue fsum empirical_revenue divides by the log's
@@ -65,11 +78,13 @@ import numpy as np
 from .errors import SearchSpaceTooLarge
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
-from .vectorized import ABSENT, _top_two, eager_payments, lazy_order, payments
+from .vectorized import (ABSENT, _merge_top_two, _top_two, eager_payments, lazy_order,
+                         payments)
 
-# bid x reserve-row elements per eager kernel call in the searches, and prefix x auction
-# (or candidate) elements per line-search block: 32 kB per float64 array, small enough
-# that each block reuses the heap memory the last one freed
+# bid x reserve-row elements per eager kernel call and per re-scored shortlist chunk, and
+# prefix x auction (or candidate) elements per line-search block and per exact search's
+# inner rival table: 32 kB per float64 array, small enough that each block reuses the
+# heap memory the last one freed
 _SEARCH_BATCH = 1 << 12
 # candidates re-simulated together by optimal_lazy_bruteforce
 _BRUTEFORCE_CHUNK = 256
@@ -205,8 +220,40 @@ def _eager_totals_for_rows(bids: np.ndarray, R: np.ndarray,
     return totals
 
 
+def _sort_line(b: np.ndarray, cands: np.ndarray):
+    """What no reserve changes on bidder j's line: the stable order of j's bids b (T,)
+    and, per candidate (ascending), how many of them lie below it. A search computes it
+    once per bidder and hands it to every line of that bidder."""
+    order = np.argsort(b, kind="stable")
+    return order, np.searchsorted(b[order], cands, side="left")
+
+
+def _top_surviving(bids: np.ndarray, rows: np.ndarray):
+    """_top_two over the bids (T, m) that survive their column's reserve, for each reserve
+    row of rows (B, m): the (B, T) winner column, top bid and second bid."""
+    return _top_two(np.where(b >= r[:, None], b, ABSENT) for b, r in zip(bids.T, rows.T))
+
+
+def _line_payments(bids: np.ndarray, rows: np.ndarray, j: int, rivals=None):
+    """Per auction (B, T) of each reserve row, what bidder j's line pays (see
+    _eager_line_totals): C0, C1, the auctions j wins if it survives, and a. `rivals` is
+    the survivors' _top_two over j's rivals; by default the rivals are scanned here, with
+    reserve j at +inf, so that j never survives and its column keeps the tie rule."""
+    if rivals is None:
+        rivals = _top_surviving(bids, np.where(np.arange(bids.shape[1]) == j, np.inf, rows))
+    winner, top, second = rivals
+    rival = np.isfinite(top)
+    r_w = np.take_along_axis(rows, winner, axis=1)
+    b = bids[:, j]
+    present = np.isfinite(b)
+    wins = present & ((b > top) | ((b == top) & (j < winner)))
+    c0 = np.where(rival, np.maximum(r_w, second), 0.0)
+    c1 = np.where(present & ~wins, np.maximum(r_w, np.maximum(second, b)), 0.0)
+    return c0, c1, wins, np.where(rival, top, 0.0)
+
+
 def _eager_line_totals(bids: np.ndarray, rows: np.ndarray, j: int, cands: np.ndarray,
-                       weights: np.ndarray | None = None):
+                       weights: np.ndarray | None = None, pays=None, line=None):
     """Eager totals along bidder j's reserve line, for a (B, n) block of reserve rows.
 
     Returns (totals, tol, repeats): totals[p, k] (B, |cands|) is the log's
@@ -215,37 +262,26 @@ def _eager_line_totals(bids: np.ndarray, rows: np.ndarray, j: int, cands: np.nda
     given; it lies within tol[p] / 2 (tol is (B,)) of what
     _eager_totals_for_rows returns for that row. repeats[p, k] marks a
     candidate whose every auction pays exactly what it pays at cands[k - 1],
-    so both rows' ordered totals are bit-identical.
+    so both rows' ordered totals are bit-identical. `pays` is _line_payments'
+    and `line` _sort_line's for (b_j, cands); each is computed here if not given.
 
     With the other reserves fixed, an auction's payment depends on r = r_j in
     three ways: C0 when j drops out (b_j < r, or j is absent), C1 when j
     survives and loses, and max(r, a) when j survives and wins, where a <= b_j
     is the top surviving rival's bid (0 with no rival). One sort of b_j,
-    shared by every row, and per-row prefix sums read at np.searchsorted
-    positions give every total, with the sums over a from a histogram of a
-    by candidate interval:
+    shared by every row and every line of the search, and per-row prefix sums
+    read at np.searchsorted positions give every total, with the sums over a
+    from a histogram of the wins' a by candidate interval:
 
         sum_{b_j<r} C0 + sum_{b_j>=r, loses} C1
         + r * (#{wins: a<r} - #{wins: b_j<r}) + sum_{wins: a>=r} a
     """
-    B, (T, n), C = len(rows), bids.shape, len(cands)
-    # rivals only, in their own columns so that the tie rule holds
-    surviving = (np.where(b >= r[:, None], b, ABSENT) if k != j else np.full((B, T), ABSENT)
-                 for k, (b, r) in enumerate(zip(bids.T, rows.T)))
-    winner, top, second = _top_two(surviving)
-    rival = np.isfinite(top)
-    r_w = np.take_along_axis(rows, winner, axis=1)
-    b = bids[:, j]
-    present = np.isfinite(b)
-    wins = present & ((b > top) | ((b == top) & (j < winner)))
-    c0 = np.where(rival, np.maximum(r_w, second), 0.0)
-    c1 = np.where(present & ~wins, np.maximum(r_w, np.maximum(second, b)), 0.0)
-    a = np.where(rival, top, 0.0)
+    B, T, C = len(rows), len(bids), len(cands)
+    c0, c1, wins, a = _line_payments(bids, rows, j) if pays is None else pays
+    order, b_below = _sort_line(bids[:, j], cands) if line is None else line
     w = np.ones(T) if weights is None else weights
 
     # in b_j order: weighted C0, C1 and wins, then the unweighted wins and moves
-    order = np.argsort(b, kind="stable")
-    b_below = np.searchsorted(b[order], cands, side="left")
     cum = np.zeros((5, B, T + 1))
     for dst, x in zip(cum, (c0 * w, c1 * w, wins * w, wins, wins | (c1 != c0))):
         dst[:, 1:] = x[:, order]
@@ -253,9 +289,11 @@ def _eager_line_totals(bids: np.ndarray, rows: np.ndarray, j: int, cands: np.nda
     (c0_b, c1_b, wins_b, n_wins_b, moves_b), (_, c1_all, wins_all, _, _) = \
         cum[:, :, b_below], cum[:, :, -1:]
     # wins by the candidate interval holding a: bin k + 1 holds cands[k] <= a < cands[k + 1]
-    bins = (np.searchsorted(cands, a, side="right") + (C + 1) * np.arange(B)[:, None])[wins]
-    hist = np.stack([np.bincount(bins, weights=x[wins], minlength=B * (C + 1))
-                     for x in (np.broadcast_to(w, (B, T)), a * w, np.ones((B, T)))])
+    p, t = np.nonzero(wins)
+    a_won, w_won = a[p, t], w[t]
+    bins = np.searchsorted(cands, a_won, side="right") + (C + 1) * p
+    hist = np.stack([np.bincount(bins, weights=x, minlength=B * (C + 1))
+                     for x in (w_won, a_won * w_won, None)])
     a_cum = np.cumsum(hist.reshape(3, B, C + 1), axis=2)
     # over the wins with a < r: weighted count, weighted sum of a, count
     (a_wins, a_sum, a_count), a_all = a_cum[:, :, :C], a_cum[1, :, -1:]
@@ -275,22 +313,46 @@ def _eager_line_totals(bids: np.ndarray, rows: np.ndarray, j: int, cands: np.nda
 
 
 def _best_on_lines(bids: np.ndarray, rows: np.ndarray, j: int, cands: np.ndarray,
-                   weights: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+                   weights: np.ndarray | None = None, line=None,
+                   rivals=None) -> tuple[np.ndarray, float]:
     """The first row, in (row, candidate) order, with the highest ordered total when
-    reserve j of each row takes each candidate; and that total.
+    reserve j of each row takes each candidate; and that total. `line` and `rivals`
+    are as _eager_line_totals and _line_payments take them.
 
     The ordered argmax, any row tying it and the fast maximum each lie within
     their tol / 2 of their ordered totals, so all lie within the block's largest
     tol of the fast maximum; a repeat ties the row before it. So only that
-    shortlist, without repeats, is re-scored by _eager_totals_for_rows.
+    shortlist, without repeats, is re-scored, by _rescored_totals from the line's own
+    per-auction payments. Those are the eager kernel's own selections, so each
+    re-scored total is bit-identical to _eager_totals_for_rows' for that row.
     """
-    fast, tol, repeats = _eager_line_totals(bids, rows, j, cands, weights)
+    pays = _line_payments(bids, rows, j, rivals)
+    fast, tol, repeats = _eager_line_totals(bids, rows, j, cands, weights, pays, line)
     p, k = np.nonzero((fast >= fast.max() - tol.max()) & ~repeats)  # row-major order
-    R = rows[p]
-    R[:, j] = cands[k]
-    totals = _eager_totals_for_rows(bids, R, weights)
+    totals = _rescored_totals(bids[:, j], pays, p, cands[k], weights)
     i = int(np.argmax(totals))  # first max
-    return R[i], float(totals[i])
+    row = rows[p[i]].copy()
+    row[j] = cands[k[i]]
+    return row, float(totals[i])
+
+
+def _rescored_totals(b: np.ndarray, pays, p: np.ndarray, c: np.ndarray,
+                     weights: np.ndarray | None = None) -> np.ndarray:
+    """Ordered totals of reserve rows p (K,) of a line with reserve j at c (K,), from the
+    line's _line_payments `pays` and j's bids b (T,): C0 where b < c (or j is absent),
+    max(c, a) where j survives and wins, C1 where it survives and loses; each times its
+    auction's weight if `weights` (T,) is given, summed in auction order, in chunks of
+    rows as _eager_totals_for_rows sums."""
+    step = max(1, _SEARCH_BATCH // len(b))
+    totals = np.empty(len(p))
+    for lo in range(0, len(p), step):
+        c_lo = c[lo:lo + step, None]
+        c0, c1, wins, a = (x[p[lo:lo + step]] for x in pays)
+        pay = np.where(b >= c_lo, np.where(wins, np.maximum(c_lo, a), c1), c0)
+        if weights is not None:
+            pay *= weights
+        totals[lo:lo + step] = np.add.accumulate(pay, axis=1)[:, -1]
+    return totals
 
 
 def exact_lazy_search(bids: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -312,27 +374,74 @@ def exact_lazy_search(bids: np.ndarray, weights: np.ndarray | None = None) -> np
     return best
 
 
+def _product_rows(sets: list[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """Vectors lo..hi - 1 of itertools.product(*sets), as a (hi - lo, len(sets)) array:
+    mixed-radix digits of the index, the last fastest."""
+    index = np.arange(lo, hi)
+    rows = np.empty((len(index), len(sets)))
+    for k in range(len(sets) - 1, -1, -1):
+        index, digit = np.divmod(index, len(sets[k]))
+        rows[:, k] = sets[k][digit]
+    return rows
+
+
+def _inner_split(sizes: list[int], step: int) -> int:
+    """The first inner prefix column h: columns h..n-2 of a grid of per-bidder set `sizes`
+    are the fastest prefix digits whose every combination fits a block of `step` prefixes.
+    n - 1 when not even one column fits, and for n = 1."""
+    h = len(sizes) - 1
+    while h > 0 and math.prod(sizes[h - 1:-1]) <= step:
+        h -= 1
+    return h
+
+
+def _prefix_blocks(bids: np.ndarray, sets: list[np.ndarray], step: int):
+    """The (B, n) reserve rows of blocks of at most `step` prefixes (reserves 0..n-2) of
+    itertools.product(*sets), in product order with reserve n - 1 at 0, each with the
+    survivors' _top_two over columns 0..n-2 as _line_payments takes it; None where there
+    is no inner column (h = n - 1, _inner_split), and _line_payments scans them itself.
+
+    The inner columns h..n-2 cycle through the same combinations in every block, so
+    their survivors' top two is one table per search; a block scans only its outer
+    columns 0..h-1 and merges them with the table (see the module docstring).
+    """
+    T, n = bids.shape
+    sizes = [len(s) for s in sets]
+    h = _inner_split(sizes, step)
+    inner, outer = math.prod(sizes[h:-1]), math.prod(sizes[:h])
+    if h < n - 1:
+        winner, top, second = _top_surviving(bids[:, h:-1], _product_rows(sets[h:-1], 0, inner))
+        table = winner + h, top, second  # winners in bidder columns
+    per_block = step // inner
+    for lo in range(0, outer, per_block):
+        hi = min(lo + per_block, outer)
+        rows = np.zeros(((hi - lo) * inner, n))
+        rows[:, :-1] = _product_rows(sets[:-1], lo * inner, hi * inner)
+        if h == n - 1:
+            yield rows, None
+        elif h == 0:
+            yield rows, table
+        else:
+            outer_two = (x[:, None] for x in _top_surviving(bids[:, :h], rows[::inner, :h]))
+            yield rows, tuple(x.reshape(-1, T) for x in _merge_top_two(outer_two, table))
+
+
 def exact_eager_search(bids: np.ndarray, sets: list[np.ndarray],
                        weights: np.ndarray | None = None) -> np.ndarray:
     """The first vector of itertools.product(*sets) with the highest ordered eager total
     over `bids` (T, n), weighted by `weights` (T,) if given; sets[j] holds bidder j's
     candidates, ascending.
 
-    Blocks of prefixes (reserves 0..n-2), in product order and within
-    _SEARCH_BATCH elements per array, each line-search reserve n - 1 over sets[n - 1].
+    Blocks of prefixes (_prefix_blocks), in product order and within _SEARCH_BATCH
+    elements per array, each line-search reserve n - 1 over sets[n - 1], whose bids
+    are sorted once for all of them.
     """
     T, n = bids.shape
-    sizes = [len(s) for s in sets]
-    prefixes = math.prod(sizes[:-1])
-    step = max(1, _SEARCH_BATCH // max(T, sizes[-1] + 1))
+    step = max(1, _SEARCH_BATCH // max(T, len(sets[-1]) + 1))
+    line = _sort_line(bids[:, -1], sets[-1])
     best, best_total = None, -math.inf
-    for lo in range(0, prefixes, step):
-        index = np.arange(lo, min(lo + step, prefixes))
-        rows = np.zeros((len(index), n))
-        for k in range(n - 2, -1, -1):  # mixed-radix digits of the prefix index, last fastest
-            index, digit = np.divmod(index, sizes[k])
-            rows[:, k] = sets[k][digit]
-        row, total = _best_on_lines(bids, rows, n - 1, sets[n - 1], weights)
+    for rows, rivals in _prefix_blocks(bids, sets, step):
+        row, total = _best_on_lines(bids, rows, n - 1, sets[-1], weights, line, rivals)
         if total > best_total:
             best, best_total = row, total
     return best
@@ -384,13 +493,14 @@ def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
     n = len(log.bidder_ids)
     current = init.row(log.bidder_ids)
     current_total = float(_eager_totals_for_rows(bids, current[None, :])[0])
+    lines = [_sort_line(b, s) for b, s in zip(bids.T, sets)]
 
     rounds, converged = 0, False
     while rounds < max_rounds and not converged:
         rounds += 1
         round_start = current_total
         for j in range(n):
-            row, total = _best_on_lines(bids, current[None, :], j, sets[j])
+            row, total = _best_on_lines(bids, current[None, :], j, sets[j], line=lines[j])
             if total > current_total:
                 current, current_total = row, total
         converged = current_total - round_start <= 1e-12 * max(1.0, abs(round_start))

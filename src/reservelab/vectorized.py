@@ -48,6 +48,16 @@ def _top_two(columns):
     return winner, top, np.where(np.isfinite(second), second, 0.0)  # single participant: 0
 
 
+def _merge_top_two(first, then):
+    """_top_two over two groups of columns, `then`'s after `first`'s, from each group's
+    _top_two (winners numbered alike, arrays broadcast together). Exact: max and min never
+    round, and with bids >= 0 a group's 0 for no second merges as its -inf would. A tie
+    stays with `first`, the smaller columns."""
+    (w0, t0, s0), (w1, t1, s1) = first, then
+    return (np.where(t1 > t0, w1, w0), np.maximum(t0, t1),
+            np.maximum(np.maximum(s0, s1), np.minimum(t0, t1)))
+
+
 def lazy_order(bids: np.ndarray):
     """The reserve-independent lazy step: per auction, the zero-reserve winner
     column, the top bid and the second-highest bid (0 with one participant)."""

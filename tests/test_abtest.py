@@ -529,8 +529,9 @@ def test_uniform_lazy_endpoints_closed_form_matches_quadrature():
 
 def test_both_rule_sweep_integrates_each_eager_reference_once(monkeypatch):
     """Lazy's references are eager's two ends, so a both-rule sweep of a quadrature law
-    integrates eager at k = 0..n once each and E[second highest] never."""
-    calls = {"rev_e_k_quadrature": 0, "expected_second_highest": 0}
+    integrates eager at k = 0..n once each, n + 1 integrals in all, and E[second highest]
+    never."""
+    calls = {"_integrate": 0, "expected_second_highest": 0}
     for name in calls:
         def counting(*args, _name=name, _original=getattr(abtest, name)):
             calls[_name] += 1
@@ -540,10 +541,28 @@ def test_both_rule_sweep_integrates_each_eager_reference_once(monkeypatch):
     n = 5
     rows = sweep_theoretical(exponential_dist(1.0), n, [Mechanism.EAGER, Mechanism.LAZY],
                              1000, seed=1).rows
-    assert calls == {"rev_e_k_quadrature": n + 1, "expected_second_highest": 0}
+    assert calls == {"_integrate": n + 1, "expected_second_highest": 0}
     eager = [r.reference for r in rows[:n + 1]]
     assert [r.reference for r in rows[n + 1:]] == [rev_l_k_closed(n, k, eager[0], eager[n])
                                                    for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("n, integrals", [(1, 1), (2, 3), (5, 6), (10, 11)])
+def test_references_integrate_the_upper_term_once(monkeypatch, n, integrals):
+    """Eager's quadrature references share their k-independent upper term: n + 1 integrals
+    for n >= 2, one per lower term and one upper, where each k alone would take 2n + 1.
+    Each equals rev_e_k_quadrature at its k bit for bit."""
+    dist = exponential_dist(1.0)
+    want = [rev_e_k_quadrature(dist, n, k) for k in range(n + 1)]
+    calls = []
+
+    def counting(*args, _original=abtest._integrate):
+        calls.append(args[1:])
+        return _original(*args)
+
+    monkeypatch.setattr(abtest, "_integrate", counting)
+    assert abtest._references(dist, n)[Mechanism.EAGER] == want
+    assert len(calls) == integrals
 
 
 @pytest.mark.parametrize("dist", [UNIFORM, exponential_dist(3.0)], ids=["unit", "scale-1/3"])

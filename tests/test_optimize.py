@@ -1,5 +1,6 @@
 """Reserve optimizers: fixtures, oracle equivalence, hardness identities."""
 
+import itertools
 import math
 from dataclasses import fields
 
@@ -14,10 +15,13 @@ from reservelab.logs import BidLog
 from reservelab.mechanics import BidProfile, Mechanism, ReserveVector, run_eager
 from reservelab import optimize
 from reservelab.optimize import (OptimizationResult, _best_on_lines, _eager_line_totals,
-                                 _eager_totals_for_rows, _result, eager_coordinate_ascent,
-                                 empirical_revenue, exact_eager_search, exact_lazy_search,
-                                 monopoly_reserves, optimal_eager_exact, optimal_lazy,
-                                 optimal_lazy_bruteforce, own_candidates)
+                                 _eager_totals_for_rows, _inner_split, _line_payments,
+                                 _prefix_blocks, _product_rows, _rescored_totals, _result,
+                                 _top_surviving, eager_coordinate_ascent, empirical_revenue,
+                                 exact_eager_search, exact_lazy_search, monopoly_reserves,
+                                 optimal_eager_exact, optimal_lazy, optimal_lazy_bruteforce,
+                                 own_candidates)
+from reservelab.product import FiniteDist, ProductDist, optimal_reserves_product
 from reservelab.vectorized import ABSENT, lazy_order, payments
 
 from oracles import argmax_over_grid, global_candidates, own_set_sizes
@@ -231,6 +235,8 @@ def grid_search(bids, cands, weights=None):
 
 _LEVELS = [0.0, 0.5, 1.0, 2.0, 3.0]  # few levels, so bids tie with each other and with reserves
 _WEIGHTS = [0.1, 0.25, 1 / 3, 1.0, 2.5]
+# exact_cases' search block sizes: the default, one that splits the prefixes, one prefix
+_BATCHES = [optimize._SEARCH_BATCH, 40, 1]
 
 
 @st.composite
@@ -250,7 +256,7 @@ def exact_cases(draw):
                                   min_size=T, max_size=T)))
     bids[np.arange(T), draw(st.lists(st.integers(0, n - 1), min_size=T, max_size=T))] = 1.0
     weights = draw(st.none() | st.lists(st.sampled_from(_WEIGHTS), min_size=T, max_size=T))
-    batch = draw(st.sampled_from([optimize._SEARCH_BATCH, 40, 1]))
+    batch = draw(st.sampled_from(_BATCHES))
     return (BidLog.from_matrix(bids, [f"b{j}" for j in range(n)]),
             None if weights is None else np.array(weights), batch)
 
@@ -495,6 +501,96 @@ def line_cases(draw):
 @given(line_cases())
 def test_line_search_matches_ordered_totals_property(case):
     check_line_search(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(line_cases())
+def test_rescored_totals_equal_the_kernel_sums(case):
+    """Every (row, candidate) of every bidder's line, re-scored from the line's own
+    payments, totals to _eager_totals_for_rows' auction-order sum of the kernel's
+    payments, bit for bit."""
+    log, rows, weights = case
+    bids = log.to_matrix()
+    cands = global_candidates(bids)
+    p, k = (x.ravel() for x in np.indices((len(rows), len(cands))))
+    for j in range(bids.shape[1]):
+        got = _rescored_totals(bids[:, j], _line_payments(bids, rows, j), p, cands[k], weights)
+        R = rows[p]
+        R[:, j] = cands[k]
+        assert got.tobytes() == _eager_totals_for_rows(bids, R, weights).tobytes()
+
+
+@st.composite
+def prefix_cases(draw):
+    """A small log with ties and absent bidders, and per-bidder ascending reserve sets,
+    some holding +inf; every set but the last holds at least two reserves, so each
+    split h has a block size that puts it there."""
+    n = draw(st.integers(1, 5))
+    T = draw(st.integers(1, 8))
+    bids = np.array(draw(st.lists(st.lists(st.sampled_from(_LEVELS[:3] + [ABSENT]),
+                                           min_size=n, max_size=n), min_size=T, max_size=T)))
+    levels = _LEVELS[:3] + [math.inf]
+    sets = [np.array(sorted(draw(st.sets(st.sampled_from(levels), min_size=2 if j < n - 1 else 1,
+                                         max_size=3)))) for j in range(n)]
+    return bids, sets
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix_cases())
+def test_merged_rivals_equal_one_scan(case):
+    """At every split h = 0..n-1, each block's rivals, the inner table merged with its
+    outer columns' top two, equal one _top_two scan over every rival's survivors bit for
+    bit, in winner, top and second; the blocks' rows are the prefixes in product order."""
+    bids, sets = case
+    T, n = bids.shape
+    sizes = [len(s) for s in sets]
+    for h in range(n):
+        step = math.prod(sizes[h:-1])
+        assert _inner_split(sizes, step) == h
+        blocks = list(_prefix_blocks(bids, sets, step))
+        rows = np.concatenate([r for r, _ in blocks])
+        want_rows = np.zeros((math.prod(sizes[:-1]), n))
+        want_rows[:, :-1] = _product_rows(sets[:-1], 0, len(want_rows))
+        assert rows.tobytes() == want_rows.tobytes()
+        for rows, rivals in blocks:
+            assert (rivals is None) == (h == n - 1)
+            if rivals is not None:
+                want = _top_surviving(bids, np.where(np.arange(n) == n - 1, np.inf, rows))
+                assert [x.tobytes() for x in rivals] == [x.tobytes() for x in want]
+
+
+def test_exact_cases_batches_reach_every_split():
+    """The block sizes exact_cases draws put the inner split at h = 0, strictly between 0
+    and n - 1, and at n - 1, on logs of the shapes it draws."""
+    splits = set()
+    for batch, n, T, size in itertools.product(_BATCHES, range(2, 5), range(1, 16), range(2, 7)):
+        h = _inner_split([size] * n, max(1, batch // max(T, size + 1)))
+        splits.add("first" if h == 0 else "last" if h == n - 1 else "between")
+    assert splits == {"first", "between", "last"}
+
+
+def test_searches_run_no_kernel_inside(monkeypatch):
+    """Every line re-scores its shortlist from its own payments: the exact search on the
+    Petersen hardness log and the eager product-law search run no eager kernel, and the
+    ascent runs one, for its starting total."""
+    calls = []
+
+    def counting(*args, _original=optimize.eager_payments):
+        calls.append(args[1].shape)
+        return _original(*args)
+
+    monkeypatch.setattr(optimize, "eager_payments", counting)
+    edges = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    petersen = gen_hardness_instance(list(range(10)), edges, 2.0, 3.0)
+    assert optimal_eager_exact(petersen).total_revenue == 2 * 25 + 4
+    assert calls == []
+    law = ProductDist({f"b{i}": FiniteDist(((1.0 + i, 0.5), (2.5, 0.25), (4.0 - i, 0.25)))
+                       for i in range(3)})
+    optimal_reserves_product(law, Mechanism.EAGER)
+    assert calls == []
+    eager_coordinate_ascent(petersen)
+    assert calls == [(1, 1, 10)]
 
 
 def test_ascent_matches_reference_loop():
