@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 All of these derive from ValueError so callers that just want "bad input"
-semantics can catch one thing; the CLI maps each subclass to its own exit code.
+semantics can catch one thing. The CLI exits 2 on ConfigError or any other
+ValueError, 3 on LogParseError and DomainError (bad data), and 4 on
+SearchSpaceTooLarge (a refused search).
 """
 
 

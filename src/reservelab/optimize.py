@@ -6,11 +6,12 @@ auctions she would win at zero reserves, and there her lazy revenue is
     R_i(r) = r * k_i(r) + s_i(r)
 
 with k_i(r) = #{auctions in Q_i : top >= r > second} and s_i(r) = sum of
-seconds >= r: the eager revenue of the log [top, second] over Q_i with the
-rival at reserve 0. exact_lazy_search runs the eager line search below on it
-once per bidder; optimal_lazy_bruteforce re-simulates every candidate of {0},
-the tops and the seconds directly, its totals summed in auction order as the
-search's are, and exists as an independent check.
+seconds >= r: the eager revenue of the log [second, top] over Q_i with the
+rival at reserve 0, as a tie pays the top whichever bidder wins it.
+exact_lazy_search runs exact_eager_search on it once per bidder;
+optimal_lazy_bruteforce re-simulates every candidate of {0}, the tops and the
+seconds directly, its totals summed in auction order as the search's are, and
+exists as an independent check.
 
 The eager problem has no such decoupling (it is as hard as maximum
 independent set), but one reserve at a time it is easy. With the others
@@ -42,7 +43,7 @@ and so do non-negative weights. The one thing rounding can change is a
 total that rises on (b', b] in exact arithmetic but rounds flat: the grid of
 every bid may then pick a reserve inside (b', b) where this one picks b, at
 the same total. The argument covers the lazy line, this eager line on the log
-[top, second], where bidder i's own bids are the tops, and monopoly_reserves'
+[second, top], where bidder i's own bids are the tops, and monopoly_reserves'
 r * #{own bids >= r}, whose count is constant on (b', b]. So every search takes
 its candidates from own_candidates.
 
@@ -52,15 +53,15 @@ moves fastest in that order; a block of prefixes replaces the best so far
 only when strictly better, so ties break toward the lexicographically
 smallest vector, exactly as in a full enumeration. The fastest prefix digits,
 columns h..n-2, cycle through every combination within each block, so their
-survivors' top two (winner, top, second) is one table per search, and a block
-scans only its outer columns 0..h-1 and merges the two (vectorized._merge_top_two).
+survivors' top two (vectorized._top_surviving) is one table per search, and a
+block scans only its outer columns 0..h-1 and merges the two (_merge_top_two).
 The merge is exact: max and min never round, and bids >= 0 make a 0 for no
 second merge as -inf would. The inner winner wins only where its top is
 strictly higher, so a tie stays with the smaller column, as in one scan, and
 rows stay in product order. eager_coordinate_ascent is the scalable local
-search built from the same line search, with every bidder's sort made once. A
-log with auction weights is the same problem, which is how product laws are
-searched.
+search built from the same line search, with every bidder's sort made once;
+a step's rivals are the scan with reserve j at +inf. A log with auction
+weights is the same problem, which is how product laws are searched.
 
 All optimizers report expected_revenue through the same exact evaluator
 (empirical_totals, whose revenue fsum empirical_revenue divides by the log's
@@ -78,8 +79,7 @@ import numpy as np
 from .errors import SearchSpaceTooLarge
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
-from .vectorized import (ABSENT, _merge_top_two, _top_two, eager_payments, lazy_order,
-                         payments)
+from .vectorized import _merge_top_two, _top_surviving, eager_payments, lazy_order, payments
 
 # bid x reserve-row elements per eager kernel call and per re-scored shortlist chunk, and
 # prefix x auction (or candidate) elements per line-search block and per exact search's
@@ -228,19 +228,11 @@ def _sort_line(b: np.ndarray, cands: np.ndarray):
     return order, np.searchsorted(b[order], cands, side="left")
 
 
-def _top_surviving(bids: np.ndarray, rows: np.ndarray):
-    """_top_two over the bids (T, m) that survive their column's reserve, for each reserve
-    row of rows (B, m): the (B, T) winner column, top bid and second bid."""
-    return _top_two(np.where(b >= r[:, None], b, ABSENT) for b, r in zip(bids.T, rows.T))
-
-
-def _line_payments(bids: np.ndarray, rows: np.ndarray, j: int, rivals=None):
+def _line_payments(bids: np.ndarray, rows: np.ndarray, j: int, rivals):
     """Per auction (B, T) of each reserve row, what bidder j's line pays (see
     _eager_line_totals): C0, C1, the auctions j wins if it survives, and a. `rivals` is
-    the survivors' _top_two over j's rivals; by default the rivals are scanned here, with
+    the survivors' top two over j's rivals: vectorized._top_surviving of the rows with
     reserve j at +inf, so that j never survives and its column keeps the tie rule."""
-    if rivals is None:
-        rivals = _top_surviving(bids, np.where(np.arange(bids.shape[1]) == j, np.inf, rows))
     winner, top, second = rivals
     rival = np.isfinite(top)
     r_w = np.take_along_axis(rows, winner, axis=1)
@@ -252,18 +244,17 @@ def _line_payments(bids: np.ndarray, rows: np.ndarray, j: int, rivals=None):
     return c0, c1, wins, np.where(rival, top, 0.0)
 
 
-def _eager_line_totals(bids: np.ndarray, rows: np.ndarray, j: int, cands: np.ndarray,
-                       weights: np.ndarray | None = None, pays=None, line=None):
-    """Eager totals along bidder j's reserve line, for a (B, n) block of reserve rows.
+def _eager_line_totals(cands: np.ndarray, pays, line, weights: np.ndarray | None = None):
+    """Eager totals along bidder j's reserve line, for a block of B reserve rows.
 
     Returns (totals, tol, repeats): totals[p, k] (B, |cands|) is the log's
     eager revenue with reserve j at cands[k] (ascending) and the others at
-    rows[p], each auction's payment times its weight when `weights` (T,) is
+    row p, each auction's payment times its weight when `weights` (T,) is
     given; it lies within tol[p] / 2 (tol is (B,)) of what
     _eager_totals_for_rows returns for that row. repeats[p, k] marks a
     candidate whose every auction pays exactly what it pays at cands[k - 1],
-    so both rows' ordered totals are bit-identical. `pays` is _line_payments'
-    and `line` _sort_line's for (b_j, cands); each is computed here if not given.
+    so both rows' ordered totals are bit-identical. `pays` is the rows'
+    _line_payments and `line` _sort_line's for (b_j, cands).
 
     With the other reserves fixed, an auction's payment depends on r = r_j in
     three ways: C0 when j drops out (b_j < r, or j is absent), C1 when j
@@ -276,9 +267,9 @@ def _eager_line_totals(bids: np.ndarray, rows: np.ndarray, j: int, cands: np.nda
         sum_{b_j<r} C0 + sum_{b_j>=r, loses} C1
         + r * (#{wins: a<r} - #{wins: b_j<r}) + sum_{wins: a>=r} a
     """
-    B, T, C = len(rows), len(bids), len(cands)
-    c0, c1, wins, a = _line_payments(bids, rows, j) if pays is None else pays
-    order, b_below = _sort_line(bids[:, j], cands) if line is None else line
+    c0, c1, wins, a = pays
+    order, b_below = line
+    (B, T), C = c0.shape, len(cands)
     w = np.ones(T) if weights is None else weights
 
     # in b_j order: weighted C0, C1 and wins, then the unweighted wins and moves
@@ -312,9 +303,8 @@ def _eager_line_totals(bids: np.ndarray, rows: np.ndarray, j: int, cands: np.nda
     return totals, tol, repeats
 
 
-def _best_on_lines(bids: np.ndarray, rows: np.ndarray, j: int, cands: np.ndarray,
-                   weights: np.ndarray | None = None, line=None,
-                   rivals=None) -> tuple[np.ndarray, float]:
+def _best_on_lines(bids: np.ndarray, rows: np.ndarray, j: int, cands: np.ndarray, line,
+                   rivals, weights: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """The first row, in (row, candidate) order, with the highest ordered total when
     reserve j of each row takes each candidate; and that total. `line` and `rivals`
     are as _eager_line_totals and _line_payments take them.
@@ -327,7 +317,7 @@ def _best_on_lines(bids: np.ndarray, rows: np.ndarray, j: int, cands: np.ndarray
     re-scored total is bit-identical to _eager_totals_for_rows' for that row.
     """
     pays = _line_payments(bids, rows, j, rivals)
-    fast, tol, repeats = _eager_line_totals(bids, rows, j, cands, weights, pays, line)
+    fast, tol, repeats = _eager_line_totals(cands, pays, line, weights)
     p, k = np.nonzero((fast >= fast.max() - tol.max()) & ~repeats)  # row-major order
     totals = _rescored_totals(bids[:, j], pays, p, cands[k], weights)
     i = int(np.argmax(totals))  # first max
@@ -359,18 +349,17 @@ def exact_lazy_search(bids: np.ndarray, weights: np.ndarray | None = None) -> np
     """Per bidder of `bids` (T, n), the smallest of its own_candidates over the tops of
     the auctions Q she wins at zero reserves, {0} plus those tops, with the highest
     ordered lazy total over Q, each payment times its weight if `weights` (T,) is
-    given; 0 if Q is empty. On Q the log [top, second] with the rival at reserve 0
-    pays lazily (she wins ties; once she drops out the rival is alone and pays 0), so
-    one eager line search per bidder over her own bids in that log is exact."""
+    given; 0 if Q is empty. On Q the log [second, top] with the rival at reserve 0
+    pays lazily (a tie pays the top either way; once she drops out the rival pays 0),
+    so exact_eager_search of {0} for the rival and her own bids there is exact."""
     winner, top, second = lazy_order(bids)
-    w = np.ones(len(top)) if weights is None else weights
     best = np.zeros(bids.shape[1])
     for i in range(len(best)):
         mine = winner == i
         if mine.any():
-            pair = np.stack([top[mine], second[mine]], axis=1)
-            cands = own_candidates([top[mine]])[0]
-            best[i] = _best_on_lines(pair, np.zeros((1, 2)), 0, cands, w[mine])[0][0]
+            pair = np.stack([second[mine], top[mine]], axis=1)
+            sets = [np.zeros(1)] + own_candidates([top[mine]])
+            best[i] = exact_eager_search(pair, sets, None if weights is None else weights[mine])[1]
     return best
 
 
@@ -398,31 +387,29 @@ def _inner_split(sizes: list[int], step: int) -> int:
 def _prefix_blocks(bids: np.ndarray, sets: list[np.ndarray], step: int):
     """The (B, n) reserve rows of blocks of at most `step` prefixes (reserves 0..n-2) of
     itertools.product(*sets), in product order with reserve n - 1 at 0, each with the
-    survivors' _top_two over columns 0..n-2 as _line_payments takes it; None where there
-    is no inner column (h = n - 1, _inner_split), and _line_payments scans them itself.
+    survivors' top two over columns 0..n-2 as _line_payments takes it.
 
-    The inner columns h..n-2 cycle through the same combinations in every block, so
-    their survivors' top two is one table per search; a block scans only its outer
-    columns 0..h-1 and merges them with the table (see the module docstring).
+    The inner columns h..n-2 (_inner_split) cycle through the same combinations in
+    every block, so their survivors' top two, scanned with column n - 1 at +inf so that
+    h = n - 1 needs no case of its own, is one table per search; a block scans only its
+    outer columns 0..h-1 and merges them with the table (see the module docstring).
     """
     T, n = bids.shape
     sizes = [len(s) for s in sets]
     h = _inner_split(sizes, step)
     inner, outer = math.prod(sizes[h:-1]), math.prod(sizes[:h])
-    if h < n - 1:
-        winner, top, second = _top_surviving(bids[:, h:-1], _product_rows(sets[h:-1], 0, inner))
-        table = winner + h, top, second  # winners in bidder columns
+    inner_rows = _product_rows(sets[h:-1] + [np.full(1, np.inf)], 0, inner)[:, None]
+    winner, top, second = _top_surviving(bids[:, h:], inner_rows)
+    table = winner + h, top, second  # winners in bidder columns
     per_block = step // inner
     for lo in range(0, outer, per_block):
         hi = min(lo + per_block, outer)
         rows = np.zeros(((hi - lo) * inner, n))
         rows[:, :-1] = _product_rows(sets[:-1], lo * inner, hi * inner)
-        if h == n - 1:
-            yield rows, None
-        elif h == 0:
+        if h == 0:
             yield rows, table
         else:
-            outer_two = (x[:, None] for x in _top_surviving(bids[:, :h], rows[::inner, :h]))
+            outer_two = _top_surviving(bids[:, :h], rows[::inner, None, None, :h])
             yield rows, tuple(x.reshape(-1, T) for x in _merge_top_two(outer_two, table))
 
 
@@ -441,7 +428,7 @@ def exact_eager_search(bids: np.ndarray, sets: list[np.ndarray],
     line = _sort_line(bids[:, -1], sets[-1])
     best, best_total = None, -math.inf
     for rows, rivals in _prefix_blocks(bids, sets, step):
-        row, total = _best_on_lines(bids, rows, n - 1, sets[-1], weights, line, rivals)
+        row, total = _best_on_lines(bids, rows, n - 1, sets[-1], line, rivals, weights)
         if total > best_total:
             best, best_total = row, total
     return best
@@ -500,7 +487,8 @@ def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
         rounds += 1
         round_start = current_total
         for j in range(n):
-            row, total = _best_on_lines(bids, current[None, :], j, sets[j], line=lines[j])
+            rivals = _top_surviving(bids, np.where(np.arange(n) == j, np.inf, current)[None, None])
+            row, total = _best_on_lines(bids, current[None, :], j, sets[j], lines[j], rivals)
             if total > current_total:
                 current, current_total = row, total
         converged = current_total - round_start <= 1e-12 * max(1.0, abs(round_start))

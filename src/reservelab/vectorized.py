@@ -9,13 +9,16 @@ Semantics match mechanics.run_lazy / run_eager exactly (same weak
 inequalities, same smallest-column tie-break); the scalar functions stay the
 reference and the test suite cross-checks the two.
 
+The eager survivors' top two is one scan, _top_surviving, which the eager
+searches' rivals call too; two groups' top two merge through _merge_top_two.
+
 nested_payments evaluates nested treated sets: the bidders in columns < k hold
 their reserves, the rest hold 0, for every k = 0..n at once. Lazy fixes the winner
 before any reserve is checked, so the lazy kernel takes the n + 1 reserve rows as one
 batch on one bid order. Under eager the sets grow one column at a time, so top-two
-scans over the columns (treated prefix, untreated suffix) give every k's outcome from
-selections alone, equal to one kernel call per k; the suffix scan read backwards is
-already in k order.
+scans over the columns (treated prefix, untreated suffix), merged at each k by
+_merge_top_two, give every k's outcome from selections alone, equal to one kernel
+call per k; the suffix scan read backwards is already in k order.
 
 reserve_can_bind states when a reserve can change an auction's price at all; the
 sweeps send only those auctions to a kernel. second_bid is lazy_order's second bid alone,
@@ -49,13 +52,22 @@ def _top_two(columns):
 
 
 def _merge_top_two(first, then):
-    """_top_two over two groups of columns, `then`'s after `first`'s, from each group's
-    _top_two (winners numbered alike, arrays broadcast together). Exact: max and min never
-    round, and with bids >= 0 a group's 0 for no second merges as its -inf would. A tie
-    stays with `first`, the smaller columns."""
+    """The top two over two groups of bid columns, from each group's (winner, top, second),
+    arrays broadcast together. Winner labels are columns numbered alike, or reserves:
+    `then`'s wins only where its top is strictly higher, so a tie stays with `first` (the
+    smaller columns, for _top_two's tie rule). Exact: max and min never round, and with
+    bids >= 0 a group's 0 for no second merges as its -inf would."""
     (w0, t0, s0), (w1, t1, s1) = first, then
-    return (np.where(t1 > t0, w1, w0), np.maximum(t0, t1),
-            np.maximum(np.maximum(s0, s1), np.minimum(t0, t1)))
+    second = np.maximum(np.maximum(s0, s1), np.minimum(t0, t1))  # made first: fewer arrays live
+    return np.where(t1 > t0, w1, w0), np.maximum(t0, t1), second
+
+
+def _top_surviving(bids: np.ndarray, reserves: np.ndarray):
+    """_top_two over the bids (T, m) that clear their column's reserve, `reserves` broadcast
+    as the kernels take them: per auction of every reserve row, the first highest
+    survivor's column, its bid and the highest other survivor's (0 if none)."""
+    return _top_two(np.where(b >= reserves[..., j], b, ABSENT)  # absent never survives
+                    for j, b in enumerate(np.asarray(bids, dtype=float).T))
 
 
 def lazy_order(bids: np.ndarray):
@@ -118,9 +130,7 @@ def eager_payments(bids: np.ndarray, reserves: np.ndarray,
                    return_welfare: bool = False):
     """Per-auction payments under eager reserves. Optionally also welfare."""
     reserves = np.asarray(reserves, dtype=float)
-    surviving = (np.where(b >= r, b, ABSENT)  # absent never survives
-                 for b, r in zip(np.asarray(bids, dtype=float).T, np.moveaxis(reserves, -1, 0)))
-    winner, top, second = _top_two(surviving)  # sole survivor: second 0, pays reserve
+    winner, top, second = _top_surviving(bids, reserves)  # sole survivor: second 0, pays reserve
     return _outcome(np.isfinite(top), top, _at(reserves, winner), second, return_welfare)
 
 
@@ -170,8 +180,6 @@ def nested_payments(bids: np.ndarray, reserves: np.ndarray,
         np.where(cols >= reserves[:, None], cols, ABSENT), reserves)
     s_top, _, s_second = (a[::-1] for a in _running_top_two(
         np.where(cols >= 0.0, cols, ABSENT)[::-1], np.zeros(n)))
-    top = np.maximum(p_top, s_top)
-    second = np.maximum(np.maximum(p_second, s_second), np.minimum(p_top, s_top))
-    r_w = np.where(p_top > s_top, p_res, 0.0)
+    r_w, top, second = _merge_top_two((0.0, s_top, s_second), (p_res, p_top, p_second))
     return _outcome(np.isfinite(top), top, r_w,
                     np.where(np.isfinite(second), second, 0.0), False).T

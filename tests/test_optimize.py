@@ -17,12 +17,12 @@ from reservelab import optimize
 from reservelab.optimize import (OptimizationResult, _best_on_lines, _eager_line_totals,
                                  _eager_totals_for_rows, _inner_split, _line_payments,
                                  _prefix_blocks, _product_rows, _rescored_totals, _result,
-                                 _top_surviving, eager_coordinate_ascent, empirical_revenue,
+                                 _sort_line, eager_coordinate_ascent, empirical_revenue,
                                  exact_eager_search, exact_lazy_search, monopoly_reserves,
                                  optimal_eager_exact, optimal_lazy, optimal_lazy_bruteforce,
                                  own_candidates)
 from reservelab.product import FiniteDist, ProductDist, optimal_reserves_product
-from reservelab.vectorized import ABSENT, lazy_order, payments
+from reservelab.vectorized import ABSENT, _top_surviving, lazy_order, payments
 
 from oracles import argmax_over_grid, global_candidates, own_set_sizes
 
@@ -39,6 +39,14 @@ def total_revenue(log, reserves, mechanism):
 
 def single_bidder_log(values):
     return log_of([{"A": float(v)} for v in values])
+
+
+def line_of(bids, rows, j, cands):
+    """(line, rivals) as a search hands them to bidder j's line over reserve rows (B, n):
+    _sort_line of (b_j, cands), and the survivors' top two over j's rivals, one scan of
+    the rows with reserve j at +inf."""
+    rivals = _top_surviving(bids, np.where(np.arange(bids.shape[1]) == j, np.inf, rows)[:, None])
+    return _sort_line(bids[:, j], cands), rivals
 
 
 def random_log(rng, max_bidders=6, max_auctions=200, value_pool=None):
@@ -296,7 +304,8 @@ def test_a_line_over_own_bids_equals_the_line_over_every_bid(case, data):
         R[:, j] = cands
         totals = _eager_totals_for_rows(bids, R, weights)
         i = int(np.argmax(totals))
-        got, total = _best_on_lines(bids, row[None, :], j, own, weights)
+        got, total = _best_on_lines(bids, row[None, :], j, own,
+                                    *line_of(bids, row[None, :], j, own), weights)
         assert got.tolist() == R[i].tolist() and total == totals[i]
 
 
@@ -306,7 +315,9 @@ def test_own_bids_can_split_a_tie_that_only_rounding_makes():
     # exact totals differ. The grid of every bid takes 9; A's own bids take 10, at the
     # same total.
     bids = np.array([[ABSENT, 1e17, 1e17], [10.0, ABSENT, ABSENT], [ABSENT, ABSENT, 9.0]])
-    row, total = _best_on_lines(bids, np.zeros((1, 3)), 0, own_candidates(bids.T)[0])
+    own = own_candidates(bids.T)[0]
+    rows = np.zeros((1, 3))
+    row, total = _best_on_lines(bids, rows, 0, own, *line_of(bids, rows, 0, own))
     cands = global_candidates(bids)
     R = np.zeros((len(cands), 3))
     R[:, 0] = cands
@@ -336,25 +347,32 @@ def test_lazy_returns_the_grid_vector(case):
 @settings(max_examples=100, deadline=None)
 @given(exact_cases())
 def test_lazy_lines_search_each_bidders_winning_tops(case):
-    """exact_lazy_search line-searches each bidder that wins an auction at zero reserves
-    over {0} plus the distinct tops of the auctions it wins, unweighted and weighted: its
-    own candidates in the log [top, second]."""
+    """exact_lazy_search runs exact_eager_search once per bidder that wins an auction at
+    zero reserves, on the log [second, top] of the auctions it wins, with their weights,
+    over {0} for the rival and {0} plus the distinct tops of those auctions for the
+    bidder, unweighted and weighted: its own candidates in that log."""
     log, weights, _ = case
     bids = log.to_matrix()
-    winner, top, _ = lazy_order(bids)
-    want = [np.unique(np.append(top[winner == i], 0.0)).tolist()
-            for i in range(bids.shape[1]) if (winner == i).any()]
+    winner, top, second = lazy_order(bids)
+    mine = [winner == i for i in range(bids.shape[1]) if (winner == i).any()]
+    want = [[[0.0], np.unique(np.append(top[q], 0.0)).tolist()] for q in mine]
     for w in (None, np.ones(len(bids)) if weights is None else weights):
-        lines = []
+        searches = []
 
-        def recording(pair, rows, j, cands, line_weights=None):
-            lines.append(cands.tolist())
-            return _best_on_lines(pair, rows, j, cands, line_weights)
+        def recording(pair, sets, pair_weights=None):
+            searches.append((pair, [s.tolist() for s in sets], pair_weights))
+            return exact_eager_search(pair, sets, pair_weights)
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(optimize, "_best_on_lines", recording)
+            m.setattr(optimize, "exact_eager_search", recording)
             exact_lazy_search(bids, w)
-        assert lines == want
+        assert [sets for _, sets, _ in searches] == want
+        for (pair, _, pair_weights), q in zip(searches, mine):
+            assert pair.tolist() == np.stack([second[q], top[q]], axis=1).tolist()
+            if w is None:
+                assert pair_weights is None
+            else:
+                assert pair_weights.tolist() == w[q].tolist()
 
 
 def test_ascent_triangle_from_all_low():
@@ -450,7 +468,9 @@ def check_line_search(log, current, weights=None):
     cands = global_candidates(bids)
     rows = np.atleast_2d(current)
     for j in range(len(log.bidder_ids)):
-        fast, tol, repeats = _eager_line_totals(bids, rows, j, cands, weights)
+        line, rivals = line_of(bids, rows, j, cands)
+        fast, tol, repeats = _eager_line_totals(cands, _line_payments(bids, rows, j, rivals),
+                                                line, weights)
         R = np.repeat(rows, len(cands), axis=0)  # (row, candidate) order
         R[:, j] = np.tile(cands, len(rows))
         exact = _eager_totals_for_rows(bids, R, weights).reshape(fast.shape)
@@ -458,7 +478,7 @@ def check_line_search(log, current, weights=None):
         p, k = np.nonzero(repeats)
         # a repeat ties the row below, bit for bit
         assert np.array_equal(exact[p, k], exact[p, k - 1])
-        row, total = _best_on_lines(bids, rows, j, cands, weights)
+        row, total = _best_on_lines(bids, rows, j, cands, line, rivals, weights)
         i = int(np.argmax(exact))
         assert total == exact.flat[i] and np.array_equal(row, R[i])
 
@@ -514,7 +534,8 @@ def test_rescored_totals_equal_the_kernel_sums(case):
     cands = global_candidates(bids)
     p, k = (x.ravel() for x in np.indices((len(rows), len(cands))))
     for j in range(bids.shape[1]):
-        got = _rescored_totals(bids[:, j], _line_payments(bids, rows, j), p, cands[k], weights)
+        pays = _line_payments(bids, rows, j, line_of(bids, rows, j, cands)[1])
+        got = _rescored_totals(bids[:, j], pays, p, cands[k], weights)
         R = rows[p]
         R[:, j] = cands[k]
         assert got.tobytes() == _eager_totals_for_rows(bids, R, weights).tobytes()
@@ -538,9 +559,10 @@ def prefix_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(prefix_cases())
 def test_merged_rivals_equal_one_scan(case):
-    """At every split h = 0..n-1, each block's rivals, the inner table merged with its
-    outer columns' top two, equal one _top_two scan over every rival's survivors bit for
-    bit, in winner, top and second; the blocks' rows are the prefixes in product order."""
+    """At every split h = 0..n-1 (h = n - 1 and n = 1 included), each block's rivals, the
+    inner table merged with its outer columns' top two, equal one _top_two scan over
+    every rival's survivors bit for bit, in winner, top and second; the blocks' rows are
+    the prefixes in product order."""
     bids, sets = case
     T, n = bids.shape
     sizes = [len(s) for s in sets]
@@ -553,10 +575,8 @@ def test_merged_rivals_equal_one_scan(case):
         want_rows[:, :-1] = _product_rows(sets[:-1], 0, len(want_rows))
         assert rows.tobytes() == want_rows.tobytes()
         for rows, rivals in blocks:
-            assert (rivals is None) == (h == n - 1)
-            if rivals is not None:
-                want = _top_surviving(bids, np.where(np.arange(n) == n - 1, np.inf, rows))
-                assert [x.tobytes() for x in rivals] == [x.tobytes() for x in want]
+            want = line_of(bids, rows, n - 1, sets[-1])[1]
+            assert [x.tobytes() for x in rivals] == [x.tobytes() for x in want]
 
 
 def test_exact_cases_batches_reach_every_split():
@@ -617,7 +637,9 @@ def test_line_search_near_tie_keeps_ordered_argmax():
                              ["b0", "b1"])
     bids = log.to_matrix()
     cands = global_candidates(bids)
-    fast = _eager_line_totals(bids, np.zeros((1, 2)), 0, cands)[0][0]
+    rows = np.zeros((1, 2))
+    line, rivals = line_of(bids, rows, 0, cands)
+    fast = _eager_line_totals(cands, _line_payments(bids, rows, 0, rivals), line)[0][0]
     R = np.zeros((len(cands), 2))
     R[:, 0] = cands
     exact = _eager_totals_for_rows(bids, R)

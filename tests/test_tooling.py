@@ -8,7 +8,7 @@ after the failing one ran. The repo's ini ignores that one third-party message.
 Also three lints the repo has no linter for: no module of the package imports a name it
 never reads, so a kernel entry point that loses its last caller loses its import too; no
 private function or class of the package outlives its last reader; and no module-level
-constant does either.
+constant does either. And README's layout table names every module of the package.
 """
 
 import ast
@@ -128,3 +128,13 @@ def test_every_module_constant_is_read(tmp_path):
     with open(copy / "logs.py", "a", encoding="utf-8") as fh:
         fh.write("\n_UNUSED = 1\n")
     assert _unread(str(copy), _constant)[1] == [("logs.py", "_UNUSED")]
+
+
+def test_readme_layout_names_every_module():
+    """The rows of README's layout table are exactly the package's modules."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `reservelab\.(\w+)` \|", fh.read(), re.MULTILINE)
+    modules = [name[:-3] for name in os.listdir(os.path.join(ROOT, "src", "reservelab"))
+               if name.endswith(".py") and name != "__init__.py"]
+    assert len(rows) == len(set(rows))
+    assert sorted(rows) == sorted(modules)

@@ -137,6 +137,39 @@ _LEVELS = [0.0, 0.5, 1.0, 2.0, 3.0]  # few levels, so bids tie with each other a
 
 
 @st.composite
+def nested_cases(draw):
+    """A (T, n) bid matrix of few levels, so bids tie with each other and with reserves,
+    with absent bids, T = 0 allowed and a row nobody joins forced in when T allows; and
+    one (n,) reserve row of those levels and +inf."""
+    n = draw(st.integers(1, 6))
+    T = draw(st.integers(0, 12))
+    bids = np.array(draw(st.lists(st.sampled_from(_LEVELS + [ABSENT]),
+                                  min_size=T * n, max_size=T * n))).reshape(T, n)
+    if T >= 1:
+        bids[draw(st.integers(0, T - 1))] = ABSENT
+    reserves = np.array(draw(st.lists(st.sampled_from(_LEVELS + [math.inf]),
+                                      min_size=n, max_size=n)))
+    return bids, reserves
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_cases())
+def test_nested_payments_equal_one_kernel_call_per_k_property(case):
+    """Column k of nested_payments is payments() with the columns < k at their reserves
+    and the rest at 0, bit for bit, under both rules: for the drawn reserves, all 0 and
+    all +inf."""
+    bids, drawn = case
+    T, n = bids.shape
+    for reserves in (drawn, np.zeros(n), np.full(n, math.inf)):
+        for mechanism in Mechanism:
+            got = nested_payments(bids, reserves, mechanism)
+            assert got.shape == (T, n + 1)
+            for k in range(n + 1):
+                row = np.where(np.arange(n) < k, reserves, 0.0)
+                assert got[:, k].tobytes() == payments(bids, row, mechanism).tobytes()
+
+
+@st.composite
 def second_bid_cases(draw):
     """A (T, n) bid matrix of few levels, so bids tie, with absent bids: rows of one
     participant and rows nobody joins are forced in when T allows."""
