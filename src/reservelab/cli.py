@@ -5,7 +5,9 @@ overriding the matching key. Once the flags pass, main makes --out, the subcomma
 writes its data artifacts there (byte-identical across reruns of the same config and
 seed), and main writes summary.json, which also records the wall-clock runtime.
 
-Exit codes: 0 success, 2 bad configuration, 3 bad data, 4 refused search size.
+Exit codes: 0 success, 2 bad configuration, 3 bad data, 4 a refused size: a search over
+--max-product-size, or a run that runs out of memory (one line, `refusing: out of memory`,
+naming the flags that size the run).
 """
 
 from __future__ import annotations
@@ -36,17 +38,19 @@ DEFAULT_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 def _flag(default, help: str, **check):
     """A RunConfig field with its --help text and checks: `least` (an integer's least value),
-    `choices`, and `needed` (a run that reads the flag cannot do without it)."""
+    `choices`, `needed` (a run that reads the flag cannot do without it), and `size` (the
+    flag sizes the run's arrays, so an out-of-memory refusal names it)."""
     factory = {"default_factory": dict} if default is dict else {"default": default}
     return field(metadata={"help": help, **check}, **factory)
 
 
 @dataclass
 class RunConfig:
-    input: Optional[str | list] = _flag(None, "input log path", needed=True)  # lift-tables: a list
+    input: Optional[str | list] = _flag(None, "input log path",  # lift-tables: a list
+                                        needed=True, size=True)
     generator: Optional[str] = _flag(None, "generator name (gen_* family)")
-    params: dict = _flag(dict, "generator/distribution parameters as JSON")
-    count: Optional[int] = _flag(None, "auctions to generate", least=1, needed=True)
+    params: dict = _flag(dict, "generator/distribution parameters as JSON", size=True)
+    count: Optional[int] = _flag(None, "auctions to generate", least=1, needed=True, size=True)
     seed: int = _flag(0, "PRNG seed", least=0)
     format: Optional[str] = _flag(None, "log file format", choices=LOG_FORMATS)
     out: str = _flag(".", "output directory")
@@ -54,13 +58,14 @@ class RunConfig:
     task: Optional[str] = _flag(None, "reserve-optimization task")
     max_product_size: int = _flag(MAX_PRODUCT_SIZE, "largest eager-exact search", least=1)
     max_rounds: int = _flag(50, "eager-local rounds", least=1)
-    trials: int = _flag(100_000, "Monte-Carlo trials", least=1)
+    trials: int = _flag(100_000, "Monte-Carlo trials", least=1, size=True)
     mode: str = _flag("theoretical", "sweep mode")
     dist: Optional[str] = _flag(None, "distribution name for theoretical mode", needed=True)
-    n: Optional[int] = _flag(None, "bidders per auction (theoretical)", least=1, needed=True)
+    n: Optional[int] = _flag(None, "bidders per auction (theoretical)", least=1, needed=True,
+                             size=True)
     reserves: Optional[str] = _flag(None, "reserve CSV for empirical mode", needed=True)
     grid: Optional[str | list] = _flag(None, "comma-separated treated fractions")
-    assignments: int = _flag(200, "subsets per sweep point", least=1)
+    assignments: int = _flag(200, "subsets per sweep point", least=1, size=True)
 
 
 _FLAGS = {f.name: f.metadata for f in dataclass_fields(RunConfig)}
@@ -348,6 +353,7 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(ns).items()
                  if k in _FLAGS and v is not None}
     fresh = []  # the directories of --out that do not exist yet, deepest first
+    read: set[str] = set()
     try:
         if "params" in overrides and isinstance(overrides["params"], str):
             try:
@@ -370,6 +376,11 @@ def main(argv=None) -> int:
         return 0
     except SearchSpaceTooLarge as e:
         print(f"refusing: {e}", file=sys.stderr)
+        return 4
+    except MemoryError:  # numpy's _ArrayMemoryError too: a run too large for this machine
+        sizes = ", ".join("--" + f.replace("_", "-") for f in _FLAGS
+                          if f in read and _FLAGS[f].get("size"))
+        print(f"refusing: out of memory; lower the run's size ({sizes})", file=sys.stderr)
         return 4
     except (LogParseError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)

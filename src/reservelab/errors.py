@@ -3,7 +3,8 @@
 All of these derive from ValueError so callers that just want "bad input"
 semantics can catch one thing. The CLI exits 2 on ConfigError or any other
 ValueError, 3 on LogParseError and DomainError (bad data), and 4 on
-SearchSpaceTooLarge (a refused search).
+SearchSpaceTooLarge (a refused search) and on MemoryError, numpy's included (a run
+too large for the machine, refused with one line naming the flags that size it).
 """
 
 

@@ -8,14 +8,15 @@ so that micros -> float -> micros round trips are exact in both directions.
 A CSV log is parsed column-wise first, in one gate pass over each block of lines:
 byte-level numpy tests find and check each line's two commas, its dot and its end,
 and an int64 Horner pass over the bid's digit columns gives its integer micros.
-Each id column maps to matrix rows or columns in first-seen order. Its ids are keyed
-one width at a time, ⌈w/8⌉ big-endian words: an id of w bytes is a row of its
-NUL-padded uint64 words among the ids of its width; a sort groups equal keys, and
-each group's least line is its first sighting. Only the distinct ids are decoded. A
-file with any record outside that plain form (quotes, non-ASCII, a bad bid, a
-duplicate pair, ...) is parsed again from the top by the per-record path, a
-`csv.reader` over its lines, which alone raises `LogParseError`; JSONL logs and
-reserve files take that path only.
+Each id column's ids are numbered block by block as the blocks are gated, against one
+running table per column: per width, the sorted keys of the ids met so far and their
+numbers. In a block, a span equal to the span before it takes its number, so only run
+heads are keyed, sorted and looked up. The matrix rows and columns are then put in
+first-seen order, by each id's first line. Only the distinct ids are decoded, and no
+key array spans more than one block. A file with any record
+outside that plain form (quotes, non-ASCII, a bad bid, a duplicate pair, ...) is
+parsed again from the top by the per-record path, a `csv.reader` over its lines, which
+alone raises `LogParseError`; JSONL logs and reserve files take that path only.
 
 write_log checks every bid's integer micros in one array pass. It then fills each
 block of records into one byte matrix, a row per record: the format's literal
@@ -259,70 +260,62 @@ def _plain_block(block: np.ndarray, ends: np.ndarray):
     return (first, second, micros) if micros.max() <= MAX_MICROS else None
 
 
-def _span_keys(data: bytes, stops: np.ndarray, width: int) -> np.ndarray:
-    """(len(stops), ⌈width/8⌉) uint64 keys of the spans of `width` bytes that end at
-    `stops`: each span's bytes NUL-padded to whole words read big-endian, so key order
-    is byte order. Each word is one unaligned 8-byte gather: word k at the span's start
-    plus 8k, the last one the 8 bytes that end where the span ends, shifted past the
-    bytes before it. No gather is clipped, since the header's 25 bytes come before
-    every span."""
+def _number(data: bytes, starts: np.ndarray, stops: np.ndarray, tables: dict, seen: list,
+            offset: int) -> np.ndarray:
+    """Each span data[starts:stops]'s id, numbered in the order ids are met: block, then
+    width, then key. `tables` maps a width to the sorted keys of the ids of that width met
+    so far and their numbers; `seen` holds, in number order, their first lines (`offset`
+    plus the span's index) and their bytes. Both gain the spans' new ids. A span of at
+    most 8 bytes is keyed by the big-endian word that ends where it ends, shifted past the
+    bytes before it, a wider one by its bytes as one fixed-width S string: either is exact
+    on plain bytes, which hold no NUL. Only run heads are keyed and looked up: a span
+    equal to the one before it (compared on all its bytes) is the same id."""
+    number = np.empty(len(stops), dtype=np.int32)
     words = np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
-    keys = np.empty((len(stops), -(-width // 8)), dtype=np.uint64)  # native order: sorts fast
-    for k in range(keys.shape[1] - 1):
-        keys[:, k] = words[stops - (width - 8 * k)]
-    keys[:, -1] = words[stops - 8]
-    keys[:, -1] <<= np.uint64(8 * (-width % 8))
-    return keys
+    widths = stops - starts
+    for width in np.flatnonzero(np.bincount(widths)).tolist():
+        group = np.flatnonzero(widths == width)
+        spans = (words[stops[group] - 8] << np.uint64(64 - 8 * width) if width <= 8 else
+                 np.ndarray((len(data) - width + 1,), dtype=f"S{width}", buffer=data,
+                            strides=(1,))[starts[group]])
+        head = np.append(True, (np.diff(group) > 1) | (spans[1:] != spans[:-1]))
+        keys, heads = spans[head], group[head]
+        table, numbers = tables.get(width, (keys[:0], number[:0]))
+        at = np.searchsorted(table, keys)
+        new = at == len(table)
+        new[~new] = table[at[~new]] != keys[~new]
+        ids = np.append(numbers, 0)[at]  # each head's number; a new key's is set below
+        added, first, inverse = np.unique(keys[new], return_index=True, return_inverse=True)
+        fresh = np.arange(len(added), dtype=np.int32) + sum(map(len, seen[1::2]))
+        ids[new] = fresh[inverse]
+        seen += heads[new][first] + offset, (added if width > 8 else
+                                             added.astype(">u8").view("S8"))
+        at = at[new][first]
+        tables[width] = np.insert(table, at, added), np.insert(numbers, at, fresh)
+        number[group] = np.repeat(ids, np.diff(np.flatnonzero(head), append=len(group)))
+    return number
 
 
-def _number_spans(keys: np.ndarray, at: np.ndarray, index: np.ndarray, offset: int):
-    """Sets index[at] to each span's number among the distinct `keys` (rows, one per span
-    of `at`) in key order, plus `offset`; returns each distinct key's least span index
-    and its bytes, NUL padding stripped."""
-    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
-    keys, at = keys[order], at[order]
-    del order  # one (N,) array less through the parse's peak
-    fresh = np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1)))
-    number = np.cumsum(fresh)
-    number += offset - 1
-    index[at] = number
-    names = keys[fresh].astype(">u8").view(f"S{8 * keys.shape[1]}")[:, 0]
-    return np.minimum.reduceat(at, np.flatnonzero(fresh)), names.astype(object)
-
-
-def _width_groups(widths: np.ndarray) -> list[np.ndarray]:
-    """Indices of the spans of each width in turn, narrowest first."""
-    order = np.argsort(widths, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(widths[order])) + 1)
-
-
-def _first_seen(data: bytes, starts: np.ndarray, stops: np.ndarray):
-    """Each span data[starts:stops]'s index among the distinct spans in first-seen order,
-    and those distinct spans as str. The spans are keyed one width at a time, ⌈w/8⌉
-    big-endian words, so no span is padded to a longer one's width. Decoding a key strips
-    its NUL padding, which is exact on plain bytes, which hold no NUL. Equal keys are
-    grouped by a sort; a group's first-seen span is its least index, so the sort need not
-    be stable."""
-    index = np.empty(len(starts), dtype=np.intp)
-    firsts, names = [], []
-    for at in _width_groups(stops - starts):
-        width = int(stops[at[0]] - starts[at[0]])
-        first, name = _number_spans(_span_keys(data, stops[at], width), at, index,
-                                    sum(map(len, firsts)))
-        firsts.append(first)
-        names.append(name)
-    by_first = np.argsort(np.concatenate(firsts))
-    rank = np.empty(len(by_first), dtype=np.intp)
-    rank[by_first] = np.arange(len(by_first))
-    text = b"\n".join(np.concatenate(names)[by_first].tolist()).decode()
-    return rank[index], text.split("\n")
+def _renumber(seen: list, column: np.ndarray) -> bytes:
+    """Renumbers `column` in place, a block at a time, from the order its ids were met in
+    (see _number) to first-seen order, by their first lines. Returns the ids in that order,
+    newline-joined; a short id's NUL padding is stripped."""
+    order = np.argsort(np.concatenate(seen[0::2]))
+    rank = np.argsort(order).astype(np.int32)
+    for i in range(0, len(column), _BLOCK_LINES):
+        column[i:i + _BLOCK_LINES] = rank[column[i:i + _BLOCK_LINES]]
+    return b"\n".join(np.concatenate(seen[1::2], dtype=object)[order].tolist())
 
 
 def _columnar_csv(data: bytes) -> Optional[BidLog]:
     """The log of a CSV file whose records are all plain (see _plain_block) and hold no
     repeated (auction, bidder) pair, else None. On such a file the per-record parse
     returns the same log: each bid is its integer micros / 10**6, both exact integers,
-    so the quotient is correctly rounded, the same double as parse_bid_token's."""
+    so the quotient is correctly rounded, the same double as parse_bid_token's. Each
+    block's ids are numbered as it is gated (_number), against running tables that carry
+    them across blocks; then rows and columns are put in first-seen order (_renumber).
+    Whole-file arrays are only the file's bytes, its line ends, and each record's int32
+    row and column and int64 micros; those are freed before the ids are decoded."""
     if not data.startswith(LOG_HEADER.encode() + b"\n"):
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
@@ -331,24 +324,25 @@ def _columnar_csv(data: bytes) -> Optional[BidLog]:
         ends = np.append(ends, len(raw))
     if len(ends) == 1:
         return None
-    first, second, micros = (np.empty(len(ends) - 1, dtype=np.int64) for _ in range(3))
+    rows, cols = (np.empty(len(ends) - 1, dtype=np.int32) for _ in range(2))
+    micros = np.empty(len(ends) - 1, dtype=np.int64)
+    auctions, bidders = ({}, []), ({}, [])  # per id column: its tables and first sightings
     for i in range(1, len(ends), _BLOCK_LINES):
         start, block_ends = ends[i - 1] + 1, ends[i:i + _BLOCK_LINES]
         block = _plain_block(raw[start:block_ends[-1] + 1], block_ends - start)
         if block is None:
             return None
         lines = slice(i - 1, i - 1 + len(block_ends))
-        first[lines], second[lines], micros[lines] = block[0] + start, block[1] + start, block[2]
-    # bidders first: their few names, not the many auction names, are held through the
-    # other pass, and `second` is freed before it
-    cols, bidder_ids = _first_seen(data, first + 1, second)
-    del second
-    rows, auction_ids = _first_seen(data, ends[:-1] + 1, first)
-    bids = np.full((len(auction_ids), len(bidder_ids)), ABSENT)
+        first, second, micros[lines] = block[0] + start, block[1] + start, block[2]
+        rows[lines] = _number(data, ends[lines] + 1, first, *auctions, i - 1)
+        cols[lines] = _number(data, first + 1, second, *bidders, i - 1)
+    names = _renumber(bidders[1], cols), _renumber(auctions[1], rows)
+    bids = np.full((rows.max() + 1, cols.max() + 1), ABSENT)
     bids[rows, cols] = micros / 10 ** 6
     if np.count_nonzero(bids != ABSENT) != len(micros):  # a pair was written twice
         return None
-    return BidLog.from_matrix(bids, bidder_ids, auction_ids)
+    del ends, rows, cols, micros  # before the ids are decoded
+    return BidLog.from_matrix(bids, *(text.decode().split("\n") for text in names))
 
 
 def _id_tokens(ids: Iterable[str], fmt: str) -> list[str]:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reservelab import abtest, vectorized
+from reservelab import abtest, cli, vectorized
 from reservelab.cli import _READS, RunConfig, main
 from reservelab.distributions import ContinuousDist
 from reservelab.logio import (compute_lift_report, lift_revenue_tsv, lift_welfare_tsv,
@@ -247,6 +247,30 @@ def test_exit_code_search_too_large(tmp_path, capsys):
                  "--max-product-size", "1000", "--out", str(tmp_path / "opt")])
     assert code == 4
     assert capsys.readouterr().err.startswith("refusing:")
+
+
+def _out_of_memory(*args, **kwargs):
+    """Raises what numpy raises on an array that does not fit, without asking for one."""
+    raise MemoryError("Unable to allocate 36.4 TiB for an array with shape (10**12, 5)")
+
+
+@pytest.mark.parametrize("callee, argv, sizes", [
+    ("write_log", ["gen", "--generator", "iid", "--params", IID_PARAMS, "--count", "5"],
+     "--params, --count"),
+    ("optimal_lazy", ["optimize", "--task", "lazy", "--input", "<log>"], "--input"),
+    ("compute_lift_report", ["lift-tables", "--input", "<log>"], "--input"),
+    ("sweep_theoretical", ["sweep", "--dist", "uniform", "--n", "3", "--trials", "10"],
+     "--params, --trials, --n"),
+], ids=["gen", "optimize", "lift-tables", "sweep"])
+def test_running_out_of_memory_is_a_refusal(tmp_path, capsys, monkeypatch, callee, argv, sizes):
+    """A run whose arrays do not fit exits 4 with one stderr line, no traceback, naming the
+    flags that size the run, and leaves no --out."""
+    paths = {"<log>": str(run_gen(tmp_path))}
+    monkeypatch.setattr(cli, callee, _out_of_memory)
+    capsys.readouterr()
+    assert main([paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "a" / "b")]) == 4
+    assert capsys.readouterr().err == f"refusing: out of memory; lower the run's size ({sizes})\n"
+    assert not (tmp_path / "a").exists()
 
 
 def test_eager_exact_searches_each_bidders_own_bids(tmp_path):
@@ -916,14 +940,15 @@ _SOURCE_ARGV = {"input": ["--input", "{log}"],
                 "generator": ["--generator", "iid", "--params", IID_PARAMS],
                 "hardness": ["--generator", "hardness", "--params", TRIANGLE]}
 _NEEDED = {f.name for f in fields(RunConfig) if f.metadata.get("needed")}
-_FAULTS = ("none", "unread", "bool param", "missing needed", "bad grid")
+_FAULTS = ("none", "unread", "bool param", "missing needed", "bad grid", "out of memory")
 
 
 @st.composite
 def cli_runs(draw):
     """A subcommand, one variant per choice, flags for what that variant reads, and at most
-    one config fault: a flag the variant does not read, a bool param, a needed flag left out
-    or a bad grid. Returns (argv, the flags the run reads, whether a fault was put in)."""
+    one fault: a flag the variant does not read, a bool param, a needed flag left out, a bad
+    grid, or a handler that runs out of memory. Returns (argv, the flags the run reads, the
+    fault put in, or "none")."""
     command = draw(st.sampled_from(sorted(_READS)))
     _, base, choices = _READS[command]
     picked = {choice: draw(st.sampled_from(sorted(variants)))
@@ -958,28 +983,31 @@ def cli_runs(draw):
         del argv[at:at + 2]
     elif fault == "bad grid" and command == "sweep":
         argv += ["--grid", draw(st.sampled_from(["", "a,b", "0.5,x"]))]
-    else:
+    elif fault != "out of memory":
         fault = "none"
-    return argv, read, fault != "none"
+    return argv, read, fault
 
 
 @settings(max_examples=100, deadline=None)
 @given(cli_runs())
 def test_generated_runs_keep_the_cli_contract(run):
-    argv, read, faulty = run
-    with tempfile.TemporaryDirectory() as tmp:
+    argv, read, fault = run
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         write_log(BidLog.from_matrix(np.array([[1.0, 2.5, 4.0], [3.0, 0.5, 2.0]] * 5),
                                      ("a", "b", "c")), os.path.join(tmp, "log.csv"))
         write_reserves(ReserveVector({"a": 1.5, "c": 3.0}), os.path.join(tmp, "reserves.csv"))
         out = os.path.join(tmp, "new", "out")
         argv = [{"{log}": os.path.join(tmp, "log.csv"),
                  "{reserves}": os.path.join(tmp, "reserves.csv")}.get(a, a) for a in argv]
+        if fault == "out of memory":
+            _, *reads = _READS[argv[0]]
+            mp.setitem(_READS, argv[0], (_out_of_memory, *reads))
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(argv + ["--out", out])
         assert code in (0, 2, 3, 4)
-        if faulty:
-            assert code == 2
+        if fault != "none":
+            assert code == (4 if fault == "out of memory" else 2)
         if code == 0:
             with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
                 assert set(json.load(fh)["config"]) == read
@@ -987,6 +1015,8 @@ def test_generated_runs_keep_the_cli_contract(run):
         else:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("refusing: " if code == 4 else "error: ")
+            if fault == "out of memory":
+                assert lines[0].startswith("refusing: out of memory; lower the run's size (")
             assert not os.path.exists(os.path.join(tmp, "new"))
 
 

@@ -563,6 +563,100 @@ def test_columnar_parse_keys_ids_of_every_width(log, block_lines, last_newline):
         assert parse_log(f"{tmp}/log.csv") == records(data, "csv") == log
 
 
+# ids of 12 or 20 bytes that differ from each other in one byte before their last 8
+_EARLY_DIFFERING_IDS = st.builds(
+    lambda width, at, byte: (_STEM[:at] + byte + _STEM[at + 1:])[:width],
+    st.sampled_from([12, 20]), st.integers(0, 11), st.sampled_from("AB.x"))
+
+
+@st.composite
+def run_ordered_csv(draw):
+    """A written CSV log of wide and short ids, its record lines reordered: each auction's
+    records cut into 1 to 3 runs, and the runs of all auctions shuffled, so that runs of
+    other auctions come between them and an id's first sighting may be in any block."""
+    ids = st.one_of(_WIDE_IDS, _EARLY_DIFFERING_IDS, st.text("ab", min_size=1, max_size=3))
+    log = draw(micro_logs(ids))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_log(log, f"{tmp}/log.csv")
+        with open(f"{tmp}/log.csv", "rb") as fh:
+            header, *lines = fh.read().split(b"\n")[:-1]
+    runs = []
+    for count in (log.to_matrix() != ABSENT).sum(axis=1).tolist():  # each auction's records
+        records, lines = lines[:count], lines[count:]
+        cuts = draw(st.sets(st.integers(1, count - 1), max_size=2)) if count > 1 else set()
+        bounds = [0, *sorted(cuts), count]
+        runs += [records[a:b] for a, b in zip(bounds, bounds[1:])]
+    runs = draw(st.permutations(runs))
+    return b"\n".join([header, *(line for run in runs for line in run)]) + b"\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_ordered_csv(), st.sampled_from([1, 2, 3, 7, 1 << 16]))
+def test_columnar_parse_numbers_runs_and_first_sightings_across_blocks(data, block_lines):
+    """Ids are numbered a block at a time against running tables, only run heads keyed:
+    with an auction's records in several runs among other auctions' runs, and runs that
+    cross block edges, the columnar parse still returns the per-record parse's log."""
+    records = logio._parse_records
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        with open(f"{tmp}/log.csv", "wb") as fh:
+            fh.write(data)
+
+        def refuse(data, fmt):
+            raise AssertionError("the per-record parse ran")
+
+        mp.setattr(logio, "_parse_records", refuse)
+        mp.setattr(logio, "_BLOCK_LINES", block_lines)
+        assert parse_log(f"{tmp}/log.csv") == records(data, "csv")
+
+
+def _uuid_log(auctions: int) -> BidLog:
+    """A 5-bidder log of seeded bids whose auction ids are 36-byte UUID strings."""
+    rng = np.random.default_rng(11)
+    bids = np.where(rng.random((auctions, 5)) < 0.2, ABSENT,
+                    rng.integers(0, 10 ** 7, (auctions, 5)) / 1e6)
+    bids[:, 0] = 1.25
+    hexes = rng.integers(0, 16, (auctions, 32)).astype(np.uint8)
+    ids = ["-".join(h[a:b] for a, b in ((0, 8), (8, 12), (12, 16), (16, 20), (20, 32)))
+           for h in ("".join("0123456789abcdef"[d] for d in row) for row in hexes.tolist())]
+    return BidLog.from_matrix(bids, [f"b{j}" for j in range(5)], ids)
+
+
+def test_the_columnar_parse_keys_one_block_at_a_time(tmp_path, monkeypatch):
+    """No key array spans more than one block: on a 20k-record log read in blocks of 4096
+    lines, each call that keys ids gets the spans of one block, once per id column."""
+    log = BidLog.from_matrix(np.full((4000, 5), 2.5), [f"b{j}" for j in range(5)])
+    write_log(log, str(tmp_path / "log.csv"))
+    number, spans = logio._number, []
+
+    def recorded(data, starts, stops, *tables):
+        spans.append(len(stops))
+        return number(data, starts, stops, *tables)
+
+    monkeypatch.setattr(logio, "_number", recorded)
+    monkeypatch.setattr(logio, "_BLOCK_LINES", 4096)
+    assert parse_log(str(tmp_path / "log.csv")) == log
+    assert spans == [4096] * 8 + [20_000 - 4 * 4096] * 2
+
+
+def test_the_columnar_parse_holds_no_whole_file_key_arrays(tmp_path, monkeypatch):
+    """The parse's traced peak, the file's bytes included, on a 20k x 5 log with UUID
+    auction ids read in blocks of 4096 lines: 3.2 times the file's size. Whole-file key,
+    order and index arrays took it to 4.2 times."""
+    import tracemalloc
+
+    log = _uuid_log(20_000)
+    path = tmp_path / "log.csv"
+    write_log(log, str(path))
+    monkeypatch.setattr(logio, "_BLOCK_LINES", 4096)
+    tracemalloc.start()
+    try:
+        assert parse_log(str(path)) == log
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * path.stat().st_size
+
+
 _MICROS = st.one_of(st.integers(0, 10 ** 15), st.sampled_from([0, 1, 10 ** 6, 10 ** 15]),
                     st.integers(0, 10 ** 14 - 1).map(lambda k: 10 * k + 5))
 
