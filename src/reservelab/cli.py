@@ -196,8 +196,9 @@ def materialize_log(cfg: RunConfig) -> BidLog:
 def _input_logs(cfg: RunConfig, single: bool):
     """Yield each input log with its slot name: the --input logs in order, else the generated
     one. With `single`, a second --input is refused before any log is parsed."""
-    if cfg.input is None:
-        yield materialize_log(cfg), f"{cfg.generator}(seed={cfg.seed})"
+    if cfg.input is None:  # the hardness log is fixed: it reads no seed
+        yield materialize_log(cfg), ("hardness" if cfg.generator == "hardness"
+                                     else f"{cfg.generator}(seed={cfg.seed})")
         return
     paths = cfg.input if isinstance(cfg.input, list) else [cfg.input]
     if not paths or not all(isinstance(path, str) for path in paths):
@@ -221,7 +222,12 @@ def cmd_gen(cfg: RunConfig) -> tuple[list[str], dict]:
     log = materialize_log(cfg)
     fmt = cfg.format or "csv"
     path = os.path.join(cfg.out, f"log.{fmt}")
-    write_log(log, path, fmt)
+    try:
+        write_log(log, path, fmt)
+    except BaseException:  # a cut-short log would still parse, as a log of fewer auctions
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
     return [path], {"auctions": len(log), "bidders": len(log.bidder_ids)}
 
 

@@ -20,13 +20,13 @@ reserve, so one sort of b_j plus prefix sums gives the total at every
 candidate, for a block of reserve rows at once (_eager_line_totals). No
 reserve changes that sort, so a search sorts each bidder's bids once
 (_sort_line) and every line of that bidder reuses it. These fast totals lie
-within a proven rounding bound of the auction-order sums of
-_eager_totals_for_rows, so re-scoring only the candidates within that bound
-of the best finds the first ordered argmax, as re-simulating every candidate
-would (_best_on_lines). The re-scoring reads the line's own per-auction
-payments (C0, C1 and max(c, a)), which are the eager kernel's own selections,
-so each re-scored total equals _eager_totals_for_rows' bit for bit and no
-kernel runs inside a search.
+within a proven rounding bound of the eager kernel's payments summed in auction
+order, so re-scoring only the candidates within that bound of the best finds the
+first ordered argmax, as re-simulating every candidate would (_best_on_lines).
+The re-scoring (_rescored_totals) reads the line's own per-auction payments (C0,
+C1 and max(c, a)), the eager kernel's own selections, so each re-scored total
+equals that sum bit for bit. The ascent's first total comes from its first line
+too, so no search runs a kernel: each optimizer's one is its result's fsum.
 
 Every eager search draws bidder j's reserve from j's own set S_j, {0} plus
 j's distinct bids (own_candidates): a grid of prod |S_j|, about T^n vectors,
@@ -79,12 +79,12 @@ import numpy as np
 from .errors import SearchSpaceTooLarge
 from .logs import BidLog
 from .mechanics import Mechanism, ReserveVector
-from .vectorized import _merge_top_two, _top_surviving, eager_payments, lazy_order, payments
+from .vectorized import _merge_top_two, _top_surviving, lazy_order, payments
 
-# bid x reserve-row elements per eager kernel call and per re-scored shortlist chunk, and
-# prefix x auction (or candidate) elements per line-search block and per exact search's
-# inner rival table: 32 kB per float64 array, small enough that each block reuses the
-# heap memory the last one freed
+# auction x (row, candidate) elements per re-scored shortlist chunk, and prefix x auction
+# (or candidate) elements per line-search block and per exact search's inner rival table:
+# 32 kB per float64 array, small enough that each block reuses the heap memory the last
+# one freed
 _SEARCH_BATCH = 1 << 12
 # candidates re-simulated together by optimal_lazy_bruteforce
 _BRUTEFORCE_CHUNK = 256
@@ -203,23 +203,6 @@ def check_grid_size(sizes, max_product_size: int) -> None:
                                   f"exceed max_product_size={max_product_size}")
 
 
-def _eager_totals_for_rows(bids: np.ndarray, R: np.ndarray,
-                           weights: np.ndarray | None = None) -> np.ndarray:
-    """Summed eager revenue over all auctions for each reserve row in R (B, n), each
-    payment times its auction's weight if `weights` (T,) is given.
-
-    Sums run left to right in auction order, so a row's total does not depend
-    on how the rows are batched.
-    """
-    step = max(1, _SEARCH_BATCH // max(bids.size, 1))
-    scale = 1.0 if weights is None else weights
-    totals = np.empty(len(R))
-    for i in range(0, len(R), step):
-        pay = eager_payments(bids, R[i:i + step, None, :]) * scale
-        totals[i:i + step] = np.add.accumulate(pay, axis=1)[:, -1]
-    return totals
-
-
 def _sort_line(b: np.ndarray, cands: np.ndarray):
     """What no reserve changes on bidder j's line: the stable order of j's bids b (T,)
     and, per candidate (ascending), how many of them lie below it. A search computes it
@@ -250,8 +233,8 @@ def _eager_line_totals(cands: np.ndarray, pays, line, weights: np.ndarray | None
     Returns (totals, tol, repeats): totals[p, k] (B, |cands|) is the log's
     eager revenue with reserve j at cands[k] (ascending) and the others at
     row p, each auction's payment times its weight when `weights` (T,) is
-    given; it lies within tol[p] / 2 (tol is (B,)) of what
-    _eager_totals_for_rows returns for that row. repeats[p, k] marks a
+    given; it lies within tol[p] / 2 (tol is (B,)) of that row's reference total,
+    the eager kernel's payments summed in auction order. repeats[p, k] marks a
     candidate whose every auction pays exactly what it pays at cands[k - 1],
     so both rows' ordered totals are bit-identical. `pays` is the rows'
     _line_payments and `line` _sort_line's for (b_j, cands).
@@ -314,7 +297,7 @@ def _best_on_lines(bids: np.ndarray, rows: np.ndarray, j: int, cands: np.ndarray
     tol of the fast maximum; a repeat ties the row before it. So only that
     shortlist, without repeats, is re-scored, by _rescored_totals from the line's own
     per-auction payments. Those are the eager kernel's own selections, so each
-    re-scored total is bit-identical to _eager_totals_for_rows' for that row.
+    re-scored total is bit-identical to the kernel's auction-order sum for that row.
     """
     pays = _line_payments(bids, rows, j, rivals)
     fast, tol, repeats = _eager_line_totals(cands, pays, line, weights)
@@ -331,8 +314,8 @@ def _rescored_totals(b: np.ndarray, pays, p: np.ndarray, c: np.ndarray,
     """Ordered totals of reserve rows p (K,) of a line with reserve j at c (K,), from the
     line's _line_payments `pays` and j's bids b (T,): C0 where b < c (or j is absent),
     max(c, a) where j survives and wins, C1 where it survives and loses; each times its
-    auction's weight if `weights` (T,) is given, summed in auction order, in chunks of
-    rows as _eager_totals_for_rows sums."""
+    auction's weight if `weights` (T,) is given, summed in auction order in chunks of
+    _SEARCH_BATCH elements: the eager kernel's auction-order sums, bit for bit, at any c."""
     step = max(1, _SEARCH_BATCH // len(b))
     totals = np.empty(len(p))
     for lo in range(0, len(p), step):
@@ -466,12 +449,13 @@ def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
     of any larger set: see the module docstring) and moves only on strict
     improvement, preferring the smallest improving candidate. Each step is
     _best_on_lines on the current row, O((T + |candidates|) log T), and moves
-    exactly as a re-simulation of each of those candidates would. Stops after a full
-    round improves total revenue by a relative factor below 1e-12
-    (converged), or after max_rounds rounds. Its counters are `candidates` (each
-    bidder's count, in bidder_ids order), `rounds` (rounds run) and `converged`
-    (False when it stopped at max_rounds). Revenue never decreases, so the result
-    is at least as good as the starting point.
+    exactly as a re-simulation of each of those candidates would; the starting total
+    is bidder 0's line, re-scored at the starting row. Stops after a full round
+    improves total revenue by a relative factor below 1e-12 (converged), or after
+    max_rounds rounds. Its counters are `candidates` (each bidder's count, in
+    bidder_ids order), `rounds` (rounds run) and `converged` (False when it stopped
+    at max_rounds). Revenue never decreases, so the result is at least as good as
+    the starting point.
     """
     if init is None:
         init = ReserveVector.zero()
@@ -479,7 +463,9 @@ def eager_coordinate_ascent(log: BidLog, init: ReserveVector | None = None,
     sets = own_candidates(bids.T)
     n = len(log.bidder_ids)
     current = init.row(log.bidder_ids)
-    current_total = float(_eager_totals_for_rows(bids, current[None, :])[0])
+    rivals = _top_surviving(bids, np.where(np.arange(n) == 0, np.inf, current)[None, None])
+    pays = _line_payments(bids, current[None, :], 0, rivals)
+    current_total = float(_rescored_totals(bids[:, 0], pays, np.zeros(1, np.intp), current[:1])[0])
     lines = [_sort_line(b, s) for b, s in zip(bids.T, sets)]
 
     rounds, converged = 0, False

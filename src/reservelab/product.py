@@ -165,18 +165,11 @@ def trim_lift(dist: ProductDist,
     order = sorted(ids, key=lambda b: (-r[b], b))
     for pos, bidder in enumerate(order):
         reserve = r[bidder]
-        below = [v for v in dists[bidder].values() if v < reserve]
-        if below:
-            current = ReserveVector(dict(r))
-            best_x, best_rev = None, -math.inf
-            for v in below:  # ascending; strict > keeps the smallest on ties
-                point = ProductDist({**dists, bidder: FiniteDist(((v, 1.0),))})
-                rev = expected_revenue_product(point, current, Mechanism.LAZY)
-                if rev > best_rev:
-                    best_x, best_rev = v, rev
-            x = best_x
-        else:
-            x = 0.0
+        current = ReserveVector(dict(r))
+        below = [v for v in dists[bidder].values() if v < reserve]  # ascending
+        # E[Rev | b_i = v] at its highest; max keeps the first, smallest, of equal keys
+        x = max(below, default=0.0, key=lambda v: expected_revenue_product(
+            ProductDist({**dists, bidder: FiniteDist(((v, 1.0),))}), current, Mechanism.LAZY))
         dists[bidder] = dists[bidder].trimmed(reserve)
         for later in order[pos + 1:]:
             r[later] = max(r[later], x)

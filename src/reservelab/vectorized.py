@@ -2,12 +2,12 @@
 
 Bids are a (T, n) float array, one row per auction, one column per bidder in
 ascending bidder_id order; -inf marks a bidder absent from an auction.
-Reserves are a single (n,) row applied to every auction, a (T, n) array, or
-carry a leading batch axis of reserve rows: (B, 1, n) or (B, T, n) reserves
-give (B, T) payments, one row of per-auction payments per reserve row.
-Semantics match mechanics.run_lazy / run_eager exactly (same weak
-inequalities, same smallest-column tie-break); the scalar functions stay the
-reference and the test suite cross-checks the two.
+Reserves are a single (n,) row applied to every auction, a (T, n) array, or carry
+a leading batch axis of reserve rows: (B, 1, n) or (B, T, n) reserves give (B, T)
+payments, one row per reserve row (nested_payments' lazy branch and the tests'
+eager oracle; no search runs a kernel). Semantics match mechanics.run_lazy /
+run_eager exactly (same weak inequalities, same smallest-column tie-break); the
+scalar functions stay the reference and the test suite cross-checks the two.
 
 The eager survivors' top two is one scan, _top_surviving, which the eager
 searches' rivals call too; two groups' top two merge through _merge_top_two.

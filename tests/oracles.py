@@ -9,6 +9,7 @@ import numpy as np
 from reservelab.distributions import ContinuousDist
 from reservelab.generators import equal_revenue_pair_analysis
 from reservelab.mechanics import BidProfile, run_auction
+from reservelab.vectorized import eager_payments
 
 
 def global_candidates(bids: np.ndarray) -> np.ndarray:
@@ -20,6 +21,23 @@ def global_candidates(bids: np.ndarray) -> np.ndarray:
 def own_set_sizes(bids: np.ndarray) -> list[int]:
     """Per bidder of `bids` (T, n), the size of {0} plus its distinct bids."""
     return [len(np.unique(np.append(col[np.isfinite(col)], 0.0))) for col in bids.T]
+
+
+def eager_totals(bids: np.ndarray, R: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Summed eager revenue over all auctions of `bids` (T, n) for each reserve row in R
+    (B, n), each payment times its auction's weight if `weights` (T,) is given: the eager
+    kernel's payments, in blocks of about 1 << 12 elements.
+
+    Sums run left to right in auction order, so a row's total does not depend
+    on how the rows are batched.
+    """
+    step = max(1, (1 << 12) // max(bids.size, 1))
+    scale = 1.0 if weights is None else weights
+    totals = np.empty(len(R))
+    for i in range(0, len(R), step):
+        pay = eager_payments(bids, R[i:i + step, None, :]) * scale
+        totals[i:i + step] = np.add.accumulate(pay, axis=1)[:, -1]
+    return totals
 
 
 def argmax_over_grid(cands, n: int, score, chunk: int) -> np.ndarray:

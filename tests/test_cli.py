@@ -15,16 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reservelab import abtest, cli, vectorized
+from reservelab import abtest, cli, logio, vectorized
 from reservelab.cli import _READS, RunConfig, main
 from reservelab.distributions import ContinuousDist
 from reservelab.logio import (compute_lift_report, lift_revenue_tsv, lift_welfare_tsv,
                               parse_log, read_reserves, write_log, write_reserves)
 from reservelab.logs import BidLog
 from reservelab.mechanics import BidProfile, Mechanism, ReserveVector, run_auction, run_eager
-from reservelab.optimize import _eager_totals_for_rows, optimal_lazy
+from reservelab.optimize import optimal_lazy
 
-from oracles import argmax_over_grid, global_candidates, own_set_sizes
+from oracles import argmax_over_grid, eager_totals, global_candidates, own_set_sizes
 
 IID_PARAMS = '{"dist": "uniform", "n": 3, "lo": 0.0, "hi": 10.0}'
 TRIANGLE = '{"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [0, 2]], "L": 2, "H": 3}'
@@ -273,6 +273,30 @@ def test_running_out_of_memory_is_a_refusal(tmp_path, capsys, monkeypatch, calle
     assert not (tmp_path / "a").exists()
 
 
+@pytest.mark.parametrize("fresh", [True, False], ids=["fresh-out", "existing-out"])
+def test_a_gen_failing_inside_write_log_leaves_no_cut_short_log(tmp_path, capsys, monkeypatch,
+                                                                fresh):
+    """A log written up to a failure is the header and whole blocks, a valid log of fewer
+    auctions; gen removes it, and main the directories of --out it made."""
+    calls = []
+
+    def second_fails(*args, _original=logio._record_bytes):
+        calls.append(args)
+        if len(calls) == 2:
+            _out_of_memory()
+        return _original(*args)
+
+    monkeypatch.setattr(logio, "_BLOCK_LINES", 100)
+    monkeypatch.setattr(logio, "_record_bytes", second_fails)
+    out = tmp_path / "a" / "b" if fresh else tmp_path
+    assert main(["gen", "--generator", "iid", "--params", IID_PARAMS, "--count", "200",
+                 "--out", str(out)]) == 4
+    assert len(calls) == 2
+    err = "refusing: out of memory; lower the run's size (--params, --count)\n"
+    assert capsys.readouterr().err == err
+    assert os.listdir(tmp_path) == []
+
+
 def test_eager_exact_searches_each_bidders_own_bids(tmp_path):
     """On 8 auctions of 3 bidders the grid of every bid holds 25^3 vectors, over
     --max-product-size, but each bidder's {0} plus own bids only 9^3. The run searches
@@ -285,7 +309,7 @@ def test_eager_exact_searches_each_bidders_own_bids(tmp_path):
     out = tmp_path / "opt"
     assert main(["optimize", "--task", "eager-exact", "--input", str(log_path),
                  "--max-product-size", "1000", "--out", str(out)]) == 0
-    want = argmax_over_grid(cands.tolist(), 3, lambda R: _eager_totals_for_rows(bids, R), 1 << 12)
+    want = argmax_over_grid(cands.tolist(), 3, lambda R: eager_totals(bids, R), 1 << 12)
     write_reserves(ReserveVector(dict(zip(log.bidder_ids, want.tolist()))),
                    str(tmp_path / "want.csv"))
     assert (out / "reserves.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
@@ -988,17 +1012,24 @@ def cli_runs(draw):
     return argv, read, fault
 
 
+def _run_files(tmp):
+    """Write the log and reserves a generated run reads into `tmp`; returns the paths that
+    replace its {log} and {reserves} placeholders."""
+    paths = {"{log}": os.path.join(tmp, "log.csv"), "{reserves}": os.path.join(tmp, "reserves.csv")}
+    write_log(BidLog.from_matrix(np.array([[1.0, 2.5, 4.0], [3.0, 0.5, 2.0]] * 5),
+                                 ("a", "b", "c")), paths["{log}"])
+    write_reserves(ReserveVector({"a": 1.5, "c": 3.0}), paths["{reserves}"])
+    return paths
+
+
 @settings(max_examples=100, deadline=None)
 @given(cli_runs())
 def test_generated_runs_keep_the_cli_contract(run):
     argv, read, fault = run
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        write_log(BidLog.from_matrix(np.array([[1.0, 2.5, 4.0], [3.0, 0.5, 2.0]] * 5),
-                                     ("a", "b", "c")), os.path.join(tmp, "log.csv"))
-        write_reserves(ReserveVector({"a": 1.5, "c": 3.0}), os.path.join(tmp, "reserves.csv"))
+        paths = _run_files(tmp)
         out = os.path.join(tmp, "new", "out")
-        argv = [{"{log}": os.path.join(tmp, "log.csv"),
-                 "{reserves}": os.path.join(tmp, "reserves.csv")}.get(a, a) for a in argv]
+        argv = [paths.get(a, a) for a in argv]
         if fault == "out of memory":
             _, *reads = _READS[argv[0]]
             mp.setitem(_READS, argv[0], (_out_of_memory, *reads))
@@ -1018,6 +1049,54 @@ def test_generated_runs_keep_the_cli_contract(run):
             if fault == "out of memory":
                 assert lines[0].startswith("refusing: out of memory; lower the run's size (")
             assert not os.path.exists(os.path.join(tmp, "new"))
+
+
+# A good value, other than the default, for every key a run may leave unread: all but --out and
+# the keys that pick the source, task or mode.
+_UNREAD = {"params": {"n": 3}, "count": 5, "seed": 7, "format": "jsonl", "mechanism": "lazy",
+           "max_product_size": 4, "max_rounds": 3, "trials": 10, "dist": "uniform", "n": 3,
+           "reserves": "{reserves}", "grid": [0.25], "assignments": 3}
+
+
+def _files(root):
+    """Every file under `root`, by its path relative to `root`, with its bytes."""
+    found = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            with open(os.path.join(folder, name), "rb") as fh:
+                found[os.path.relpath(os.path.join(folder, name), root)] = fh.read()
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_runs().filter(lambda run: run[2] == "none"))
+def test_a_key_the_run_does_not_read_changes_no_output(run):
+    """A run that exits 0, run again to the same --out with a --config file giving every key it
+    does not read a value of its own, exits 0 and writes the same files; the two summary.json
+    differ only in runtime_seconds."""
+    argv, read, _ = run
+    defaults = RunConfig()
+    assert set(_UNREAD) == {f.name for f in fields(RunConfig)} - {
+        "out", "input", "generator", "task", "mode"}
+    assert all(value != getattr(defaults, key) for key, value in _UNREAD.items())
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        paths = _run_files(tmp)
+        argv = [paths.get(a, a) for a in argv] + ["--out", os.path.join(tmp, "out")]
+        if main(argv) != 0:
+            return
+        os.rename(os.path.join(tmp, "out"), os.path.join(tmp, "first"))
+        config = os.path.join(tmp, "unread.json")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump({k: paths[v] if k == "reserves" else v
+                       for k, v in _UNREAD.items() if k not in read}, fh)
+        assert main(argv + ["--config", config]) == 0, err.getvalue()
+        first, second = _files(os.path.join(tmp, "first")), _files(os.path.join(tmp, "out"))
+    summaries = [json.loads(files.pop("summary.json")) for files in (first, second)]
+    assert first == second
+    for summary in summaries:
+        del summary["runtime_seconds"]
+    assert summaries[0] == summaries[1]
 
 
 # ids of 1 to 3 bytes and of 9 to 14, past one key word; bids of zero, the least micro,

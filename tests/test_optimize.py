@@ -13,18 +13,18 @@ from reservelab.errors import SearchSpaceTooLarge
 from reservelab.generators import gen_hardness_instance, independent_set_number
 from reservelab.logs import BidLog
 from reservelab.mechanics import BidProfile, Mechanism, ReserveVector, run_eager
-from reservelab import optimize
+from reservelab import optimize, vectorized
 from reservelab.optimize import (OptimizationResult, _best_on_lines, _eager_line_totals,
-                                 _eager_totals_for_rows, _inner_split, _line_payments,
-                                 _prefix_blocks, _product_rows, _rescored_totals, _result,
-                                 _sort_line, eager_coordinate_ascent, empirical_revenue,
+                                 _inner_split, _line_payments, _prefix_blocks, _product_rows,
+                                 _rescored_totals, _result, _sort_line,
+                                 eager_coordinate_ascent, empirical_revenue,
                                  exact_eager_search, exact_lazy_search, monopoly_reserves,
                                  optimal_eager_exact, optimal_lazy, optimal_lazy_bruteforce,
                                  own_candidates)
 from reservelab.product import FiniteDist, ProductDist, optimal_reserves_product
 from reservelab.vectorized import ABSENT, _top_surviving, lazy_order, payments
 
-from oracles import argmax_over_grid, global_candidates, own_set_sizes
+from oracles import argmax_over_grid, eager_totals, global_candidates, own_set_sizes
 
 
 def log_of(rows):
@@ -238,7 +238,7 @@ def test_eager_exact_lex_smallest_tie():
 def grid_search(bids, cands, weights=None):
     """The exhaustive search the line search replaced: every grid vector's ordered total."""
     return argmax_over_grid(cands.tolist(), bids.shape[1],
-                            lambda R: _eager_totals_for_rows(bids, R, weights), 1 << 14)
+                            lambda R: eager_totals(bids, R, weights), 1 << 14)
 
 
 _LEVELS = [0.0, 0.5, 1.0, 2.0, 3.0]  # few levels, so bids tie with each other and with reserves
@@ -302,7 +302,7 @@ def test_a_line_over_own_bids_equals_the_line_over_every_bid(case, data):
     for j, own in enumerate(own_candidates(bids.T)):
         R = np.tile(row, (len(cands), 1))
         R[:, j] = cands
-        totals = _eager_totals_for_rows(bids, R, weights)
+        totals = eager_totals(bids, R, weights)
         i = int(np.argmax(totals))
         got, total = _best_on_lines(bids, row[None, :], j, own,
                                     *line_of(bids, row[None, :], j, own), weights)
@@ -321,7 +321,7 @@ def test_own_bids_can_split_a_tie_that_only_rounding_makes():
     cands = global_candidates(bids)
     R = np.zeros((len(cands), 3))
     R[:, 0] = cands
-    totals = _eager_totals_for_rows(bids, R)
+    totals = eager_totals(bids, R)
     assert cands[np.argmax(totals)] == 9.0 and row[0] == 10.0
     assert total == totals.max() == 1e17 + 16
 
@@ -407,11 +407,11 @@ def test_eager_totals_sum_scalar_payments_in_auction_order():
     for _ in range(4):
         log = random_log(rng, max_bidders=4, max_auctions=60)
         n = len(log.bidder_ids)
-        # enough rows that the search splits them over several kernel calls
+        # enough rows that the oracle splits them over several kernel calls
         R = rng.choice([0.0, 1.0, 2.5, 4.0, 6.0, math.inf], size=(1500, n))
         weights = rng.random(len(log))
-        got = _eager_totals_for_rows(log.to_matrix(), R)
-        got_w = _eager_totals_for_rows(log.to_matrix(), R, weights)
+        got = eager_totals(log.to_matrix(), R)
+        got_w = eager_totals(log.to_matrix(), R, weights)
         for row, total, total_w in zip(R[::37], got[::37], got_w[::37]):
             rv = ReserveVector(dict(zip(log.bidder_ids, row.tolist())))
             want = want_w = 0.0
@@ -422,17 +422,25 @@ def test_eager_totals_sum_scalar_payments_in_auction_order():
 
 
 def test_row_totals_do_not_depend_on_the_block(monkeypatch):
+    """_rescored_totals sums its (row, candidate) pairs in chunks of _SEARCH_BATCH elements;
+    every total has the same bits whatever the chunk, weighted or not."""
     rng = np.random.default_rng(52)
     log = random_log(rng, max_bidders=4, max_auctions=60)
     bids, n = log.to_matrix(), len(log.bidder_ids)
-    R = rng.choice([0.0, 1.0, 2.5, 4.0, 6.0, math.inf], size=(300, n))
-    for weights in (None, rng.random(len(log))):
-        whole = _eager_totals_for_rows(bids, R, weights)
-        for lo, hi in ((0, 1), (7, 8), (5, 123), (100, 300)):
-            assert np.array_equal(_eager_totals_for_rows(bids, R[lo:hi], weights), whole[lo:hi])
-        with monkeypatch.context() as m:
-            m.setattr(optimize, "_SEARCH_BATCH", 1)  # one row per kernel call
-            assert np.array_equal(_eager_totals_for_rows(bids, R, weights), whole)
+    rows = rng.choice([0.0, 1.0, 2.5, 4.0, 6.0, math.inf], size=(20, n))
+    cands = np.append(global_candidates(bids), math.inf)
+    p, c = rng.integers(0, len(rows), 300), rng.choice(cands, 300)
+    for j in range(n):
+        pays = _line_payments(bids, rows, j, line_of(bids, rows, j, cands)[1])
+        for weights in (None, rng.random(len(log))):
+            whole = _rescored_totals(bids[:, j], pays, p, c, weights)
+            for lo, hi in ((0, 1), (7, 8), (5, 123), (100, 300)):
+                part = _rescored_totals(bids[:, j], pays, p[lo:hi], c[lo:hi], weights)
+                assert part.tobytes() == whole[lo:hi].tobytes()
+            with monkeypatch.context() as m:
+                m.setattr(optimize, "_SEARCH_BATCH", 1)  # one pair per chunk
+                again = _rescored_totals(bids[:, j], pays, p, c, weights)
+            assert again.tobytes() == whole.tobytes()
 
 
 def reference_ascent(log, init=None, max_rounds=50):
@@ -441,7 +449,7 @@ def reference_ascent(log, init=None, max_rounds=50):
     bids = log.to_matrix()
     cands = global_candidates(bids)
     current = np.array([(init or ReserveVector.zero()).get(b) for b in log.bidder_ids])
-    current_total = float(_eager_totals_for_rows(bids, current[None, :])[0])
+    current_total = float(eager_totals(bids, current[None, :])[0])
     rounds, converged = 0, False
     for _ in range(max_rounds):
         rounds += 1
@@ -449,7 +457,7 @@ def reference_ascent(log, init=None, max_rounds=50):
         for j in range(len(log.bidder_ids)):
             R = np.tile(current, (len(cands), 1))
             R[:, j] = cands
-            totals = _eager_totals_for_rows(bids, R)
+            totals = eager_totals(bids, R)
             i = int(np.argmax(totals))
             if totals[i] > current_total:
                 current = R[i].copy()
@@ -473,7 +481,7 @@ def check_line_search(log, current, weights=None):
                                                 line, weights)
         R = np.repeat(rows, len(cands), axis=0)  # (row, candidate) order
         R[:, j] = np.tile(cands, len(rows))
-        exact = _eager_totals_for_rows(bids, R, weights).reshape(fast.shape)
+        exact = eager_totals(bids, R, weights).reshape(fast.shape)
         assert np.all(np.abs(fast - exact) <= tol[:, None] / 2)
         p, k = np.nonzero(repeats)
         # a repeat ties the row below, bit for bit
@@ -527,7 +535,7 @@ def test_line_search_matches_ordered_totals_property(case):
 @given(line_cases())
 def test_rescored_totals_equal_the_kernel_sums(case):
     """Every (row, candidate) of every bidder's line, re-scored from the line's own
-    payments, totals to _eager_totals_for_rows' auction-order sum of the kernel's
+    payments, totals to eager_totals' auction-order sum of the kernel's
     payments, bit for bit."""
     log, rows, weights = case
     bids = log.to_matrix()
@@ -538,7 +546,7 @@ def test_rescored_totals_equal_the_kernel_sums(case):
         got = _rescored_totals(bids[:, j], pays, p, cands[k], weights)
         R = rows[p]
         R[:, j] = cands[k]
-        assert got.tobytes() == _eager_totals_for_rows(bids, R, weights).tobytes()
+        assert got.tobytes() == eager_totals(bids, R, weights).tobytes()
 
 
 @st.composite
@@ -590,27 +598,28 @@ def test_exact_cases_batches_reach_every_split():
 
 
 def test_searches_run_no_kernel_inside(monkeypatch):
-    """Every line re-scores its shortlist from its own payments: the exact search on the
-    Petersen hardness log and the eager product-law search run no eager kernel, and the
-    ascent runs one, for its starting total."""
+    """Every line re-scores its shortlist from its own payments, and the ascent takes its
+    starting total from its first line: the exact search on the Petersen hardness log, the
+    eager product-law search and the ascent each run one eager kernel, on their result's
+    reserve row."""
     calls = []
 
-    def counting(*args, _original=optimize.eager_payments):
-        calls.append(args[1].shape)
+    def counting(*args, _original=vectorized.eager_payments):
+        calls.append(np.shape(args[1]))
         return _original(*args)
 
-    monkeypatch.setattr(optimize, "eager_payments", counting)
+    monkeypatch.setattr(vectorized, "eager_payments", counting)
     edges = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
              + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
     petersen = gen_hardness_instance(list(range(10)), edges, 2.0, 3.0)
     assert optimal_eager_exact(petersen).total_revenue == 2 * 25 + 4
-    assert calls == []
+    assert calls == [(10,)]
     law = ProductDist({f"b{i}": FiniteDist(((1.0 + i, 0.5), (2.5, 0.25), (4.0 - i, 0.25)))
                        for i in range(3)})
     optimal_reserves_product(law, Mechanism.EAGER)
-    assert calls == []
+    assert calls == [(10,), (3,)]
     eager_coordinate_ascent(petersen)
-    assert calls == [(1, 1, 10)]
+    assert calls == [(10,), (3,), (10,)]
 
 
 def test_ascent_matches_reference_loop():
@@ -642,7 +651,7 @@ def test_line_search_near_tie_keeps_ordered_argmax():
     fast = _eager_line_totals(cands, _line_payments(bids, rows, 0, rivals), line)[0][0]
     R = np.zeros((len(cands), 2))
     R[:, 0] = cands
-    exact = _eager_totals_for_rows(bids, R)
+    exact = eager_totals(bids, R)
     assert cands[np.argmax(exact)] == 0.6 and cands[np.argmax(fast)] == 0.9
     check_line_search(log, np.zeros(2))
     got = eager_coordinate_ascent(log, max_rounds=1)

@@ -5,10 +5,11 @@ import warns DeprecationWarning from mypy_extensions. Under the repo's `error::`
 warning raised inside a pytest hook: the run ended with INTERNALERROR (exit 3) and no test
 after the failing one ran. The repo's ini ignores that one third-party message.
 
-Also three lints the repo has no linter for: no module of the package imports a name it
+Also four lints the repo has no linter for: no module of the package imports a name it
 never reads, so a kernel entry point that loses its last caller loses its import too; no
-private function or class of the package outlives its last reader; and no module-level
-constant does either. And README's layout table names every module of the package.
+private function or class of the package outlives its last reader; no module-level
+constant does either; and no function of tests/oracles.py outlives the last test module
+that reads it. And README's layout table names every module of the package.
 """
 
 import ast
@@ -128,6 +129,32 @@ def test_every_module_constant_is_read(tmp_path):
     with open(copy / "logs.py", "a", encoding="utf-8") as fh:
         fh.write("\n_UNUSED = 1\n")
     assert _unread(str(copy), _constant)[1] == [("logs.py", "_UNUSED")]
+
+
+def _unread_oracles(tests):
+    """The functions `tests`/oracles.py defines that no test module of `tests` reads."""
+    def tree(name):
+        with open(os.path.join(tests, name), encoding="utf-8") as fh:
+            return ast.parse(fh.read(), name)
+
+    oracles = [s.name for s in tree("oracles.py").body if isinstance(s, ast.FunctionDef)]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for name in os.listdir(tests) if name.startswith("test_") and name.endswith(".py")
+            for node in ast.walk(tree(name))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    return oracles, [name for name in oracles if name not in read]
+
+
+def test_every_oracle_is_read_by_a_test_module(tmp_path):
+    tests = os.path.join(ROOT, "tests")
+    oracles, unread = _unread_oracles(tests)
+    assert len(oracles) > 10  # the walk found the oracles
+    assert unread == []
+    copy = tmp_path / "tests"  # the check sees an oracle no test module reads
+    shutil.copytree(tests, copy, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    with open(copy / "oracles.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef unused_oracle():\n    return global_candidates\n")
+    assert _unread_oracles(str(copy))[1] == ["unused_oracle"]
 
 
 def test_readme_layout_names_every_module():
